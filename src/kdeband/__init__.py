@@ -4,167 +4,34 @@ The package estimates probability densities from 1D and 3D samples with
 classic assignment kernels (NGP, CIC, TSC) and selects the AMISE-optimal
 bandwidth from the data alone, by iterating a noise-corrected curvature
 roughness measurement against the closed-form optimal-bandwidth formula.
+One implementation serves every dimension d, taken from the sample's
+shape (Np, d); each ``_1d``/``_3d`` name is that implementation with d
+fixed.
 
 Typical use::
 
-    from kdeband import Sample1D, kernel_constants_1d, select_bandwidth_1d
+    from kdeband import Sample, kernel_constants, select_bandwidth
 
-    sample = Sample1D(values)
-    kernel = kernel_constants_1d("tsc")
-    trace = select_bandwidth_1d(sample, kernel)
+    sample = Sample(values)            # shape (Np,) or (Np, 3)
+    kernel = kernel_constants("tsc", sample.dim)
+    trace = select_bandwidth(sample, kernel)
     h = trace.final_h
 """
 
-from .errors import (
-    BackoffExhausted,
-    DegenerateSample,
-    DomainError,
-    GridTooLarge,
-    GridTooSmall,
-    KdebandError,
-    NonPositiveBandwidth,
-    NonPositiveRoughness,
-)
-from .estimator import (
-    DEFAULT_GRID_CAP_1D,
-    DEFAULT_GRID_CAP_3D,
-    Grid1D,
-    Grid3D,
-    Sample1D,
-    Sample3D,
-    build_grid_1d,
-    build_grid_3d,
-    estimate_density_1d,
-    estimate_density_3d,
-    integrate_squared_1d,
-    integrate_squared_3d,
-    laplacian_grid,
-    second_derivative_grid,
-)
-from .kernels import (
-    KERNEL_FAMILIES,
-    Kernel1D,
-    Kernel3D,
-    eval_kernel_1d,
-    eval_kernel_3d,
-    eval_kernel_3d_radial,
-    kernel_constants_1d,
-    kernel_constants_3d,
-)
-from .reference import (
-    AnalyticDensity1D,
-    AnalyticDensity3D,
-    analytic_optimal_bandwidth,
-    analytic_roughness_1d,
-    analytic_roughness_3d_gaussian,
-    eval_density,
-    eval_density_3d,
-    gaussian_1d,
-    gaussian_3d,
-    hernquist_profile,
-    hernquist_radial_pdf,
-    profile_from_radial_pdf,
-    trimodal_1d,
-    tsc_density_1d,
-)
-from .roughness import RoughnessResult, corrected_roughness_1d, corrected_roughness_3d
-from .samplers import (
-    RNG_NAME,
-    TRIMODAL_MEANS,
-    TRIMODAL_SIGMAS,
-    TRIMODAL_WEIGHTS,
-    HernquistParams,
-    sample_gaussian_1d,
-    sample_gaussian_3d,
-    sample_hernquist_radii,
-    sample_trimodal,
-    sample_tsc_density,
-)
-from .selector import (
-    BandwidthTrace,
-    IterationRecord,
-    SelectorConfig,
-    amise_1d,
-    optimal_bandwidth_1d,
-    optimal_bandwidth_3d,
-    select_bandwidth_1d,
-    select_bandwidth_3d,
-)
+# Each module's __all__ lists its public names; the package re-exports them.
+from . import errors, estimator, kernels, reference, roughness, samplers, selector
+from .errors import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .reference import *  # noqa: F403
+from .roughness import *  # noqa: F403
+from .samplers import *  # noqa: F403
+from .selector import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "KdebandError",
-    "NonPositiveBandwidth",
-    "NonPositiveRoughness",
-    "GridTooLarge",
-    "GridTooSmall",
-    "DegenerateSample",
-    "BackoffExhausted",
-    "DomainError",
-    # kernels
-    "Kernel1D",
-    "Kernel3D",
-    "KERNEL_FAMILIES",
-    "kernel_constants_1d",
-    "kernel_constants_3d",
-    "eval_kernel_1d",
-    "eval_kernel_3d",
-    "eval_kernel_3d_radial",
-    # estimator
-    "Sample1D",
-    "Sample3D",
-    "Grid1D",
-    "Grid3D",
-    "estimate_density_1d",
-    "estimate_density_3d",
-    "build_grid_1d",
-    "build_grid_3d",
-    "second_derivative_grid",
-    "laplacian_grid",
-    "integrate_squared_1d",
-    "integrate_squared_3d",
-    "DEFAULT_GRID_CAP_1D",
-    "DEFAULT_GRID_CAP_3D",
-    # roughness
-    "RoughnessResult",
-    "corrected_roughness_1d",
-    "corrected_roughness_3d",
-    # selector
-    "SelectorConfig",
-    "IterationRecord",
-    "BandwidthTrace",
-    "optimal_bandwidth_1d",
-    "optimal_bandwidth_3d",
-    "amise_1d",
-    "select_bandwidth_1d",
-    "select_bandwidth_3d",
-    # samplers
-    "RNG_NAME",
-    "HernquistParams",
-    "TRIMODAL_MEANS",
-    "TRIMODAL_SIGMAS",
-    "TRIMODAL_WEIGHTS",
-    "sample_gaussian_1d",
-    "sample_gaussian_3d",
-    "sample_tsc_density",
-    "sample_trimodal",
-    "sample_hernquist_radii",
-    # reference
-    "AnalyticDensity1D",
-    "AnalyticDensity3D",
-    "gaussian_1d",
-    "tsc_density_1d",
-    "trimodal_1d",
-    "hernquist_radial_pdf",
-    "gaussian_3d",
-    "eval_density",
-    "eval_density_3d",
-    "analytic_roughness_1d",
-    "analytic_roughness_3d_gaussian",
-    "analytic_optimal_bandwidth",
-    "hernquist_profile",
-    "profile_from_radial_pdf",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, kernels, estimator, roughness, selector, samplers, reference)
+    for name in module.__all__
 ]

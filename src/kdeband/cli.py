@@ -26,12 +26,8 @@ import warnings
 import numpy as np
 
 from .errors import KdebandError
-from .estimator import Sample1D, Sample3D, build_grid_1d, estimate_density_1d
-from .kernels import (
-    KERNEL_FAMILIES,
-    kernel_constants_1d,
-    kernel_constants_3d,
-)
+from .estimator import Sample, build_grid, estimate_density_1d
+from .kernels import KERNEL_FAMILIES, kernel_constants
 from .reference import (
     analytic_optimal_bandwidth,
     eval_density,
@@ -52,12 +48,7 @@ from .samplers import (
     sample_trimodal,
     sample_tsc_density,
 )
-from .selector import (
-    BandwidthTrace,
-    SelectorConfig,
-    select_bandwidth_1d,
-    select_bandwidth_3d,
-)
+from .selector import BandwidthTrace, SelectorConfig, select_bandwidth
 
 __all__ = ["main", "build_parser"]
 
@@ -86,12 +77,14 @@ _DECADES_1D = [1_000, 10_000, 100_000, 1_000_000]
 _DECADES_3D = [1_000, 10_000, 100_000]
 _DEFAULT_SEEDS = [1, 2, 3, 4, 5]
 
+# "curves": whether --emit-curves writes (x, estimate, analytic) tables,
+# which are one-dimensional.
 _EXPERIMENTS = {
-    "gauss1d": {"dim": 1, "np": _DECADES_1D},
-    "tscdens1d": {"dim": 1, "np": _DECADES_1D},
-    "trimodal": {"dim": 1, "np": _DECADES_1D},
-    "gauss3d": {"dim": 3, "np": _DECADES_3D},
-    "hernquist": {"dim": 1, "np": [1_050_000]},
+    "gauss1d": {"dim": 1, "np": _DECADES_1D, "curves": True},
+    "tscdens1d": {"dim": 1, "np": _DECADES_1D, "curves": True},
+    "trimodal": {"dim": 1, "np": _DECADES_1D, "curves": True},
+    "gauss3d": {"dim": 3, "np": _DECADES_3D, "curves": False},
+    "hernquist": {"dim": 1, "np": [1_050_000], "curves": True},
 }
 
 
@@ -165,17 +158,11 @@ def _load_sample_file(path: str, dim: int):
         raise KdebandError(f"malformed sample file {path!r}: {exc}") from exc
     if data.size == 0:
         raise KdebandError(f"{path!r}: no data rows")
-    if dim == 1:
-        if data.shape[1] != 1:
-            raise KdebandError(
-                f"{path!r}: expected 1 column for --dim 1, found {data.shape[1]}"
-            )
-        return Sample1D(data[:, 0])
-    if data.shape[1] != 3:
+    if data.shape[1] != dim:
         raise KdebandError(
-            f"{path!r}: expected 3 columns for --dim 3, found {data.shape[1]}"
+            f"{path!r}: expected {dim} column(s) for --dim {dim}, found {data.shape[1]}"
         )
-    return Sample3D(data)
+    return Sample(data)
 
 
 def _report(
@@ -255,7 +242,7 @@ def _curve_path(out: str | None, name: str, Np: int, seed: int) -> str:
 
 def _curve_table_1d(name, kernel, sample, h, density, extra_header=()) -> str:
     """Tabulate (x, estimate, analytic) on the deposit grid at h."""
-    grid = build_grid_1d(sample, kernel, h)
+    grid = build_grid(sample, kernel, h)
     xs = grid.node_coordinates()
     fhat = grid.values
     f_true = eval_density(density, xs)
@@ -281,7 +268,7 @@ def _curve_table_hernquist(name, kernel, sample, h, hq_params) -> str:
     total mass.  Grid nodes at r <= 0 (lattice padding below the inner
     truncation radius) are dropped because the profile is undefined there.
     """
-    grid = build_grid_1d(sample, kernel, h)
+    grid = build_grid(sample, kernel, h)
     rs = grid.node_coordinates()
     keep = rs > 0.0
     rs = rs[keep]
@@ -317,10 +304,7 @@ def cmd_experiment(args) -> int:
     config = _selector_config(args)
     hq_params = _hernquist_params(args)
     density = _experiment_density(name, hq_params)
-    if dim == 1:
-        kernel = kernel_constants_1d(args.kernel)
-    else:
-        kernel = kernel_constants_3d(args.kernel)
+    kernel = kernel_constants(args.kernel, dim)
 
     reports = []
     curves = []
@@ -329,15 +313,12 @@ def cmd_experiment(args) -> int:
         for seed in sorted(seeds):
             sample = _experiment_sample(name, Np, seed, hq_params)
             t0 = time.perf_counter()
-            if dim == 1:
-                trace = select_bandwidth_1d(sample, kernel, config, grid_cap=args.grid_cap)
-            else:
-                trace = select_bandwidth_3d(sample, kernel, config, grid_cap=args.grid_cap)
+            trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
             wall_ms = (time.perf_counter() - t0) * 1e3
             reports.append(
                 _report(name, args.kernel, Np, seed, trace, analytic_h, wall_ms)
             )
-            if args.emit_curves and dim == 1:
+            if args.emit_curves and study["curves"]:
                 if name == "hernquist":
                     table = _curve_table_hernquist(
                         name, kernel, sample, trace.final_h, hq_params
@@ -398,14 +379,9 @@ def cmd_experiment(args) -> int:
 def cmd_select(args) -> int:
     sample = _load_sample_file(args.input, args.dim)
     config = _selector_config(args)
-    if args.dim == 1:
-        kernel = kernel_constants_1d(args.kernel)
-        t0 = time.perf_counter()
-        trace = select_bandwidth_1d(sample, kernel, config, grid_cap=args.grid_cap)
-    else:
-        kernel = kernel_constants_3d(args.kernel)
-        t0 = time.perf_counter()
-        trace = select_bandwidth_3d(sample, kernel, config, grid_cap=args.grid_cap)
+    kernel = kernel_constants(args.kernel, args.dim)
+    t0 = time.perf_counter()
+    trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
     wall_ms = (time.perf_counter() - t0) * 1e3
     report = _report(
         f"select-{args.dim}d", args.kernel, sample.size_Np, -1, trace, None, wall_ms
@@ -432,7 +408,7 @@ def cmd_density(args) -> int:
     else:
         sample = _load_sample_file(args.input, 1)
         source = args.input
-    kernel = kernel_constants_1d(args.kernel)
+    kernel = kernel_constants(args.kernel, 1)
 
     exit_code = 0
     if args.h is not None:
@@ -440,7 +416,7 @@ def cmd_density(args) -> int:
         h_note = "fixed"
     else:
         config = _selector_config(args)
-        trace = select_bandwidth_1d(sample, kernel, config, grid_cap=args.grid_cap)
+        trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
         h = trace.final_h
         h_note = "auto"
         if not trace.converged:
@@ -462,7 +438,7 @@ def cmd_density(args) -> int:
         xs = np.linspace(args.grid_min, args.grid_max, args.grid_points)
         fhat = estimate_density_1d(sample, kernel, h, xs)
     else:
-        grid = build_grid_1d(sample, kernel, h, grid_cap=args.grid_cap)
+        grid = build_grid(sample, kernel, h, grid_cap=args.grid_cap)
         xs = grid.node_coordinates()
         fhat = grid.values
         if density is not None and density.identifier == "hernquist_radial_pdf":

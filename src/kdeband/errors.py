@@ -5,6 +5,17 @@ so callers (notably the command line driver) can distinguish usage and data
 problems from genuine bugs.
 """
 
+__all__ = [
+    "KdebandError",
+    "NonPositiveBandwidth",
+    "NonPositiveRoughness",
+    "GridTooLarge",
+    "GridTooSmall",
+    "DegenerateSample",
+    "BackoffExhausted",
+    "DomainError",
+]
+
 
 class KdebandError(Exception):
     """Base class for all kdeband errors."""

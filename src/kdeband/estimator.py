@@ -4,26 +4,35 @@ The density estimate in d dimensions is
 
     f_hat(x) = 1 / (Np * h^d) * sum_i K((x - x_i) / h)
 
-with K an assignment kernel from :mod:`kdeband.kernels`.  Two evaluation
-paths are provided:
+with K an assignment kernel from :mod:`kdeband.kernels`.  Samples, grids
+and everything built on grids are generic in d, which is taken from the
+sample's shape (Np, d).  Two evaluation paths are provided:
 
 * direct evaluation at arbitrary query points (windowed sums in 1D,
   a cell list in 3D), and
 * deposit onto a regular grid whose spacing equals the bandwidth h.
 
 The grid path is what bandwidth selection consumes: because the nodes sit
-exactly h apart, kernel weights only ever need to be evaluated at a small
-set of offsets per point, and the finite-difference derivative operators
-below have their noise properties characterised in closed form.
+exactly h apart, kernel weights only ever need to be evaluated at w+1
+offsets per point and axis, and the (2d+1)-point Laplacian stencil below
+(the central second difference when d = 1) has its noise properties
+characterised in closed form.
 
 Grids are anchored to the absolute lattice {k*h : k integer} rather than
 to the sample minimum, so two samples with the same support tabulate onto
 identical node positions.
+
+The generic functions take an optional keyword ``dim``, the dimension
+the caller expects of its inputs (a mismatch raises DomainError); each
+``_1d``/``_3d`` name is its generic function with ``dim`` fixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,26 +42,32 @@ from .errors import (
     GridTooSmall,
     NonPositiveBandwidth,
 )
-from .kernels import Kernel1D, Kernel3D, eval_kernel_1d, eval_kernel_3d_radial
+from .kernels import Kernel, common_dim, eval_kernel_1d, eval_kernel_3d_radial, radial_profile
 
 __all__ = [
+    "Sample",
     "Sample1D",
     "Sample3D",
+    "Grid",
     "Grid1D",
     "Grid3D",
     "estimate_density_1d",
     "estimate_density_3d",
+    "build_grid",
     "build_grid_1d",
     "build_grid_3d",
+    "laplacian",
     "second_derivative_grid",
     "laplacian_grid",
+    "integrate_squared",
     "integrate_squared_1d",
     "integrate_squared_3d",
     "DEFAULT_GRID_CAP_1D",
     "DEFAULT_GRID_CAP_3D",
 ]
 
-# Safety caps on grid size; build_grid_* accepts an override per call.
+# Safety caps on grid size (nodes in 1D, cells otherwise); build_grid
+# accepts an override per call.
 DEFAULT_GRID_CAP_1D = 10_000_000
 DEFAULT_GRID_CAP_3D = 100_000_000
 
@@ -64,60 +79,46 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Sample1D:
-    """An immutable 1D sample of Np finite points."""
+class Sample:
+    """An immutable sample of Np finite points in d dimensions.
+
+    ``points`` has shape (Np,) when d = 1 and (Np, d) otherwise; an
+    (Np, 1) array is stored as (Np,).  Subclasses that set ``fixed_dim``
+    accept only that d.
+    """
 
     points: np.ndarray
+    fixed_dim: ClassVar[int | None] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 1:
-            raise DomainError("Sample1D needs a non-empty 1D array of points")
+        if pts.ndim == 2 and pts.shape[1] == 1:
+            pts = pts[:, 0]
+        if pts.ndim not in (1, 2) or pts.size < 1:
+            raise DomainError(
+                f"{type(self).__name__} needs a non-empty (Np,) or (Np, d) array"
+            )
+        common_dim(self.fixed_dim, points=1 if pts.ndim == 1 else pts.shape[1])
         if not np.all(np.isfinite(pts)):
-            raise DomainError("Sample1D points must all be finite")
+            raise DomainError(f"{type(self).__name__} points must all be finite")
         object.__setattr__(self, "points", _frozen_array(pts))
 
     @property
-    def size_Np(self) -> int:
-        return int(self.points.size)
-
-    @property
-    def min(self) -> float:
-        return float(self.points.min())
-
-    @property
-    def max(self) -> float:
-        return float(self.points.max())
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.points))
-
-
-@dataclass(frozen=True)
-class Sample3D:
-    """An immutable 3D sample, shape (Np, 3), all coordinates finite."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-            raise DomainError("Sample3D needs a non-empty (Np, 3) array")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("Sample3D points must all be finite")
-        object.__setattr__(self, "points", _frozen_array(pts))
+    def dim(self) -> int:
+        return 1 if self.points.ndim == 1 else int(self.points.shape[1])
 
     @property
     def size_Np(self) -> int:
         return int(self.points.shape[0])
 
     @property
-    def min(self) -> np.ndarray:
+    def min(self):
+        """Per-axis minimum (a scalar when d = 1)."""
         return self.points.min(axis=0)
 
     @property
-    def max(self) -> np.ndarray:
+    def max(self):
+        """Per-axis maximum (a scalar when d = 1)."""
         return self.points.max(axis=0)
 
     @property
@@ -126,62 +127,82 @@ class Sample3D:
         return float(np.mean(np.std(self.points, axis=0)))
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """A regular 1D grid of tabulated values.
+class Sample1D(Sample):
+    """A :class:`Sample` with d = 1: points of shape (Np,)."""
 
-    Node j sits at ``origin + j * spacing`` for j in [0, n_nodes).
+    fixed_dim = 1
+
+
+class Sample3D(Sample):
+    """A :class:`Sample` with d = 3: points of shape (Np, 3)."""
+
+    fixed_dim = 3
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A regular grid of tabulated values in d = ``values.ndim`` dimensions.
+
+    Node (i_1, ..., i_d) sits at ``origin + spacing * (i_1, ..., i_d)``.
+    ``origin`` is a float when d = 1 and an array of shape (d,) otherwise.
+    Subclasses that set ``fixed_dim`` accept only that d.
     """
 
-    origin: float
+    origin: float | np.ndarray
     spacing: float
     values: np.ndarray
+    fixed_dim: ClassVar[int | None] = None
 
     def __post_init__(self):
         if not self.spacing > 0.0:
             raise NonPositiveBandwidth("grid spacing must be positive")
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise DomainError("Grid1D values must be a non-empty 1D array")
-        object.__setattr__(self, "origin", float(self.origin))
+        if vals.ndim < 1 or vals.size < 1:
+            raise DomainError(f"{type(self).__name__} values must be a non-empty array")
+        common_dim(self.fixed_dim, values=vals.ndim)
+        org = np.asarray(self.origin, dtype=float)
+        if org.ndim > 1 or org.size != vals.ndim:
+            raise DomainError(
+                f"{type(self).__name__} origin must hold one coordinate per axis"
+            )
+        org = float(org.reshape(())) if vals.ndim == 1 else _frozen_array(org)
+        object.__setattr__(self, "origin", org)
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "values", _frozen_array(vals))
+
+    @property
+    def dim(self) -> int:
+        return self.values.ndim
 
     @property
     def n_nodes(self) -> int:
         return int(self.values.size)
 
-    def node_coordinates(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.n_nodes)
-
-
-@dataclass(frozen=True)
-class Grid3D:
-    """A regular 3D grid; node (i,j,k) sits at origin + spacing * (i,j,k)."""
-
-    origin: np.ndarray
-    spacing: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not self.spacing > 0.0:
-            raise NonPositiveBandwidth("grid spacing must be positive")
-        org = np.asarray(self.origin, dtype=float)
-        if org.shape != (3,):
-            raise DomainError("Grid3D origin must have shape (3,)")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 3 or min(vals.shape) < 1:
-            raise DomainError("Grid3D values must be a non-empty 3D array")
-        object.__setattr__(self, "origin", _frozen_array(org))
-        object.__setattr__(self, "spacing", float(self.spacing))
-        object.__setattr__(self, "values", _frozen_array(vals))
-
     @property
-    def dims(self) -> tuple[int, int, int]:
+    def dims(self) -> tuple[int, ...]:
         return tuple(int(n) for n in self.values.shape)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + self.spacing * np.arange(self.values.shape[axis])
+        return np.atleast_1d(self.origin)[axis] + self.spacing * np.arange(
+            self.values.shape[axis]
+        )
+
+    def node_coordinates(self) -> np.ndarray:
+        """Node positions of a 1D grid."""
+        common_dim(1, grid=self.dim)
+        return self.axis_coordinates(0)
+
+
+class Grid1D(Grid):
+    """A :class:`Grid` with d = 1."""
+
+    fixed_dim = 1
+
+
+class Grid3D(Grid):
+    """A :class:`Grid` with d = 3."""
+
+    fixed_dim = 3
 
 
 def _check_bandwidth(h: float) -> float:
@@ -195,7 +216,7 @@ def _check_bandwidth(h: float) -> float:
 # Direct evaluation at query points
 # ---------------------------------------------------------------------------
 
-def estimate_density_1d(sample: Sample1D, kernel: Kernel1D, h: float, query_points) -> np.ndarray:
+def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
     """Evaluate f_hat at arbitrary 1D query points.
 
     Uses a sorted copy of the sample and a closed search window of
@@ -203,6 +224,7 @@ def estimate_density_1d(sample: Sample1D, kernel: Kernel1D, h: float, query_poin
     contribute according to the kernel's own closed branches.
     """
     h = _check_bandwidth(h)
+    common_dim(1, sample=sample.dim, kernel=kernel.dim)
     queries = np.atleast_1d(np.asarray(query_points, dtype=float))
     if queries.ndim != 1:
         raise DomainError("query_points must be scalar or 1D")
@@ -217,7 +239,7 @@ def estimate_density_1d(sample: Sample1D, kernel: Kernel1D, h: float, query_poin
     return out / (sample.size_Np * h)
 
 
-def estimate_density_3d(sample: Sample3D, kernel: Kernel3D, h: float, query_points) -> np.ndarray:
+def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
     """Evaluate f_hat at arbitrary 3D query points via a cell list.
 
     The sample is binned once into cubic cells of side w*h/2 (the kernel
@@ -225,6 +247,7 @@ def estimate_density_3d(sample: Sample3D, kernel: Kernel3D, h: float, query_poin
     and cost scales with queries x neighbours instead of queries x Np.
     """
     h = _check_bandwidth(h)
+    common_dim(3, sample=sample.dim, kernel=kernel.dim)
     queries = np.asarray(query_points, dtype=float)
     if queries.ndim == 1 and queries.shape == (3,):
         queries = queries[None, :]
@@ -279,138 +302,131 @@ def estimate_density_3d(sample: Sample3D, kernel: Kernel3D, h: float, query_poin
 # Grid deposit
 # ---------------------------------------------------------------------------
 
-def build_grid_1d(sample: Sample1D, kernel: Kernel1D, h: float, *, grid_cap: int | None = None) -> Grid1D:
+def build_grid(
+    sample: Sample,
+    kernel: Kernel,
+    h: float,
+    *,
+    grid_cap: int | None = None,
+    dim: int | None = None,
+) -> Grid:
     """Deposit the sample onto a regular grid with spacing exactly h.
 
-    The grid covers [min - w h/2, max + w h/2] and its origin is snapped
-    down to the absolute lattice {k h}.  Tabulated values agree with
-    estimate_density_1d at the node positions.
+    Along each axis the grid covers [min - w h/2, max + w h/2] and its
+    origin is snapped down to the absolute lattice {k h}.  Tabulated
+    values agree with estimate_density_1d / estimate_density_3d at the
+    node positions.  ``grid_cap`` bounds the node count (default
+    DEFAULT_GRID_CAP_1D in 1D, DEFAULT_GRID_CAP_3D otherwise).
     """
     h = _check_bandwidth(h)
-    cap = DEFAULT_GRID_CAP_1D if grid_cap is None else int(grid_cap)
-    pts = sample.points
+    d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
+    cap = DEFAULT_GRID_CAP_1D if d == 1 else DEFAULT_GRID_CAP_3D
+    cap = cap if grid_cap is None else int(grid_cap)
+    pts = sample.points.reshape(sample.size_Np, d)
     w = kernel.width_w
     half = 0.5 * w * h
-    origin = np.floor((pts.min() - half) / h) * h
-    n = int(np.ceil((pts.max() + half - origin) / h)) + 1
+    origin = np.floor((pts.min(axis=0) - half) / h) * h
+    dims = [
+        int(np.ceil((top + half - low) / h)) + 1
+        for top, low in zip(pts.max(axis=0), origin)
+    ]
+    n = math.prod(dims)
     if n > cap:
         raise GridTooLarge(
-            f"1D grid would need {n} nodes at h={h:g}, above the cap of {cap}"
+            f"{d}D grid would need {'x'.join(map(str, dims))} = {n} cells "
+            f"at h={h:g}, above the cap of {cap}"
         )
-    # Lowest node index inside each point's closed support window.  With
-    # spacing == h at most w+1 nodes can carry weight per point; the loop
-    # enumerates exactly those offsets.
-    j0 = np.ceil((pts - half - origin) / h).astype(np.int64)
+    axes = [_axis_offsets(pts[:, a], origin[a], dims[a], half, w, h) for a in range(d)]
+    if d > 1:
+        # Each axis's offsets are reused (w+1)^(d-1) times: compute them
+        # once.  A lone axis uses each once, so it streams them instead.
+        axes = [list(offsets) for offsets in axes]
     acc = np.zeros(n, dtype=float)
+    _deposit(acc, axes, dims, kernel, h)
+    values = acc.reshape(dims) / (sample.size_Np * h ** d)
+    return Grid(origin=origin, spacing=h, values=values)
+
+
+def _axis_offsets(x, origin, n, half, w, h):
+    """Yield, for o = 0..w along one axis: the index of each point's o-th
+    node from the lowest one inside its closed support window, the
+    in-range mask (None when every index is in range) and the signed
+    distance from the point to that node.
+
+    With spacing == h at most w+1 nodes per axis can carry weight.
+    """
+    j0 = np.ceil((x - half - origin) / h).astype(np.int64)
     for o in range(w + 1):
         j = j0 + o
         ok = (j >= 0) & (j < n)
-        if not np.all(ok):
-            j = j[ok]
-            u = (origin + j * h - pts[ok]) / h
-        else:
-            u = (origin + j * h - pts) / h
-        acc += np.bincount(j, weights=eval_kernel_1d(kernel, u), minlength=n)
-    return Grid1D(origin=float(origin), spacing=h, values=acc / (sample.size_Np * h))
+        yield j, (None if ok.all() else ok), origin + j * h - x
 
 
-def build_grid_3d(sample: Sample3D, kernel: Kernel3D, h: float, *, grid_cap: int | None = None) -> Grid3D:
-    """Deposit a 3D sample onto a cubic grid with spacing exactly h.
+def _deposit(acc, axes, dims, kernel, h, a=0, index=None, sq=None, mask=None):
+    """Add the kernel weight of every point at every combination of its
+    per-axis offsets into the flat ``acc``, outer axis first.
 
-    Same lattice conventions as build_grid_1d, applied per axis; values
-    agree with estimate_density_3d at the node positions.
+    ``index``, ``sq`` and ``mask`` carry the flat node index (scaled for
+    axis ``a``), squared distance and in-range mask of the axes before
+    ``a``.
     """
-    h = _check_bandwidth(h)
-    cap = DEFAULT_GRID_CAP_3D if grid_cap is None else int(grid_cap)
-    pts = sample.points
-    np_size = sample.size_Np
-    w = kernel.width_w
-    half = 0.5 * w * h
-    mins = pts.min(axis=0)
-    maxs = pts.max(axis=0)
-    origin = np.floor((mins - half) / h) * h
-    dims = [int(np.ceil((maxs[a] + half - origin[a]) / h)) + 1 for a in range(3)]
-    ncells = dims[0] * dims[1] * dims[2]
-    if ncells > cap:
-        raise GridTooLarge(
-            f"3D grid would need {dims[0]}x{dims[1]}x{dims[2]} = {ncells} cells "
-            f"at h={h:g}, above the cap of {cap}"
-        )
-    j0 = np.ceil((pts - half - origin) / h).astype(np.int64)
-    # Per axis and per offset: node index, in-range mask, and signed
-    # distance from each point to that node.
-    ax_j, ax_ok, ax_d = [], [], []
-    for a in range(3):
-        js, oks, ds = [], [], []
-        for o in range(w + 1):
-            j = j0[:, a] + o
-            js.append(j)
-            oks.append((j >= 0) & (j < dims[a]))
-            ds.append(origin[a] + j * h - pts[:, a])
-        ax_j.append(js)
-        ax_ok.append(oks)
-        ax_d.append(ds)
-    acc = np.zeros(ncells, dtype=float)
-    for o1 in range(w + 1):
-        for o2 in range(w + 1):
-            ok12 = ax_ok[0][o1] & ax_ok[1][o2]
-            d12 = ax_d[0][o1] ** 2 + ax_d[1][o2] ** 2
-            b12 = (ax_j[0][o1] * dims[1] + ax_j[1][o2]) * dims[2]
-            for o3 in range(w + 1):
-                ok = ok12 & ax_ok[2][o3]
-                r = np.sqrt(d12[ok] + ax_d[2][o3][ok] ** 2) / h
-                vals = eval_kernel_3d_radial(kernel, r)
-                acc += np.bincount(
-                    b12[ok] + ax_j[2][o3][ok], weights=vals, minlength=ncells
-                )
-    values = acc.reshape(dims) / (np_size * h ** 3)
-    return Grid3D(origin=origin, spacing=h, values=values)
+    last = a == len(axes) - 1
+    for j, ok, dist in axes[a]:
+        idx = j if index is None else index + j
+        m = ok if mask is None else mask if ok is None else mask & ok
+        if not last:
+            s = dist ** 2 if sq is None else sq + dist ** 2
+            _deposit(acc, axes, dims, kernel, h, a + 1, idx * dims[a + 1], s, m)
+            continue
+        # A lone axis's radius is |dist| (sqrt(dist^2) would give the same).
+        # Its offsets are streamed, so dist is used only here and r can
+        # take its memory: the deposit's peak is one point-sized array less.
+        r = np.abs(dist, out=dist) if sq is None else np.sqrt(sq + dist ** 2)
+        if m is not None:
+            idx, r = idx[m], r[m]
+        r /= h
+        acc += np.bincount(idx, weights=radial_profile(kernel, r), minlength=acc.size)
+
+
+build_grid_1d = partial(build_grid, dim=1)
+build_grid_3d = partial(build_grid, dim=3)
 
 
 # ---------------------------------------------------------------------------
 # Finite differences and quadrature on grids
 # ---------------------------------------------------------------------------
 
-def second_derivative_grid(grid: Grid1D) -> Grid1D:
-    """Central second difference (v[j+1] + v[j-1] - 2 v[j]) / spacing^2.
+def laplacian(grid: Grid, *, dim: int | None = None) -> Grid:
+    """(2d+1)-point Laplacian stencil on the interior of a grid.
 
-    The result lives on the interior nodes, so it has n_nodes - 2 entries
-    and its origin advances by one spacing.
+    Sums (v[+1] + v[-1]) over the axes, subtracts 2d v and divides by
+    spacing^2; for d = 1 this is the central second difference.  Each
+    output dimension shrinks by 2 and the origin advances by one spacing
+    along every axis.
     """
     v = grid.values
-    if v.size < 3:
-        raise GridTooSmall("second_derivative_grid needs at least 3 nodes")
-    d2 = (v[2:] + v[:-2] - 2.0 * v[1:-1]) / grid.spacing ** 2
-    return Grid1D(origin=grid.origin + grid.spacing, spacing=grid.spacing, values=d2)
-
-
-def laplacian_grid(grid: Grid3D) -> Grid3D:
-    """Seven-point Laplacian stencil on the interior of a 3D grid.
-
-    Each output dimension shrinks by 2 and the origin advances by one
-    spacing along every axis.
-    """
-    v = grid.values
+    d = common_dim(dim, grid=grid.dim)
     if min(v.shape) < 3:
-        raise GridTooSmall("laplacian_grid needs at least 3 nodes per axis")
-    c = v[1:-1, 1:-1, 1:-1]
-    lap = (
-        v[2:, 1:-1, 1:-1]
-        + v[:-2, 1:-1, 1:-1]
-        + v[1:-1, 2:, 1:-1]
-        + v[1:-1, :-2, 1:-1]
-        + v[1:-1, 1:-1, 2:]
-        + v[1:-1, 1:-1, :-2]
-        - 6.0 * c
-    ) / grid.spacing ** 2
-    return Grid3D(origin=grid.origin + grid.spacing, spacing=grid.spacing, values=lap)
+        raise GridTooSmall("the Laplacian stencil needs at least 3 nodes per axis")
+    inner = (slice(1, -1),) * d
+    total = None
+    for a in range(d):
+        for side in (slice(2, None), slice(None, -2)):
+            nb = v[inner[:a] + (side,) + inner[a + 1:]]
+            total = nb if total is None else total + nb
+    lap = (total - 2.0 * d * v[inner]) / grid.spacing ** 2
+    return Grid(origin=grid.origin + grid.spacing, spacing=grid.spacing, values=lap)
 
 
-def integrate_squared_1d(grid: Grid1D) -> float:
-    """Node-sum quadrature of the squared grid: sum(v^2) * spacing."""
-    return float(np.sum(grid.values ** 2) * grid.spacing)
+second_derivative_grid = partial(laplacian, dim=1)
+laplacian_grid = partial(laplacian, dim=3)
 
 
-def integrate_squared_3d(grid: Grid3D) -> float:
-    """Node-sum quadrature of the squared grid: sum(v^2) * spacing^3."""
-    return float(np.sum(grid.values ** 2) * grid.spacing ** 3)
+def integrate_squared(grid: Grid, *, dim: int | None = None) -> float:
+    """Node-sum quadrature of the squared grid: sum(v^2) * spacing^d."""
+    d = common_dim(dim, grid=grid.dim)
+    return float(np.sum(grid.values ** 2) * grid.spacing ** d)
+
+
+integrate_squared_1d = partial(integrate_squared, dim=1)
+integrate_squared_3d = partial(integrate_squared, dim=3)

@@ -6,14 +6,14 @@ Three classic assignment kernels are provided in one and three dimensions:
 * ``cic`` -- cloud in cell, a triangle of full width 2,
 * ``tsc`` -- triangular shaped cloud, a piecewise parabola of full width 3.
 
-Each kernel carries the closed-form constants that bandwidth selection
-needs: the integer support width ``w`` (in units of the bandwidth), the
-roughness ``R(K) = integral K^2`` and the second moment
-``mu2 = integral u^2 K(u) du``.  The 3D variants (families ``ngp3``,
-``cic3``, ``tsc3``) are radial profiles ``K3(x) = normalization * W(|x|)``
-built from the same piecewise shapes, normalised to integrate to one
-over R^3; their ``mu2`` is the per-axis second moment
-``integral x1^2 K3(x) d^3x``.
+Every kernel is radial, ``K(x) = normalization * W(|x|)`` on R^d, with
+the piecewise shape W of its family; in 1D the normalization is 1 and K
+is W itself.  Each kernel carries the closed-form constants that
+bandwidth selection needs: the integer support width ``w`` (in units of
+the bandwidth), the roughness ``R(K) = integral K^2`` and the per-axis
+second moment ``mu2 = integral x1^2 K(x) d^dx``.  The 3D variants
+(families ``ngp3``, ``cic3``, ``tsc3``) are normalised to integrate to one
+over R^3.
 
 All constants are exact rationals (or rational multiples of 1/pi) and are
 spelled out as such rather than floating literals wherever possible.
@@ -22,14 +22,17 @@ spelled out as such rather than floating literals wherever possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
+    "Kernel",
     "Kernel1D",
     "Kernel3D",
+    "kernel_constants",
     "kernel_constants_1d",
     "kernel_constants_3d",
     "eval_kernel_1d",
@@ -42,122 +45,131 @@ KERNEL_FAMILIES = ("ngp", "cic", "tsc")
 
 
 @dataclass(frozen=True)
-class Kernel1D:
-    """Descriptor of a 1D assignment kernel.
+class Kernel:
+    """Descriptor of a radial kernel K(x) = normalization * W(|x|) on R^d.
 
     Attributes
     ----------
     family : str
-        Kernel token, one of ``"ngp"``, ``"cic"``, ``"tsc"``.
+        Kernel token: ``"ngp"``, ``"cic"``, ``"tsc"`` in 1D, the same
+        with the suffix ``3`` in 3D.
+    dim : int
+        The dimension d.
     width_w : int
-        Support width in bandwidth units: K(u) = 0 for |u| > w/2.
+        Support width in bandwidth units: K(x) = 0 for |x| > w/2.
+    normalization : float
+        Makes K integrate to 1 over R^d (1 in 1D; 6/pi, 3/pi, 2/pi in 3D).
     roughness_RK : float
-        R(K) = integral of K(u)^2 du.
+        R(K) = integral of K(x)^2 d^dx.
     second_moment_mu2 : float
-        mu2 = integral of u^2 K(u) du.
+        Per-axis second moment: integral of x1^2 K(x) d^dx.
     """
 
     family: str
+    dim: int
     width_w: int
+    normalization: float
     roughness_RK: float
     second_moment_mu2: float
 
 
-@dataclass(frozen=True)
-class Kernel3D:
-    """Descriptor of a radial 3D kernel K3(x) = normalization * W(|x|).
+class Kernel1D(Kernel):
+    """A :class:`Kernel` with d = 1, whose normalization is 1."""
 
-    Attributes
-    ----------
-    family : str
-        One of ``"ngp3"``, ``"cic3"``, ``"tsc3"``.
-    width_w : int
-        Radial support in bandwidth units: K3(x) = 0 for |x| > w/2.
-    normalization : float
-        Makes K3 integrate to 1 over R^3 (6/pi, 3/pi, 2/pi respectively).
-    roughness_RK3 : float
-        R(K3) = integral of K3(x)^2 d^3x.
-    second_moment_mu2 : float
-        Per-axis second moment: integral of x1^2 K3(x) d^3x.
+    def __init__(self, family, width_w, roughness_RK, second_moment_mu2):
+        super().__init__(family, 1, width_w, 1.0, roughness_RK, second_moment_mu2)
+
+
+class Kernel3D(Kernel):
+    """A :class:`Kernel` with d = 3; ``roughness_RK3`` is its R(K)."""
+
+    def __init__(self, family, width_w, normalization, roughness_RK3, second_moment_mu2):
+        super().__init__(family, 3, width_w, normalization, roughness_RK3, second_moment_mu2)
+
+    @property
+    def roughness_RK3(self) -> float:
+        return self.roughness_RK
+
+
+def common_dim(expected: int | None, **dims: int) -> int:
+    """The one dimension shared by the named inputs and, unless None, by
+    ``expected`` (e.g. the d of a ``_1d``/``_3d`` entry point).
+
+    Raises DomainError naming every dimension when they differ.
     """
-
-    family: str
-    width_w: int
-    normalization: float
-    roughness_RK3: float
-    second_moment_mu2: float
+    if len(set(dims.values()) | {expected} - {None}) > 1:
+        listed = ", ".join(f"{name} is {d}-D" for name, d in dims.items())
+        lead = "" if expected is None else f"expected {expected}-D, "
+        raise DomainError(f"dimension mismatch: {lead}{listed}")
+    return next(iter(dims.values()))
 
 
 # Exact constants.  1D: R(K) and mu2 are elementary integrals of the
 # piecewise shapes.  3D: normalization = 1 / (4 pi integral r^2 W(r) dr),
 # RK3 = 4 pi normalization^2 integral r^2 W(r)^2 dr, and mu2 is one third
 # of the radial second moment 4 pi normalization integral r^4 W(r) dr.
-_CONSTANTS_1D = {
-    "ngp": Kernel1D("ngp", 1, 1.0, 1.0 / 12.0),
-    "cic": Kernel1D("cic", 2, 2.0 / 3.0, 1.0 / 6.0),
-    "tsc": Kernel1D("tsc", 3, 11.0 / 20.0, 1.0 / 4.0),
+_CONSTANTS = {
+    (k.family, k.dim): k
+    for k in (
+        Kernel1D("ngp", 1, 1.0, 1.0 / 12.0),
+        Kernel1D("cic", 2, 2.0 / 3.0, 1.0 / 6.0),
+        Kernel1D("tsc", 3, 11.0 / 20.0, 1.0 / 4.0),
+        Kernel3D("ngp3", 1, 6.0 / np.pi, 6.0 / np.pi, 1.0 / 20.0),
+        Kernel3D("cic3", 2, 3.0 / np.pi, 6.0 / (5.0 * np.pi), 2.0 / 15.0),
+        Kernel3D("tsc3", 3, 2.0 / np.pi, 43.0 / (70.0 * np.pi), 13.0 / 60.0),
+    )
 }
 
-_CONSTANTS_3D = {
-    "ngp": Kernel3D("ngp3", 1, 6.0 / np.pi, 6.0 / np.pi, 1.0 / 20.0),
-    "cic": Kernel3D("cic3", 2, 3.0 / np.pi, 6.0 / (5.0 * np.pi), 2.0 / 15.0),
-    "tsc": Kernel3D("tsc3", 3, 2.0 / np.pi, 43.0 / (70.0 * np.pi), 13.0 / 60.0),
-}
 
-
-def _base_family(family: str) -> str:
-    """Map a 3D family token to its 1D base shape ('tsc3' -> 'tsc')."""
-    return family[:-1] if family.endswith("3") else family
-
-
-def kernel_constants_1d(family: str) -> Kernel1D:
-    """Return the 1D kernel descriptor for a (case-insensitive) family token."""
-    try:
-        return _CONSTANTS_1D[str(family).lower()]
-    except KeyError:
+def kernel_constants(family: str, dim: int) -> Kernel:
+    """Return the kernel descriptor for a (case-insensitive) family token
+    in d = ``dim``.  A 3D family may be spelled 'tsc' or 'tsc3'."""
+    token = str(family).lower()
+    kernel = _CONSTANTS.get((token, dim)) or _CONSTANTS.get((f"{token}{dim}", dim))
+    if kernel is None:
         raise DomainError(
-            f"unknown kernel family {family!r}; expected one of {KERNEL_FAMILIES}"
-        ) from None
+            f"unknown kernel family {family!r} for d = {dim!r}; "
+            f"expected one of {KERNEL_FAMILIES}"
+        )
+    return kernel
 
 
-def kernel_constants_3d(family: str) -> Kernel3D:
-    """Return the 3D kernel descriptor; accepts 'tsc' or 'tsc3' style tokens,
-    case-insensitive."""
-    try:
-        return _CONSTANTS_3D[_base_family(str(family).lower())]
-    except KeyError:
-        raise DomainError(
-            f"unknown kernel family {family!r}; expected one of {KERNEL_FAMILIES}"
-        ) from None
+kernel_constants_1d = partial(kernel_constants, dim=1)
+kernel_constants_3d = partial(kernel_constants, dim=3)
 
 
-def _piecewise_shape(family: str, a: np.ndarray) -> np.ndarray:
-    """Evaluate the dimensionless shape W at |u| = a >= 0.
+def radial_profile(kernel: Kernel, r: np.ndarray) -> np.ndarray:
+    """normalization * W(r) at radii r >= 0 (in bandwidth units), unchecked.
 
-    Branch boundaries are closed and the first matching branch wins, so
-    e.g. the NGP kernel is 1 at |u| = 1/2 exactly.
+    Branch boundaries of W are closed and the first matching branch wins,
+    so e.g. the NGP kernel is at full height at r = 1/2 exactly.  The grid
+    deposit calls this directly: its radii are non-negative by construction.
     """
+    family = kernel.family.removesuffix("3")
     if family == "ngp":
-        return np.where(a <= 0.5, 1.0, 0.0)
-    if family == "cic":
-        return np.where(a <= 1.0, 1.0 - a, 0.0)
-    if family == "tsc":
-        return np.select(
-            [a <= 0.5, a <= 1.5],
-            [0.75 - a * a, 0.5 * (1.5 - a) ** 2],
+        out = np.where(r <= 0.5, 1.0, 0.0)
+    elif family == "cic":
+        out = np.where(r <= 1.0, 1.0 - r, 0.0)
+    elif family == "tsc":
+        out = np.select(
+            [r <= 0.5, r <= 1.5],
+            [0.75 - r * r, 0.5 * (1.5 - r) ** 2],
             default=0.0,
         )
-    raise DomainError(
-        f"unknown kernel family {family!r}; expected one of {KERNEL_FAMILIES}"
-    )
+    else:
+        raise DomainError(
+            f"unknown kernel family {kernel.family!r}; expected one of {KERNEL_FAMILIES}"
+        )
+    return out if kernel.normalization == 1.0 else kernel.normalization * out
 
 
-def eval_kernel_1d(kernel: Kernel1D, u):
+def eval_kernel_1d(kernel: Kernel, u):
     """Evaluate K(u) elementwise.
 
     Parameters
     ----------
-    kernel : Kernel1D
+    kernel : Kernel
+        A 1D kernel.
     u : array_like
         Dimensionless offsets (x - x_i) / h.
 
@@ -166,21 +178,23 @@ def eval_kernel_1d(kernel: Kernel1D, u):
     ndarray or float
         Kernel values; zero outside |u| <= w/2.
     """
+    common_dim(1, kernel=kernel.dim)
     u = np.asarray(u, dtype=float)
-    out = _piecewise_shape(kernel.family, np.abs(u))
+    out = radial_profile(kernel, np.abs(u))
     return out if out.ndim else float(out)
 
 
-def eval_kernel_3d_radial(kernel: Kernel3D, r):
-    """Evaluate the radial kernel at radius r >= 0 (in bandwidth units)."""
+def eval_kernel_3d_radial(kernel: Kernel, r):
+    """Evaluate the 3D radial kernel at radius r >= 0 (in bandwidth units)."""
+    common_dim(3, kernel=kernel.dim)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise DomainError("radial kernel argument must be non-negative")
-    out = kernel.normalization * _piecewise_shape(_base_family(kernel.family), r)
+    out = radial_profile(kernel, r)
     return out if out.ndim else float(out)
 
 
-def eval_kernel_3d(kernel: Kernel3D, x):
+def eval_kernel_3d(kernel: Kernel, x):
     """Evaluate K3 at one 3-vector, or at each row of an (M, 3) array.
 
     K3(x) = normalization * W(|x|) with the piecewise shape of the

@@ -27,18 +27,19 @@ Closed forms used:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError
-from .kernels import Kernel1D, Kernel3D, eval_kernel_1d, kernel_constants_1d
+from .kernels import Kernel, common_dim, eval_kernel_1d, kernel_constants_1d
 from .samplers import (
     TRIMODAL_MEANS,
     TRIMODAL_SIGMAS,
     TRIMODAL_WEIGHTS,
     HernquistParams,
 )
-from .selector import optimal_bandwidth_1d, optimal_bandwidth_3d
+from .selector import optimal_bandwidth
 
 __all__ = [
     "AnalyticDensity1D",
@@ -72,6 +73,7 @@ class AnalyticDensity1D:
     identifier: str
     rc: float = 1.0
     r_window: tuple[float, float] | None = None
+    dim: ClassVar[int] = 1
 
     def __post_init__(self):
         known = ("gaussian", "tsc_density", "trimodal", "hernquist_radial_pdf")
@@ -85,16 +87,25 @@ class AnalyticDensity1D:
                 raise DomainError("r_window must satisfy 0 <= r_min < r_max")
             object.__setattr__(self, "r_window", (float(lo), float(hi)))
 
+    def roughness(self) -> float:
+        """Exact R_1; see :func:`analytic_roughness_1d`."""
+        return analytic_roughness_1d(self)
+
 
 @dataclass(frozen=True)
 class AnalyticDensity3D:
     """A 3D reference law; only the isotropic standard normal is needed."""
 
     identifier: str
+    dim: ClassVar[int] = 3
 
     def __post_init__(self):
         if self.identifier != "gaussian3":
             raise DomainError(f"unknown 3D density {self.identifier!r}")
+
+    def roughness(self) -> float:
+        """Exact R_3; see :func:`analytic_roughness_3d_gaussian`."""
+        return analytic_roughness_3d_gaussian()
 
 
 def gaussian_1d() -> AnalyticDensity1D:
@@ -222,21 +233,14 @@ def analytic_roughness_3d_gaussian() -> float:
     return 15.0 / (32.0 * np.pi ** 1.5)
 
 
-def analytic_optimal_bandwidth(density, kernel, Np: int, dimension: int) -> float:
+def analytic_optimal_bandwidth(density, kernel: Kernel, Np: int, dimension: int) -> float:
     """Exact AMISE-optimal bandwidth for a reference law and kernel.
 
-    ``dimension`` must be 1 (AnalyticDensity1D + Kernel1D) or 3
-    (AnalyticDensity3D + Kernel3D).
+    ``density`` and ``kernel`` must both have dimension ``dimension``:
+    AnalyticDensity1D with a 1D kernel, or AnalyticDensity3D with a 3D one.
     """
-    if dimension == 1:
-        if not isinstance(density, AnalyticDensity1D) or not isinstance(kernel, Kernel1D):
-            raise DomainError("dimension 1 needs AnalyticDensity1D and Kernel1D")
-        return optimal_bandwidth_1d(analytic_roughness_1d(density), kernel, Np)
-    if dimension == 3:
-        if not isinstance(density, AnalyticDensity3D) or not isinstance(kernel, Kernel3D):
-            raise DomainError("dimension 3 needs AnalyticDensity3D and Kernel3D")
-        return optimal_bandwidth_3d(analytic_roughness_3d_gaussian(), kernel, Np)
-    raise DomainError(f"dimension must be 1 or 3, got {dimension!r}")
+    common_dim(dimension, density=density.dim, kernel=kernel.dim)
+    return optimal_bandwidth(density.roughness(), kernel, Np)
 
 
 def hernquist_profile(r, params: HernquistParams):

@@ -1,16 +1,16 @@
 """Data-driven optimal bandwidth selection by iterated plug-in.
 
-For a kernel K with roughness R(K) and second moment mu2, the asymptotic
-mean integrated squared error of the density estimate at bandwidth h is
+For a kernel K on R^d with roughness R(K) and per-axis second moment
+mu2, the asymptotic mean integrated squared error of the density
+estimate at bandwidth h is
 
     AMISE(h) = R(K) / (h^d Np) + h^4 * R_d(f) * (mu2 / 2)^2,
 
 where R_d(f) is the curvature roughness of the true density (integral of
-f''^2 in 1D, of (laplacian f)^2 in 3D).  Minimising over h gives the
+(laplacian f)^2, which is f''^2 in 1D).  Minimising over h gives the
 closed-form optimum
 
-    h_opt = [ R(K)   / (R_1 mu2^2) ]^(1/5) * Np^(-1/5)   (d = 1)
-    h_opt = [ 3 R(K3) / (R_3 mu2^2) ]^(1/7) * Np^(-1/7)  (d = 3).
+    h_opt = [ d R(K) / (R_d mu2^2) ]^(1/(4+d)) * Np^(-1/(4+d)).
 
 R_d(f) is unknown, so it is estimated from the sample itself with
 :mod:`kdeband.roughness` and the two equations are iterated to a fixed
@@ -28,12 +28,16 @@ construction.  A run that hits the update cap returns its last iterate.
 
 The full history is returned as a :class:`BandwidthTrace` so callers can
 inspect convergence behaviour; nothing about the procedure requires
-knowledge of the true density.
+knowledge of the true density.  The keyword ``dim`` is as in
+:mod:`kdeband.estimator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .errors import (
     BackoffExhausted,
@@ -42,17 +46,20 @@ from .errors import (
     NonPositiveBandwidth,
     NonPositiveRoughness,
 )
-from .estimator import Sample1D, Sample3D
-from .kernels import Kernel1D, Kernel3D
-from .roughness import corrected_roughness_1d, corrected_roughness_3d
+from .estimator import Sample
+from .kernels import Kernel, common_dim
+from .roughness import corrected_roughness
 
 __all__ = [
     "SelectorConfig",
     "IterationRecord",
     "BandwidthTrace",
+    "optimal_bandwidth",
     "optimal_bandwidth_1d",
     "optimal_bandwidth_3d",
+    "amise",
     "amise_1d",
+    "select_bandwidth",
     "select_bandwidth_1d",
     "select_bandwidth_3d",
 ]
@@ -135,89 +142,108 @@ def _check_np(Np: int) -> int:
     return Np
 
 
-def optimal_bandwidth_1d(roughness_f2: float, kernel: Kernel1D, Np: int) -> float:
-    """Closed-form AMISE-optimal 1D bandwidth for a known curvature roughness."""
+def optimal_bandwidth(
+    roughness: float, kernel: Kernel, Np: int, *, dim: int | None = None
+) -> float:
+    """Closed-form AMISE-optimal bandwidth for a known curvature roughness
+    R_d, in the kernel's dimension d."""
+    d = common_dim(dim, kernel=kernel.dim)
     Np = _check_np(Np)
-    roughness_f2 = float(roughness_f2)
-    if not roughness_f2 > 0.0:
+    roughness = float(roughness)
+    if not roughness > 0.0:
         raise NonPositiveRoughness(
-            f"curvature roughness must be positive, got {roughness_f2!r}"
+            f"curvature roughness must be positive, got {roughness!r}"
         )
     mu2 = kernel.second_moment_mu2
-    return (kernel.roughness_RK / (roughness_f2 * mu2 ** 2)) ** 0.2 * Np ** -0.2
+    p = 1.0 / (4 + d)
+    return (d * kernel.roughness_RK / (roughness * mu2 ** 2)) ** p * Np ** -p
 
 
-def optimal_bandwidth_3d(roughness_lap: float, kernel: Kernel3D, Np: int) -> float:
-    """Closed-form AMISE-optimal 3D bandwidth for a known Laplacian roughness."""
-    Np = _check_np(Np)
-    roughness_lap = float(roughness_lap)
-    if not roughness_lap > 0.0:
-        raise NonPositiveRoughness(
-            f"Laplacian roughness must be positive, got {roughness_lap!r}"
-        )
-    mu2 = kernel.second_moment_mu2
-    return (3.0 * kernel.roughness_RK3 / (roughness_lap * mu2 ** 2)) ** (1.0 / 7.0) * Np ** (
-        -1.0 / 7.0
-    )
+optimal_bandwidth_1d = partial(optimal_bandwidth, dim=1)
+optimal_bandwidth_3d = partial(optimal_bandwidth, dim=3)
 
 
-def amise_1d(h: float, kernel: Kernel1D, roughness_f2: float, Np: int) -> float:
-    """Asymptotic MISE of the 1D estimate at bandwidth h.
+def amise(
+    h: float, kernel: Kernel, roughness: float, Np: int, *, dim: int | None = None
+) -> float:
+    """Asymptotic MISE of the estimate at bandwidth h, in the kernel's d.
 
-    AMISE(h) = R(K)/(h Np) + h^4 * R_1 * (mu2/2)^2.
+    AMISE(h) = R(K)/(h^d Np) + h^4 * R_d * (mu2/2)^2.
     """
+    d = common_dim(dim, kernel=kernel.dim)
     Np = _check_np(Np)
     h = float(h)
     if not h > 0.0:
         raise NonPositiveBandwidth(f"bandwidth must be positive, got {h!r}")
-    roughness_f2 = float(roughness_f2)
-    if not roughness_f2 > 0.0:
+    roughness = float(roughness)
+    if not roughness > 0.0:
         raise NonPositiveRoughness(
-            f"curvature roughness must be positive, got {roughness_f2!r}"
+            f"curvature roughness must be positive, got {roughness!r}"
         )
-    variance = kernel.roughness_RK / (h * Np)
-    bias = h ** 4 * roughness_f2 * (kernel.second_moment_mu2 / 2.0) ** 2
+    variance = kernel.roughness_RK / (h ** d * Np)
+    bias = h ** 4 * roughness * (kernel.second_moment_mu2 / 2.0) ** 2
     return variance + bias
 
 
-def _run_selection(measure, update, h0: float, config: SelectorConfig) -> BandwidthTrace:
-    """Shared fixed-point driver for both dimensionalities."""
-    h = h0
+amise_1d = partial(amise, dim=1)
+
+
+def select_bandwidth(
+    sample: Sample,
+    kernel: Kernel,
+    config: SelectorConfig | None = None,
+    *,
+    grid_cap: int | None = None,
+    dim: int | None = None,
+) -> BandwidthTrace:
+    """Select the bandwidth from the data alone.
+
+    Starts from h0 = c0 * std_bar * Np^(-1/(4+d)), with std_bar the mean
+    of the per-axis standard deviations, and iterates the corrected
+    roughness measurement against the closed-form optimum until the
+    bandwidth is stable to the configured relative tolerance.  On
+    convergence ``final_h`` is the bandwidth of the last measurement;
+    without it, the last iterate (see :class:`BandwidthTrace`).  A sample
+    with fewer than 2 points or with zero spread along any axis raises
+    DegenerateSample.
+    """
+    config = config or SelectorConfig()
+    d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
+    Np = sample.size_Np
+    if Np < 2:
+        raise DegenerateSample("bandwidth selection needs at least 2 points")
+    if np.any(sample.min == sample.max):
+        raise DegenerateSample(
+            "sample has zero spread along some axis; no finite bandwidth exists"
+        )
+    h = config.initial_scale_c0 * sample.std * Np ** (-1.0 / (4 + d))
     records: list[IterationRecord] = []
     n_updates = 0
     n_backoffs = 0
     converged = False
     while n_updates < config.max_iterations:
-        res = measure(h)
-        if res.corrected <= 0.0:
+        res = corrected_roughness(sample, kernel, h, grid_cap=grid_cap)
+        backoff = res.corrected <= 0.0
+        if backoff:
             if n_backoffs >= config.max_backoffs:
                 raise BackoffExhausted(
                     f"corrected roughness stayed non-positive after "
                     f"{config.max_backoffs} backoffs (h reached {h:g})"
                 )
             h_new = h * config.backoff_factor
-            records.append(
-                IterationRecord(
-                    h=h_new,
-                    raw_roughness=res.raw,
-                    corrected_roughness=res.corrected,
-                    backoff_applied=True,
-                )
-            )
-            h = h_new
             n_backoffs += 1
-            continue
-        h_new = update(res.corrected)
+        else:
+            h_new = optimal_bandwidth(res.corrected, kernel, Np)
+            n_updates += 1
         records.append(
             IterationRecord(
                 h=h_new,
                 raw_roughness=res.raw,
                 corrected_roughness=res.corrected,
-                backoff_applied=False,
+                backoff_applied=backoff,
             )
         )
-        n_updates += 1
-        if abs(h_new - h) / h <= config.rel_tolerance:
+        if not backoff and abs(h_new - h) / h <= config.rel_tolerance:
             # keep the bandwidth the roughness was measured at: h_new was
             # never measured, and re-measuring at h reproduces this record
             converged = True
@@ -226,61 +252,5 @@ def _run_selection(measure, update, h0: float, config: SelectorConfig) -> Bandwi
     return BandwidthTrace(iterations=tuple(records), converged=converged, final_h=h)
 
 
-def select_bandwidth_1d(
-    sample: Sample1D,
-    kernel: Kernel1D,
-    config: SelectorConfig | None = None,
-    *,
-    grid_cap: int | None = None,
-) -> BandwidthTrace:
-    """Select the 1D bandwidth from the data alone.
-
-    Starts from h0 = c0 * std * Np^(-1/5) and iterates the corrected
-    roughness measurement against the closed-form optimum until the
-    bandwidth is stable to the configured relative tolerance.  On
-    convergence ``final_h`` is the bandwidth of the last measurement;
-    without it, the last iterate (see :class:`BandwidthTrace`).
-    """
-    config = config or SelectorConfig()
-    Np = sample.size_Np
-    if Np < 2:
-        raise DegenerateSample("bandwidth selection needs at least 2 points")
-    std = sample.std
-    if not std > 0.0:
-        raise DegenerateSample("sample has zero spread; no finite bandwidth exists")
-    h0 = config.initial_scale_c0 * std * Np ** -0.2
-    return _run_selection(
-        measure=lambda h: corrected_roughness_1d(sample, kernel, h, grid_cap=grid_cap),
-        update=lambda rough: optimal_bandwidth_1d(rough, kernel, Np),
-        h0=h0,
-        config=config,
-    )
-
-
-def select_bandwidth_3d(
-    sample: Sample3D,
-    kernel: Kernel3D,
-    config: SelectorConfig | None = None,
-    *,
-    grid_cap: int | None = None,
-) -> BandwidthTrace:
-    """Select the 3D bandwidth from the data alone.
-
-    Starts from h0 = c0 * std_bar * Np^(-1/7), with std_bar the mean of
-    the per-axis standard deviations, and iterates as in 1D with the
-    3D roughness and optimum.  ``final_h`` is chosen as in 1D.
-    """
-    config = config or SelectorConfig()
-    Np = sample.size_Np
-    if Np < 2:
-        raise DegenerateSample("bandwidth selection needs at least 2 points")
-    std = sample.std
-    if not std > 0.0:
-        raise DegenerateSample("sample has zero spread; no finite bandwidth exists")
-    h0 = config.initial_scale_c0 * std * Np ** (-1.0 / 7.0)
-    return _run_selection(
-        measure=lambda h: corrected_roughness_3d(sample, kernel, h, grid_cap=grid_cap),
-        update=lambda rough: optimal_bandwidth_3d(rough, kernel, Np),
-        h0=h0,
-        config=config,
-    )
+select_bandwidth_1d = partial(select_bandwidth, dim=1)
+select_bandwidth_3d = partial(select_bandwidth, dim=3)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kdeband
 from kdeband.errors import (
     BackoffExhausted,
     DegenerateSample,
@@ -429,3 +430,128 @@ def test_trace_records_are_frozen():
 def test_roughness_3d_reference_constant():
     """Anchor the 3D gaussian roughness used in the frozen optima."""
     assert_allclose(analytic_roughness_3d_gaussian(), R3_GAUSS, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one dimension-generic pipeline
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fixed_columns",
+    [{2: 0.0}, {1: 5.0, 2: -1.0}],
+    ids=["planar", "line"],
+)
+def test_degenerate_3d_geometry_rejected(fixed_columns):
+    """A 3D sample with zero spread along one axis has no finite optimal
+    bandwidth, even though the mean per-axis spread is positive."""
+    points = np.random.default_rng(0).standard_normal((100_000, 3))
+    for axis, value in fixed_columns.items():
+        points[:, axis] = value
+    with pytest.raises(DegenerateSample):
+        select_bandwidth_3d(Sample3D(points), kernel_constants_3d("tsc3"))
+
+
+_S3 = Sample3D(np.random.default_rng(0).standard_normal((100, 3)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: select_bandwidth_3d(_S3, kernel_constants_1d("tsc")),
+        lambda: kdeband.estimate_density_3d(_S3, kernel_constants_1d("tsc"), 0.5, np.zeros(3)),
+        lambda: optimal_bandwidth_1d(R1_GAUSS, kernel_constants_3d("tsc3"), 1000),
+        lambda: select_bandwidth_1d(_S3, kernel_constants_1d("tsc")),
+    ],
+    ids=["select_3d-kernel_1d", "estimate_3d-kernel_1d", "optimal_1d-kernel_3d",
+         "select_1d-sample_3d"],
+)
+def test_dimension_mismatch_names_both_dimensions(call):
+    with pytest.raises(DomainError, match=r"1-D.*3-D|3-D.*1-D"):
+        call()
+
+
+def _golden_sample(law, Np, seed):
+    if law == "gauss3d":
+        return sample_gaussian_3d(Np, seed)
+    if law == "hernquist":
+        return kdeband.sample_hernquist_radii(Np, kdeband.HernquistParams(), seed)
+    if law == "trimodal":
+        return kdeband.sample_trimodal(Np, seed)
+    return sample_gaussian_1d(Np, seed)
+
+
+# Recorded before the 1D and 3D code paths were merged into one: float.hex
+# of final_h, the record count, and the last record's raw and corrected
+# roughness.  Merging must not move a single bit.
+GOLDEN = [
+    ("gauss1d", 10_000, 1, "ngp", "0x1.3ad95779d5af8p-1", 3,
+     "0x1.5e0c62cb45636p-3", "0x1.50130d6380014p-3"),
+    ("gauss1d", 10_000, 1, "cic", "0x1.b4f9ffdc734cdp-2", 4,
+     "0x1.87139af410b4fp-3", "0x1.5ba8d75d9d9b7p-3"),
+    ("gauss1d", 10_000, 1, "tsc", "0x1.68c4c00755944p-2", 4,
+     "0x1.98165b1821f0bp-3", "0x1.4ca09db7374abp-3"),
+    ("trimodal", 100_000, 2, "tsc", "0x1.58f4243a262c7p-3", 5,
+     "0x1.98630e69a03dep-1", "0x1.4cda342975784p-1"),
+    ("hernquist", 100_000, 3, "tsc", "0x1.794465edd5ce3p-4", 9,
+     "0x1.05910fd02550cp+4", "0x1.aa9654a1d545ep+3"),
+    ("gauss3d", 10_000, 1, "ngp3", "0x1.4609c801cb6d3p+0", 6,
+     "0x1.60176d38bd215p-5", "0x1.59c2d0254cbb9p-5"),
+    ("gauss3d", 10_000, 1, "tsc3", "0x1.1c26db458edaap-1", 4,
+     "0x1.6192c42c3ce91p-4", "0x1.3a4883f1dafb0p-4"),
+]
+
+
+@pytest.mark.parametrize("law, Np, seed, family, final_h, n_records, raw, corrected", GOLDEN)
+def test_selection_matches_recorded_bits(law, Np, seed, family, final_h, n_records, raw,
+                                         corrected):
+    sample = _golden_sample(law, Np, seed)
+    if law == "gauss3d":
+        trace = select_bandwidth_3d(sample, kernel_constants_3d(family))
+    else:
+        trace = select_bandwidth_1d(sample, kernel_constants_1d(family))
+    assert trace.converged
+    assert trace.final_h.hex() == final_h
+    assert len(trace.iterations) == n_records
+    assert trace.iterations[-1].raw_roughness.hex() == raw
+    assert trace.iterations[-1].corrected_roughness.hex() == corrected
+
+
+@pytest.mark.parametrize(
+    "name, generic, d",
+    [
+        ("build_grid_1d", "build_grid", 1),
+        ("build_grid_3d", "build_grid", 3),
+        ("second_derivative_grid", "laplacian", 1),
+        ("laplacian_grid", "laplacian", 3),
+        ("integrate_squared_1d", "integrate_squared", 1),
+        ("integrate_squared_3d", "integrate_squared", 3),
+        ("corrected_roughness_1d", "corrected_roughness", 1),
+        ("corrected_roughness_3d", "corrected_roughness", 3),
+        ("optimal_bandwidth_1d", "optimal_bandwidth", 1),
+        ("optimal_bandwidth_3d", "optimal_bandwidth", 3),
+        ("amise_1d", "amise", 1),
+        ("select_bandwidth_1d", "select_bandwidth", 1),
+        ("select_bandwidth_3d", "select_bandwidth", 3),
+        ("kernel_constants_1d", "kernel_constants", 1),
+        ("kernel_constants_3d", "kernel_constants", 3),
+    ],
+)
+def test_dimension_named_function_is_the_generic_one(name, generic, d):
+    """Each _1d/_3d function is its generic function with d fixed, so no
+    second implementation can come back under the old name."""
+    fn = getattr(kdeband, name)
+    assert fn.func is getattr(kdeband, generic)
+    assert fn.args == () and fn.keywords == {"dim": d}
+
+
+@pytest.mark.parametrize(
+    "name, generic",
+    [("Sample1D", "Sample"), ("Sample3D", "Sample"), ("Grid1D", "Grid"),
+     ("Grid3D", "Grid"), ("Kernel1D", "Kernel"), ("Kernel3D", "Kernel")],
+)
+def test_dimension_named_type_only_fixes_d(name, generic):
+    cls = getattr(kdeband, name)
+    assert cls.__bases__ == (getattr(kdeband, generic),)
+    own = {attr for attr in vars(cls) if not attr.startswith("__")}
+    assert own <= {"fixed_dim", "roughness_RK3"}
