@@ -42,7 +42,7 @@ from .errors import (
     GridTooSmall,
     NonPositiveBandwidth,
 )
-from .kernels import Kernel, common_dim, eval_kernel_1d, eval_kernel_3d_radial, radial_profile
+from .kernels import Kernel, common_dim, eval_kernel_1d, radial_profile
 
 __all__ = [
     "Sample",
@@ -205,6 +205,11 @@ class Grid3D(Grid):
     fixed_dim = 3
 
 
+def _check_finite(queries: np.ndarray) -> None:
+    if not np.all(np.isfinite(queries)):
+        raise DomainError("query_points must all be finite")
+
+
 def _check_bandwidth(h: float) -> float:
     h = float(h)
     if not (np.isfinite(h) and h > 0.0):
@@ -215,6 +220,11 @@ def _check_bandwidth(h: float) -> float:
 # ---------------------------------------------------------------------------
 # Direct evaluation at query points
 # ---------------------------------------------------------------------------
+
+# Candidate (query, point) pairs estimate_density_3d expands at once; a
+# chunk's arrays (about 0.5 MB each) stay in cache.
+_PAIR_CHUNK = 1 << 16
+
 
 def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
     """Evaluate f_hat at arbitrary 1D query points.
@@ -228,6 +238,7 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
     queries = np.atleast_1d(np.asarray(query_points, dtype=float))
     if queries.ndim != 1:
         raise DomainError("query_points must be scalar or 1D")
+    _check_finite(queries)
     pts = np.sort(sample.points)
     half = 0.5 * kernel.width_w * h
     lo = np.searchsorted(pts, queries - half, side="left")
@@ -242,9 +253,20 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
 def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
     """Evaluate f_hat at arbitrary 3D query points via a cell list.
 
-    The sample is binned once into cubic cells of side w*h/2 (the kernel
-    support radius), so each query only visits the 27 neighbouring cells
-    and cost scales with queries x neighbours instead of queries x Np.
+    The sample is sorted once by cubic cells of edge R/2, where R = w*h/2
+    is the kernel's support radius, into one contiguous coordinate array
+    per axis.  A query's support cube then spans five cells per axis, and
+    the points of one (x, y) cell column inside it form one contiguous
+    slice.  The (query, point) pairs of all queries are expanded together,
+    in chunks of about ``_PAIR_CHUNK`` pairs, and summed per query with a
+    bincount: cost scales with the candidate pairs, (5/4)^3 / (pi/6) = 3.7
+    per pair inside the support sphere, not with queries x Np.
+
+    Cells are numbered by their rank among the occupied cells of each axis,
+    so neither a table nor a key grows with the bounding box.  Window
+    bounds are floor((q -/+ R - ref) / edge), the arithmetic that bins the
+    points, so a point at exactly R from a query along an axis is visited
+    and weighted by the kernel's closed branch.
     """
     h = _check_bandwidth(h)
     common_dim(3, sample=sample.dim, kernel=kernel.dim)
@@ -253,48 +275,73 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
         queries = queries[None, :]
     if queries.ndim != 2 or queries.shape[1] != 3:
         raise DomainError("query_points must have shape (M, 3)")
+    _check_finite(queries)
     pts = sample.points
-    edge = 0.5 * kernel.width_w * h
-    ref = pts.min(axis=0)
-    cidx = np.floor((pts - ref) / edge).astype(np.int64)
-    cmin = cidx.min(axis=0)
-    cidx -= cmin
-    nx, ny, nz = (int(m) + 1 for m in cidx.max(axis=0))
-    key = (cidx[:, 0] * ny + cidx[:, 1]) * nz + cidx[:, 2]
-    order = np.argsort(key, kind="stable")
-    keys_sorted = key[order]
-
-    qcell = np.floor((queries - ref) / edge).astype(np.int64) - cmin
-    out = np.zeros(queries.shape[0], dtype=float)
     support = 0.5 * kernel.width_w
-    for q in range(queries.shape[0]):
-        chunks = []
-        cx, cy, cz = qcell[q]
-        for dx in (-1, 0, 1):
-            ix = cx + dx
-            if ix < 0 or ix >= nx:
-                continue
-            for dy in (-1, 0, 1):
-                iy = cy + dy
-                if iy < 0 or iy >= ny:
-                    continue
-                for dz in (-1, 0, 1):
-                    iz = cz + dz
-                    if iz < 0 or iz >= nz:
-                        continue
-                    nkey = (ix * ny + iy) * nz + iz
-                    a = np.searchsorted(keys_sorted, nkey, side="left")
-                    b = np.searchsorted(keys_sorted, nkey, side="right")
-                    if b > a:
-                        chunks.append(order[a:b])
-        if not chunks:
-            continue
-        idx = np.concatenate(chunks)
-        d = pts[idx] - queries[q]
-        r = np.sqrt(np.einsum("ij,ij->i", d, d)) / h
-        r = r[r <= support]
-        if r.size:
-            out[q] = np.sum(eval_kernel_3d_radial(kernel, r))
+    radius = support * h
+    edge = 0.5 * radius
+    ref = pts.min(axis=0)
+
+    def cell(x, a):
+        # Floats holding integers: an int64 cast could overflow on a wide
+        # sample at small h.
+        return np.floor((x - ref[a]) / edge)
+
+    occupied, rank = [], []
+    for a in range(3):
+        cells, inverse = np.unique(cell(pts[:, a], a), return_inverse=True)
+        occupied.append(cells)
+        rank.append(inverse)
+    columns, column = np.unique(rank[0] * occupied[1].size + rank[1], return_inverse=True)
+    nz = occupied[2].size
+    key = column * nz + rank[2]  # below Np**2: no int64 overflow
+    order = np.argsort(key)
+    key = key[order]
+    coords = [pts[order, a] for a in range(3)]
+    targets = [np.ascontiguousarray(queries[:, a]) for a in range(3)]
+
+    # Per query and axis, the occupied cells in its window, as a half-open
+    # range [first, stop) of ranks.
+    first = np.empty(queries.shape, dtype=np.intp)
+    stop = np.empty(queries.shape, dtype=np.intp)
+    for a in range(3):
+        first[:, a] = np.searchsorted(occupied[a], cell(targets[a] - radius, a), side="left")
+        stop[:, a] = np.searchsorted(occupied[a], cell(targets[a] + radius, a), side="right")
+    # One run per (query q, x rank, y rank) in a window whose column is
+    # occupied: the slice [begin, begin + count) of the sorted sample.
+    nx, ny = (stop - first)[:, :2].T
+    per_query = nx * ny
+    q = np.repeat(np.arange(queries.shape[0]), per_query)
+    k = np.arange(q.size) - np.repeat(np.cumsum(per_query) - per_query, per_query)
+    col = (first[q, 0] + k // ny[q]) * occupied[1].size + first[q, 1] + k % ny[q]
+    c = np.minimum(np.searchsorted(columns, col), columns.size - 1)
+    found = columns[c] == col
+    q, c = q[found], c[found] * nz
+    begin = np.searchsorted(key, c + first[q, 2])
+    count = np.searchsorted(key, c + stop[q, 2]) - begin
+
+    out = np.zeros(queries.shape[0], dtype=float)
+    ends = np.cumsum(count)
+    i = 0
+    while i < count.size:
+        # Runs i..j-1 hold at most _PAIR_CHUNK pairs, or run i alone more.
+        j = max(int(np.searchsorted(ends, ends[i] - count[i] + _PAIR_CHUNK, side="right")), i + 1)
+        n = count[i:j]
+        owner = np.repeat(q[i:j], n)
+        idx = np.arange(int(n.sum())) + np.repeat(begin[i:j] - (np.cumsum(n) - n), n)
+        r = None
+        for coord, target in zip(coords, targets):
+            dist = coord.take(idx)
+            dist -= np.repeat(target[q[i:j]], n)
+            dist *= dist
+            r = dist if r is None else np.add(r, dist, out=r)
+        r = np.sqrt(r, out=r)
+        r /= h
+        inside = r <= support
+        out += np.bincount(
+            owner[inside], weights=radial_profile(kernel, r[inside]), minlength=out.size
+        )
+        i = j
     return out / (sample.size_Np * h ** 3)
 
 
@@ -317,6 +364,14 @@ def build_grid(
     values agree with estimate_density_1d / estimate_density_3d at the
     node positions.  ``grid_cap`` bounds the node count (default
     DEFAULT_GRID_CAP_1D in 1D, DEFAULT_GRID_CAP_3D otherwise).
+
+    Each point's weight goes to the nodes within its closed support
+    window, one bincount pass per combination of per-axis node offsets.
+    Offsets at which the kernel is zero for every point are skipped (see
+    _axis_offsets), which leaves every value bit for bit as it would be
+    with all (w+1)^d passes: TSC runs 3^d passes, CIC 2^d and NGP one,
+    plus one more offset on an axis where some point lies exactly on the
+    closed boundary of NGP's support.
     """
     h = _check_bandwidth(h)
     d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
@@ -336,10 +391,13 @@ def build_grid(
             f"{d}D grid would need {'x'.join(map(str, dims))} = {n} cells "
             f"at h={h:g}, above the cap of {cap}"
         )
-    axes = [_axis_offsets(pts[:, a], origin[a], dims[a], half, w, h) for a in range(d)]
+    axes = [
+        _axis_offsets(pts[:, a], origin[a], dims[a], half, w, h, kernel) for a in range(d)
+    ]
     if d > 1:
-        # Each axis's offsets are reused (w+1)^(d-1) times: compute them
-        # once.  A lone axis uses each once, so it streams them instead.
+        # Each axis's offsets are reused for every combination of the other
+        # axes' offsets: compute them once.  A lone axis uses each once, so
+        # it streams them instead.
         axes = [list(offsets) for offsets in axes]
     acc = np.zeros(n, dtype=float)
     _deposit(acc, axes, dims, kernel, h)
@@ -347,19 +405,35 @@ def build_grid(
     return Grid(origin=origin, spacing=h, values=values)
 
 
-def _axis_offsets(x, origin, n, half, w, h):
-    """Yield, for o = 0..w along one axis: the index of each point's o-th
-    node from the lowest one inside its closed support window, the
-    in-range mask (None when every index is in range) and the signed
-    distance from the point to that node.
+def _axis_offsets(x, origin, n, half, w, h, kernel):
+    """Yield, for each offset o in 0..w along one axis that can carry
+    weight: the index of each point's o-th node from the lowest one inside
+    its closed support window, the in-range mask (None when every index is
+    in range) and the signed distance from the point to that node.
 
-    With spacing == h at most w+1 nodes per axis can carry weight.
+    With spacing == h at most w+1 nodes per axis can carry weight, and
+    only w of them unless a point sits exactly on a support boundary.  An
+    offset is skipped when the kernel is zero at the radius of the point
+    nearest its node, ``radial_profile(kernel, min_i |dist_i| / h) == 0``.
+    The deposit's radius is never below |dist| on any axis (nor below
+    sqrt(dist**2) rounded, which differs from |dist| only once dist**2
+    underflows), and the profile never increases with r, so a skipped pass
+    would have added +0.0 to every node: the grid is bit-identical with
+    or without it.  TSC thus keeps 3 of its 4 offsets, CIC 2 of 3 and NGP
+    1 of 2, except where some point lies on the closed boundary.
     """
     j0 = np.ceil((x - half - origin) / h).astype(np.int64)
     for o in range(w + 1):
         j = j0 + o
+        # The mask comes first even for a skipped offset: in that order the
+        # deposit's temporaries reuse freed heap and its peak memory is as
+        # before the skip (2.4 MB less at Np = 5e5 in 1D than mask last).
         ok = (j >= 0) & (j < n)
-        yield j, (None if ok.all() else ok), origin + j * h - x
+        dist = origin + j * h - x
+        near = max(float(dist.min()), -float(dist.max()), 0.0)
+        if radial_profile(kernel, min(near, math.sqrt(near * near)) / h) == 0.0:
+            continue
+        yield j, (None if ok.all() else ok), dist
 
 
 def _deposit(acc, axes, dims, kernel, h, a=0, index=None, sq=None, mask=None):

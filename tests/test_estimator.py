@@ -1,11 +1,16 @@
 """Density evaluation, grid deposit, stencils, and quadrature."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kdeband import (
     DomainError,
+    Sample,
+    build_grid,
+    kernel_constants,
     Grid1D,
     Grid3D,
     GridTooLarge,
@@ -87,6 +92,78 @@ def test_estimate_3d_matches_brute_force():
         naive[i] = np.sum(eval_kernel_3d(TSC3, (q - s.points) / h))
     naive /= s.size_Np * h ** 3
     assert_allclose(got, naive, rtol=1e-12, atol=1e-300)
+
+
+def _brute_3d(s, kernel, h, queries):
+    """The naive double loop over queries and points."""
+    naive = np.array(
+        [np.sum(eval_kernel_3d(kernel, (q - s.points) / h)) for q in queries]
+    )
+    return naive / (s.size_Np * h ** 3)
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_estimate_3d_edge_cases_match_brute_force(family):
+    """Queries outside the bounding box and in empty cells, a point at
+    exactly the support radius, far outliers at a tiny h, and a 1-point
+    sample: the cell list equals the naive sum."""
+    kernel = kernel_constants_3d(family)
+    rng = np.random.default_rng(37)
+    h = 0.5
+    radius = 0.5 * kernel.width_w * h
+    # two clusters with an empty slab between them
+    pts = np.concatenate([rng.uniform(-2.0, -1.0, (80, 3)), rng.uniform(1.0, 2.0, (80, 3))])
+    box = [-2.0 - radius, 2.0 + radius]
+    outside = []
+    for a in range(3):
+        for side in box:
+            q = np.zeros(3)
+            q[a] = side + (0.1 if side > 0 else -0.1) * h
+            outside.append(q)
+            q = rng.uniform(-1.5, 1.5, 3)
+            q[a] = side + (-0.4 if side > 0 else 0.4) * radius
+            outside.append(q)
+    gap = np.column_stack([rng.uniform(-0.2, 0.2, 10), rng.uniform(-1.5, 1.5, (10, 2))])
+    on_edge = np.array([[0.0, 3.0, 0.0], [0.5, -3.0, 0.25]])
+    pts = np.concatenate([pts, on_edge + [radius, 0.0, 0.0], on_edge - [0.0, 0.0, radius]])
+    s = Sample3D(pts)
+    queries = np.concatenate([outside, gap, on_edge, rng.uniform(-2.5, 2.5, (30, 3))])
+    got = estimate_density_3d(s, kernel, h, queries)
+    assert_allclose(got, _brute_3d(s, kernel, h, queries), rtol=1e-12, atol=1e-300)
+    assert np.all(got[len(outside):len(outside) + len(gap)] == 0.0)
+    if family == "ngp":
+        # each on_edge query's only neighbours are its two points at
+        # exactly R, on the closed branch of the top-hat
+        assert_allclose(got[-32:-30], 2 * kernel.normalization / (s.size_Np * h ** 3), rtol=1e-15)
+
+    # outliers at +-3e6 with h = 1e-3: about 4e9 cells per axis
+    core = rng.normal(0.0, 2e-3, (200, 3))
+    far = np.array([[3e6, -3e6, 3e6], [-3e6, 3e6, -3e6]])
+    wide = Sample3D(np.concatenate([core, far, far + 2e-4]))
+    q = np.concatenate([rng.normal(0.0, 2e-3, (20, 3)), far + 1e-4, far - 1e-2])
+    got = estimate_density_3d(wide, kernel, 1e-3, q)
+    assert_allclose(got, _brute_3d(wide, kernel, 1e-3, q), rtol=1e-12, atol=1e-300)
+    assert np.all(got[20:22] > 0.0)
+
+    one = Sample3D(np.array([[0.3, -0.2, 0.1]]))
+    q = np.concatenate([rng.uniform(-1.0, 1.0, (20, 3)), [[0.3 + radius, -0.2, 0.1]]])
+    assert_allclose(
+        estimate_density_3d(one, kernel, h, q), _brute_3d(one, kernel, h, q),
+        rtol=1e-12, atol=1e-300,
+    )
+    empty = estimate_density_3d(s, kernel, h, np.zeros((0, 3)))
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+def test_non_finite_queries_rejected():
+    """A NaN or infinite query point raises, as a non-finite sample point does."""
+    s = Sample1D(np.array([0.0, 1.0]))
+    s3 = Sample3D(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            estimate_density_1d(s, TSC, 0.5, [bad, 0.0])
+        with pytest.raises(DomainError, match="finite"):
+            estimate_density_3d(s3, TSC3, 0.5, [[0.0, bad, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_estimates_non_negative_and_finite():
@@ -192,6 +269,67 @@ def test_grid_3d_too_large():
     s = Sample3D(rng.uniform(0.0, 1.0, (20, 3)))
     with pytest.raises(GridTooLarge, match="cells"):
         build_grid_3d(s, TSC3, 0.01, grid_cap=1000)
+
+
+# ---------------------------------------------------------------------------
+# grid deposit: skipped offsets
+# ---------------------------------------------------------------------------
+
+def test_ngp_boundary_point_weights_both_nodes():
+    """A point exactly on the closed NGP boundary weights both nodes."""
+    g = build_grid_1d(Sample1D([0.5]), NGP, 1.0)
+    assert g.origin == 0.0 and g.values.tolist() == [1.0, 1.0]
+
+    g3 = build_grid_3d(Sample3D([[0.5, 0.0, 0.0]]), NGP3, 1.0)
+    assert g3.dims == (2, 3, 3)
+    assert_allclose(g3.origin, [0.0, -1.0, -1.0])
+    expected = np.zeros((2, 3, 3))
+    expected[:, 1, 1] = NGP3.normalization
+    assert np.array_equal(g3.values, expected)
+
+
+def _lattice_sample(dim, h):
+    """Points on multiples of h/8, many of them on support boundaries."""
+    rng = np.random.default_rng(43)
+    return Sample(rng.integers(-24, 25, (400 if dim == 1 else 300, dim)) * (h / 8))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_grid_matches_estimate_on_lattice_samples(family, dim):
+    """On h/8-lattice samples the deposit equals direct evaluation at the nodes."""
+    h = 0.5
+    s = _lattice_sample(dim, h)
+    kernel = kernel_constants(family, dim)
+    grid = build_grid(s, kernel, h)
+    axes = [grid.axis_coordinates(a) for a in range(dim)]
+    if dim == 1:
+        direct = estimate_density_1d(s, kernel, h, axes[0])
+    else:
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        direct = estimate_density_3d(s, kernel, h, mesh).reshape(grid.dims)
+    assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
+
+
+# sha256 of build_grid(...).values.tobytes() for _lattice_sample(dim, 0.5),
+# recorded before the deposit skipped zero-weight offsets.
+LATTICE_DEPOSIT_SHA256 = {
+    ("ngp", 1): "03c20d61871775110965ebe7c8fcaf8deba6bd11e5b87323c87206b3748cd5bc",
+    ("cic", 1): "2deded44b01a0d7bd5aac8e0ecbc3f5ea07b07af271029f7220a6ead854be323",
+    ("tsc", 1): "55991f42a44b368725abb055cf3924d64d3a9524fcd40fc068a0953ee4f58793",
+    ("ngp", 3): "df09e25bce4f0cc475956df25a8c50ac1bf3926e158f66a52d3b2050bc2ae61b",
+    ("cic", 3): "c0d2b702174e8d126690c9c6ae456d6fe4f5e1588941a375a79d18572faf58ee",
+    ("tsc", 3): "7e4f3a55004248fecd11a88210ec418249965a1c1a3b57045c3c6fc2a0d1cb98",
+}
+
+
+@pytest.mark.parametrize("family, dim", sorted(LATTICE_DEPOSIT_SHA256))
+def test_lattice_deposit_matches_recorded_bits(family, dim):
+    """Skipping zero-weight offsets leaves every deposited value's bits alone."""
+    h = 0.5
+    grid = build_grid(_lattice_sample(dim, h), kernel_constants(family, dim), h)
+    digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
+    assert digest == LATTICE_DEPOSIT_SHA256[family, dim]
 
 
 # ---------------------------------------------------------------------------
