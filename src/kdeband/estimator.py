@@ -42,7 +42,7 @@ from .errors import (
     GridTooSmall,
     NonPositiveBandwidth,
 )
-from .kernels import Kernel, common_dim, eval_kernel_1d, radial_profile
+from .kernels import Kernel, common_dim, profile_branches, radial_profile
 
 __all__ = [
     "Sample",
@@ -229,9 +229,14 @@ _PAIR_CHUNK = 1 << 16
 def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
     """Evaluate f_hat at arbitrary 1D query points.
 
-    Uses a sorted copy of the sample and a closed search window of
-    half-width w*h/2 per query, so points exactly on the support boundary
-    contribute according to the kernel's own closed branches.
+    Uses a sorted copy of the sample and a search window of half-width
+    w*h/2 per query, so points on the support boundary contribute
+    according to the kernel's own closed branches.  Within a window the
+    offsets u = (x - query)/h ascend, so the points on each branch of the
+    kernel form two contiguous slices, found by bisection at the branch
+    tops with the closed comparisons the kernel itself makes: every point
+    takes the branch it would take in the kernel, and only that branch's
+    expression is computed for it.
     """
     h = _check_bandwidth(h)
     common_dim(1, sample=sample.dim, kernel=kernel.dim)
@@ -241,12 +246,32 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
     _check_finite(queries)
     pts = np.sort(sample.points)
     half = 0.5 * kernel.width_w * h
-    lo = np.searchsorted(pts, queries - half, side="left")
-    hi = np.searchsorted(pts, queries + half, side="right")
+    # A point up to a few roundings outside [query - half, query + half]
+    # can still land on the support's closed edge, |u| == w/2, so the
+    # window reaches a little further; points it takes beyond the edge
+    # fall outside every branch slice below.
+    reach = half + 2.0 ** -40 * (np.abs(queries) + half)
+    lo = np.searchsorted(pts, queries - reach, side="left")
+    hi = np.searchsorted(pts, queries + reach, side="right")
+    branches = profile_branches(kernel)
+    tops = np.array([top for top, _ in branches])
     out = np.empty(queries.size, dtype=float)
     for q in range(queries.size):
-        u = (queries[q] - pts[lo[q]:hi[q]]) / h
-        out[q] = np.sum(eval_kernel_1d(kernel, u))
+        u = pts[lo[q]:hi[q]] - queries[q]
+        u /= h
+        # u ascends and |u| has the bits of |(query - x) / h|, so the points
+        # with -top <= u <= top are those with |u| <= top: one contiguous
+        # slice per top, and each branch's points are that slice less the
+        # one before it, a piece on either side.
+        left = np.searchsorted(u, -tops, side="left")
+        right = np.searchsorted(u, tops, side="right")
+        r = np.abs(u, out=u)
+        total = 0.0
+        inner_left = inner_right = left[0]
+        for (_, shape), a, b in zip(branches, left, right):
+            total += shape(r[a:inner_left]).sum() + shape(r[inner_right:b]).sum()
+            inner_left, inner_right = a, b
+        out[q] = total
     return out / (sample.size_Np * h)
 
 
@@ -409,7 +434,8 @@ def _axis_offsets(x, origin, n, half, w, h, kernel):
     """Yield, for each offset o in 0..w along one axis that can carry
     weight: the index of each point's o-th node from the lowest one inside
     its closed support window, the in-range mask (None when every index is
-    in range) and the signed distance from the point to that node.
+    in range), the signed distance from the point to that node, and bounds
+    (lo, hi) on |dist| / h.
 
     With spacing == h at most w+1 nodes per axis can carry weight, and
     only w of them unless a point sits exactly on a support boundary.  An
@@ -421,19 +447,24 @@ def _axis_offsets(x, origin, n, half, w, h, kernel):
     would have added +0.0 to every node: the grid is bit-identical with
     or without it.  TSC thus keeps 3 of its 4 offsets, CIC 2 of 3 and NGP
     1 of 2, except where some point lies on the closed boundary.
+
+    The padded grid holds every index unless rounding pushes one out, so
+    the in-range masks are built only when the lowest and highest indices
+    say some are needed.
     """
     j0 = np.ceil((x - half - origin) / h).astype(np.int64)
+    inside = j0.min() >= 0 and j0.max() + w < n
     for o in range(w + 1):
         j = j0 + o
-        # The mask comes first even for a skipped offset: in that order the
-        # deposit's temporaries reuse freed heap and its peak memory is as
-        # before the skip (2.4 MB less at Np = 5e5 in 1D than mask last).
-        ok = (j >= 0) & (j < n)
+        ok = None if inside else (j >= 0) & (j < n)
         dist = origin + j * h - x
-        near = max(float(dist.min()), -float(dist.max()), 0.0)
+        lowest, highest = float(dist.min()), float(dist.max())
+        near = max(lowest, -highest, 0.0)
         if radial_profile(kernel, min(near, math.sqrt(near * near)) / h) == 0.0:
             continue
-        yield j, (None if ok.all() else ok), dist
+        # Division by h is monotone, so these bound every |dist_i| / h.
+        bounds = (near / h, max(-lowest, highest) / h)
+        yield j, (None if ok is None or ok.all() else ok), dist, bounds
 
 
 def _deposit(acc, axes, dims, kernel, h, a=0, index=None, sq=None, mask=None):
@@ -445,21 +476,26 @@ def _deposit(acc, axes, dims, kernel, h, a=0, index=None, sq=None, mask=None):
     ``a``.
     """
     last = a == len(axes) - 1
-    for j, ok, dist in axes[a]:
+    for j, ok, dist, bounds in axes[a]:
         idx = j if index is None else index + j
         m = ok if mask is None else mask if ok is None else mask & ok
         if not last:
             s = dist ** 2 if sq is None else sq + dist ** 2
             _deposit(acc, axes, dims, kernel, h, a + 1, idx * dims[a + 1], s, m)
             continue
-        # A lone axis's radius is |dist| (sqrt(dist^2) would give the same).
-        # Its offsets are streamed, so dist is used only here and r can
-        # take its memory: the deposit's peak is one point-sized array less.
-        r = np.abs(dist, out=dist) if sq is None else np.sqrt(sq + dist ** 2)
+        # A lone axis's radius is |dist| (sqrt(dist^2) would give the same),
+        # within the offset's bounds; a radius over several axes has no such
+        # cheap bound.  Its offsets are streamed, so dist is used only here
+        # and r can take its memory: the deposit's peak is one point-sized
+        # array less.
+        if sq is None:
+            r = np.abs(dist, out=dist)
+        else:
+            r, bounds = np.sqrt(sq + dist ** 2), None
         if m is not None:
             idx, r = idx[m], r[m]
         r /= h
-        acc += np.bincount(idx, weights=radial_profile(kernel, r), minlength=acc.size)
+        acc += np.bincount(idx, weights=radial_profile(kernel, r, bounds), minlength=acc.size)
 
 
 build_grid_1d = partial(build_grid, dim=1)

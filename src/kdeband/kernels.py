@@ -138,27 +138,59 @@ kernel_constants_1d = partial(kernel_constants, dim=1)
 kernel_constants_3d = partial(kernel_constants, dim=3)
 
 
-def radial_profile(kernel: Kernel, r: np.ndarray) -> np.ndarray:
+# The piecewise shape W of each family as closed branches
+# (top, W on (previous top, top]), in ascending order of top; the first
+# branch starts at r = 0 and W is zero beyond the last top.
+_BRANCHES = {
+    "ngp": ((0.5, np.ones_like),),
+    "cic": ((1.0, lambda r: 1.0 - r),),
+    "tsc": ((0.5, lambda r: 0.75 - r * r), (1.5, lambda r: 0.5 * (1.5 - r) ** 2)),
+}
+
+
+def profile_branches(kernel: Kernel) -> tuple:
+    """The closed branches ``(top, W)`` of the kernel's shape W (without
+    its normalization), in ascending order of top."""
+    branches = _BRANCHES.get(kernel.family.removesuffix("3"))
+    if branches is None:
+        raise DomainError(
+            f"unknown kernel family {kernel.family!r}; expected one of {KERNEL_FAMILIES}"
+        )
+    return branches
+
+
+def radial_profile(
+    kernel: Kernel, r: np.ndarray, bounds: tuple[float, float] | None = None
+) -> np.ndarray:
     """normalization * W(r) at radii r >= 0 (in bandwidth units), unchecked.
 
     Branch boundaries of W are closed and the first matching branch wins,
     so e.g. the NGP kernel is at full height at r = 1/2 exactly.  The grid
     deposit calls this directly: its radii are non-negative by construction.
+
+    ``bounds``, when given, is a pair (lo, hi) with lo <= r <= hi for
+    every r.  If one branch's interval (previous top, top] holds both, only
+    that branch is computed, and beyond the last top only zeros; each value
+    is bit for bit the one the full selection over all branches gives.
     """
-    family = kernel.family.removesuffix("3")
-    if family == "ngp":
-        out = np.where(r <= 0.5, 1.0, 0.0)
-    elif family == "cic":
-        out = np.where(r <= 1.0, 1.0 - r, 0.0)
-    elif family == "tsc":
+    branches = profile_branches(kernel)
+    out = None
+    if bounds is not None:
+        lo, hi = bounds
+        previous = -np.inf
+        for top, shape in branches:
+            if previous < lo and hi <= top:
+                out = shape(r)
+                break
+            previous = top
+        else:
+            if lo > previous:
+                out = np.zeros_like(r)
+    if out is None:
         out = np.select(
-            [r <= 0.5, r <= 1.5],
-            [0.75 - r * r, 0.5 * (1.5 - r) ** 2],
+            [r <= top for top, _ in branches],
+            [shape(r) for _, shape in branches],
             default=0.0,
-        )
-    else:
-        raise DomainError(
-            f"unknown kernel family {kernel.family!r}; expected one of {KERNEL_FAMILIES}"
         )
     return out if kernel.normalization == 1.0 else kernel.normalization * out
 

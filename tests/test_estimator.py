@@ -332,6 +332,92 @@ def test_lattice_deposit_matches_recorded_bits(family, dim):
     assert digest == LATTICE_DEPOSIT_SHA256[family, dim]
 
 
+def test_deposit_needing_in_range_masks_matches_estimate():
+    """On this lattice-aligned sample the last offset's highest node index
+    rounds onto the padded grid's end.  The deposit drops that index and
+    still equals direct evaluation at the nodes, in 1D and 3D."""
+    h = 0.5142746441911471
+    xs = [-3.59992250933803, -3.3427851872424563, 1.799961254669015,
+          2.0570985767645884, 1.5428239325734414]
+    s, kernel = Sample1D(xs), kernel_constants_1d("cic")
+    grid = build_grid_1d(s, kernel, h)
+    direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
+    assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
+
+    pts = np.column_stack([xs, np.linspace(-0.3, 0.3, 5), np.linspace(0.2, -0.2, 5)])
+    s3, kernel3 = Sample3D(pts), kernel_constants_3d("cic")
+    grid3 = build_grid_3d(s3, kernel3, h)
+    mesh = np.stack(
+        np.meshgrid(*[grid3.axis_coordinates(a) for a in range(3)], indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    direct3 = estimate_density_3d(s3, kernel3, h, mesh).reshape(grid3.dims)
+    assert_allclose(grid3.values, direct3, rtol=1e-12, atol=1e-300)
+
+
+def _hostile_sample(kind):
+    """A clipped Cauchy sample, or a Gaussian one offset by 1e12."""
+    rng = np.random.default_rng(47)
+    if kind == "cauchy":
+        return Sample1D(np.clip(rng.standard_cauchy(2000), -60.0, 60.0))
+    return Sample1D(1e12 + rng.normal(0.0, 1.0, 2000))
+
+
+# sha256 of build_grid_1d(_hostile_sample(kind), ..., 0.37).values.tobytes(),
+# recorded before the 1D deposit computed one kernel branch per offset.
+HOSTILE_DEPOSIT_SHA256 = {
+    ("cauchy", "ngp"): "ee6b59dee36e9cb0aa7d0cabacf5082f570cb62c2b26914f2462cc01b0845038",
+    ("cauchy", "cic"): "114ca24015f9ffdd8fd9b5a966102ba67fe194a8dc37c6e796639c86f0463910",
+    ("cauchy", "tsc"): "41708c333737e66ec2930ac11d1eff7cdd9acd60cc3337fe1795a338c7fd773c",
+    ("offset", "ngp"): "1f6afdeb725eada86b0a26f218cb6794cc0fce7541e9d33dd3096b37d62a0135",
+    ("offset", "cic"): "fdb049a88e7ed2144a4ce05be1d6865ba2b4f6acedae0166368703e0f7ada64a",
+    ("offset", "tsc"): "db3408a6e1a7600a6fc34013e7b92ce9b46279edb6d11c45c31672b3a057504c",
+}
+
+
+@pytest.mark.parametrize("kind, family", sorted(HOSTILE_DEPOSIT_SHA256))
+def test_hostile_deposit_matches_recorded_bits(kind, family):
+    """Computing only the branch each offset takes leaves every deposited
+    value's bits alone, on heavy tails and far from the origin."""
+    grid = build_grid_1d(_hostile_sample(kind), kernel_constants_1d(family), 0.37)
+    digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
+    assert digest == HOSTILE_DEPOSIT_SHA256[kind, family]
+
+
+def _boundary_sample_and_queries(h):
+    """Queries with points at exactly 0, 0.5, 1 and 1.5 bandwidths on
+    either side, where the kernels' closed branches meet."""
+    queries = np.arange(-6, 7) * 0.75
+    steps = np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]) * h
+    return Sample1D((queries[:, None] + steps).ravel()), np.concatenate([queries, [20.0]])
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+@pytest.mark.parametrize("kind", ["cauchy", "offset", "boundary", "boundary-inexact"])
+def test_estimate_1d_matches_naive_sum_by_branch(kind, family):
+    """Branch-resolved sums equal the naive sum over all points, and a
+    query no point reaches stays exactly zero."""
+    kernel = kernel_constants_1d(family)
+    if kind.startswith("boundary"):
+        h = 0.25 if kind == "boundary" else 0.3
+        s, queries = _boundary_sample_and_queries(h)
+    else:
+        h = 0.37
+        s = _hostile_sample(kind)
+        centre = 0.0 if kind == "cauchy" else 1e12
+        span = 70.0 if kind == "cauchy" else 6.0
+        queries = np.concatenate([
+            centre + np.linspace(-span, span, 401), s.points[:40],
+            s.points[:20] + 0.5 * h, s.points[:20] - 1.5 * h,
+        ])
+    got = estimate_density_1d(s, kernel, h, queries)
+    naive = np.array(
+        [np.sum(eval_kernel_1d(kernel, (q - s.points) / h)) for q in queries]
+    ) / (s.size_Np * h)
+    assert_allclose(got, naive, rtol=1e-12, atol=1e-300)
+    assert np.array_equal(got == 0.0, naive == 0.0)
+    assert np.any(naive == 0.0) and np.any(naive > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # equivariance properties
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from kdeband import (
     kernel_constants_1d,
     kernel_constants_3d,
 )
+from kdeband.kernels import radial_profile
 
 FAMILIES = ("ngp", "cic", "tsc")
 
@@ -128,6 +129,36 @@ def test_zero_outside_support(family):
                               -rng.uniform(half, 3 * half, 500) - 1e-12])
     assert np.all(eval_kernel_1d(k, inside) >= 0.0)
     assert np.all(eval_kernel_1d(k, outside) == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bounded_radial_profile_is_bit_equal(family, dim):
+    """Given bounds on r, the profile computes one branch (or zeros past
+    the support) where the bounds allow it, and every value keeps the bits
+    of the full selection over the branches: at the breakpoints 0.5, 1.0
+    and 1.5 themselves, beside them, and for bounds that straddle one."""
+    k = kernel_constants_1d(family) if dim == 1 else kernel_constants_3d(family)
+    marks = np.array([0.0, 0.5, 1.0, 1.5])
+    rng = np.random.default_rng(31)
+    r = np.sort(np.concatenate([
+        rng.uniform(0.0, 2.0, 2000), marks,
+        np.nextafter(marks, 2.0), np.nextafter(marks[1:], 0.0),
+    ]))
+    full = radial_profile(k, r)
+    after = {m: float(np.nextafter(m, 2.0)) for m in (0.5, 1.0, 1.5)}
+    windows = [
+        (0.0, 0.5), (after[0.5], 1.0), (after[1.0], 1.5), (after[1.5], 2.0),
+        (0.0, 1.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0),
+        (0.4, 0.6), (0.9, 1.1), (1.4, 1.6), (0.0, 2.0),
+        (0.5, 0.5), (1.0, 1.0), (1.5, 1.5),
+    ]
+    for lo, hi in windows:
+        inside = (r >= lo) & (r <= hi)
+        for bounds in ((lo, hi), (r[inside].min(), r[inside].max())):
+            got = radial_profile(k, r[inside], bounds)
+            assert got.dtype == full.dtype
+            assert got.tobytes() == full[inside].tobytes(), (lo, hi, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -555,3 +555,71 @@ def test_dimension_named_type_only_fixes_d(name, generic):
     assert cls.__bases__ == (getattr(kdeband, generic),)
     own = {attr for attr in vars(cls) if not attr.startswith("__")}
     assert own <= {"fixed_dim", "roughness_RK3"}
+
+
+# ---------------------------------------------------------------------------
+# seeded properties
+# ---------------------------------------------------------------------------
+
+def _property_case(d):
+    """A seeded Gaussian sample and the TSC kernel in d dimensions."""
+    if d == 1:
+        return sample_gaussian_1d(10_000, seed=61).points, kernel_constants_1d("tsc")
+    return sample_gaussian_3d(5_000, seed=61).points, kernel_constants_3d("tsc")
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_select_invariant_under_permutation(d):
+    """Reordering the sample moves the selection by rounding alone: the
+    deposit adds the same weights in another order."""
+    points, kernel = _property_case(d)
+    base = kdeband.select_bandwidth(kdeband.Sample(points), kernel)
+    for seed in (1, 2):
+        order = np.random.default_rng(seed).permutation(points.shape[0])
+        trace = kdeband.select_bandwidth(kdeband.Sample(points[order]), kernel)
+        assert len(trace.iterations) == len(base.iterations)
+        assert_allclose(trace.final_h, base.final_h, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("k", [-7, -3, 1, 5, 20])
+def test_select_equivariant_under_power_of_two_scaling(d, k):
+    """x -> 2^k x scales the selected bandwidth by 2^k.  The start, grid,
+    stencil and quadrature scale exactly, but the plug-in's 1/(4+d) power
+    rounds, so the bandwidths agree to rounding, not bit for bit."""
+    points, kernel = _property_case(d)
+    base = kdeband.select_bandwidth(kdeband.Sample(points), kernel)
+    scaled = kdeband.select_bandwidth(kdeband.Sample(2.0 ** k * points), kernel)
+    assert len(scaled.iterations) == len(base.iterations)
+    assert_allclose(scaled.final_h, 2.0 ** k * base.final_h, rtol=1e-13, atol=0.0)
+
+
+HOSTILE_LAWS = {
+    "cauchy": lambda rng, shape: rng.standard_cauchy(shape),
+    "lognormal": lambda rng, shape: rng.lognormal(0.0, 1.0, shape),
+    "rounded-normal": lambda rng, shape: np.round(rng.normal(0.0, 1.0, shape), 1),
+    "three-valued": lambda rng, shape: rng.integers(0, 3, shape).astype(float),
+}
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("law", sorted(HOSTILE_LAWS))
+def test_hostile_samples_converge_or_raise_named_error(law, d):
+    """Heavy tails, skew, ties and a 3-valued sample end in a converged
+    selection or in a KdebandError subclass that names the cause, never in
+    a numpy exception or an unconverged trace."""
+    kernel = kernel_constants_1d("tsc") if d == 1 else kernel_constants_3d("tsc")
+    shape = 20_000 if d == 1 else (5_000, 3)
+    for seed in range(3):
+        points = HOSTILE_LAWS[law](np.random.default_rng(seed), shape)
+        try:
+            # The default 3D cap lets a shrinking h allocate about 1 GB
+            # before GridTooLarge; 4e6 nodes ends each case the same way.
+            trace = kdeband.select_bandwidth(
+                kdeband.Sample(points), kernel, grid_cap=4_000_000
+            )
+        except kdeband.KdebandError as err:
+            assert type(err) is not kdeband.KdebandError
+            continue
+        assert trace.converged
+        assert np.isfinite(trace.final_h) and trace.final_h > 0.0
