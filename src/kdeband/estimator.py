@@ -392,11 +392,20 @@ def build_grid(
 
     Each point's weight goes to the nodes within its closed support
     window, one bincount pass per combination of per-axis node offsets.
-    Offsets at which the kernel is zero for every point are skipped (see
-    _axis_offsets), which leaves every value bit for bit as it would be
-    with all (w+1)^d passes: TSC runs 3^d passes, CIC 2^d and NGP one,
-    plus one more offset on an axis where some point lies exactly on the
-    closed boundary of NGP's support.
+    The window starts at the lowest node the kernel's own radius reaches,
+    also where rounding puts the computed start one node higher (see
+    _axis_offsets).  Offsets at which the kernel is zero for every point
+    are skipped, which leaves every value bit for bit as it would be with
+    every offset computed: TSC runs 3^d passes, CIC 2^d and NGP one, plus
+    one more offset on an axis where some point lies exactly on the
+    closed boundary of NGP's support or rounds onto a support's edge.
+
+    Each pass gives the kernel bounds on its radii, so that it computes
+    only the kernel branch they take (see kernels.radial_profile).  In 1D
+    they are the offset's least and greatest |dist| / h; over several axes
+    they combine the per-axis bounds like the radius combines the
+    distances.  In 3D, TSC then needs the selection over branches only on
+    its centre pass and NGP on its one pass; in 1D no pass needs it.
     """
     h = _check_bandwidth(h)
     d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
@@ -421,21 +430,36 @@ def build_grid(
     ]
     if d > 1:
         # Each axis's offsets are reused for every combination of the other
-        # axes' offsets: compute them once.  A lone axis uses each once, so
+        # axes' offsets: compute them once, with the index pre-strided to
+        # the flat grid, and the distances and their bounds squared, which
+        # is all the radius needs of them.  A lone axis uses each once, so
         # it streams them instead.
-        axes = [list(offsets) for offsets in axes]
+        strides = [math.prod(dims[a + 1:]) for a in range(d)]
+        axes = [
+            [(j * stride, ok, dist * dist, (near * near, far * far))
+             for j, ok, dist, (near, far) in offsets]
+            for offsets, stride in zip(axes, strides)
+        ]
     acc = np.zeros(n, dtype=float)
-    _deposit(acc, axes, dims, kernel, h)
+    _deposit(acc, axes, kernel, h)
     values = acc.reshape(dims) / (sample.size_Np * h ** d)
     return Grid(origin=origin, spacing=h, values=values)
 
 
 def _axis_offsets(x, origin, n, half, w, h, kernel):
-    """Yield, for each offset o in 0..w along one axis that can carry
-    weight: the index of each point's o-th node from the lowest one inside
-    its closed support window, the in-range mask (None when every index is
-    in range), the signed distance from the point to that node, and bounds
-    (lo, hi) on |dist| / h.
+    """Yield, for each offset o in -1..w along one axis that can carry
+    weight: the index j0 + o of each point's node o steps from
+    j0 = ceil((x - w h/2 - origin) / h), the in-range mask (None when every
+    index is in range), the signed distance dist from the point to that
+    node, and bounds (near, far) with near <= |dist_i| <= far for every
+    point.
+
+    In exact arithmetic j0 is the lowest node inside a point's closed
+    support window, but the rounded quotient can land just above an
+    integer and put j0 one node past a node that the kernel's own radius
+    |origin + j h - x| / h still reaches: offset -1.  It is computed only
+    when offset 0's highest distance less h comes within rounding of
+    -w h/2; below that, no point's support reaches it.
 
     With spacing == h at most w+1 nodes per axis can carry weight, and
     only w of them unless a point sits exactly on a support boundary.  An
@@ -445,53 +469,72 @@ def _axis_offsets(x, origin, n, half, w, h, kernel):
     sqrt(dist**2) rounded, which differs from |dist| only once dist**2
     underflows), and the profile never increases with r, so a skipped pass
     would have added +0.0 to every node: the grid is bit-identical with
-    or without it.  TSC thus keeps 3 of its 4 offsets, CIC 2 of 3 and NGP
-    1 of 2, except where some point lies on the closed boundary.
+    or without it.  TSC thus keeps 3 of its offsets, CIC 2 and NGP 1,
+    except where some point lies on the closed boundary.
 
     The padded grid holds every index unless rounding pushes one out, so
-    the in-range masks are built only when the lowest and highest indices
-    say some are needed.
+    an offset's in-range mask is built only when its lowest and highest
+    indices say it is needed.
     """
     j0 = np.ceil((x - half - origin) / h).astype(np.int64)
-    inside = j0.min() >= 0 and j0.max() + w < n
-    for o in range(w + 1):
+    first, last = int(j0.min()), int(j0.max())
+
+    def offset(o):
         j = j0 + o
-        ok = None if inside else (j >= 0) & (j < n)
+        ok = None if first + o >= 0 and last + o < n else (j >= 0) & (j < n)
         dist = origin + j * h - x
-        lowest, highest = float(dist.min()), float(dist.max())
+        ok = None if ok is None or ok.all() else ok
+        return j, ok, dist, float(dist.min()), float(dist.max())
+
+    def candidates():
+        zero = offset(0)
+        # Offset -1's distances are offset 0's less h, up to a few roundings
+        # of numbers no larger than |origin| + n h; the last item of an
+        # offset is its highest distance.
+        if zero[-1] - h >= -half - 2.0 ** -40 * (abs(origin) + n * h):
+            yield offset(-1)
+        yield zero
+        del zero  # a streamed offset's arrays must not outlive its pass
+        for o in range(1, w + 1):
+            yield offset(o)
+
+    for j, ok, dist, lowest, highest in candidates():
         near = max(lowest, -highest, 0.0)
         if radial_profile(kernel, min(near, math.sqrt(near * near)) / h) == 0.0:
             continue
-        # Division by h is monotone, so these bound every |dist_i| / h.
-        bounds = (near / h, max(-lowest, highest) / h)
-        yield j, (None if ok is None or ok.all() else ok), dist, bounds
+        yield j, ok, dist, (near, max(-lowest, highest))
 
 
-def _deposit(acc, axes, dims, kernel, h, a=0, index=None, sq=None, mask=None):
+def _deposit(acc, axes, kernel, h, a=0, index=None, sq=None, mask=None, bounds_sq=(0.0, 0.0)):
     """Add the kernel weight of every point at every combination of its
     per-axis offsets into the flat ``acc``, outer axis first.
 
-    ``index``, ``sq`` and ``mask`` carry the flat node index (scaled for
-    axis ``a``), squared distance and in-range mask of the axes before
-    ``a``.
+    ``index``, ``sq``, ``mask`` and ``bounds_sq`` carry the flat node
+    index, squared distance, in-range mask and the sums of the squared
+    (near, far) bounds of the axes before ``a``.
     """
     last = a == len(axes) - 1
-    for j, ok, dist, bounds in axes[a]:
+    for j, ok, dist, (near, far) in axes[a]:
         idx = j if index is None else index + j
         m = ok if mask is None else mask if ok is None else mask & ok
-        if not last:
-            s = dist ** 2 if sq is None else sq + dist ** 2
-            _deposit(acc, axes, dims, kernel, h, a + 1, idx * dims[a + 1], s, m)
-            continue
-        # A lone axis's radius is |dist| (sqrt(dist^2) would give the same),
-        # within the offset's bounds; a radius over several axes has no such
-        # cheap bound.  Its offsets are streamed, so dist is used only here
-        # and r can take its memory: the deposit's peak is one point-sized
-        # array less.
-        if sq is None:
-            r = np.abs(dist, out=dist)
+        if len(axes) == 1:
+            # A lone axis's radius is |dist| (sqrt(dist^2) would give the
+            # same), and division by h is monotone, so near / h and far / h
+            # bound r.  Its offsets are streamed, so dist is used only here
+            # and r can take its memory: the deposit's peak is one
+            # point-sized array less.
+            r, bounds = np.abs(dist, out=dist), (near / h, far / h)
         else:
-            r, bounds = np.sqrt(sq + dist ** 2), None
+            # Over several axes, dist, near and far hold squares.  Summed
+            # outer axis first like the radius, then sqrt and / h: each
+            # step is monotone, so the bounds hold for every rounded r.
+            s = dist if sq is None else sq + dist
+            near_sq, far_sq = bounds_sq[0] + near, bounds_sq[1] + far
+            if not last:
+                _deposit(acc, axes, kernel, h, a + 1, idx, s, m, (near_sq, far_sq))
+                continue
+            r = np.sqrt(s, out=s)
+            bounds = (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h)
         if m is not None:
             idx, r = idx[m], r[m]
         r /= h

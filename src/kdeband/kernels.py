@@ -170,22 +170,28 @@ def radial_profile(
 
     ``bounds``, when given, is a pair (lo, hi) with lo <= r <= hi for
     every r.  If one branch's interval (previous top, top] holds both, only
-    that branch is computed, and beyond the last top only zeros; each value
-    is bit for bit the one the full selection over all branches gives.
+    that branch is computed, and beyond the last top only zeros.  If lo is
+    inside the last branch and hi beyond its top, and W is zero at that top
+    (CIC, TSC; not NGP), the last branch is computed on min(r, top), which
+    gives W(top) = +0.0 beyond the top.  Each value is bit for bit the one
+    the full selection over all branches gives.
     """
     branches = profile_branches(kernel)
     out = None
     if bounds is not None:
         lo, hi = bounds
-        previous = -np.inf
-        for top, shape in branches:
+        tops = [-np.inf] + [top for top, _ in branches]
+        for (top, shape), previous in zip(branches, tops):
             if previous < lo and hi <= top:
                 out = shape(r)
                 break
-            previous = top
         else:
-            if lo > previous:
+            top, shape = branches[-1]
+            if lo > top:
                 out = np.zeros_like(r)
+            elif lo > tops[-2] and shape(np.float64(top)) == 0.0:
+                # W(top) is +0.0, the selection's value beyond the top.
+                out = shape(np.minimum(r, top))
     if out is None:
         out = np.select(
             [r <= top for top, _ in branches],

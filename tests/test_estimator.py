@@ -383,6 +383,92 @@ def test_hostile_deposit_matches_recorded_bits(kind, family):
     assert digest == HOSTILE_DEPOSIT_SHA256[kind, family]
 
 
+def _hostile_sample_3d(kind):
+    """A clipped Cauchy sample, or a Gaussian one offset by (1e12, -3e8, 5)."""
+    rng = np.random.default_rng(47)
+    if kind == "cauchy":
+        return Sample3D(np.clip(rng.standard_cauchy((2000, 3)), -8.0, 8.0))
+    return Sample3D(np.array([1e12, -3e8, 5.0]) + rng.normal(0.0, 1.0, (2000, 3)))
+
+
+# sha256 of build_grid_3d(_hostile_sample_3d(kind), ..., 0.37).values.tobytes(),
+# recorded before the 3D deposit bounded each pass's radius.
+HOSTILE_DEPOSIT_3D_SHA256 = {
+    ("cauchy", "ngp"): "db4eef80d6e310746425eb4939a2777ccee900f4723cfebb22f5cf1da60c7c8d",
+    ("cauchy", "cic"): "49248c2d036d086d65a125d8b90612e28b068474a86215a7e26a304d09c06d16",
+    ("cauchy", "tsc"): "e66cb8c9b7838a31892e1595866b9676c2dc5641c8c29d07bdad7e999bbd6a11",
+    ("offset", "ngp"): "d08693ac1808e9ae840589c3e9300230ca082a9450ef20b3f7c88829d6e7c0d7",
+    ("offset", "cic"): "44f8e5af00144f29c3865a2a623fd1b9919a3e486e4b27074917176188512481",
+    ("offset", "tsc"): "af1e877489680076908e37d69c12ef4757e5a19dd4fa46c4918d4faabe8090d1",
+}
+
+
+@pytest.mark.parametrize("kind, family", sorted(HOSTILE_DEPOSIT_3D_SHA256))
+def test_hostile_deposit_3d_matches_recorded_bits(kind, family):
+    """Bounding each 3D pass's radius leaves every deposited value's bits
+    alone, on heavy tails and far from the origin."""
+    grid = build_grid_3d(_hostile_sample_3d(kind), kernel_constants_3d(family), 0.37)
+    digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
+    assert digest == HOSTILE_DEPOSIT_3D_SHA256[kind, family]
+
+
+def _node_mesh(grid):
+    axes = [grid.axis_coordinates(a) for a in range(grid.dim)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_deposit_matches_estimate_on_lattice_fuzz(family, dim):
+    """Five points on multiples of h/2, many of them exactly on a support
+    boundary, where the lowest node of a point's window is the one that
+    rounding can push the window past: seeded fuzz over h, deposit against
+    direct evaluation at every node."""
+    kernel = kernel_constants(family, dim)
+    rng = np.random.default_rng(2024)
+    for _ in range(300 if dim == 1 else 100):
+        h = rng.uniform(0.05, 8.0)
+        s = Sample(rng.integers(-40, 41, (5, dim)) * (h / 2))
+        grid = build_grid(s, kernel, h)
+        if dim == 1:
+            direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
+        else:
+            direct = estimate_density_3d(s, kernel, h, _node_mesh(grid)).reshape(grid.dims)
+        assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300, err_msg=repr(h))
+
+
+def test_ngp_deposit_keeps_weight_past_rounded_window_start():
+    """The window's first index rounds up past a node that two points at
+    -15.5 h reach on NGP's closed edge; that node still gets their weight."""
+    h = 4.8437750575852325
+    xs = [-4.8437750575852325, -75.07851339257111, -79.92228845015633,
+          9.687550115170465, -75.07851339257111]
+    s = Sample1D(xs)
+    grid = build_grid_1d(s, NGP, h)
+    direct = estimate_density_1d(s, NGP, h, grid.node_coordinates())
+    assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
+    assert grid.values.max() * s.size_Np * h == 3.0
+
+
+def test_tsc_deposit_needing_in_range_masks_matches_estimate():
+    """A TSC lattice sample whose last offset's highest index rounds onto
+    the padded grid's end and whose window start rounds past a node in a
+    point's support: the deposit equals direct evaluation, in 1D and 3D."""
+    h = 2.633294024376068
+    xs = [-22.38299920719658, 32.91617530470085, -36.866116341264956,
+          -19.74970518282051, -40.816057377829054]
+    s, kernel = Sample1D(xs), kernel_constants_1d("tsc")
+    grid = build_grid_1d(s, kernel, h)
+    direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
+    assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
+
+    pts = np.column_stack([xs, np.linspace(-0.3, 0.3, 5), np.linspace(0.2, -0.2, 5)])
+    s3, kernel3 = Sample3D(pts), kernel_constants_3d("tsc")
+    grid3 = build_grid_3d(s3, kernel3, h)
+    direct3 = estimate_density_3d(s3, kernel3, h, _node_mesh(grid3)).reshape(grid3.dims)
+    assert_allclose(grid3.values, direct3, rtol=1e-12, atol=1e-300)
+
+
 def _boundary_sample_and_queries(h):
     """Queries with points at exactly 0, 0.5, 1 and 1.5 bandwidths on
     either side, where the kernels' closed branches meet."""

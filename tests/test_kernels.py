@@ -13,7 +13,7 @@ from kdeband import (
     kernel_constants_1d,
     kernel_constants_3d,
 )
-from kdeband.kernels import radial_profile
+from kdeband.kernels import profile_branches, radial_profile
 
 FAMILIES = ("ngp", "cic", "tsc")
 
@@ -152,6 +152,8 @@ def test_bounded_radial_profile_is_bit_equal(family, dim):
         (0.0, 1.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0),
         (0.4, 0.6), (0.9, 1.1), (1.4, 1.6), (0.0, 2.0),
         (0.5, 0.5), (1.0, 1.0), (1.5, 1.5),
+        # lo inside the last branch, hi past its top
+        (0.2, 1.2), (0.6, 1.7), (after[0.5], 2.0), (1.2, 1.8),
     ]
     for lo, hi in windows:
         inside = (r >= lo) & (r <= hi)
@@ -159,6 +161,27 @@ def test_bounded_radial_profile_is_bit_equal(family, dim):
             got = radial_profile(k, r[inside], bounds)
             assert got.dtype == full.dtype
             assert got.tobytes() == full[inside].tobytes(), (lo, hi, bounds)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_radial_profile_clamps_only_where_shape_ends_at_zero(family, dim, monkeypatch):
+    """Bounds from inside the last branch to past its top compute that
+    branch on min(r, top), without the selection over all branches, where
+    W is zero at its last top (CIC, TSC).  NGP ends at full height, so it
+    keeps the selection.  The bits are the selection's either way."""
+    k = kernel_constants_1d(family) if dim == 1 else kernel_constants_3d(family)
+    top = profile_branches(k)[-1][0]
+    r = np.sort(np.concatenate([
+        np.linspace(top - 0.25, top + 0.5, 301), [top, np.nextafter(top, 2.0)],
+    ]))
+    full = radial_profile(k, r)
+    selects = []
+    select = np.select
+    monkeypatch.setattr(np, "select", lambda *a, **kw: selects.append(1) or select(*a, **kw))
+    got = radial_profile(k, r, (r[0], r[-1]))
+    assert got.tobytes() == full.tobytes()
+    assert bool(selects) == (family == "ngp")
 
 
 # ---------------------------------------------------------------------------
