@@ -5,8 +5,14 @@ classic assignment kernels (NGP, CIC, TSC) and selects the AMISE-optimal
 bandwidth from the data alone, by iterating a noise-corrected curvature
 roughness measurement against the closed-form optimal-bandwidth formula.
 One implementation serves every dimension d, taken from the sample's
-shape (Np, d); each ``_1d``/``_3d`` name is that implementation with d
-fixed.
+shape (Np, d), and one set of types (``Sample``, ``Grid``, ``Kernel``)
+serves every d.  Only the direct evaluations are one function per
+dimension (``estimate_density_1d``/``_3d``, ``eval_kernel_1d``/``_3d``).
+Eight further names fix d of a generic function and do nothing else:
+``kernel_constants_1d``/``_3d``, ``build_grid_1d``/``_3d``,
+``select_bandwidth_1d``/``_3d``, ``corrected_roughness_1d`` and
+``optimal_bandwidth_1d``; they stay because the benchmark in
+``perfbench/`` resolves them by name.
 
 Typical use::
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,24 +69,43 @@ HERNQUIST_EXTERNAL_REFERENCE = {
     ),
 }
 
-_GENERATORS_1D = {
-    "gauss1d": sample_gaussian_1d,
-    "tscdens1d": sample_tsc_density,
-    "trimodal": sample_trimodal,
-}
-
 _DECADES_1D = [1_000, 10_000, 100_000, 1_000_000]
 _DECADES_3D = [1_000, 10_000, 100_000]
 _DEFAULT_SEEDS = [1, 2, 3, 4, 5]
 
-# "curves": whether --emit-curves writes (x, estimate, analytic) tables,
-# which are one-dimensional.
-_EXPERIMENTS = {
-    "gauss1d": {"dim": 1, "np": _DECADES_1D, "curves": True},
-    "tscdens1d": {"dim": 1, "np": _DECADES_1D, "curves": True},
-    "trimodal": {"dim": 1, "np": _DECADES_1D, "curves": True},
-    "gauss3d": {"dim": 3, "np": _DECADES_3D, "curves": False},
-    "hernquist": {"dim": 1, "np": [1_050_000], "curves": True},
+
+class _Study(NamedTuple):
+    """A named synthetic law: its d, its sampler ``draw(Np, seed,
+    hernquist_params)``, its reference law ``law(hernquist_params)`` and
+    the default point counts of its experiment.  Tables of (x, estimate,
+    analytic), from ``density`` or ``experiment --emit-curves``, are 1D."""
+
+    dim: int
+    draw: Callable
+    law: Callable
+    np: list[int]
+
+
+def _hernquist_law(hq_params: HernquistParams):
+    rc = hq_params.scale_length_rc
+    window = (
+        hq_params.truncation_min_r_over_rc * rc,
+        hq_params.truncation_max_r_over_rc * rc,
+    )
+    return hernquist_radial_pdf(rc=rc, r_window=window)
+
+
+_STUDIES = {
+    "gauss1d": _Study(1, lambda Np, seed, hq: sample_gaussian_1d(Np, seed),
+                      lambda hq: gaussian_1d(), _DECADES_1D),
+    "tscdens1d": _Study(1, lambda Np, seed, hq: sample_tsc_density(Np, seed),
+                        lambda hq: tsc_density_1d(), _DECADES_1D),
+    "trimodal": _Study(1, lambda Np, seed, hq: sample_trimodal(Np, seed),
+                       lambda hq: trimodal_1d(), _DECADES_1D),
+    "gauss3d": _Study(3, lambda Np, seed, hq: sample_gaussian_3d(Np, seed),
+                      lambda hq: gaussian_3d(), _DECADES_3D),
+    "hernquist": _Study(1, lambda Np, seed, hq: sample_hernquist_radii(Np, hq, seed),
+                        _hernquist_law, [1_050_000]),
 }
 
 
@@ -101,7 +122,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_count(text: str) -> int:
     """Parse a point count, accepting scientific notation like 1e5."""
     value = float(text)
-    count = int(round(value))
+    count = int(round(value)) if math.isfinite(value) else 0
     if count < 1 or abs(value - count) > 1e-9 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"not a positive integer count: {text!r}")
     return count
@@ -142,6 +163,17 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _table(header: list[str], names: str, *columns) -> str:
+    """The header lines, a '# columns:' line, then one row per node with
+    each column's value in full precision; a column given as None reads NA."""
+    cells = [
+        ["NA"] * len(columns[0]) if column is None else [_fmt(v) for v in column]
+        for column in columns
+    ]
+    lines = [*header, f"# columns: {names}", *(" ".join(row) for row in zip(*cells))]
+    return "\n".join(lines) + "\n"
 
 
 def _load_sample_file(path: str, dim: int):
@@ -206,32 +238,6 @@ def _json_document(doc: dict) -> str:
 # experiment machinery
 # ---------------------------------------------------------------------------
 
-def _experiment_sample(name: str, Np: int, seed: int, hq_params: HernquistParams):
-    if name in _GENERATORS_1D:
-        return _GENERATORS_1D[name](Np, seed)
-    if name == "gauss3d":
-        return sample_gaussian_3d(Np, seed)
-    return sample_hernquist_radii(Np, hq_params, seed)
-
-
-def _experiment_density(name: str, hq_params: HernquistParams):
-    """Reference law matching an experiment's sampler."""
-    if name == "gauss1d":
-        return gaussian_1d()
-    if name == "tscdens1d":
-        return tsc_density_1d()
-    if name == "trimodal":
-        return trimodal_1d()
-    if name == "gauss3d":
-        return gaussian_3d()
-    rc = hq_params.scale_length_rc
-    window = (
-        hq_params.truncation_min_r_over_rc * rc,
-        hq_params.truncation_max_r_over_rc * rc,
-    )
-    return hernquist_radial_pdf(rc=rc, r_window=window)
-
-
 def _curve_path(out: str | None, name: str, Np: int, seed: int) -> str:
     if out is None:
         base = name
@@ -240,23 +246,24 @@ def _curve_path(out: str | None, name: str, Np: int, seed: int) -> str:
     return f"{base}_np{Np}_seed{seed}_curve.dat"
 
 
-def _curve_table_1d(name, kernel, sample, h, density, extra_header=()) -> str:
-    """Tabulate (x, estimate, analytic) on the deposit grid at h."""
-    grid = build_grid(sample, kernel, h)
-    xs = grid.node_coordinates()
-    fhat = grid.values
-    f_true = eval_density(density, xs)
-    lines = [
+def _curve_header(name, kernel, sample, h) -> list[str]:
+    return [
         f"# experiment: {name}",
         f"# kernel: {kernel.family}",
         f"# Np: {sample.size_Np}",
         f"# selected_h: {_fmt(h)}",
-        *extra_header,
-        "# columns: x f_hat f_analytic",
     ]
-    for x, fh, ft in zip(xs, fhat, f_true):
-        lines.append(f"{_fmt(x)} {_fmt(fh)} {_fmt(ft)}")
-    return "\n".join(lines) + "\n"
+
+
+def _curve_table_1d(name, kernel, sample, h, density, seed) -> str:
+    """Tabulate (x, estimate, analytic) on the deposit grid at h."""
+    grid = build_grid(sample, kernel, h)
+    xs = grid.node_coordinates()
+    return _table(
+        [*_curve_header(name, kernel, sample, h), f"# seed: {seed}"],
+        "x f_hat f_analytic",
+        xs, grid.values, eval_density(density, xs),
+    )
 
 
 def _curve_table_hernquist(name, kernel, sample, h, hq_params) -> str:
@@ -278,32 +285,30 @@ def _curve_table_hernquist(name, kernel, sample, h, hq_params) -> str:
     r_hi = hq_params.truncation_max_r_over_rc * rc
     z = (r_hi / (r_hi + rc)) ** 2 - (r_lo / (r_lo + rc)) ** 2
     mass_in_window = hq_params.total_mass_MT * z
-    rho_hat = profile_from_radial_pdf(fhat, rs, mass_in_window)
-    rho_true = hernquist_profile(rs, hq_params)
-    lines = [
-        f"# experiment: {name}",
-        f"# kernel: {kernel.family}",
-        f"# Np: {sample.size_Np}",
-        f"# selected_h: {_fmt(h)}",
+    header = [
+        *_curve_header(name, kernel, sample, h),
         f"# scale_length_rc: {rc:g}",
         f"# truncation_r: [{r_lo:g}, {r_hi:g}]",
         f"# mass_in_window: {_fmt(mass_in_window)}",
-        "# columns: r rho_hat rho_analytic",
     ]
-    for r, ph, pt in zip(rs, rho_hat, rho_true):
-        lines.append(f"{_fmt(r)} {_fmt(ph)} {_fmt(pt)}")
-    return "\n".join(lines) + "\n"
+    return _table(
+        header,
+        "r rho_hat rho_analytic",
+        rs,
+        profile_from_radial_pdf(fhat, rs, mass_in_window),
+        hernquist_profile(rs, hq_params),
+    )
 
 
 def cmd_experiment(args) -> int:
     name = args.name
-    study = _EXPERIMENTS[name]
-    dim = study["dim"]
-    np_values = sorted(set(args.np or study["np"]))
+    study = _STUDIES[name]
+    dim = study.dim
+    np_values = sorted(set(args.np or study.np))
     seeds = sorted(set(args.seed or _DEFAULT_SEEDS))
     config = _selector_config(args)
     hq_params = _hernquist_params(args)
-    density = _experiment_density(name, hq_params)
+    density = study.law(hq_params)
     kernel = kernel_constants(args.kernel, dim)
 
     reports = []
@@ -311,22 +316,21 @@ def cmd_experiment(args) -> int:
     for Np in sorted(np_values):
         analytic_h = analytic_optimal_bandwidth(density, kernel, Np, dim)
         for seed in sorted(seeds):
-            sample = _experiment_sample(name, Np, seed, hq_params)
+            sample = study.draw(Np, seed, hq_params)
             t0 = time.perf_counter()
             trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
             wall_ms = (time.perf_counter() - t0) * 1e3
             reports.append(
                 _report(name, args.kernel, Np, seed, trace, analytic_h, wall_ms)
             )
-            if args.emit_curves and study["curves"]:
+            if args.emit_curves and dim == 1:
                 if name == "hernquist":
                     table = _curve_table_hernquist(
                         name, kernel, sample, trace.final_h, hq_params
                     )
                 else:
                     table = _curve_table_1d(
-                        name, kernel, sample, trace.final_h, density,
-                        extra_header=(f"# seed: {seed}",),
+                        name, kernel, sample, trace.final_h, density, seed
                     )
                 path = _curve_path(args.out, name, Np, seed)
                 curves.append(path)
@@ -400,10 +404,9 @@ def cmd_density(args) -> int:
     hq_params = _hernquist_params(args)
     density = None
     if args.generator is not None:
-        if args.generator == "gauss3d":
-            raise KdebandError("density tables are 1D only; gauss3d is not supported")
-        sample = _experiment_sample(args.generator, args.np, args.seed, hq_params)
-        density = _experiment_density(args.generator, hq_params)
+        study = _STUDIES[args.generator]
+        sample = study.draw(args.np, args.seed, hq_params)
+        density = study.law(hq_params)
         source = f"{args.generator} Np={args.np} seed={args.seed}"
     else:
         sample = _load_sample_file(args.input, 1)
@@ -422,7 +425,7 @@ def cmd_density(args) -> int:
         if not trace.converged:
             exit_code = 2
 
-    lines = [
+    header = [
         f"# source: {source}",
         f"# kernel: {args.kernel}",
         f"# Np: {sample.size_Np}",
@@ -446,16 +449,11 @@ def cmd_density(args) -> int:
             # undefined; drop those nodes from the table.
             keep = xs >= 0.0
             xs, fhat = xs[keep], fhat[keep]
-    if density is not None:
-        f_true = eval_density(density, xs)
-        lines.append("# columns: x f_hat f_analytic")
-        for x, fh, ft in zip(xs, fhat, f_true):
-            lines.append(f"{_fmt(x)} {_fmt(fh)} {_fmt(ft)}")
+    if density is None:
+        table = _table(header, "x f_hat f_analytic(NA)", xs, fhat, None)
     else:
-        lines.append("# columns: x f_hat f_analytic(NA)")
-        for x, fh in zip(xs, fhat):
-            lines.append(f"{_fmt(x)} {_fmt(fh)} NA")
-    _write_text(args.out, "\n".join(lines) + "\n")
+        table = _table(header, "x f_hat f_analytic", xs, fhat, eval_density(density, xs))
+    _write_text(args.out, table)
     return exit_code
 
 
@@ -465,7 +463,7 @@ def cmd_density(args) -> int:
 
 def cmd_sample(args) -> int:
     hq_params = _hernquist_params(args)
-    sample = _experiment_sample(args.generator, args.np, args.seed, hq_params)
+    sample = _STUDIES[args.generator].draw(args.np, args.seed, hq_params)
     lines = [
         f"# generator: {args.generator}",
         f"# Np: {args.np}",
@@ -533,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.set_defaults(func=cmd_select)
 
     p_exp = sub.add_parser("experiment", help="run a named validation study")
-    p_exp.add_argument("name", choices=sorted(_EXPERIMENTS))
+    p_exp.add_argument("name", choices=sorted(_STUDIES))
     p_exp.add_argument("--np", type=_parse_count_list, default=None,
                        help="comma-separated point counts (default: study decades)")
     p_exp.add_argument("--seed", type=_parse_int_list, default=None,
@@ -548,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density", help="tabulate a 1D density estimate")
     p_den.add_argument("--input", default=None, help="numeric 1D sample file")
-    p_den.add_argument("--generator", choices=sorted(_GENERATORS_1D) + ["hernquist"],
+    p_den.add_argument("--generator",
+                       choices=sorted(name for name, study in _STUDIES.items()
+                                      if study.dim == 1),
                        default=None, help="draw the sample instead of reading a file")
     p_den.add_argument("--np", type=_parse_count, default=10_000,
                        help="points to draw with --generator (default 1e4)")
@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sam = sub.add_parser("sample", help="draw a synthetic sample")
     p_sam.add_argument("--generator", required=True,
-                       choices=sorted(_GENERATORS_1D) + ["gauss3d", "hernquist"])
+                       choices=sorted(_STUDIES))
     p_sam.add_argument("--np", type=_parse_count, required=True)
     p_sam.add_argument("--seed", type=int, required=True)
     _add_hernquist_flags(p_sam)

@@ -22,9 +22,12 @@ Grids are anchored to the absolute lattice {k*h : k integer} rather than
 to the sample minimum, so two samples with the same support tabulate onto
 identical node positions.
 
-The generic functions take an optional keyword ``dim``, the dimension
-the caller expects of its inputs (a mismatch raises DomainError); each
-``_1d``/``_3d`` name is its generic function with ``dim`` fixed.
+Every type and function here serves any d, except the direct
+evaluations, which are one per dimension (``estimate_density_1d`` and
+``estimate_density_3d``).  ``build_grid`` also takes an optional keyword
+``dim``, the dimension the caller expects of its inputs (a mismatch raises
+DomainError); ``build_grid_1d`` and ``build_grid_3d`` are ``build_grid``
+with ``dim`` fixed.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import ClassVar
 
 import numpy as np
 
@@ -46,22 +48,14 @@ from .kernels import Kernel, common_dim, profile_branches, radial_profile
 
 __all__ = [
     "Sample",
-    "Sample1D",
-    "Sample3D",
     "Grid",
-    "Grid1D",
-    "Grid3D",
     "estimate_density_1d",
     "estimate_density_3d",
     "build_grid",
     "build_grid_1d",
     "build_grid_3d",
     "laplacian",
-    "second_derivative_grid",
-    "laplacian_grid",
     "integrate_squared",
-    "integrate_squared_1d",
-    "integrate_squared_3d",
     "DEFAULT_GRID_CAP_1D",
     "DEFAULT_GRID_CAP_3D",
 ]
@@ -78,29 +72,36 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_finite(queries: np.ndarray) -> None:
+    if not np.all(np.isfinite(queries)):
+        raise DomainError("query_points must all be finite")
+
+
+def _check_bandwidth(h: float) -> float:
+    h = float(h)
+    if not (np.isfinite(h) and h > 0.0):
+        raise NonPositiveBandwidth(f"bandwidth must be a positive finite real, got {h!r}")
+    return h
+
+
 @dataclass(frozen=True)
 class Sample:
     """An immutable sample of Np finite points in d dimensions.
 
     ``points`` has shape (Np,) when d = 1 and (Np, d) otherwise; an
-    (Np, 1) array is stored as (Np,).  Subclasses that set ``fixed_dim``
-    accept only that d.
+    (Np, 1) array is stored as (Np,).
     """
 
     points: np.ndarray
-    fixed_dim: ClassVar[int | None] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 2 and pts.shape[1] == 1:
             pts = pts[:, 0]
         if pts.ndim not in (1, 2) or pts.size < 1:
-            raise DomainError(
-                f"{type(self).__name__} needs a non-empty (Np,) or (Np, d) array"
-            )
-        common_dim(self.fixed_dim, points=1 if pts.ndim == 1 else pts.shape[1])
+            raise DomainError("Sample needs a non-empty (Np,) or (Np, d) array")
         if not np.all(np.isfinite(pts)):
-            raise DomainError(f"{type(self).__name__} points must all be finite")
+            raise DomainError("Sample points must all be finite")
         object.__setattr__(self, "points", _frozen_array(pts))
 
     @property
@@ -127,47 +128,33 @@ class Sample:
         return float(np.mean(np.std(self.points, axis=0)))
 
 
-class Sample1D(Sample):
-    """A :class:`Sample` with d = 1: points of shape (Np,)."""
-
-    fixed_dim = 1
-
-
-class Sample3D(Sample):
-    """A :class:`Sample` with d = 3: points of shape (Np, 3)."""
-
-    fixed_dim = 3
-
-
 @dataclass(frozen=True)
 class Grid:
     """A regular grid of tabulated values in d = ``values.ndim`` dimensions.
 
     Node (i_1, ..., i_d) sits at ``origin + spacing * (i_1, ..., i_d)``.
     ``origin`` is a float when d = 1 and an array of shape (d,) otherwise.
-    Subclasses that set ``fixed_dim`` accept only that d.
+    The spacing must be a positive finite real (else NonPositiveBandwidth)
+    and the origin finite.
     """
 
     origin: float | np.ndarray
     spacing: float
     values: np.ndarray
-    fixed_dim: ClassVar[int | None] = None
 
     def __post_init__(self):
-        if not self.spacing > 0.0:
-            raise NonPositiveBandwidth("grid spacing must be positive")
+        spacing = _check_bandwidth(self.spacing)
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim < 1 or vals.size < 1:
-            raise DomainError(f"{type(self).__name__} values must be a non-empty array")
-        common_dim(self.fixed_dim, values=vals.ndim)
+            raise DomainError("Grid values must be a non-empty array")
         org = np.asarray(self.origin, dtype=float)
         if org.ndim > 1 or org.size != vals.ndim:
-            raise DomainError(
-                f"{type(self).__name__} origin must hold one coordinate per axis"
-            )
+            raise DomainError("Grid origin must hold one coordinate per axis")
+        if not np.all(np.isfinite(org)):
+            raise DomainError("Grid origin must be finite")
         org = float(org.reshape(())) if vals.ndim == 1 else _frozen_array(org)
         object.__setattr__(self, "origin", org)
-        object.__setattr__(self, "spacing", float(self.spacing))
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "values", _frozen_array(vals))
 
     @property
@@ -191,30 +178,6 @@ class Grid:
         """Node positions of a 1D grid."""
         common_dim(1, grid=self.dim)
         return self.axis_coordinates(0)
-
-
-class Grid1D(Grid):
-    """A :class:`Grid` with d = 1."""
-
-    fixed_dim = 1
-
-
-class Grid3D(Grid):
-    """A :class:`Grid` with d = 3."""
-
-    fixed_dim = 3
-
-
-def _check_finite(queries: np.ndarray) -> None:
-    if not np.all(np.isfinite(queries)):
-        raise DomainError("query_points must all be finite")
-
-
-def _check_bandwidth(h: float) -> float:
-    h = float(h)
-    if not (np.isfinite(h) and h > 0.0):
-        raise NonPositiveBandwidth(f"bandwidth must be a positive finite real, got {h!r}")
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +512,7 @@ build_grid_3d = partial(build_grid, dim=3)
 # Finite differences and quadrature on grids
 # ---------------------------------------------------------------------------
 
-def laplacian(grid: Grid, *, dim: int | None = None) -> Grid:
+def laplacian(grid: Grid) -> Grid:
     """(2d+1)-point Laplacian stencil on the interior of a grid.
 
     Sums (v[+1] + v[-1]) over the axes, subtracts 2d v and divides by
@@ -558,7 +521,7 @@ def laplacian(grid: Grid, *, dim: int | None = None) -> Grid:
     along every axis.
     """
     v = grid.values
-    d = common_dim(dim, grid=grid.dim)
+    d = grid.dim
     if min(v.shape) < 3:
         raise GridTooSmall("the Laplacian stencil needs at least 3 nodes per axis")
     inner = (slice(1, -1),) * d
@@ -571,15 +534,7 @@ def laplacian(grid: Grid, *, dim: int | None = None) -> Grid:
     return Grid(origin=grid.origin + grid.spacing, spacing=grid.spacing, values=lap)
 
 
-second_derivative_grid = partial(laplacian, dim=1)
-laplacian_grid = partial(laplacian, dim=3)
 
-
-def integrate_squared(grid: Grid, *, dim: int | None = None) -> float:
+def integrate_squared(grid: Grid) -> float:
     """Node-sum quadrature of the squared grid: sum(v^2) * spacing^d."""
-    d = common_dim(dim, grid=grid.dim)
-    return float(np.sum(grid.values ** 2) * grid.spacing ** d)
-
-
-integrate_squared_1d = partial(integrate_squared, dim=1)
-integrate_squared_3d = partial(integrate_squared, dim=3)
+    return float(np.sum(grid.values ** 2) * grid.spacing ** grid.dim)

@@ -30,8 +30,6 @@ from .errors import DomainError
 
 __all__ = [
     "Kernel",
-    "Kernel1D",
-    "Kernel3D",
     "kernel_constants",
     "kernel_constants_1d",
     "kernel_constants_3d",
@@ -73,27 +71,12 @@ class Kernel:
     second_moment_mu2: float
 
 
-class Kernel1D(Kernel):
-    """A :class:`Kernel` with d = 1, whose normalization is 1."""
-
-    def __init__(self, family, width_w, roughness_RK, second_moment_mu2):
-        super().__init__(family, 1, width_w, 1.0, roughness_RK, second_moment_mu2)
-
-
-class Kernel3D(Kernel):
-    """A :class:`Kernel` with d = 3; ``roughness_RK3`` is its R(K)."""
-
-    def __init__(self, family, width_w, normalization, roughness_RK3, second_moment_mu2):
-        super().__init__(family, 3, width_w, normalization, roughness_RK3, second_moment_mu2)
-
-    @property
-    def roughness_RK3(self) -> float:
-        return self.roughness_RK
-
-
 def common_dim(expected: int | None, **dims: int) -> int:
     """The one dimension shared by the named inputs and, unless None, by
-    ``expected`` (e.g. the d of a ``_1d``/``_3d`` entry point).
+    ``expected``: the d a function serves only (``estimate_density_1d``,
+    ``eval_kernel_1d``, ...), or the ``dim`` keyword of one of the four
+    functions that the ``_1d``/``_3d`` names fix (``build_grid``,
+    ``corrected_roughness``, ``optimal_bandwidth``, ``select_bandwidth``).
 
     Raises DomainError naming every dimension when they differ.
     """
@@ -106,17 +89,18 @@ def common_dim(expected: int | None, **dims: int) -> int:
 
 # Exact constants.  1D: R(K) and mu2 are elementary integrals of the
 # piecewise shapes.  3D: normalization = 1 / (4 pi integral r^2 W(r) dr),
-# RK3 = 4 pi normalization^2 integral r^2 W(r)^2 dr, and mu2 is one third
+# R(K) = 4 pi normalization^2 integral r^2 W(r)^2 dr, and mu2 is one third
 # of the radial second moment 4 pi normalization integral r^4 W(r) dr.
+# Fields: family, d, w, normalization, R(K), mu2.
 _CONSTANTS = {
     (k.family, k.dim): k
     for k in (
-        Kernel1D("ngp", 1, 1.0, 1.0 / 12.0),
-        Kernel1D("cic", 2, 2.0 / 3.0, 1.0 / 6.0),
-        Kernel1D("tsc", 3, 11.0 / 20.0, 1.0 / 4.0),
-        Kernel3D("ngp3", 1, 6.0 / np.pi, 6.0 / np.pi, 1.0 / 20.0),
-        Kernel3D("cic3", 2, 3.0 / np.pi, 6.0 / (5.0 * np.pi), 2.0 / 15.0),
-        Kernel3D("tsc3", 3, 2.0 / np.pi, 43.0 / (70.0 * np.pi), 13.0 / 60.0),
+        Kernel("ngp", 1, 1, 1.0, 1.0, 1.0 / 12.0),
+        Kernel("cic", 1, 2, 1.0, 2.0 / 3.0, 1.0 / 6.0),
+        Kernel("tsc", 1, 3, 1.0, 11.0 / 20.0, 1.0 / 4.0),
+        Kernel("ngp3", 3, 1, 6.0 / np.pi, 6.0 / np.pi, 1.0 / 20.0),
+        Kernel("cic3", 3, 2, 3.0 / np.pi, 6.0 / (5.0 * np.pi), 2.0 / 15.0),
+        Kernel("tsc3", 3, 3, 2.0 / np.pi, 43.0 / (70.0 * np.pi), 13.0 / 60.0),
     )
 }
 

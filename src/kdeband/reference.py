@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .kernels import Kernel, common_dim, eval_kernel_1d, kernel_constants_1d
+from .kernels import Kernel, common_dim, eval_kernel_1d, kernel_constants
 from .samplers import (
     TRIMODAL_MEANS,
     TRIMODAL_SIGMAS,
@@ -161,7 +161,7 @@ def eval_density(density: AnalyticDensity1D, x):
     if ident == "gaussian":
         out = _normal_pdf(x, 0.0, 1.0)
     elif ident == "tsc_density":
-        out = np.asarray(eval_kernel_1d(kernel_constants_1d("tsc"), x))
+        out = np.asarray(eval_kernel_1d(kernel_constants("tsc", 1), x))
     elif ident == "trimodal":
         out = np.zeros_like(x)
         for wgt, mu, sig in zip(TRIMODAL_WEIGHTS, TRIMODAL_MEANS, TRIMODAL_SIGMAS):

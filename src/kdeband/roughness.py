@@ -35,7 +35,6 @@ __all__ = [
     "RoughnessResult",
     "corrected_roughness",
     "corrected_roughness_1d",
-    "corrected_roughness_3d",
 ]
 
 
@@ -66,7 +65,7 @@ def corrected_roughness(
     correction constant is derived under that spacing), differentiated
     with the Laplacian stencil, and integrated by node sums.  The
     Poisson-noise bias 2d(2d+1)/(w^d h^(4+d) Np) is then subtracted.
-    ``dim`` is as in :mod:`kdeband.estimator`.
+    ``dim`` is as in :func:`kdeband.estimator.build_grid`.
     """
     grid = build_grid(sample, kernel, h, grid_cap=grid_cap, dim=dim)
     d = grid.dim
@@ -76,4 +75,3 @@ def corrected_roughness(
 
 
 corrected_roughness_1d = partial(corrected_roughness, dim=1)
-corrected_roughness_3d = partial(corrected_roughness, dim=3)

@@ -1,6 +1,6 @@
 """Deterministic synthetic samples for the validation studies.
 
-Every sampler takes an integer seed and builds its own
+Every sampler takes a non-negative integer seed and builds its own
 ``numpy.random.default_rng(seed)``, so a (sampler, Np, seed) triple pins
 the returned sample exactly.  The generator identity is exported as
 ``RNG_NAME`` and recorded in experiment reports, because reproducing the
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estimator import Sample1D, Sample3D
-from .kernels import eval_kernel_1d, kernel_constants_1d
+from .estimator import Sample
+from .kernels import eval_kernel_1d, kernel_constants
 
 __all__ = [
     "RNG_NAME",
@@ -81,21 +81,29 @@ def _check_count(Np: int) -> int:
     return Np
 
 
-def sample_gaussian_1d(Np: int, seed: int) -> Sample1D:
+def _generator(seed: int) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)`` for a seed >= 0; a negative seed
+    raises DomainError, where numpy would raise a bare ValueError."""
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def sample_gaussian_1d(Np: int, seed: int) -> Sample:
     """Np standard normal draws."""
     Np = _check_count(Np)
-    rng = np.random.default_rng(seed)
-    return Sample1D(rng.standard_normal(Np))
+    rng = _generator(seed)
+    return Sample(rng.standard_normal(Np))
 
 
-def sample_gaussian_3d(Np: int, seed: int) -> Sample3D:
+def sample_gaussian_3d(Np: int, seed: int) -> Sample:
     """Np isotropic standard normal draws in 3D."""
     Np = _check_count(Np)
-    rng = np.random.default_rng(seed)
-    return Sample3D(rng.standard_normal((Np, 3)))
+    rng = _generator(seed)
+    return Sample(rng.standard_normal((Np, 3)))
 
 
-def sample_tsc_density(Np: int, seed: int) -> Sample1D:
+def sample_tsc_density(Np: int, seed: int) -> Sample:
     """Draw from the TSC shape used as a pdf, by rejection.
 
     Proposal: y uniform on [-3/2, 3/2], height uniform on [0, 3/4]
@@ -104,8 +112,8 @@ def sample_tsc_density(Np: int, seed: int) -> Sample1D:
     given seed.
     """
     Np = _check_count(Np)
-    tsc = kernel_constants_1d("tsc")
-    rng = np.random.default_rng(seed)
+    tsc = kernel_constants("tsc", 1)
+    rng = _generator(seed)
     out = np.empty(Np, dtype=float)
     filled = 0
     while filled < Np:
@@ -116,20 +124,20 @@ def sample_tsc_density(Np: int, seed: int) -> Sample1D:
         take = min(Np - filled, acc.size)
         out[filled : filled + take] = acc[:take]
         filled += take
-    return Sample1D(out)
+    return Sample(out)
 
 
-def sample_trimodal(Np: int, seed: int) -> Sample1D:
+def sample_trimodal(Np: int, seed: int) -> Sample:
     """Draw from the equal-weight three-component normal mixture."""
     Np = _check_count(Np)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     labels = rng.integers(0, 3, Np)
     mus = np.asarray(TRIMODAL_MEANS)[labels]
     sigs = np.asarray(TRIMODAL_SIGMAS)[labels]
-    return Sample1D(mus + sigs * rng.standard_normal(Np))
+    return Sample(mus + sigs * rng.standard_normal(Np))
 
 
-def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sample1D:
+def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sample:
     """Radii of a truncated Hernquist sphere by inverse transform.
 
     The enclosed mass fraction F(r) = (r/(r+r_c))^2 inverts in closed
@@ -142,7 +150,7 @@ def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sampl
     r_hi = params.truncation_max_r_over_rc * rc
     f_lo = (r_lo / (r_lo + rc)) ** 2
     f_hi = (r_hi / (r_hi + rc)) ** 2
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     q = rng.uniform(f_lo, f_hi, Np)
     s = np.sqrt(q)
-    return Sample1D(rc * s / (1.0 - s))
+    return Sample(rc * s / (1.0 - s))

@@ -28,8 +28,9 @@ construction.  A run that hits the update cap returns its last iterate.
 
 The full history is returned as a :class:`BandwidthTrace` so callers can
 inspect convergence behaviour; nothing about the procedure requires
-knowledge of the true density.  The keyword ``dim`` is as in
-:mod:`kdeband.estimator`.
+knowledge of the true density.  The keyword ``dim`` of
+:func:`optimal_bandwidth` and :func:`select_bandwidth` is as in
+:func:`kdeband.estimator.build_grid`.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ __all__ = [
     "BandwidthTrace",
     "optimal_bandwidth",
     "optimal_bandwidth_1d",
-    "optimal_bandwidth_3d",
     "amise",
-    "amise_1d",
     "select_bandwidth",
     "select_bandwidth_1d",
     "select_bandwidth_3d",
@@ -160,17 +159,14 @@ def optimal_bandwidth(
 
 
 optimal_bandwidth_1d = partial(optimal_bandwidth, dim=1)
-optimal_bandwidth_3d = partial(optimal_bandwidth, dim=3)
 
 
-def amise(
-    h: float, kernel: Kernel, roughness: float, Np: int, *, dim: int | None = None
-) -> float:
+def amise(h: float, kernel: Kernel, roughness: float, Np: int) -> float:
     """Asymptotic MISE of the estimate at bandwidth h, in the kernel's d.
 
     AMISE(h) = R(K)/(h^d Np) + h^4 * R_d * (mu2/2)^2.
     """
-    d = common_dim(dim, kernel=kernel.dim)
+    d = kernel.dim
     Np = _check_np(Np)
     h = float(h)
     if not h > 0.0:
@@ -184,8 +180,6 @@ def amise(
     bias = h ** 4 * roughness * (kernel.second_moment_mu2 / 2.0) ** 2
     return variance + bias
 
-
-amise_1d = partial(amise, dim=1)
 
 
 def select_bandwidth(

@@ -28,13 +28,11 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from kdeband.estimator import (
-    Sample1D,
-    Sample3D,
+    Grid,
+    Sample,
     build_grid_3d,
     estimate_density_3d,
-    integrate_squared_1d,
-    laplacian_grid,
-    second_derivative_grid,
+    laplacian,
 )
 from kdeband.kernels import (
     eval_kernel_1d,
@@ -51,7 +49,7 @@ from kdeband.reference import (
     trimodal_1d,
     tsc_density_1d,
 )
-from kdeband.roughness import corrected_roughness_1d, corrected_roughness_3d
+from kdeband.roughness import corrected_roughness, corrected_roughness_1d
 from kdeband.samplers import (
     HernquistParams,
     sample_gaussian_1d,
@@ -61,9 +59,9 @@ from kdeband.samplers import (
     sample_tsc_density,
 )
 from kdeband.selector import (
-    amise_1d,
+    amise,
+    optimal_bandwidth,
     optimal_bandwidth_1d,
-    optimal_bandwidth_3d,
     select_bandwidth_1d,
     select_bandwidth_3d,
 )
@@ -353,8 +351,8 @@ def test_acceptance_07_convergence_quality(capsys):
                 rough = corrected_roughness_1d(run.sample, run.kernel, h).corrected
                 h_next = optimal_bandwidth_1d(rough, run.kernel, Np)
             else:
-                rough = corrected_roughness_3d(run.sample, run.kernel, h).corrected
-                h_next = optimal_bandwidth_3d(rough, run.kernel, Np)
+                rough = corrected_roughness(run.sample, run.kernel, h).corrected
+                h_next = optimal_bandwidth(rough, run.kernel, Np)
             worst_resid = max(worst_resid, abs(h_next - h) / h)
     ok = n_checked > 0 and worst_iters <= 20 and worst_resid <= 1e-3
     line = (
@@ -402,27 +400,25 @@ def test_acceptance_08_numerical_spot_checks(capsys):
             lambda r: (4.0 * np.pi / 3.0) * r ** 4 * eval_kernel_3d_radial(kern, r),
             0.0, 1.5, points=[0.5, 1.0],
         )
-        const_err = max(const_err, abs(r_num - kern.roughness_RK3), abs(m_num - kern.second_moment_mu2))
+        const_err = max(const_err, abs(r_num - kern.roughness_RK), abs(m_num - kern.second_moment_mu2))
     checks.append((f"kernel constants vs quadrature {const_err:.1e}<=1e-8", const_err <= 1e-8))
 
     # curvature stencils are exact on quadratics
-    from kdeband.estimator import Grid1D, Grid3D
-
     xs = 0.5 * (np.arange(9) - 4.0)
-    g1 = Grid1D(origin=float(xs[0]), spacing=0.5, values=xs ** 2)
-    d2 = second_derivative_grid(g1).values
+    g1 = Grid(origin=float(xs[0]), spacing=0.5, values=xs ** 2)
+    d2 = laplacian(g1).values
     stencil_err = float(np.max(np.abs(d2 - 2.0)))
     coords = [0.25 * np.arange(7) for _ in range(3)]
     xg, yg, zg = np.meshgrid(*coords, indexing="ij")
-    g3 = Grid3D(origin=np.zeros(3), spacing=0.25, values=xg ** 2 + yg ** 2 + zg ** 2)
-    lap = laplacian_grid(g3).values
+    g3 = Grid(origin=np.zeros(3), spacing=0.25, values=xg ** 2 + yg ** 2 + zg ** 2)
+    lap = laplacian(g3).values
     stencil_err = max(stencil_err, float(np.max(np.abs(lap - 6.0))))
     checks.append((f"quadratic stencils {stencil_err:.1e}<=1e-10", stencil_err <= 1e-10))
 
     # windowed 3D evaluation vs brute-force sum over all pairs
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((200, 3))
-    sample3 = Sample3D(pts)
+    sample3 = Sample(pts)
     kern3 = kernel_constants_3d("tsc3")
     targets = rng.standard_normal((40, 3))
     h3 = 0.8
@@ -437,15 +433,15 @@ def test_acceptance_08_numerical_spot_checks(capsys):
     # selection is scale equivariant
     vals = sample_gaussian_1d(5000, seed=21).points
     kern = kernel_constants_1d("tsc")
-    h_a = select_bandwidth_1d(Sample1D(vals), kern).final_h
-    h_b = select_bandwidth_1d(Sample1D(10.0 * vals), kern).final_h
+    h_a = select_bandwidth_1d(Sample(vals), kern).final_h
+    h_b = select_bandwidth_1d(Sample(10.0 * vals), kern).final_h
     scale_err = abs(h_b - 10.0 * h_a) / (10.0 * h_a)
     checks.append((f"scale equivariance {scale_err:.1e}<=1e-6", scale_err <= 1e-6))
 
     # AMISE is minimized at the closed-form optimum
     h_opt = optimal_bandwidth_1d(1.7, kern, 50_000)
     grid = np.geomspace(h_opt / 4.0, 4.0 * h_opt, 101)
-    vals_amise = [amise_1d(hh, kern, 1.7, 50_000) for hh in grid]
+    vals_amise = [amise(hh, kern, 1.7, 50_000) for hh in grid]
     amise_ok = int(np.argmin(vals_amise)) == int(np.argmin(np.abs(grid - h_opt)))
     checks.append(("amise argmin at closed form", amise_ok))
 

@@ -6,7 +6,9 @@ conventions: 0 success, 1 usage or data error, 2 selection finished
 without converging (outputs still written).
 """
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -467,3 +469,134 @@ def test_sample_rejects_bad_count(capsys):
     rc = main(["sample", "--generator", "gauss1d", "--np", "2.5", "--seed", "1"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    for count in ("inf", "1e400", "nan"):
+        rc = main(["sample", "--generator", "gauss1d", "--np", count, "--seed", "1"])
+        assert rc == 1
+        assert "not a positive integer count" in capsys.readouterr().err
+    rc = main(["experiment", "gauss1d", "--np", "1000,inf", "--seed", "1"])
+    assert rc == 1
+    assert "not a positive integer count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--generator", "gauss1d", "--np", "10", "--seed", "-1"],
+        ["experiment", "gauss1d", "--np", "1000", "--seed", "-1"],
+        ["experiment", "gauss3d", "--np", "1000", "--seed", "2,-3"],
+        ["density", "--generator", "hernquist", "--np", "100", "--seed", "-1", "--h", "0.2"],
+    ],
+    ids=["sample", "experiment", "experiment-3d", "density"],
+)
+def test_negative_seed_exit_1(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# byte pins
+# ---------------------------------------------------------------------------
+
+# Every file each command writes, as the sha256 of its bytes with the two
+# run-dependent fields masked: ``wall_time_ms`` (set to 0) and the
+# generator name (set to "RNG", since it carries the numpy version).  The
+# commands run in an empty working directory with relative paths, so file
+# names and the paths a document records are fixed too.  Recorded before
+# the CLI was driven from one table of studies; any change to a table,
+# header, number format or curve file name moves a digest.
+_PIN_INPUT = "u.txt"
+CLI_BYTE_PINS = [
+    ("experiment-gauss1d-curves",
+     ["experiment", "gauss1d", "--np", "1000", "--seed", "1,2", "--emit-curves",
+      "--out", "g1.json"], {
+         "g1.json":
+             "ccb629f205a5fab6ab648c479a18a485a7fb3365d5aa7e87ea66ea5c7fff8700",
+         "g1_np1000_seed1_curve.dat":
+             "0be263301bf753e23152f4689d560cbd4a64a5366dc8a230c2cd7ef252c6df43",
+         "g1_np1000_seed2_curve.dat":
+             "cbaa306cd7a1b7b66355304c5af32ba3d7365a800bdb57a6e4a1b69ce739079f",
+     }),
+    ("experiment-tscdens1d-curves",
+     ["experiment", "tscdens1d", "--np", "1000", "--seed", "1", "--emit-curves",
+      "--out", "t1.json"], {
+         "t1.json":
+             "d3ab793e4f50df38592fed8e10e1bb57d000a1db02e5a7c3cb6f9c0bff1d00dc",
+         "t1_np1000_seed1_curve.dat":
+             "2c1931698325a0472ec52232fb58ffc23f3b5494435e292c1c606f08fcc00274",
+     }),
+    ("experiment-hernquist-curves",
+     ["experiment", "hernquist", "--np", "2000", "--seed", "1", "--emit-curves",
+      "--out", "hq.json"], {
+         "hq.json":
+             "797ca0e5400f6c73f21215c4aa7ef19ab4348c8c33d87771fe916fbbe041e044",
+         "hq_np2000_seed1_curve.dat":
+             "4d4d02e2c2ad6dc6953ca2756c654d934aafa2fab04a5550ab73f55cd12fe02b",
+     }),
+    ("experiment-gauss3d",
+     ["experiment", "gauss3d", "--np", "1000", "--seed", "1", "--out", "g3.json"], {
+         "g3.json":
+             "d8058d25f6e613f6f4eada90634332c34961505d7f3468f61aa39d79bd9e6c81",
+     }),
+    ("density-hernquist-auto",
+     ["density", "--generator", "hernquist", "--np", "2000", "--auto",
+      "--out", "dhq.dat"], {
+         "dhq.dat":
+             "cef18a7d9863aca52a6778f49688d6aa36521f5bc85326840b7d614652f15045",
+     }),
+    ("density-trimodal-fixed",
+     ["density", "--generator", "trimodal", "--np", "2000", "--h", "0.3",
+      "--out", "dtri.dat"], {
+         "dtri.dat":
+             "0f2ec3277a33a36e8db9a0c54990c38dede309be1e77fbea7002dc448238343b",
+     }),
+    ("density-input-na",
+     ["density", "--input", _PIN_INPUT, "--h", "0.3", "--out", "dna.dat"], {
+         "dna.dat":
+             "2679a62383d31462951eff1ded7a33799d4cee9a88ecb1ebd3fb230924929645",
+     }),
+    ("density-input-grid",
+     ["density", "--input", _PIN_INPUT, "--h", "0.5", "--grid-min", "-3",
+      "--grid-max", "3", "--grid-points", "41", "--out", "dgrid.dat"], {
+         "dgrid.dat":
+             "43c865b19f1c135e5b6375594d6d031d7cb199a7861dcc07e5324414ee9115f8",
+     }),
+    ("sample-gauss3d",
+     ["sample", "--generator", "gauss3d", "--np", "200", "--seed", "2",
+      "--out", "s3.txt"], {
+         "s3.txt":
+             "63fed4eb1c93eb1505580fdfe8517c1f4f07dbb98f1f0afd3e8076a361cf10c1",
+     }),
+    ("sample-hernquist",
+     ["sample", "--generator", "hernquist", "--np", "200", "--seed", "3",
+      "--rc", "2.0", "--out", "shq.txt"], {
+         "shq.txt":
+             "b60e6470b3d4ae5f0be6d295b0fcb91cb48baf29c30984c667ab839c6e2935ba",
+     }),
+    ("sample-tscdens1d",
+     ["sample", "--generator", "tscdens1d", "--np", "200", "--seed", "4",
+      "--out", "stsc.txt"], {
+         "stsc.txt":
+             "602d5ec4fa02e1a805c8e1c29cc85468832115110cd396507153254a682e6895",
+     }),
+]
+
+
+def _masked_digest(data: bytes) -> str:
+    text = data.decode("utf-8").replace(RNG_NAME, "RNG")
+    text = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digests", [case[1:] for case in CLI_BYTE_PINS],
+                         ids=[case[0] for case in CLI_BYTE_PINS])
+def test_cli_outputs_match_recorded_digests(tmp_path, monkeypatch, argv, digests):
+    monkeypatch.chdir(tmp_path)
+    _write_sample(tmp_path / _PIN_INPUT, sample_gaussian_1d(3000, seed=6).points)
+    assert main(argv) == 0
+    written = {
+        path.name: _masked_digest(path.read_bytes())
+        for path in sorted(tmp_path.iterdir())
+        if path.name != _PIN_INPUT
+    }
+    assert written == digests

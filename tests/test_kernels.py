@@ -196,7 +196,7 @@ def test_constants_3d_exact(family):
     assert k.family == family + "3"
     assert k.width_w == w
     assert_allclose(k.normalization, norm, rtol=1e-15)
-    assert_allclose(k.roughness_RK3, rk3, rtol=1e-15)
+    assert_allclose(k.roughness_RK, rk3, rtol=1e-15)
     assert_allclose(k.second_moment_mu2, mu2, rtol=1e-15)
 
 
@@ -222,7 +222,7 @@ def test_constants_3d_match_quadrature(family):
     rk3 = radial(lambda r: r * r * (a * _shape(k, r)) ** 2)
     mu2 = radial(lambda r: r ** 4 * a * _shape(k, r)) / 3.0
     assert_allclose(unit, 1.0, rtol=1e-10)
-    assert_allclose(rk3, k.roughness_RK3, rtol=1e-10)
+    assert_allclose(rk3, k.roughness_RK, rtol=1e-10)
     assert_allclose(mu2, k.second_moment_mu2, rtol=1e-10)
 
 

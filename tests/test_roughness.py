@@ -16,10 +16,9 @@ from scipy.integrate import quad
 from kdeband import (
     GridTooLarge,
     NonPositiveBandwidth,
-    Sample1D,
-    Sample3D,
+    Sample,
+    corrected_roughness,
     corrected_roughness_1d,
-    corrected_roughness_3d,
     eval_kernel_1d,
     kernel_constants_1d,
     kernel_constants_3d,
@@ -33,11 +32,11 @@ R3_GAUSS = 15.0 / (32.0 * np.pi ** 1.5)
 
 
 def _gauss_sample(Np, seed):
-    return Sample1D(np.random.default_rng(seed).standard_normal(Np))
+    return Sample(np.random.default_rng(seed).standard_normal(Np))
 
 
 def _gauss_sample_3d(Np, seed):
-    return Sample3D(np.random.default_rng(seed).standard_normal((Np, 3)))
+    return Sample(np.random.default_rng(seed).standard_normal((Np, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +54,10 @@ def test_correction_term_1d_arithmetic():
 def test_correction_term_3d_arithmetic():
     """w=3, h=0.5, Np=1e5 -> 42/(27 * 0.5^7 * 1e5) ~ 1.9911e-3."""
     s = _gauss_sample_3d(20_000, 1)
-    res = corrected_roughness_3d(s, TSC3, 0.5)
+    res = corrected_roughness(s, TSC3, 0.5)
     expected = 42.0 / (27.0 * 0.5 ** 7 * 20_000)
     assert res.correction == expected
-    res5 = corrected_roughness_3d(_gauss_sample_3d(100_000, 1), TSC3, 0.5)
+    res5 = corrected_roughness(_gauss_sample_3d(100_000, 1), TSC3, 0.5)
     assert_allclose(res5.correction, 1.9911e-3, rtol=1e-4)
 
 
@@ -70,7 +69,7 @@ def test_corrected_equals_raw_minus_correction():
         assert res.corrected == res.raw - res.correction
         assert res.correction >= 0.0 and res.raw >= 0.0
     s3 = _gauss_sample_3d(5_000, 3)
-    res3 = corrected_roughness_3d(s3, TSC3, 0.7)
+    res3 = corrected_roughness(s3, TSC3, 0.7)
     assert res3.corrected == res3.raw - res3.correction
 
 
@@ -81,8 +80,8 @@ def test_correction_scale_law():
     c2 = corrected_roughness_1d(s, TSC, 0.6).correction
     assert c2 == c1 / 32.0
     s3 = _gauss_sample_3d(2_000, 5)
-    d1 = corrected_roughness_3d(s3, TSC3, 0.5).correction
-    d2 = corrected_roughness_3d(s3, TSC3, 1.0).correction
+    d1 = corrected_roughness(s3, TSC3, 0.5).correction
+    d2 = corrected_roughness(s3, TSC3, 1.0).correction
     assert d2 == d1 / 128.0
 
 
@@ -106,7 +105,7 @@ def test_tiny_h_3d_under_subtracts():
     value goes negative (test above).
     """
     s = _gauss_sample_3d(1_000, 11)
-    res = corrected_roughness_3d(s, TSC3, 0.05)
+    res = corrected_roughness(s, TSC3, 0.05)
     assert res.raw > res.correction > 0.0
     assert res.corrected > 0.0
     # the residual is close to (true - subtracted) noise: within 25% of
@@ -250,7 +249,7 @@ def test_roughness_3d_near_optimum():
     """Mean 3D corrected roughness within 15% of 15/(32 pi^1.5)."""
     h, Np, n_seeds = 0.394, 100_000, 20
     vals = [
-        corrected_roughness_3d(_gauss_sample_3d(Np, seed), TSC3, h).corrected
+        corrected_roughness(_gauss_sample_3d(Np, seed), TSC3, h).corrected
         for seed in range(1, n_seeds + 1)
     ]
     assert_allclose(np.mean(vals), R3_GAUSS, rtol=0.15)
@@ -266,7 +265,7 @@ def test_nonpositive_bandwidth_rejected():
         corrected_roughness_1d(s, TSC, 0.0)
     s3 = _gauss_sample_3d(100, 1)
     with pytest.raises(NonPositiveBandwidth):
-        corrected_roughness_3d(s3, TSC3, -1.0)
+        corrected_roughness(s3, TSC3, -1.0)
 
 
 def test_grid_cap_propagates():

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from kdeband.errors import DomainError
-from kdeband.estimator import Sample1D, Sample3D
+from kdeband.estimator import Sample
 from kdeband.kernels import eval_kernel_1d, kernel_constants_1d
 from kdeband.samplers import (
     RNG_NAME,
@@ -99,12 +99,15 @@ def test_samplers_are_deterministic():
 
 
 def test_sampler_return_types():
-    assert isinstance(sample_gaussian_1d(10, seed=0), Sample1D)
-    assert isinstance(sample_tsc_density(10, seed=0), Sample1D)
-    assert isinstance(sample_trimodal(10, seed=0), Sample1D)
-    assert isinstance(sample_hernquist_radii(10, HernquistParams(), seed=0), Sample1D)
+    for sample in (
+        sample_gaussian_1d(10, seed=0),
+        sample_tsc_density(10, seed=0),
+        sample_trimodal(10, seed=0),
+        sample_hernquist_radii(10, HernquistParams(), seed=0),
+    ):
+        assert isinstance(sample, Sample) and sample.dim == 1
     sample3 = sample_gaussian_3d(10, seed=0)
-    assert isinstance(sample3, Sample3D)
+    assert isinstance(sample3, Sample) and sample3.dim == 3
     assert sample3.points.shape == (10, 3)
 
 
@@ -275,6 +278,25 @@ def test_sample_count_validation():
         sample_gaussian_3d(0, seed=0)
     with pytest.raises(DomainError):
         sample_hernquist_radii(0, HernquistParams(), seed=0)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: sample_gaussian_1d(10, seed),
+        lambda seed: sample_tsc_density(10, seed),
+        lambda seed: sample_trimodal(10, seed),
+        lambda seed: sample_gaussian_3d(10, seed),
+        lambda seed: sample_hernquist_radii(10, HernquistParams(), seed),
+    ],
+    ids=["gauss1d", "tscdens1d", "trimodal", "gauss3d", "hernquist"],
+)
+def test_negative_seed_raises_domain_error(draw):
+    """numpy's generator rejects a negative seed with a bare ValueError;
+    the samplers name it as a domain error instead, and seed 0 is valid."""
+    with pytest.raises(DomainError, match="seed"):
+        draw(-1)
+    assert draw(0).size_Np == 10
 
 
 def test_rng_name_identifies_generator_and_numpy():
