@@ -44,6 +44,7 @@ from .reference import (
 from .samplers import (
     RNG_NAME,
     HernquistParams,
+    _hernquist_mass_fraction,
     sample_gaussian_1d,
     sample_gaussian_3d,
     sample_hernquist_radii,
@@ -86,15 +87,6 @@ class _Study(NamedTuple):
     np: list[int]
 
 
-def _hernquist_law(hq_params: HernquistParams):
-    rc = hq_params.scale_length_rc
-    window = (
-        hq_params.truncation_min_r_over_rc * rc,
-        hq_params.truncation_max_r_over_rc * rc,
-    )
-    return hernquist_radial_pdf(rc=rc, r_window=window)
-
-
 _STUDIES = {
     "gauss1d": _Study(1, lambda Np, seed, hq: sample_gaussian_1d(Np, seed),
                       lambda hq: gaussian_1d(), _DECADES_1D),
@@ -105,7 +97,9 @@ _STUDIES = {
     "gauss3d": _Study(3, lambda Np, seed, hq: sample_gaussian_3d(Np, seed),
                       lambda hq: gaussian_3d(), _DECADES_3D),
     "hernquist": _Study(1, lambda Np, seed, hq: sample_hernquist_radii(Np, hq, seed),
-                        _hernquist_law, [1_050_000]),
+                        lambda hq: hernquist_radial_pdf(rc=hq.scale_length_rc,
+                                                        r_window=hq.r_window),
+                        [1_050_000]),
 }
 
 
@@ -281,9 +275,8 @@ def _curve_table_hernquist(name, kernel, sample, h, hq_params) -> str:
     rs = rs[keep]
     fhat = grid.values[keep]
     rc = hq_params.scale_length_rc
-    r_lo = hq_params.truncation_min_r_over_rc * rc
-    r_hi = hq_params.truncation_max_r_over_rc * rc
-    z = (r_hi / (r_hi + rc)) ** 2 - (r_lo / (r_lo + rc)) ** 2
+    r_lo, r_hi = hq_params.r_window
+    z = _hernquist_mass_fraction(r_hi, rc) - _hernquist_mass_fraction(r_lo, rc)
     mass_in_window = hq_params.total_mass_MT * z
     header = [
         *_curve_header(name, kernel, sample, h),
@@ -477,11 +470,10 @@ def cmd_sample(args) -> int:
             f"# truncation_r_over_rc: [{hq_params.truncation_min_r_over_rc:g}, "
             f"{hq_params.truncation_max_r_over_rc:g}]",
         ]
-    pts = sample.points
-    if pts.ndim == 1:
-        lines += [_fmt(v) for v in pts]
-    else:
-        lines += [" ".join(_fmt(v) for v in row) for row in pts]
+    # One bound format call per row, over Python floats: the same bytes as
+    # _fmt per value, at a fraction of the cost on large samples.
+    row = " ".join(["{:.17g}"] * sample.dim).format
+    lines += map(row, *sample.points.reshape(sample.size_Np, sample.dim).T.tolist())
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -84,6 +84,14 @@ def _check_bandwidth(h: float) -> float:
     return h
 
 
+def _check_count(Np) -> int:
+    """A point count as an int; DomainError unless it is an integer >= 1."""
+    count = int(Np) if np.isfinite(Np) else 0
+    if count < 1 or count != Np:
+        raise DomainError(f"Np must be a positive integer, got {Np!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class Sample:
     """An immutable sample of Np finite points in d dimensions.

@@ -1,13 +1,16 @@
-"""Closed-form reference densities, roughnesses, and optimal bandwidths.
+"""Closed-form reference laws: pdfs, curvature roughnesses, optimal bandwidths.
 
-These are the analytic counterparts of the data-driven machinery: for each
-synthetic law in :mod:`kdeband.samplers` this module provides the exact
-pdf, the exact curvature roughness
+These are the analytic counterparts of the data-driven machinery.  Each
+synthetic law in :mod:`kdeband.samplers` is one :class:`AnalyticDensity`
+whose ``dim`` is fixed by the law: its exact pdf is :func:`eval_density`,
+its exact curvature roughness
 
-    R_1 = integral f''(x)^2 dx,
+    R_d = integral (laplacian f)^2,  which is R_1 = integral f''(x)^2 dx,
 
-and hence the exact AMISE-optimal bandwidth that selection is trying to
-recover.  Everything here is closed form; no sampling and no grids.
+is ``density.roughness()``, and the exact AMISE-optimal bandwidth that
+selection is trying to recover is :func:`analytic_optimal_bandwidth`.
+One table, ``_LAWS``, lists every law with its d, pdf and R_d.  Everything
+here is closed form; no sampling and no grids.
 
 Closed forms used:
 
@@ -27,7 +30,7 @@ Closed forms used:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,21 +41,18 @@ from .samplers import (
     TRIMODAL_SIGMAS,
     TRIMODAL_WEIGHTS,
     HernquistParams,
+    _hernquist_mass_fraction,
 )
 from .selector import optimal_bandwidth
 
 __all__ = [
-    "AnalyticDensity1D",
-    "AnalyticDensity3D",
+    "AnalyticDensity",
     "gaussian_1d",
     "tsc_density_1d",
     "trimodal_1d",
     "hernquist_radial_pdf",
     "gaussian_3d",
     "eval_density",
-    "eval_density_3d",
-    "analytic_roughness_1d",
-    "analytic_roughness_3d_gaussian",
     "analytic_optimal_bandwidth",
     "hernquist_profile",
     "profile_from_radial_pdf",
@@ -60,74 +60,83 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AnalyticDensity1D:
-    """A 1D reference law with closed-form pdf and curvature roughness.
+class AnalyticDensity:
+    """A reference law with closed-form pdf and curvature roughness R_d.
 
-    ``identifier`` is one of ``"gaussian"``, ``"tsc_density"``,
-    ``"trimodal"``, ``"hernquist_radial_pdf"``.  The remaining fields
-    only apply to the Hernquist law: ``rc`` is the scale length and
-    ``r_window`` an optional (r_min, r_max) truncation in absolute
-    units; ``None`` means untruncated.
+    ``identifier`` names one of the laws listed in ``_LAWS``, which also
+    fixes the law's dimension ``dim``: ``"gaussian"``, ``"tsc_density"``,
+    ``"trimodal"`` and ``"hernquist_radial_pdf"`` in 1D, ``"gaussian3"``
+    in 3D.  The remaining fields only apply to the Hernquist law: ``rc``
+    is the scale length and ``r_window`` an optional finite (r_min, r_max)
+    truncation in absolute units; ``None`` means untruncated.
     """
 
     identifier: str
     rc: float = 1.0
     r_window: tuple[float, float] | None = None
-    dim: ClassVar[int] = 1
 
     def __post_init__(self):
-        known = ("gaussian", "tsc_density", "trimodal", "hernquist_radial_pdf")
-        if self.identifier not in known:
+        if self.identifier not in _LAWS:
             raise DomainError(f"unknown density {self.identifier!r}")
-        if not self.rc > 0.0:
-            raise DomainError("rc must be positive")
+        if not (np.isfinite(self.rc) and self.rc > 0.0):
+            raise DomainError(f"rc must be a positive finite real, got {self.rc!r}")
         if self.r_window is not None:
             lo, hi = self.r_window
-            if not (0.0 <= lo < hi):
-                raise DomainError("r_window must satisfy 0 <= r_min < r_max")
+            if not (0.0 <= lo < hi and np.isfinite(hi)):
+                raise DomainError("r_window must satisfy 0 <= r_min < r_max < inf")
             object.__setattr__(self, "r_window", (float(lo), float(hi)))
 
-    def roughness(self) -> float:
-        """Exact R_1; see :func:`analytic_roughness_1d`."""
-        return analytic_roughness_1d(self)
-
-
-@dataclass(frozen=True)
-class AnalyticDensity3D:
-    """A 3D reference law; only the isotropic standard normal is needed."""
-
-    identifier: str
-    dim: ClassVar[int] = 3
-
-    def __post_init__(self):
-        if self.identifier != "gaussian3":
-            raise DomainError(f"unknown 3D density {self.identifier!r}")
+    @property
+    def dim(self) -> int:
+        return _LAWS[self.identifier].dim
 
     def roughness(self) -> float:
-        """Exact R_3; see :func:`analytic_roughness_3d_gaussian`."""
-        return analytic_roughness_3d_gaussian()
+        """Exact R_d = integral (laplacian f)^2, which is f''^2 in 1D."""
+        return _LAWS[self.identifier].roughness(self)
 
 
-def gaussian_1d() -> AnalyticDensity1D:
-    return AnalyticDensity1D("gaussian")
+def gaussian_1d() -> AnalyticDensity:
+    return AnalyticDensity("gaussian")
 
 
-def tsc_density_1d() -> AnalyticDensity1D:
-    return AnalyticDensity1D("tsc_density")
+def tsc_density_1d() -> AnalyticDensity:
+    return AnalyticDensity("tsc_density")
 
 
-def trimodal_1d() -> AnalyticDensity1D:
-    return AnalyticDensity1D("trimodal")
+def trimodal_1d() -> AnalyticDensity:
+    return AnalyticDensity("trimodal")
 
 
 def hernquist_radial_pdf(
     rc: float = 1.0, r_window: tuple[float, float] | None = None
-) -> AnalyticDensity1D:
-    return AnalyticDensity1D("hernquist_radial_pdf", rc=rc, r_window=r_window)
+) -> AnalyticDensity:
+    return AnalyticDensity("hernquist_radial_pdf", rc=rc, r_window=r_window)
 
 
-def gaussian_3d() -> AnalyticDensity3D:
-    return AnalyticDensity3D("gaussian3")
+def gaussian_3d() -> AnalyticDensity:
+    return AnalyticDensity("gaussian3")
+
+
+def eval_density(density: AnalyticDensity, x):
+    """Evaluate the reference pdf.
+
+    A 1D law is evaluated elementwise, a scalar giving a float.  A law in
+    d > 1 dimensions is evaluated at the rows of an (M, d) array, one value
+    per row for any M, or at a single d-vector, giving a float.  Radial
+    laws are only defined for non-negative argument; negative input raises
+    DomainError rather than silently returning 0.
+    """
+    law = _LAWS[density.identifier]
+    x = np.asarray(x, dtype=float)
+    if law.dim == 1:
+        out = law.pdf(density, x)
+        return out if out.ndim else float(out)
+    single = x.shape == (law.dim,)
+    points = x[None, :] if single else x
+    if points.ndim != 2 or points.shape[1] != law.dim:
+        raise DomainError(f"points must have shape (M, {law.dim}) or ({law.dim},)")
+    out = law.pdf(density, points)
+    return float(out[0]) if single else out
 
 
 def _normal_pdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
@@ -135,11 +144,32 @@ def _normal_pdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
 
 
-def _hernquist_mass_fraction(r: np.ndarray, rc: float) -> np.ndarray:
-    return (r / (r + rc)) ** 2
+def _tsc_density_pdf(density, x):
+    return np.asarray(eval_kernel_1d(kernel_constants("tsc", 1), x))
 
 
-def _hernquist_window_norm(density: AnalyticDensity1D) -> float:
+def _trimodal_pdf(density, x):
+    out = np.zeros_like(x)
+    for wgt, mu, sig in zip(TRIMODAL_WEIGHTS, TRIMODAL_MEANS, TRIMODAL_SIGMAS):
+        out = out + wgt * _normal_pdf(x, mu, sig)
+    return out
+
+
+def _gauss_quartic_derivative(delta: float, s2: float) -> float:
+    """Fourth derivative of the centred normal pdf of variance s2."""
+    g = np.exp(-0.5 * delta * delta / s2) / np.sqrt(2.0 * np.pi * s2)
+    return g * (delta ** 4 - 6.0 * delta ** 2 * s2 + 3.0 * s2 * s2) / s2 ** 4
+
+
+def _trimodal_roughness(density) -> float:
+    total = 0.0
+    for wi, mi, si in zip(TRIMODAL_WEIGHTS, TRIMODAL_MEANS, TRIMODAL_SIGMAS):
+        for wj, mj, sj in zip(TRIMODAL_WEIGHTS, TRIMODAL_MEANS, TRIMODAL_SIGMAS):
+            total += wi * wj * _gauss_quartic_derivative(mi - mj, si * si + sj * sj)
+    return total
+
+
+def _hernquist_window_norm(density: AnalyticDensity) -> float:
     """Probability mass of the untruncated law inside the window."""
     if density.r_window is None:
         return 1.0
@@ -150,50 +180,16 @@ def _hernquist_window_norm(density: AnalyticDensity1D) -> float:
     )
 
 
-def eval_density(density: AnalyticDensity1D, x):
-    """Evaluate the reference pdf elementwise.
-
-    Radial laws are only defined for non-negative argument; negative
-    input raises DomainError rather than silently returning 0.
-    """
-    x = np.asarray(x, dtype=float)
-    ident = density.identifier
-    if ident == "gaussian":
-        out = _normal_pdf(x, 0.0, 1.0)
-    elif ident == "tsc_density":
-        out = np.asarray(eval_kernel_1d(kernel_constants("tsc", 1), x))
-    elif ident == "trimodal":
-        out = np.zeros_like(x)
-        for wgt, mu, sig in zip(TRIMODAL_WEIGHTS, TRIMODAL_MEANS, TRIMODAL_SIGMAS):
-            out = out + wgt * _normal_pdf(x, mu, sig)
-    else:  # hernquist_radial_pdf
-        if np.any(x < 0.0):
-            raise DomainError("radial density needs r >= 0")
-        rc = density.rc
-        out = 2.0 * rc * x / (x + rc) ** 3
-        if density.r_window is not None:
-            lo, hi = density.r_window
-            inside = (x >= lo) & (x <= hi)
-            out = np.where(inside, out / _hernquist_window_norm(density), 0.0)
-    return out if out.ndim else float(out)
-
-
-def eval_density_3d(density: AnalyticDensity3D, points):
-    """Evaluate the 3D reference pdf at points of shape (M, 3) or (3,)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1 and pts.shape == (3,):
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError("points must have shape (M, 3)")
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    out = np.exp(-0.5 * r2) / (2.0 * np.pi) ** 1.5
-    return out if out.size > 1 else float(out[0])
-
-
-def _gauss_quartic_derivative(delta: float, s2: float) -> float:
-    """Fourth derivative of the centred normal pdf of variance s2."""
-    g = np.exp(-0.5 * delta * delta / s2) / np.sqrt(2.0 * np.pi * s2)
-    return g * (delta ** 4 - 6.0 * delta ** 2 * s2 + 3.0 * s2 * s2) / s2 ** 4
+def _hernquist_pdf(density, x):
+    if np.any(x < 0.0):
+        raise DomainError("radial density needs r >= 0")
+    rc = density.rc
+    out = 2.0 * rc * x / (x + rc) ** 3
+    if density.r_window is not None:
+        lo, hi = density.r_window
+        inside = (x >= lo) & (x <= hi)
+        out = np.where(inside, out / _hernquist_window_norm(density), 0.0)
+    return out
 
 
 def _hernquist_g(s: float) -> float:
@@ -201,21 +197,9 @@ def _hernquist_g(s: float) -> float:
     return -1.0 / (7.0 * s ** 7) + 1.0 / (2.0 * s ** 8) - 4.0 / (9.0 * s ** 9)
 
 
-def analytic_roughness_1d(density: AnalyticDensity1D) -> float:
-    """Exact R_1 = integral f''(x)^2 dx of a 1D reference law."""
-    ident = density.identifier
-    if ident == "gaussian":
-        return 3.0 / (8.0 * np.sqrt(np.pi))
-    if ident == "tsc_density":
-        return 6.0
-    if ident == "trimodal":
-        total = 0.0
-        for wi, mi, si in zip(TRIMODAL_WEIGHTS, TRIMODAL_MEANS, TRIMODAL_SIGMAS):
-            for wj, mj, sj in zip(TRIMODAL_WEIGHTS, TRIMODAL_MEANS, TRIMODAL_SIGMAS):
-                total += wi * wj * _gauss_quartic_derivative(mi - mj, si * si + sj * sj)
-        return total
-    # Hernquist radial pdf.  In units of rc, p''(r)^2 = 144 (r-1)^2/(1+r)^10
-    # whose antiderivative is 144 G(1+r); truncation rescales by 1/Z^2.
+def _hernquist_roughness(density) -> float:
+    # In units of rc, p''(r)^2 = 144 (r-1)^2/(1+r)^10 whose antiderivative
+    # is 144 G(1+r); truncation rescales by 1/Z^2.
     rc = density.rc
     if density.r_window is None:
         lo_s, hi_s = 1.0, np.inf
@@ -228,16 +212,36 @@ def analytic_roughness_1d(density: AnalyticDensity1D) -> float:
     return 144.0 * (hi_term - _hernquist_g(lo_s)) / (z * z * rc ** 5)
 
 
-def analytic_roughness_3d_gaussian() -> float:
-    """Exact R_3 = integral (laplacian f)^2 for the 3D standard normal."""
-    return 15.0 / (32.0 * np.pi ** 1.5)
+def _gaussian3_pdf(density, points):
+    r2 = np.einsum("ij,ij->i", points, points)
+    return np.exp(-0.5 * r2) / (2.0 * np.pi) ** 1.5
 
 
-def analytic_optimal_bandwidth(density, kernel: Kernel, Np: int, dimension: int) -> float:
+class _Law(NamedTuple):
+    """A law's dimension, its pdf ``pdf(density, x)`` and its R_d
+    ``roughness(density)``."""
+
+    dim: int
+    pdf: Callable
+    roughness: Callable
+
+
+_LAWS = {
+    "gaussian": _Law(1, lambda density, x: _normal_pdf(x, 0.0, 1.0),
+                     lambda density: 3.0 / (8.0 * np.sqrt(np.pi))),
+    "tsc_density": _Law(1, _tsc_density_pdf, lambda density: 6.0),
+    "trimodal": _Law(1, _trimodal_pdf, _trimodal_roughness),
+    "hernquist_radial_pdf": _Law(1, _hernquist_pdf, _hernquist_roughness),
+    "gaussian3": _Law(3, _gaussian3_pdf, lambda density: 15.0 / (32.0 * np.pi ** 1.5)),
+}
+
+
+def analytic_optimal_bandwidth(
+    density: AnalyticDensity, kernel: Kernel, Np: int, dimension: int
+) -> float:
     """Exact AMISE-optimal bandwidth for a reference law and kernel.
 
-    ``density`` and ``kernel`` must both have dimension ``dimension``:
-    AnalyticDensity1D with a 1D kernel, or AnalyticDensity3D with a 3D one.
+    ``density`` and ``kernel`` must both have dimension ``dimension``.
     """
     common_dim(dimension, density=density.dim, kernel=kernel.dim)
     return optimal_bandwidth(density.roughness(), kernel, Np)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estimator import Sample
+from .estimator import Sample, _check_count
 from .kernels import eval_kernel_1d, kernel_constants
 
 __all__ = [
@@ -55,7 +55,7 @@ class HernquistParams:
     The mass density is rho(r) = (MT/(2 pi)) * (r_c/r) / (r + r_c)^3,
     sampled only between the two truncation radii (given in units of
     r_c).  MT is carried along for profile conversions; the radial pdf
-    itself is MT-independent.
+    itself is MT-independent.  Every field must be finite.
     """
 
     total_mass_MT: float = 1.0
@@ -64,21 +64,26 @@ class HernquistParams:
     truncation_max_r_over_rc: float = 1000.0
 
     def __post_init__(self):
-        if not self.total_mass_MT > 0.0:
-            raise DomainError("total_mass_MT must be positive")
-        if not self.scale_length_rc > 0.0:
-            raise DomainError("scale_length_rc must be positive")
+        for name in ("total_mass_MT", "scale_length_rc"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be a positive finite real, got {value!r}")
         if self.truncation_min_r_over_rc < 0.0:
             raise DomainError("truncation_min_r_over_rc must be non-negative")
-        if not self.truncation_min_r_over_rc < self.truncation_max_r_over_rc:
-            raise DomainError("need truncation_min_r_over_rc < truncation_max_r_over_rc")
+        if not self.truncation_min_r_over_rc < self.truncation_max_r_over_rc < np.inf:
+            raise DomainError(
+                "need truncation_min_r_over_rc < truncation_max_r_over_rc < inf")
+
+    @property
+    def r_window(self) -> tuple[float, float]:
+        """The truncation radii (r_min, r_max) in absolute units."""
+        rc = self.scale_length_rc
+        return (self.truncation_min_r_over_rc * rc, self.truncation_max_r_over_rc * rc)
 
 
-def _check_count(Np: int) -> int:
-    Np = int(Np)
-    if Np < 1:
-        raise DomainError("Np must be at least 1")
-    return Np
+def _hernquist_mass_fraction(r, rc):
+    """Enclosed mass fraction M(<r)/MT of the untruncated sphere."""
+    return (r / (r + rc)) ** 2
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -146,10 +151,7 @@ def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sampl
     """
     Np = _check_count(Np)
     rc = params.scale_length_rc
-    r_lo = params.truncation_min_r_over_rc * rc
-    r_hi = params.truncation_max_r_over_rc * rc
-    f_lo = (r_lo / (r_lo + rc)) ** 2
-    f_hi = (r_hi / (r_hi + rc)) ** 2
+    f_lo, f_hi = (_hernquist_mass_fraction(r, rc) for r in params.r_window)
     rng = _generator(seed)
     q = rng.uniform(f_lo, f_hi, Np)
     s = np.sqrt(q)

@@ -47,7 +47,7 @@ from .errors import (
     NonPositiveBandwidth,
     NonPositiveRoughness,
 )
-from .estimator import Sample
+from .estimator import Sample, _check_count
 from .kernels import Kernel, common_dim
 from .roughness import corrected_roughness
 
@@ -134,20 +134,13 @@ class BandwidthTrace:
     final_h: float
 
 
-def _check_np(Np: int) -> int:
-    Np = int(Np)
-    if Np < 1:
-        raise DomainError("Np must be at least 1")
-    return Np
-
-
 def optimal_bandwidth(
     roughness: float, kernel: Kernel, Np: int, *, dim: int | None = None
 ) -> float:
     """Closed-form AMISE-optimal bandwidth for a known curvature roughness
     R_d, in the kernel's dimension d."""
     d = common_dim(dim, kernel=kernel.dim)
-    Np = _check_np(Np)
+    Np = _check_count(Np)
     roughness = float(roughness)
     if not roughness > 0.0:
         raise NonPositiveRoughness(
@@ -167,7 +160,7 @@ def amise(h: float, kernel: Kernel, roughness: float, Np: int) -> float:
     AMISE(h) = R(K)/(h^d Np) + h^4 * R_d * (mu2/2)^2.
     """
     d = kernel.dim
-    Np = _check_np(Np)
+    Np = _check_count(Np)
     h = float(h)
     if not h > 0.0:
         raise NonPositiveBandwidth(f"bandwidth must be positive, got {h!r}")

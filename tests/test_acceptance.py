@@ -42,7 +42,6 @@ from kdeband.kernels import (
 )
 from kdeband.reference import (
     analytic_optimal_bandwidth,
-    analytic_roughness_1d,
     gaussian_1d,
     gaussian_3d,
     hernquist_radial_pdf,
@@ -297,7 +296,7 @@ def test_acceptance_06_roughness_fidelity(capsys):
     t0 = time.perf_counter()
     h_star = 0.3340452250230561  # closed-form optimum, gaussian/tsc, Np=1e4
     kernel = kernel_constants_1d("tsc")
-    truth = analytic_roughness_1d(gaussian_1d())
+    truth = gaussian_1d().roughness()
     raws, correcteds = [], []
     for seed in range(1, 51):
         res = corrected_roughness_1d(sample_gaussian_1d(10_000, seed), kernel, h_star)

@@ -494,6 +494,25 @@ def test_negative_seed_exit_1(tmp_path, capsys, argv):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--generator", "hernquist", "--np", "10", "--seed", "1", "--rc", "inf"],
+        ["sample", "--generator", "hernquist", "--np", "10", "--seed", "1",
+         "--r-max-over-rc", "inf"],
+        ["experiment", "hernquist", "--np", "1000", "--seed", "1", "--r-max-over-rc", "inf"],
+        ["density", "--generator", "hernquist", "--np", "100", "--h", "0.2", "--rc", "nan"],
+    ],
+    ids=["sample-rc", "sample-r-max", "experiment-r-max", "density-rc"],
+)
+def test_non_finite_hernquist_parameter_exit_1(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "finite" in err or "inf" in err
+    assert "roughness" not in err
+
+
 # ---------------------------------------------------------------------------
 # byte pins
 # ---------------------------------------------------------------------------

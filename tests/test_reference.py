@@ -14,13 +14,9 @@ from scipy.integrate import quad
 from kdeband.errors import DomainError
 from kdeband.kernels import kernel_constants_1d, kernel_constants_3d
 from kdeband.reference import (
-    AnalyticDensity1D,
-    AnalyticDensity3D,
+    AnalyticDensity,
     analytic_optimal_bandwidth,
-    analytic_roughness_1d,
-    analytic_roughness_3d_gaussian,
     eval_density,
-    eval_density_3d,
     gaussian_1d,
     gaussian_3d,
     hernquist_profile,
@@ -91,7 +87,7 @@ def test_densities_integrate_to_one():
 
 def test_density_3d_integrates_to_one():
     mass, _ = quad(
-        lambda r: 4.0 * np.pi * r * r * eval_density_3d(gaussian_3d(), [r, 0.0, 0.0]),
+        lambda r: 4.0 * np.pi * r * r * eval_density(gaussian_3d(), [r, 0.0, 0.0]),
         0.0,
         40.0,
         limit=200,
@@ -105,7 +101,7 @@ def test_density_3d_integrates_to_one():
 
 
 def test_gaussian_roughness():
-    got = analytic_roughness_1d(gaussian_1d())
+    got = gaussian_1d().roughness()
     assert_allclose(got, R1_GAUSS, rtol=1e-15)
     numeric, _ = quad(lambda x: ((x * x - 1.0) * _normal_pdf(x, 0, 1)) ** 2, -30, 30, limit=200)
     assert_allclose(got, numeric, rtol=1e-10)
@@ -115,7 +111,7 @@ def test_tsc_density_roughness():
     """f'' of the TSC shape is -2 on the core and +1 on the wings, so the
     exact roughness is 4*1 + 1*2 = 6; a finite-difference pass over the
     evaluated pdf reproduces it."""
-    got = analytic_roughness_1d(tsc_density_1d())
+    got = tsc_density_1d().roughness()
     assert got == 6.0
     dx = 1e-3
     x = np.arange(-1.6, 1.6, dx)
@@ -125,7 +121,7 @@ def test_tsc_density_roughness():
 
 
 def test_trimodal_roughness():
-    got = analytic_roughness_1d(trimodal_1d())
+    got = trimodal_1d().roughness()
     assert_allclose(got, R1_TRIMODAL, rtol=1e-13)
     numeric, _ = quad(lambda x: _trimodal_fpp(x) ** 2, -40, 40, limit=400)
     assert_allclose(got, numeric, rtol=1e-7)
@@ -139,7 +135,7 @@ def test_trimodal_roughness_cutoff_invariance():
 
 
 def test_hernquist_roughness_untruncated():
-    got = analytic_roughness_1d(hernquist_radial_pdf())
+    got = hernquist_radial_pdf().roughness()
     assert_allclose(got, R1_HERNQUIST_UNTRUNC, rtol=1e-14)
     numeric, _ = quad(lambda r: _hernquist_fpp(r) ** 2, 0, np.inf, limit=400)
     assert_allclose(got, numeric, rtol=1e-10)
@@ -147,7 +143,7 @@ def test_hernquist_roughness_untruncated():
 
 def test_hernquist_roughness_truncated():
     dens = hernquist_radial_pdf(r_window=DEFAULT_WINDOW)
-    got = analytic_roughness_1d(dens)
+    got = dens.roughness()
     assert_allclose(got, R1_HERNQUIST_TRUNC, rtol=1e-13)
     z = (1000.0 / 1001.0) ** 2 - (0.05 / 1.05) ** 2
     numeric, _ = quad(lambda r: (_hernquist_fpp(r) / z) ** 2, 0.05, 1000.0, limit=400)
@@ -158,14 +154,14 @@ def test_hernquist_roughness_rc_scaling():
     """The roughness carries dimension length^-5, so doubling rc divides
     the untruncated value by 32."""
     assert_allclose(
-        analytic_roughness_1d(hernquist_radial_pdf(rc=2.0)),
+        hernquist_radial_pdf(rc=2.0).roughness(),
         R1_HERNQUIST_UNTRUNC / 32.0,
         rtol=1e-14,
     )
 
 
 def test_gaussian_3d_roughness():
-    got = analytic_roughness_3d_gaussian()
+    got = gaussian_3d().roughness()
     assert_allclose(got, R3_GAUSS, rtol=1e-15)
     assert_allclose(got, 15.0 / (32.0 * np.pi ** 1.5), rtol=1e-15)
     g = lambda r: np.exp(-0.5 * r * r) / (2.0 * np.pi) ** 1.5
@@ -257,15 +253,19 @@ def test_eval_density_vectorization():
 
 
 def test_eval_density_3d_shapes():
-    origin = eval_density_3d(gaussian_3d(), [0.0, 0.0, 0.0])
+    origin = eval_density(gaussian_3d(), [0.0, 0.0, 0.0])
     assert_allclose(origin, (2.0 * np.pi) ** -1.5, rtol=1e-15)
     assert isinstance(origin, float)
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    out = eval_density_3d(gaussian_3d(), pts)
+    out = eval_density(gaussian_3d(), pts)
     assert out.shape == (3,)
     assert out[1] == out[2]  # isotropy
     with pytest.raises(DomainError):
-        eval_density_3d(gaussian_3d(), np.zeros((4, 2)))
+        eval_density(gaussian_3d(), np.zeros((4, 2)))
+    # one value per row for every (M, 3) input; a float only for a 3-vector
+    one = eval_density(gaussian_3d(), np.zeros((1, 3)))
+    assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == origin
+    assert eval_density(gaussian_3d(), np.zeros((0, 3))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +319,7 @@ def test_profile_round_trip():
 
 def test_density_constructor_validation():
     with pytest.raises(DomainError):
-        AnalyticDensity1D("sombrero")
-    with pytest.raises(DomainError):
-        AnalyticDensity3D("gaussian")  # 3D token is gaussian3
+        AnalyticDensity("sombrero")
     with pytest.raises(DomainError):
         hernquist_radial_pdf(rc=0.0)
     with pytest.raises(DomainError):
@@ -330,3 +328,9 @@ def test_density_constructor_validation():
         hernquist_radial_pdf(r_window=(5.0, 5.0))
     with pytest.raises(DomainError):
         hernquist_radial_pdf(r_window=(7.0, 2.0))
+    for rc in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            hernquist_radial_pdf(rc=rc)
+    for window in ((0.05, np.inf), (np.nan, 5.0), (0.05, np.nan)):
+        with pytest.raises(DomainError):
+            hernquist_radial_pdf(r_window=window)

@@ -265,6 +265,12 @@ def test_hernquist_params_validation():
         HernquistParams(truncation_min_r_over_rc=-0.1)
     with pytest.raises(DomainError):
         HernquistParams(truncation_min_r_over_rc=5.0, truncation_max_r_over_rc=5.0)
+    for bad in (np.inf, np.nan):
+        for field in ("total_mass_MT", "scale_length_rc", "truncation_max_r_over_rc"):
+            with pytest.raises(DomainError):
+                HernquistParams(**{field: bad})
+    with pytest.raises(DomainError):
+        HernquistParams(truncation_min_r_over_rc=np.nan)
 
 
 def test_sample_count_validation():
@@ -278,6 +284,14 @@ def test_sample_count_validation():
         sample_gaussian_3d(0, seed=0)
     with pytest.raises(DomainError):
         sample_hernquist_radii(0, HernquistParams(), seed=0)
+    # a count must be a finite integer: no overflow, and no silent truncation
+    for bad in (np.inf, np.nan, 2.7):
+        with pytest.raises(DomainError):
+            sample_gaussian_1d(bad, seed=1)
+        with pytest.raises(DomainError):
+            sample_gaussian_3d(bad, seed=1)
+    same = sample_gaussian_1d(3.0, seed=1).points == sample_gaussian_1d(3, seed=1).points
+    assert same.all()
 
 
 @pytest.mark.parametrize(

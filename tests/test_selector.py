@@ -8,6 +8,7 @@ independently (exact kernel constants, analytic density roughnesses):
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -23,11 +24,7 @@ from kdeband.errors import (
 )
 from kdeband.estimator import Sample
 from kdeband.kernels import Kernel, kernel_constants_1d, kernel_constants_3d
-from kdeband.reference import (
-    analytic_roughness_1d,
-    analytic_roughness_3d_gaussian,
-    gaussian_1d,
-)
+from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
 from kdeband.roughness import corrected_roughness, corrected_roughness_1d
 from kdeband.samplers import sample_gaussian_1d, sample_gaussian_3d
 from kdeband.selector import (
@@ -110,11 +107,9 @@ def test_optimal_bandwidth_3d_tsc3_frozen_values():
 
 def test_optimal_bandwidth_matches_reference_helper():
     """The reference-module convenience wrapper agrees with the direct formula."""
-    from kdeband.reference import analytic_optimal_bandwidth
-
     dens = gaussian_1d()
     h_direct = optimal_bandwidth_1d(
-        analytic_roughness_1d(dens), kernel_constants_1d("tsc"), 100_000
+        dens.roughness(), kernel_constants_1d("tsc"), 100_000
     )
     h_wrapped = analytic_optimal_bandwidth(dens, kernel_constants_1d("tsc"), 100_000, dimension=1)
     assert h_wrapped == h_direct
@@ -136,6 +131,13 @@ def test_optimal_bandwidth_rejects_bad_np():
         optimal_bandwidth_1d(1.0, kernel_constants_1d("tsc"), 0)
     with pytest.raises(DomainError):
         optimal_bandwidth(1.0, kernel_constants_3d("tsc3"), -5)
+    for Np in (np.inf, np.nan, 2.7):
+        with pytest.raises(DomainError):
+            optimal_bandwidth(1.0, kernel_constants_1d("tsc"), Np)
+        with pytest.raises(DomainError):
+            analytic_optimal_bandwidth(gaussian_1d(), kernel_constants_1d("tsc"), Np, 1)
+    assert optimal_bandwidth(1.0, kernel_constants_1d("tsc"), 1e5) == optimal_bandwidth(
+        1.0, kernel_constants_1d("tsc"), 100_000)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,9 @@ def test_amise_validation():
         amise(0.0, kern, 1.0, 100)
     with pytest.raises(NonPositiveRoughness):
         amise(0.1, kern, 0.0, 100)
+    for Np in (np.inf, np.nan, 2.7, 0):
+        with pytest.raises(DomainError):
+            amise(0.1, kern, 1.0, Np)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +435,7 @@ def test_trace_records_are_frozen():
 
 def test_roughness_3d_reference_constant():
     """Anchor the 3D gaussian roughness used in the frozen optima."""
-    assert_allclose(analytic_roughness_3d_gaussian(), R3_GAUSS, rtol=1e-15)
+    assert_allclose(gaussian_3d().roughness(), R3_GAUSS, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +550,29 @@ def test_dimension_named_function_is_the_generic_one(name, generic, d):
     fn = getattr(kdeband, name)
     assert fn.func is getattr(kdeband, generic)
     assert fn.args == () and fn.keywords == {"dim": d}
+
+
+def test_dimension_named_public_names_are_pinned():
+    """Every public name that carries a dimension, and why it does; a new
+    one must be added here with its reason, or made generic instead."""
+    allowed = {
+        # the eight aliases the benchmark in perfbench/ resolves by name
+        "kernel_constants_1d", "kernel_constants_3d", "build_grid_1d", "build_grid_3d",
+        "select_bandwidth_1d", "select_bandwidth_3d", "corrected_roughness_1d",
+        "optimal_bandwidth_1d",
+        # direct evaluation at query points is one algorithm per dimension
+        "estimate_density_1d", "estimate_density_3d",
+        # the brute-force kernel reference the estimate_density_* tests use
+        "eval_kernel_1d", "eval_kernel_3d", "eval_kernel_3d_radial",
+        # the normal sampler draws (Np,) or (Np, 3), one study each
+        "sample_gaussian_1d", "sample_gaussian_3d",
+        # each reference law exists in one dimension only
+        "gaussian_1d", "tsc_density_1d", "trimodal_1d", "gaussian_3d",
+        # the grid size caps differ per dimension (nodes vs cells)
+        "DEFAULT_GRID_CAP_1D", "DEFAULT_GRID_CAP_3D",
+    }
+    named = {n for n in kdeband.__all__ if re.search(r"_1d|_3d|1D|3D", n)}
+    assert named == allowed
 
 
 
