@@ -7,6 +7,11 @@ experiment  run a named validation study and emit a JSON document
 density     tabulate a density estimate as a plain-text table
 sample      draw a synthetic sample and write it to a text file
 
+One helper runs every selection and one builds every deposit-grid table,
+both under ``--grid-cap`` (so it also bounds ``--emit-curves`` grids).
+Flag defaults come from ``SelectorConfig`` and ``HernquistParams``, and
+``--np`` takes exact positive integers only (``1e5`` is accepted).
+
 Exit codes: 0 on success, 1 on any usage or data error, 2 when a
 selection run finished without converging (outputs are still written).
 
@@ -19,18 +24,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import KdebandError
-from .estimator import Sample, build_grid, estimate_density_1d
+from .estimator import Sample, _check_count, build_grid, estimate_density_1d
 from .kernels import KERNEL_FAMILIES, kernel_constants
 from .reference import (
+    _hernquist_window_norm,
     analytic_optimal_bandwidth,
     eval_density,
     gaussian_1d,
@@ -44,7 +50,6 @@ from .reference import (
 from .samplers import (
     RNG_NAME,
     HernquistParams,
-    _hernquist_mass_fraction,
     sample_gaussian_1d,
     sample_gaussian_3d,
     sample_hernquist_radii,
@@ -114,12 +119,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_count(text: str) -> int:
-    """Parse a point count, accepting scientific notation like 1e5."""
-    value = float(text)
-    count = int(round(value)) if math.isfinite(value) else 0
-    if count < 1 or abs(value - count) > 1e-9 * max(1.0, abs(value)):
-        raise argparse.ArgumentTypeError(f"not a positive integer count: {text!r}")
-    return count
+    """Parse an exact positive integer count, accepting scientific notation
+    like 1e5."""
+    try:
+        return _check_count(float(text))
+    except KdebandError:
+        raise argparse.ArgumentTypeError(f"not a positive integer count: {text!r}") from None
 
 
 def _parse_count_list(text: str) -> list[int]:
@@ -131,20 +136,30 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _selector_config(args) -> SelectorConfig:
-    return SelectorConfig(
-        rel_tolerance=args.tol,
-        max_iterations=args.max_iters,
-        initial_scale_c0=args.c0,
-    )
+    return SelectorConfig(rel_tolerance=args.tol, max_iterations=args.max_iters,
+                          initial_scale_c0=args.c0)
+
+
+def _select(args, sample, kernel) -> tuple[BandwidthTrace, float]:
+    """Select the sample's bandwidth under the selector flags and
+    ``--grid-cap``: the trace and the selection's wall time in ms."""
+    config = _selector_config(args)
+    t0 = time.perf_counter()
+    trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
+    return trace, (time.perf_counter() - t0) * 1e3
+
+
+def _lattice(args, sample, kernel, h):
+    """The node coordinates and values of the sample's deposit grid at
+    spacing h, under ``--grid-cap``."""
+    grid = build_grid(sample, kernel, h, grid_cap=args.grid_cap)
+    return grid.node_coordinates(), grid.values
 
 
 def _hernquist_params(args) -> HernquistParams:
-    return HernquistParams(
-        total_mass_MT=1.0,
-        scale_length_rc=args.rc,
-        truncation_min_r_over_rc=args.r_min_over_rc,
-        truncation_max_r_over_rc=args.r_max_over_rc,
-    )
+    return HernquistParams(scale_length_rc=args.rc,
+                           truncation_min_r_over_rc=args.r_min_over_rc,
+                           truncation_max_r_over_rc=args.r_max_over_rc)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -191,23 +206,14 @@ def _load_sample_file(path: str, dim: int):
     return Sample(data)
 
 
-def _report(
-    experiment_id: str,
-    kernel_token: str,
-    Np: int,
-    seed: int,
-    trace: BandwidthTrace,
-    analytic_h,
-    wall_time_ms: float,
-) -> dict:
+def _report(experiment_id: str, kernel_token: str, Np: int, seed: int,
+            trace: BandwidthTrace, analytic_h, wall_time_ms: float) -> dict:
     """Assemble one experiment report with the fixed field set.
 
     ``seed`` is -1 when no generator seed applies (user-supplied sample).
     """
     selected = trace.final_h
-    relative_error = None
-    if analytic_h is not None:
-        relative_error = (selected - analytic_h) / analytic_h
+    relative_error = None if analytic_h is None else (selected - analytic_h) / analytic_h
     return {
         "experiment_id": experiment_id,
         "kernel": kernel_token,
@@ -240,28 +246,9 @@ def _curve_path(out: str | None, name: str, Np: int, seed: int) -> str:
     return f"{base}_np{Np}_seed{seed}_curve.dat"
 
 
-def _curve_header(name, kernel, sample, h) -> list[str]:
-    return [
-        f"# experiment: {name}",
-        f"# kernel: {kernel.family}",
-        f"# Np: {sample.size_Np}",
-        f"# selected_h: {_fmt(h)}",
-    ]
-
-
-def _curve_table_1d(name, kernel, sample, h, density, seed) -> str:
-    """Tabulate (x, estimate, analytic) on the deposit grid at h."""
-    grid = build_grid(sample, kernel, h)
-    xs = grid.node_coordinates()
-    return _table(
-        [*_curve_header(name, kernel, sample, h), f"# seed: {seed}"],
-        "x f_hat f_analytic",
-        xs, grid.values, eval_density(density, xs),
-    )
-
-
-def _curve_table_hernquist(name, kernel, sample, h, hq_params) -> str:
-    """Tabulate the mass-density profile (r, rho_hat, rho_analytic).
+def _curve_table(args, kernel, sample, h, seed, hq_params, density) -> str:
+    """Tabulate (x, estimate, analytic) on the deposit grid at h, or for
+    the hernquist study the mass-density profile (r, rho_hat, rho_analytic).
 
     The estimate tabulates the truncated radial pdf; each particle then
     carries a mass MT * Z / Np with Z the mass fraction inside the
@@ -269,28 +256,28 @@ def _curve_table_hernquist(name, kernel, sample, h, hq_params) -> str:
     total mass.  Grid nodes at r <= 0 (lattice padding below the inner
     truncation radius) are dropped because the profile is undefined there.
     """
-    grid = build_grid(sample, kernel, h)
-    rs = grid.node_coordinates()
-    keep = rs > 0.0
-    rs = rs[keep]
-    fhat = grid.values[keep]
-    rc = hq_params.scale_length_rc
-    r_lo, r_hi = hq_params.r_window
-    z = _hernquist_mass_fraction(r_hi, rc) - _hernquist_mass_fraction(r_lo, rc)
-    mass_in_window = hq_params.total_mass_MT * z
+    xs, fhat = _lattice(args, sample, kernel, h)
     header = [
-        *_curve_header(name, kernel, sample, h),
-        f"# scale_length_rc: {rc:g}",
+        f"# experiment: {args.name}",
+        f"# kernel: {kernel.family}",
+        f"# Np: {sample.size_Np}",
+        f"# selected_h: {_fmt(h)}",
+    ]
+    if args.name != "hernquist":
+        return _table([*header, f"# seed: {seed}"], "x f_hat f_analytic",
+                      xs, fhat, eval_density(density, xs))
+    keep = xs > 0.0
+    rs = xs[keep]
+    mass_in_window = hq_params.total_mass_MT * _hernquist_window_norm(density)
+    r_lo, r_hi = hq_params.r_window
+    header += [
+        f"# scale_length_rc: {hq_params.scale_length_rc:g}",
         f"# truncation_r: [{r_lo:g}, {r_hi:g}]",
         f"# mass_in_window: {_fmt(mass_in_window)}",
     ]
-    return _table(
-        header,
-        "r rho_hat rho_analytic",
-        rs,
-        profile_from_radial_pdf(fhat, rs, mass_in_window),
-        hernquist_profile(rs, hq_params),
-    )
+    return _table(header, "r rho_hat rho_analytic", rs,
+                  profile_from_radial_pdf(fhat[keep], rs, mass_in_window),
+                  hernquist_profile(rs, hq_params))
 
 
 def cmd_experiment(args) -> int:
@@ -299,64 +286,41 @@ def cmd_experiment(args) -> int:
     dim = study.dim
     np_values = sorted(set(args.np or study.np))
     seeds = sorted(set(args.seed or _DEFAULT_SEEDS))
-    config = _selector_config(args)
+    config = asdict(_selector_config(args))
     hq_params = _hernquist_params(args)
     density = study.law(hq_params)
     kernel = kernel_constants(args.kernel, dim)
 
-    reports = []
-    curves = []
-    for Np in sorted(np_values):
+    reports, aggregate, curves = [], [], []
+    for Np in np_values:
         analytic_h = analytic_optimal_bandwidth(density, kernel, Np, dim)
-        for seed in sorted(seeds):
+        group = []
+        for seed in seeds:
             sample = study.draw(Np, seed, hq_params)
-            t0 = time.perf_counter()
-            trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            reports.append(
-                _report(name, args.kernel, Np, seed, trace, analytic_h, wall_ms)
-            )
+            trace, wall_ms = _select(args, sample, kernel)
+            group.append(_report(name, args.kernel, Np, seed, trace, analytic_h, wall_ms))
             if args.emit_curves and dim == 1:
-                if name == "hernquist":
-                    table = _curve_table_hernquist(
-                        name, kernel, sample, trace.final_h, hq_params
-                    )
-                else:
-                    table = _curve_table_1d(
-                        name, kernel, sample, trace.final_h, density, seed
-                    )
+                table = _curve_table(args, kernel, sample, trace.final_h, seed,
+                                     hq_params, density)
                 path = _curve_path(args.out, name, Np, seed)
                 curves.append(path)
                 _write_text(path, table)
-
-    reports.sort(key=lambda r: (r["Np"], r["seed"]))
-    aggregate = []
-    for Np in sorted(set(np_values)):
-        group = [r for r in reports if r["Np"] == Np]
-        aggregate.append(
-            {
-                "Np": Np,
-                "n_seeds": len(group),
-                "analytic_h": group[0]["analytic_h"],
-                "mean_selected_h": float(np.mean([r["selected_h"] for r in group])),
-                "mean_abs_relative_error": float(
-                    np.mean([abs(r["relative_error"]) for r in group])
-                ),
-            }
-        )
+        reports += group
+        aggregate.append({
+            "Np": Np,
+            "n_seeds": len(group),
+            "analytic_h": analytic_h,
+            "mean_selected_h": float(np.mean([r["selected_h"] for r in group])),
+            "mean_abs_relative_error": float(
+                np.mean([abs(r["relative_error"]) for r in group])),
+        })
     doc = {
         "experiment": name,
         "kernel": args.kernel,
         "dimension": dim,
-        "np_values": sorted(np_values),
-        "seeds": sorted(seeds),
-        "config": {
-            "rel_tolerance": config.rel_tolerance,
-            "max_iterations": config.max_iterations,
-            "initial_scale_c0": config.initial_scale_c0,
-            "backoff_factor": config.backoff_factor,
-            "max_backoffs": config.max_backoffs,
-        },
+        "np_values": np_values,
+        "seeds": seeds,
+        "config": config,
         "rng_name": RNG_NAME,
         "reports": reports,
         "aggregate": aggregate,
@@ -375,11 +339,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_select(args) -> int:
     sample = _load_sample_file(args.input, args.dim)
-    config = _selector_config(args)
     kernel = kernel_constants(args.kernel, args.dim)
-    t0 = time.perf_counter()
-    trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    trace, wall_ms = _select(args, sample, kernel)
     report = _report(
         f"select-{args.dim}d", args.kernel, sample.size_Np, -1, trace, None, wall_ms
     )
@@ -408,13 +369,10 @@ def cmd_density(args) -> int:
 
     exit_code = 0
     if args.h is not None:
-        h = args.h
-        h_note = "fixed"
+        h, h_note = args.h, "fixed"
     else:
-        config = _selector_config(args)
-        trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
-        h = trace.final_h
-        h_note = "auto"
+        trace, _ = _select(args, sample, kernel)
+        h, h_note = trace.final_h, "auto"
         if not trace.converged:
             exit_code = 2
 
@@ -434,18 +392,17 @@ def cmd_density(args) -> int:
         xs = np.linspace(args.grid_min, args.grid_max, args.grid_points)
         fhat = estimate_density_1d(sample, kernel, h, xs)
     else:
-        grid = build_grid(sample, kernel, h, grid_cap=args.grid_cap)
-        xs = grid.node_coordinates()
-        fhat = grid.values
-        if density is not None and density.identifier == "hernquist_radial_pdf":
+        xs, fhat = _lattice(args, sample, kernel, h)
+        if args.generator == "hernquist":
             # Lattice padding can reach below r=0 where the radial law is
             # undefined; drop those nodes from the table.
             keep = xs >= 0.0
             xs, fhat = xs[keep], fhat[keep]
     if density is None:
-        table = _table(header, "x f_hat f_analytic(NA)", xs, fhat, None)
+        names, analytic = "x f_hat f_analytic(NA)", None
     else:
-        table = _table(header, "x f_hat f_analytic", xs, fhat, eval_density(density, xs))
+        names, analytic = "x f_hat f_analytic", eval_density(density, xs)
+    table = _table(header, names, xs, fhat, analytic)
     _write_text(args.out, table)
     return exit_code
 
@@ -483,29 +440,33 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_selector_flags(p) -> None:
+    defaults = SelectorConfig()
     p.add_argument("--kernel", type=str.lower,
                    choices=list(KERNEL_FAMILIES) + [f + "3" for f in KERNEL_FAMILIES],
                    default="tsc",
                    help="assignment kernel family; the explicit 3D spellings "
                         "(ngp3/cic3/tsc3) are accepted with --dim 3 "
                         "(default tsc)")
-    p.add_argument("--tol", type=float, default=1e-3,
-                   help="relative convergence tolerance on h (default 1e-3)")
-    p.add_argument("--max-iters", type=int, default=100,
-                   help="cap on bandwidth updates (default 100)")
-    p.add_argument("--c0", type=float, default=2.0,
-                   help="initial bandwidth scale c0 (default 2.0)")
+    p.add_argument("--tol", type=float, default=defaults.rel_tolerance,
+                   help="relative convergence tolerance on h (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=defaults.max_iterations,
+                   help="cap on bandwidth updates (default %(default)s)")
+    p.add_argument("--c0", type=float, default=defaults.initial_scale_c0,
+                   help="initial bandwidth scale c0 (default %(default)s)")
     p.add_argument("--grid-cap", type=int, default=None,
                    help="override the node/cell cap on deposit grids")
 
 
 def _add_hernquist_flags(p) -> None:
-    p.add_argument("--rc", type=float, default=1.0,
-                   help="Hernquist scale length r_c (default 1)")
-    p.add_argument("--r-min-over-rc", type=float, default=0.05,
-                   help="inner truncation radius in units of r_c (default 0.05)")
-    p.add_argument("--r-max-over-rc", type=float, default=1000.0,
-                   help="outer truncation radius in units of r_c (default 1000)")
+    defaults = HernquistParams()
+    p.add_argument("--rc", type=float, default=defaults.scale_length_rc,
+                   help="Hernquist scale length r_c (default %(default)s)")
+    p.add_argument("--r-min-over-rc", type=float,
+                   default=defaults.truncation_min_r_over_rc,
+                   help="inner truncation radius in units of r_c (default %(default)s)")
+    p.add_argument("--r-max-over-rc", type=float,
+                   default=defaults.truncation_max_r_over_rc,
+                   help="outer truncation radius in units of r_c (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,10 +541,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except KdebandError as exc:
-        sys.stderr.write(f"kdeband: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (KdebandError, OSError) as exc:
         sys.stderr.write(f"kdeband: error: {exc}\n")
         return 1
 

@@ -542,7 +542,17 @@ def laplacian(grid: Grid) -> Grid:
     return Grid(origin=grid.origin + grid.spacing, spacing=grid.spacing, values=lap)
 
 
-
 def integrate_squared(grid: Grid) -> float:
-    """Node-sum quadrature of the squared grid: sum(v^2) * spacing^d."""
-    return float(np.sum(grid.values ** 2) * grid.spacing ** grid.dim)
+    """Node-sum quadrature of the squared grid: sum(v^2) * spacing^d.
+
+    A square that underflows loses up to 2^-1075, so unless the sum is at
+    least the node count times the smallest normal float, 2^-1022, it may
+    have lost its precision: a non-zero grid whose sum is below that
+    raises DomainError.
+    """
+    total = np.sum(grid.values ** 2)
+    if total < grid.n_nodes * np.finfo(float).tiny and np.any(grid.values):
+        raise DomainError(
+            "grid scale is out of range: squared values underflow in floating point"
+        )
+    return float(total * grid.spacing ** grid.dim)

@@ -44,10 +44,9 @@ from .errors import (
     BackoffExhausted,
     DegenerateSample,
     DomainError,
-    NonPositiveBandwidth,
     NonPositiveRoughness,
 )
-from .estimator import Sample, _check_count
+from .estimator import Sample, _check_bandwidth, _check_count
 from .kernels import Kernel, common_dim
 from .roughness import corrected_roughness
 
@@ -93,10 +92,10 @@ class SelectorConfig:
             raise DomainError("rel_tolerance must lie in (0, 1)")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-        if not self.initial_scale_c0 > 0.0:
-            raise DomainError("initial_scale_c0 must be positive")
-        if not self.backoff_factor > 1.0:
-            raise DomainError("backoff_factor must exceed 1")
+        if not 0.0 < self.initial_scale_c0 < np.inf:
+            raise DomainError("initial_scale_c0 must be a positive finite real")
+        if not 1.0 < self.backoff_factor < np.inf:
+            raise DomainError("backoff_factor must be a finite real above 1")
         if self.max_backoffs < 1:
             raise DomainError("max_backoffs must be at least 1")
 
@@ -134,6 +133,15 @@ class BandwidthTrace:
     final_h: float
 
 
+def _check_roughness(roughness: float) -> float:
+    roughness = float(roughness)
+    if not 0.0 < roughness < np.inf:
+        raise NonPositiveRoughness(
+            f"curvature roughness must be a positive finite real, got {roughness!r}"
+        )
+    return roughness
+
+
 def optimal_bandwidth(
     roughness: float, kernel: Kernel, Np: int, *, dim: int | None = None
 ) -> float:
@@ -141,11 +149,7 @@ def optimal_bandwidth(
     R_d, in the kernel's dimension d."""
     d = common_dim(dim, kernel=kernel.dim)
     Np = _check_count(Np)
-    roughness = float(roughness)
-    if not roughness > 0.0:
-        raise NonPositiveRoughness(
-            f"curvature roughness must be positive, got {roughness!r}"
-        )
+    roughness = _check_roughness(roughness)
     mu2 = kernel.second_moment_mu2
     p = 1.0 / (4 + d)
     return (d * kernel.roughness_RK / (roughness * mu2 ** 2)) ** p * Np ** -p
@@ -161,18 +165,11 @@ def amise(h: float, kernel: Kernel, roughness: float, Np: int) -> float:
     """
     d = kernel.dim
     Np = _check_count(Np)
-    h = float(h)
-    if not h > 0.0:
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {h!r}")
-    roughness = float(roughness)
-    if not roughness > 0.0:
-        raise NonPositiveRoughness(
-            f"curvature roughness must be positive, got {roughness!r}"
-        )
+    h = _check_bandwidth(h)
+    roughness = _check_roughness(roughness)
     variance = kernel.roughness_RK / (h ** d * Np)
     bias = h ** 4 * roughness * (kernel.second_moment_mu2 / 2.0) ** 2
     return variance + bias
-
 
 
 def select_bandwidth(
@@ -192,7 +189,8 @@ def select_bandwidth(
     convergence ``final_h`` is the bandwidth of the last measurement;
     without it, the last iterate (see :class:`BandwidthTrace`).  A sample
     with fewer than 2 points or with zero spread along any axis raises
-    DegenerateSample.
+    DegenerateSample; one whose scale takes the selection out of
+    floating-point range raises DomainError.
     """
     config = config or SelectorConfig()
     d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
@@ -203,39 +201,51 @@ def select_bandwidth(
         raise DegenerateSample(
             "sample has zero spread along some axis; no finite bandwidth exists"
         )
-    h = config.initial_scale_c0 * sample.std * Np ** (-1.0 / (4 + d))
-    records: list[IterationRecord] = []
-    n_updates = 0
-    n_backoffs = 0
-    converged = False
-    while n_updates < config.max_iterations:
-        res = corrected_roughness(sample, kernel, h, grid_cap=grid_cap)
-        backoff = res.corrected <= 0.0
-        if backoff:
-            if n_backoffs >= config.max_backoffs:
-                raise BackoffExhausted(
-                    f"corrected roughness stayed non-positive after "
-                    f"{config.max_backoffs} backoffs (h reached {h:g})"
+    try:
+        # Out-of-range scales over- or underflow somewhere in the start
+        # bandwidth, the grid or the noise term; numpy is made to raise
+        # there, and Python float powers and division raise on their own.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            h = config.initial_scale_c0 * sample.std * Np ** (-1.0 / (4 + d))
+            if not 0.0 < h < np.inf:
+                raise ArithmeticError(f"start bandwidth {h!r}")
+            records: list[IterationRecord] = []
+            n_updates = 0
+            n_backoffs = 0
+            converged = False
+            while n_updates < config.max_iterations:
+                res = corrected_roughness(sample, kernel, h, grid_cap=grid_cap)
+                backoff = res.corrected <= 0.0
+                if backoff:
+                    if n_backoffs >= config.max_backoffs:
+                        raise BackoffExhausted(
+                            f"corrected roughness stayed non-positive after "
+                            f"{config.max_backoffs} backoffs (h reached {h:g})"
+                        )
+                    h_new = h * config.backoff_factor
+                    n_backoffs += 1
+                else:
+                    h_new = optimal_bandwidth(res.corrected, kernel, Np)
+                    n_updates += 1
+                records.append(
+                    IterationRecord(
+                        h=h_new,
+                        raw_roughness=res.raw,
+                        corrected_roughness=res.corrected,
+                        backoff_applied=backoff,
+                    )
                 )
-            h_new = h * config.backoff_factor
-            n_backoffs += 1
-        else:
-            h_new = optimal_bandwidth(res.corrected, kernel, Np)
-            n_updates += 1
-        records.append(
-            IterationRecord(
-                h=h_new,
-                raw_roughness=res.raw,
-                corrected_roughness=res.corrected,
-                backoff_applied=backoff,
-            )
-        )
-        if not backoff and abs(h_new - h) / h <= config.rel_tolerance:
-            # keep the bandwidth the roughness was measured at: h_new was
-            # never measured, and re-measuring at h reproduces this record
-            converged = True
-            break
-        h = h_new
+                if not backoff and abs(h_new - h) / h <= config.rel_tolerance:
+                    # keep the bandwidth the roughness was measured at: h_new was
+                    # never measured, and re-measuring at h reproduces this record
+                    converged = True
+                    break
+                h = h_new
+    except ArithmeticError as exc:
+        raise DomainError(
+            "sample scale is out of range: bandwidth selection over- or "
+            "underflows in floating point"
+        ) from exc
     return BandwidthTrace(iterations=tuple(records), converged=converged, final_h=h)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kdeband.estimator
 from kdeband.cli import HERNQUIST_EXTERNAL_REFERENCE, main
 from kdeband.kernels import kernel_constants_1d
 from kdeband.reference import (
@@ -154,6 +155,19 @@ def test_select_missing_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "cannot read sample file" in err
+
+
+def test_select_out_of_range_scale_exit_1(tmp_path, capsys):
+    """A 3D sample scaled by 1e40 underflows the selection's squared
+    Laplacian: a named error and exit 1, not a traceback."""
+    points = 1e40 * sample_gaussian_3d(2000, seed=2).points
+    path = _write_sample(tmp_path / "g3.txt", points)
+    rc = main(["select", "--input", path, "--dim", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("kdeband: error:")
+    assert "scale is out of range" in captured.err
 
 
 def test_select_not_converged_exit_2(tmp_path, capsys):
@@ -300,6 +314,19 @@ def test_experiment_emit_curves(tmp_path):
     h = doc["reports"][0]["selected_h"]
     assert_allclose(np.sum(fhat) * h, 1.0, atol=1e-9)
     assert f"# selected_h: {h:.17g}" in text
+
+
+def test_experiment_emit_curves_honours_grid_cap(tmp_path, monkeypatch, capsys):
+    """--grid-cap bounds the curve grids as well as the selection's: with
+    the default 1D cap shrunk to 5 nodes, the run needs the flag."""
+    monkeypatch.setattr(kdeband.estimator, "DEFAULT_GRID_CAP_1D", 5)
+    argv = ["experiment", "gauss1d", "--np", "1000", "--seed", "1", "--emit-curves",
+            "--out", str(tmp_path / "exp.json")]
+    assert main(argv) == 1
+    assert "above the cap of 5" in capsys.readouterr().err
+    assert main(argv + ["--grid-cap", "100000"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "exp_np1000_seed1_curve.dat").exists()
 
 
 def test_experiment_unknown_name_exit_1(capsys):
@@ -469,7 +496,7 @@ def test_sample_rejects_bad_count(capsys):
     rc = main(["sample", "--generator", "gauss1d", "--np", "2.5", "--seed", "1"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
-    for count in ("inf", "1e400", "nan"):
+    for count in ("inf", "1e400", "nan", "1000.0000000001"):
         rc = main(["sample", "--generator", "gauss1d", "--np", count, "--seed", "1"])
         assert rc == 1
         assert "not a positive integer count" in capsys.readouterr().err

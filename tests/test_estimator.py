@@ -676,6 +676,19 @@ def test_integrate_squared_3d_gaussian_laplacian():
     )
 
 
+def test_integrate_squared_rejects_underflowing_squares():
+    """A sum of squares below the node count times the smallest normal
+    float may have lost its precision to underflow: it raises DomainError.
+    An all-zero grid still integrates to 0, and a sum just above the
+    bound is kept."""
+    tiny = Grid(origin=0.0, spacing=1.0, values=np.full(10, 1e-160))
+    with pytest.raises(DomainError, match="scale is out of range"):
+        integrate_squared(tiny)
+    assert integrate_squared(Grid(origin=0.0, spacing=1.0, values=np.zeros(10))) == 0.0
+    small = Grid(origin=0.0, spacing=1.0, values=np.full(10, 1e-150))
+    assert_allclose(integrate_squared(small), 1e-299, rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # input validation
 # ---------------------------------------------------------------------------

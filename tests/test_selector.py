@@ -124,6 +124,8 @@ def test_optimal_bandwidth_rejects_nonpositive_roughness():
         optimal_bandwidth(0.0, kernel_constants_3d("tsc3"), 1000)
     with pytest.raises(NonPositiveRoughness):
         optimal_bandwidth(-0.5, kernel_constants_3d("ngp3"), 1000)
+    with pytest.raises(NonPositiveRoughness):
+        optimal_bandwidth(np.inf, kernel_constants_1d("tsc"), 100)
 
 
 def test_optimal_bandwidth_rejects_bad_np():
@@ -176,6 +178,10 @@ def test_amise_validation():
         amise(0.0, kern, 1.0, 100)
     with pytest.raises(NonPositiveRoughness):
         amise(0.1, kern, 0.0, 100)
+    with pytest.raises(NonPositiveBandwidth):
+        amise(np.inf, kern, 1.0, 100)
+    with pytest.raises(NonPositiveRoughness):
+        amise(0.3, kern, np.inf, 100)
     for Np in (np.inf, np.nan, 2.7, 0):
         with pytest.raises(DomainError):
             amise(0.1, kern, 1.0, Np)
@@ -419,6 +425,10 @@ def test_selector_config_validation():
     with pytest.raises(DomainError):
         SelectorConfig(backoff_factor=1.0)
     with pytest.raises(DomainError):
+        SelectorConfig(initial_scale_c0=np.inf)
+    with pytest.raises(DomainError):
+        SelectorConfig(backoff_factor=np.inf)
+    with pytest.raises(DomainError):
         SelectorConfig(max_backoffs=0)
 
 
@@ -611,6 +621,32 @@ def test_select_equivariant_under_power_of_two_scaling(d, k):
     scaled = kdeband.select_bandwidth(kdeband.Sample(2.0 ** k * points), kernel)
     assert len(scaled.iterations) == len(base.iterations)
     assert_allclose(scaled.final_h, 2.0 ** k * base.final_h, rtol=1e-13, atol=0.0)
+
+
+# Decades far enough out that the selection over- or underflows, and
+# decades it survives; 10^32 in 3D survives all but the squared Laplacian,
+# part of which falls below the smallest normal float.
+EXTREME_SCALE_EXPONENTS = [-300, -200, -100, -40, -30, 30, 32, 40, 100, 200, 300]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 3])
+def test_select_at_extreme_scales_converges_or_raises_named_error(d):
+    """x -> 10^e x either scales the selected bandwidth by 10^e, to
+    rounding, or raises DomainError naming the scale; never a numpy or
+    Python arithmetic error, a floating-point warning, or a bandwidth that
+    over- or underflow has spoiled."""
+    points, kernel = _property_case(d)
+    base = kdeband.select_bandwidth(kdeband.Sample(points), kernel).final_h
+    for e in EXTREME_SCALE_EXPONENTS:
+        scale = 10.0 ** e
+        try:
+            trace = kdeband.select_bandwidth(kdeband.Sample(scale * points), kernel)
+        except DomainError as err:
+            assert "scale is out of range" in str(err)
+            continue
+        assert trace.converged
+        assert_allclose(trace.final_h / scale, base, rtol=1e-13, atol=0.0)
 
 
 HOSTILE_LAWS = {
