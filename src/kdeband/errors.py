@@ -2,8 +2,13 @@
 
 Every error raised deliberately by kdeband derives from :class:`KdebandError`,
 so callers (notably the command line driver) can distinguish usage and data
-problems from genuine bugs.
+problems from genuine bugs.  ``_out_of_range`` turns floating-point over- and
+underflow in a computation into one of them.
 """
+
+from contextlib import contextmanager
+
+import numpy as np
 
 __all__ = [
     "KdebandError",
@@ -49,3 +54,31 @@ class BackoffExhausted(KdebandError):
 
 class DomainError(KdebandError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+@contextmanager
+def _out_of_range(subject: str, computation: str):
+    """Raise DomainError "<subject> is out of range" for any ArithmeticError
+    in the block.
+
+    numpy is made to raise FloatingPointError there on overflow, division
+    by zero and invalid operations; Python float powers and division raise
+    OverflowError and ZeroDivisionError on their own.  Python float
+    products and quotients overflow to inf and underflow to 0 in silence,
+    so a block passes such a result through ``_normal``.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:
+        raise DomainError(
+            f"{subject} is out of range: {computation} over- or underflows in floating point"
+        ) from exc
+
+
+def _normal(x) -> float:
+    """x as a float; FloatingPointError unless it is a normal finite float."""
+    x = float(x)
+    if not np.finfo(float).tiny <= abs(x) < np.inf:
+        raise FloatingPointError(f"{x!r} is not a normal float")
+    return x

@@ -20,7 +20,9 @@ characterised in closed form.
 
 Grids are anchored to the absolute lattice {k*h : k integer} rather than
 to the sample minimum, so two samples with the same support tabulate onto
-identical node positions.
+identical node positions.  Both paths accept the same scale domain of
+(h, Np, d), which ``_check_scale`` tests before any arithmetic: outside
+it they raise DomainError.
 
 Every type and function here serves any d, except the direct
 evaluations, which are one per dimension (``estimate_density_1d`` and
@@ -43,6 +45,7 @@ from .errors import (
     GridTooLarge,
     GridTooSmall,
     NonPositiveBandwidth,
+    _out_of_range,
 )
 from .kernels import Kernel, common_dim, profile_branches, radial_profile
 
@@ -90,6 +93,34 @@ def _check_count(Np) -> int:
     if count < 1 or count != Np:
         raise DomainError(f"Np must be a positive integer, got {Np!r}")
     return count
+
+
+def _check_scale(h: float, Np: int, d: int) -> None:
+    """DomainError unless (h, Np, d) lies in the scale domain of the grid
+    deposit and of direct evaluation:
+
+        2^-400 <= h <= 2^400,   h^d >= 2^-1000,   Np h^d <= 2^960,
+
+    tested in log2, which cannot overflow.
+
+    Both take a point's radius as sqrt(sum of dist^2) / h, where
+    |dist| <= (w/2 + 1) h <= 5h/2 on every axis.  The first rule keeps
+    every square finite, and it keeps normal every square of a
+    |dist| >= 2^-54 h, below which each kernel's shape rounds to its
+    central value (1, 1 - r, 3/4 - r^2) whatever the bits of r; it holds
+    while 2^-457 <= h <= 2^509.  A normal square has sqrt(dist^2) == |dist|
+    exactly, so the radii and weights are those at any other 2^k scaling
+    of the sample and h, bit for bit, and in 1D those of |dist| / h.  The
+    other two keep the normalisation Np h^d a normal float and the
+    estimate, below 2 / h^d, finite.  A value whose kernel sum is below
+    2^-62 times that of a point at the centre may round to a subnormal.
+    """
+    log_h = math.log2(h)
+    if not (-400 <= log_h <= 400 and d * log_h >= -1000 and math.log2(Np) + d * log_h <= 960):
+        raise DomainError(
+            f"bandwidth scale is out of range: h = {h:g} with Np = {Np} in {d}D needs "
+            "2^-400 <= h <= 2^400, h^d >= 2^-1000 and Np h^d <= 2^960"
+        )
 
 
 @dataclass(frozen=True)
@@ -142,8 +173,8 @@ class Grid:
 
     Node (i_1, ..., i_d) sits at ``origin + spacing * (i_1, ..., i_d)``.
     ``origin`` is a float when d = 1 and an array of shape (d,) otherwise.
-    The spacing must be a positive finite real (else NonPositiveBandwidth)
-    and the origin finite.
+    The spacing must be a positive finite real (else NonPositiveBandwidth),
+    and the origin and values finite.
     """
 
     origin: float | np.ndarray
@@ -158,8 +189,8 @@ class Grid:
         org = np.asarray(self.origin, dtype=float)
         if org.ndim > 1 or org.size != vals.ndim:
             raise DomainError("Grid origin must hold one coordinate per axis")
-        if not np.all(np.isfinite(org)):
-            raise DomainError("Grid origin must be finite")
+        if not (np.all(np.isfinite(org)) and np.all(np.isfinite(vals))):
+            raise DomainError("Grid origin and values must all be finite")
         org = float(org.reshape(())) if vals.ndim == 1 else _frozen_array(org)
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "spacing", spacing)
@@ -211,6 +242,7 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
     """
     h = _check_bandwidth(h)
     common_dim(1, sample=sample.dim, kernel=kernel.dim)
+    _check_scale(h, sample.size_Np, 1)
     queries = np.atleast_1d(np.asarray(query_points, dtype=float))
     if queries.ndim != 1:
         raise DomainError("query_points must be scalar or 1D")
@@ -266,6 +298,7 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
     """
     h = _check_bandwidth(h)
     common_dim(3, sample=sample.dim, kernel=kernel.dim)
+    _check_scale(h, sample.size_Np, 3)
     queries = np.asarray(query_points, dtype=float)
     if queries.ndim == 1 and queries.shape == (3,):
         queries = queries[None, :]
@@ -359,27 +392,25 @@ def build_grid(
     origin is snapped down to the absolute lattice {k h}.  Tabulated
     values agree with estimate_density_1d / estimate_density_3d at the
     node positions.  ``grid_cap`` bounds the node count (default
-    DEFAULT_GRID_CAP_1D in 1D, DEFAULT_GRID_CAP_3D otherwise).
+    DEFAULT_GRID_CAP_1D in 1D, DEFAULT_GRID_CAP_3D otherwise).  (h, Np, d)
+    must lie in the scale domain of _check_scale, else DomainError.
 
     Each point's weight goes to the nodes within its closed support
-    window, one bincount pass per combination of per-axis node offsets.
-    The window starts at the lowest node the kernel's own radius reaches,
-    also where rounding puts the computed start one node higher (see
-    _axis_offsets).  Offsets at which the kernel is zero for every point
-    are skipped, which leaves every value bit for bit as it would be with
-    every offset computed: TSC runs 3^d passes, CIC 2^d and NGP one, plus
-    one more offset on an axis where some point lies exactly on the
-    closed boundary of NGP's support or rounds onto a support's edge.
+    window, one bincount pass per combination of per-axis node offsets
+    (see _axis_offsets and _deposit).  Offsets at which the kernel is zero
+    for every point are skipped, which leaves every value bit for bit as
+    it would be with every offset computed: TSC runs 3^d passes, CIC 2^d
+    and NGP one, plus one more offset on an axis where some point lies
+    exactly on the closed boundary of NGP's support or rounds onto a
+    support's edge.
 
-    Each pass gives the kernel bounds on its radii, so that it computes
-    only the kernel branch they take (see kernels.radial_profile).  In 1D
-    they are the offset's least and greatest |dist| / h; over several axes
-    they combine the per-axis bounds like the radius combines the
-    distances.  In 3D, TSC then needs the selection over branches only on
-    its centre pass and NGP on its one pass; in 1D no pass needs it.
+    The outermost axis's offsets are used once each, so they are streamed
+    and one at a time is held; the inner axes' offsets serve every
+    combination of the axes before them, so they are kept.
     """
     h = _check_bandwidth(h)
     d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
+    _check_scale(h, sample.size_Np, d)
     cap = DEFAULT_GRID_CAP_1D if d == 1 else DEFAULT_GRID_CAP_3D
     cap = cap if grid_cap is None else int(grid_cap)
     pts = sample.points.reshape(sample.size_Np, d)
@@ -397,48 +428,37 @@ def build_grid(
             f"at h={h:g}, above the cap of {cap}"
         )
     axes = [
-        _axis_offsets(pts[:, a], origin[a], dims[a], half, w, h, kernel) for a in range(d)
+        _axis_offsets(pts[:, a], origin[a], dims[a], math.prod(dims[a + 1:]), half, w, h, kernel)
+        for a in range(d)
     ]
-    if d > 1:
-        # Each axis's offsets are reused for every combination of the other
-        # axes' offsets: compute them once, with the index pre-strided to
-        # the flat grid, and the distances and their bounds squared, which
-        # is all the radius needs of them.  A lone axis uses each once, so
-        # it streams them instead.
-        strides = [math.prod(dims[a + 1:]) for a in range(d)]
-        axes = [
-            [(j * stride, ok, dist * dist, (near * near, far * far))
-             for j, ok, dist, (near, far) in offsets]
-            for offsets, stride in zip(axes, strides)
-        ]
+    axes[1:] = [list(offsets) for offsets in axes[1:]]
     acc = np.zeros(n, dtype=float)
     _deposit(acc, axes, kernel, h)
     values = acc.reshape(dims) / (sample.size_Np * h ** d)
     return Grid(origin=origin, spacing=h, values=values)
 
 
-def _axis_offsets(x, origin, n, half, w, h, kernel):
+def _axis_offsets(x, origin, n, stride, half, w, h, kernel):
     """Yield, for each offset o in -1..w along one axis that can carry
-    weight: the index j0 + o of each point's node o steps from
-    j0 = ceil((x - w h/2 - origin) / h), the in-range mask (None when every
-    index is in range), the signed distance dist from the point to that
-    node, and bounds (near, far) with near <= |dist_i| <= far for every
-    point.
+    weight: the flat-grid index (j0 + o) * stride of each point's node o
+    steps from j0 = ceil((x - w h/2 - origin) / h), the in-range mask (None
+    when every index is in range), the squared distance dist**2 from the
+    point to that node, and bounds (near**2, far**2) with
+    near**2 <= dist_i**2 <= far**2 for every point, all squares rounded.
 
     In exact arithmetic j0 is the lowest node inside a point's closed
     support window, but the rounded quotient can land just above an
     integer and put j0 one node past a node that the kernel's own radius
-    |origin + j h - x| / h still reaches: offset -1.  It is computed only
-    when offset 0's highest distance less h comes within rounding of
-    -w h/2; below that, no point's support reaches it.
+    still reaches: offset -1.  It is computed only when offset 0's highest
+    distance less h comes within rounding of -w h/2; below that, no
+    point's support reaches it.
 
     With spacing == h at most w+1 nodes per axis can carry weight, and
     only w of them unless a point sits exactly on a support boundary.  An
     offset is skipped when the kernel is zero at the radius of the point
-    nearest its node, ``radial_profile(kernel, min_i |dist_i| / h) == 0``.
-    The deposit's radius is never below |dist| on any axis (nor below
-    sqrt(dist**2) rounded, which differs from |dist| only once dist**2
-    underflows), and the profile never increases with r, so a skipped pass
+    nearest its node, ``radial_profile(kernel, sqrt(near**2) / h) == 0``.
+    The deposit's radius sqrt(sum of dist**2) / h is never below that on
+    any axis, and the profile never increases with r, so a skipped pass
     would have added +0.0 to every node: the grid is bit-identical with
     or without it.  TSC thus keeps 3 of its offsets, CIC 2 and NGP 1,
     except where some point lies on the closed boundary.
@@ -470,10 +490,14 @@ def _axis_offsets(x, origin, n, half, w, h, kernel):
             yield offset(o)
 
     for j, ok, dist, lowest, highest in candidates():
-        near = max(lowest, -highest, 0.0)
-        if radial_profile(kernel, min(near, math.sqrt(near * near)) / h) == 0.0:
+        near, far = max(lowest, -highest, 0.0), max(-lowest, highest)
+        near_sq = near * near
+        if radial_profile(kernel, math.sqrt(near_sq) / h) == 0.0:
             continue
-        yield j, ok, dist, (near, max(-lowest, highest))
+        if stride > 1:
+            j *= stride
+        dist *= dist
+        yield j, ok, dist, (near_sq, far * far)
 
 
 def _deposit(acc, axes, kernel, h, a=0, index=None, sq=None, mask=None, bounds_sq=(0.0, 0.0)):
@@ -481,34 +505,29 @@ def _deposit(acc, axes, kernel, h, a=0, index=None, sq=None, mask=None, bounds_s
     per-axis offsets into the flat ``acc``, outer axis first.
 
     ``index``, ``sq``, ``mask`` and ``bounds_sq`` carry the flat node
-    index, squared distance, in-range mask and the sums of the squared
-    (near, far) bounds of the axes before ``a``.
+    index, the summed squared distance, the in-range mask and the sums of
+    the squared (near, far) bounds of the axes before ``a``.  At the last
+    axis the radius is r = sqrt(sq) / h; the bounds, summed in the
+    radius's own order, then rooted and divided by h, bound every rounded
+    r, since each step is monotone.  They let the kernel compute only the
+    branch they take (see kernels.radial_profile).  The outermost axis's
+    offsets are streamed, so with one axis r takes the memory of its
+    squares.
     """
     last = a == len(axes) - 1
     for j, ok, dist, (near, far) in axes[a]:
         idx = j if index is None else index + j
         m = ok if mask is None else mask if ok is None else mask & ok
-        if len(axes) == 1:
-            # A lone axis's radius is |dist| (sqrt(dist^2) would give the
-            # same), and division by h is monotone, so near / h and far / h
-            # bound r.  Its offsets are streamed, so dist is used only here
-            # and r can take its memory: the deposit's peak is one
-            # point-sized array less.
-            r, bounds = np.abs(dist, out=dist), (near / h, far / h)
-        else:
-            # Over several axes, dist, near and far hold squares.  Summed
-            # outer axis first like the radius, then sqrt and / h: each
-            # step is monotone, so the bounds hold for every rounded r.
-            s = dist if sq is None else sq + dist
-            near_sq, far_sq = bounds_sq[0] + near, bounds_sq[1] + far
-            if not last:
-                _deposit(acc, axes, kernel, h, a + 1, idx, s, m, (near_sq, far_sq))
-                continue
-            r = np.sqrt(s, out=s)
-            bounds = (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h)
+        s = dist if sq is None else sq + dist
+        near_sq, far_sq = bounds_sq[0] + near, bounds_sq[1] + far
+        if not last:
+            _deposit(acc, axes, kernel, h, a + 1, idx, s, m, (near_sq, far_sq))
+            continue
+        r = np.sqrt(s, out=s)
         if m is not None:
             idx, r = idx[m], r[m]
         r /= h
+        bounds = (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h)
         acc += np.bincount(idx, weights=radial_profile(kernel, r, bounds), minlength=acc.size)
 
 
@@ -526,7 +545,8 @@ def laplacian(grid: Grid) -> Grid:
     Sums (v[+1] + v[-1]) over the axes, subtracts 2d v and divides by
     spacing^2; for d = 1 this is the central second difference.  Each
     output dimension shrinks by 2 and the origin advances by one spacing
-    along every axis.
+    along every axis.  A stencil that overflows, or a spacing whose
+    square underflows to zero, raises DomainError.
     """
     v = grid.values
     d = grid.dim
@@ -538,7 +558,8 @@ def laplacian(grid: Grid) -> Grid:
         for side in (slice(2, None), slice(None, -2)):
             nb = v[inner[:a] + (side,) + inner[a + 1:]]
             total = nb if total is None else total + nb
-    lap = (total - 2.0 * d * v[inner]) / grid.spacing ** 2
+    with _out_of_range("grid scale", "the Laplacian stencil"):
+        lap = (total - 2.0 * d * v[inner]) / grid.spacing ** 2
     return Grid(origin=grid.origin + grid.spacing, spacing=grid.spacing, values=lap)
 
 
@@ -548,11 +569,12 @@ def integrate_squared(grid: Grid) -> float:
     A square that underflows loses up to 2^-1075, so unless the sum is at
     least the node count times the smallest normal float, 2^-1022, it may
     have lost its precision: a non-zero grid whose sum is below that
-    raises DomainError.
+    raises DomainError, as does a sum that overflows.
     """
-    total = np.sum(grid.values ** 2)
-    if total < grid.n_nodes * np.finfo(float).tiny and np.any(grid.values):
-        raise DomainError(
-            "grid scale is out of range: squared values underflow in floating point"
-        )
-    return float(total * grid.spacing ** grid.dim)
+    with _out_of_range("grid scale", "the node-sum quadrature"):
+        total = np.sum(grid.values ** 2)
+        if total < grid.n_nodes * np.finfo(float).tiny and np.any(grid.values):
+            raise DomainError(
+                "grid scale is out of range: squared values underflow in floating point"
+            )
+        return float(total * grid.spacing ** grid.dim)

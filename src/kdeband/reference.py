@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _normal, _out_of_range
 from .kernels import Kernel, common_dim, eval_kernel_1d, kernel_constants
 from .samplers import (
     TRIMODAL_MEANS,
@@ -91,8 +91,11 @@ class AnalyticDensity:
         return _LAWS[self.identifier].dim
 
     def roughness(self) -> float:
-        """Exact R_d = integral (laplacian f)^2, which is f''^2 in 1D."""
-        return _LAWS[self.identifier].roughness(self)
+        """Exact R_d = integral (laplacian f)^2, which is f''^2 in 1D.  A law
+        (a Hernquist rc) whose R_d leaves the normal floats raises
+        DomainError."""
+        with _out_of_range("law scale", "the curvature roughness"):
+            return _normal(_LAWS[self.identifier].roughness(self))
 
 
 def gaussian_1d() -> AnalyticDensity:

@@ -45,6 +45,8 @@ from .errors import (
     DegenerateSample,
     DomainError,
     NonPositiveRoughness,
+    _normal,
+    _out_of_range,
 )
 from .estimator import Sample, _check_bandwidth, _check_count
 from .kernels import Kernel, common_dim
@@ -146,13 +148,15 @@ def optimal_bandwidth(
     roughness: float, kernel: Kernel, Np: int, *, dim: int | None = None
 ) -> float:
     """Closed-form AMISE-optimal bandwidth for a known curvature roughness
-    R_d, in the kernel's dimension d."""
+    R_d, in the kernel's dimension d.  A roughness so small or large that
+    the bandwidth leaves the normal floats raises DomainError."""
     d = common_dim(dim, kernel=kernel.dim)
     Np = _check_count(Np)
     roughness = _check_roughness(roughness)
     mu2 = kernel.second_moment_mu2
     p = 1.0 / (4 + d)
-    return (d * kernel.roughness_RK / (roughness * mu2 ** 2)) ** p * Np ** -p
+    with _out_of_range("roughness scale", "the optimal bandwidth"):
+        return _normal((d * kernel.roughness_RK / (roughness * mu2 ** 2)) ** p * Np ** -p)
 
 
 optimal_bandwidth_1d = partial(optimal_bandwidth, dim=1)
@@ -162,14 +166,18 @@ def amise(h: float, kernel: Kernel, roughness: float, Np: int) -> float:
     """Asymptotic MISE of the estimate at bandwidth h, in the kernel's d.
 
     AMISE(h) = R(K)/(h^d Np) + h^4 * R_d * (mu2/2)^2.
+
+    Arguments that take the result out of the normal floats, or a power
+    in it past overflow or to zero, raise DomainError.
     """
     d = kernel.dim
     Np = _check_count(Np)
     h = _check_bandwidth(h)
     roughness = _check_roughness(roughness)
-    variance = kernel.roughness_RK / (h ** d * Np)
-    bias = h ** 4 * roughness * (kernel.second_moment_mu2 / 2.0) ** 2
-    return variance + bias
+    with _out_of_range("bandwidth or roughness scale", "the AMISE"):
+        variance = kernel.roughness_RK / (h ** d * Np)
+        bias = h ** 4 * roughness * (kernel.second_moment_mu2 / 2.0) ** 2
+        return _normal(variance + bias)
 
 
 def select_bandwidth(
@@ -201,51 +209,42 @@ def select_bandwidth(
         raise DegenerateSample(
             "sample has zero spread along some axis; no finite bandwidth exists"
         )
-    try:
-        # Out-of-range scales over- or underflow somewhere in the start
-        # bandwidth, the grid or the noise term; numpy is made to raise
-        # there, and Python float powers and division raise on their own.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            h = config.initial_scale_c0 * sample.std * Np ** (-1.0 / (4 + d))
-            if not 0.0 < h < np.inf:
-                raise ArithmeticError(f"start bandwidth {h!r}")
-            records: list[IterationRecord] = []
-            n_updates = 0
-            n_backoffs = 0
-            converged = False
-            while n_updates < config.max_iterations:
-                res = corrected_roughness(sample, kernel, h, grid_cap=grid_cap)
-                backoff = res.corrected <= 0.0
-                if backoff:
-                    if n_backoffs >= config.max_backoffs:
-                        raise BackoffExhausted(
-                            f"corrected roughness stayed non-positive after "
-                            f"{config.max_backoffs} backoffs (h reached {h:g})"
-                        )
-                    h_new = h * config.backoff_factor
-                    n_backoffs += 1
-                else:
-                    h_new = optimal_bandwidth(res.corrected, kernel, Np)
-                    n_updates += 1
-                records.append(
-                    IterationRecord(
-                        h=h_new,
-                        raw_roughness=res.raw,
-                        corrected_roughness=res.corrected,
-                        backoff_applied=backoff,
+    # Out-of-range scales over- or underflow somewhere in the start
+    # bandwidth, the grid or the noise term.
+    with _out_of_range("sample scale", "bandwidth selection"):
+        h = _normal(config.initial_scale_c0 * sample.std * Np ** (-1.0 / (4 + d)))
+        records: list[IterationRecord] = []
+        n_updates = 0
+        n_backoffs = 0
+        converged = False
+        while n_updates < config.max_iterations:
+            res = corrected_roughness(sample, kernel, h, grid_cap=grid_cap)
+            backoff = res.corrected <= 0.0
+            if backoff:
+                if n_backoffs >= config.max_backoffs:
+                    raise BackoffExhausted(
+                        f"corrected roughness stayed non-positive after "
+                        f"{config.max_backoffs} backoffs (h reached {h:g})"
                     )
+                h_new = h * config.backoff_factor
+                n_backoffs += 1
+            else:
+                h_new = optimal_bandwidth(res.corrected, kernel, Np)
+                n_updates += 1
+            records.append(
+                IterationRecord(
+                    h=h_new,
+                    raw_roughness=res.raw,
+                    corrected_roughness=res.corrected,
+                    backoff_applied=backoff,
                 )
-                if not backoff and abs(h_new - h) / h <= config.rel_tolerance:
-                    # keep the bandwidth the roughness was measured at: h_new was
-                    # never measured, and re-measuring at h reproduces this record
-                    converged = True
-                    break
-                h = h_new
-    except ArithmeticError as exc:
-        raise DomainError(
-            "sample scale is out of range: bandwidth selection over- or "
-            "underflows in floating point"
-        ) from exc
+            )
+            if not backoff and abs(h_new - h) / h <= config.rel_tolerance:
+                # keep the bandwidth the roughness was measured at: h_new was
+                # never measured, and re-measuring at h reproduces this record
+                converged = True
+                break
+            h = h_new
     return BandwidthTrace(iterations=tuple(records), converged=converged, final_h=h)
 
 

@@ -170,6 +170,17 @@ def test_select_out_of_range_scale_exit_1(tmp_path, capsys):
     assert "scale is out of range" in captured.err
 
 
+def test_experiment_out_of_range_rc_exit_1(tmp_path, capsys):
+    """A Hernquist rc whose curvature roughness underflows ends in a named
+    error and exit 1, not a traceback."""
+    argv = ["experiment", "hernquist", "--rc", "1e-70", "--np", "1000", "--seed", "1"]
+    rc = main(argv + ["--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("kdeband: error:")
+    assert "out of range" in err
+
+
 def test_select_not_converged_exit_2(tmp_path, capsys):
     """An iteration cap of 1 cannot satisfy the tolerance; the report is
     still written but the exit code flags the non-convergence."""

@@ -1,6 +1,7 @@
 """Density evaluation, grid deposit, stencils, and quadrature."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,40 @@ def test_hostile_deposit_3d_matches_recorded_bits(kind, family):
     assert digest == HOSTILE_DEPOSIT_3D_SHA256[kind, family]
 
 
+# Traced peak of one deposit, in point-sized arrays of 8 Np bytes: 1D at
+# Np = 2e5 and h = 0.133, 3D at Np = 2e4 and h = 0.5, a standard normal
+# sample.  The outermost axis's offsets are streamed and only the inner
+# axes' offsets are kept, so a change that caches the outer axis again
+# (TSC3 25.8, CIC3 18.4) or holds another point-sized array per pass fails.
+DEPOSIT_PEAK_POINT_ARRAYS = {
+    ("ngp", 1): 6.01,
+    ("cic", 1): 6.01,
+    ("tsc", 1): 6.01,
+    ("ngp", 3): 13.52,
+    ("cic", 3): 17.42,
+    ("tsc", 3): 22.78,
+}
+
+
+@pytest.mark.parametrize("family, dim", sorted(DEPOSIT_PEAK_POINT_ARRAYS))
+def test_deposit_peak_memory(family, dim):
+    Np, h = (200_000, 0.133) if dim == 1 else (20_000, 0.5)
+    sample = Sample(np.random.default_rng(1).standard_normal(Np if dim == 1 else (Np, dim)))
+    kernel = kernel_constants(family, dim)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build_grid(sample, kernel, h)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak / (8 * Np) <= DEPOSIT_PEAK_POINT_ARRAYS[family, dim]
+
+
 def _node_mesh(grid):
     axes = [grid.axis_coordinates(a) for a in range(grid.dim)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
@@ -627,6 +662,16 @@ def test_laplacian_too_small():
         laplacian(g)
 
 
+@pytest.mark.filterwarnings("error")
+def test_laplacian_rejects_out_of_range_spacing():
+    """A spacing whose square under- or overflows raises DomainError, not
+    -inf with a RuntimeWarning or a bare OverflowError."""
+    with pytest.raises(DomainError, match="out of range"):
+        laplacian(Grid(0.0, 1e-200, [0.0, 1.0, 0.0]))
+    with pytest.raises(DomainError, match="out of range"):
+        laplacian(Grid(0.0, 1e200, [0.0, 1.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # quadrature of squared grids
 # ---------------------------------------------------------------------------
@@ -680,10 +725,12 @@ def test_integrate_squared_rejects_underflowing_squares():
     """A sum of squares below the node count times the smallest normal
     float may have lost its precision to underflow: it raises DomainError.
     An all-zero grid still integrates to 0, and a sum just above the
-    bound is kept."""
+    bound is kept.  A sum that overflows raises DomainError too."""
     tiny = Grid(origin=0.0, spacing=1.0, values=np.full(10, 1e-160))
     with pytest.raises(DomainError, match="scale is out of range"):
         integrate_squared(tiny)
+    with pytest.raises(DomainError, match="scale is out of range"):
+        integrate_squared(Grid(origin=0.0, spacing=1.0, values=[1e200, 1.0, 1.0]))
     assert integrate_squared(Grid(origin=0.0, spacing=1.0, values=np.zeros(10))) == 0.0
     small = Grid(origin=0.0, spacing=1.0, values=np.full(10, 1e-150))
     assert_allclose(integrate_squared(small), 1e-299, rtol=1e-15)
@@ -730,6 +777,9 @@ def test_grid_rejects_non_finite_spacing_or_origin():
             Grid(origin=origin, spacing=1.0, values=values)
     with pytest.raises(DomainError, match="origin"):
         Grid(origin=np.array([0.0, -np.inf, 0.0]), spacing=1.0, values=np.zeros((3, 3, 3)))
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match="values"):
+            Grid(origin=0.0, spacing=1.0, values=[0.0, value, 1.0])
     grid = Grid(origin=-2.0, spacing=0.5, values=values)
     assert grid.spacing == 0.5 and grid.origin == -2.0
 

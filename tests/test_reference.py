@@ -334,3 +334,6 @@ def test_density_constructor_validation():
     for window in ((0.05, np.inf), (np.nan, 5.0), (0.05, np.nan)):
         with pytest.raises(DomainError):
             hernquist_radial_pdf(r_window=window)
+    for rc in (1e-70, 1e70, 1e-62):
+        with pytest.raises(DomainError, match="out of range"):
+            hernquist_radial_pdf(rc=rc).roughness()

@@ -126,6 +126,8 @@ def test_optimal_bandwidth_rejects_nonpositive_roughness():
         optimal_bandwidth(-0.5, kernel_constants_3d("ngp3"), 1000)
     with pytest.raises(NonPositiveRoughness):
         optimal_bandwidth(np.inf, kernel_constants_1d("tsc"), 100)
+    with pytest.raises(DomainError, match="out of range"):
+        optimal_bandwidth(1e-320, kernel_constants_1d("tsc"), 100)
 
 
 def test_optimal_bandwidth_rejects_bad_np():
@@ -185,6 +187,10 @@ def test_amise_validation():
     for Np in (np.inf, np.nan, 2.7, 0):
         with pytest.raises(DomainError):
             amise(0.1, kern, 1.0, Np)
+    with pytest.raises(DomainError, match="out of range"):
+        amise(1e-110, kernel_constants_3d("tsc3"), 1.0, 100)
+    with pytest.raises(DomainError, match="out of range"):
+        amise(1e100, kern, 1.0, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +653,51 @@ def test_select_at_extreme_scales_converges_or_raises_named_error(d):
             continue
         assert trace.converged
         assert_allclose(trace.final_h / scale, base, rtol=1e-13, atol=0.0)
+
+
+# 2^k scalings that the grid deposit and direct evaluation take in every
+# d, and the scalings near 1e102, 1e140, 1e-140, 1e-160 and 1e155 that take
+# the squared radii or the normalisation of some d out of normal floats.
+GRID_SCALE_EXPONENTS_IN_RANGE = [-300, -100, -1, 1, 100, 300]
+GRID_SCALE_EXPONENTS = GRID_SCALE_EXPONENTS_IN_RANGE + [340, 465, -465, -530, 515]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_grid_and_direct_evaluation_at_power_of_two_scales_are_exact_or_raise(family, d):
+    """x -> 2^k x and h -> 2^k h divide the deposit grid and the direct
+    estimate by 2^(kd) bit for bit, or raise DomainError naming the scale;
+    never a floating-point warning, a bare arithmetic error, or a zero or
+    non-finite value.  h = 3/8 has an exact cube, so the normalisation
+    Np h^d is exact at every scale: the C library's pow behind h ** d
+    (glibc 2.36, say) is not correctly rounded for about one argument in a
+    thousand."""
+    rng = np.random.default_rng(67)
+    points = rng.standard_normal(2_000 if d == 1 else (2_000, 3))
+    queries = rng.standard_normal(50 if d == 1 else (50, 3))
+    kernel = kdeband.kernel_constants(family, d)
+    estimate = kdeband.estimate_density_1d if d == 1 else kdeband.estimate_density_3d
+    h = 0.375
+    grid = kdeband.build_grid(Sample(points), kernel, h)
+    direct = estimate(Sample(points), kernel, h, queries)
+    for k in GRID_SCALE_EXPONENTS:
+        scale = 2.0 ** k
+        sample = Sample(scale * points)
+        for compute, expected in (
+            (lambda: kdeband.build_grid(sample, kernel, scale * h), grid),
+            (lambda: estimate(sample, kernel, scale * h, scale * queries), direct),
+        ):
+            try:
+                got = compute()
+            except DomainError as err:
+                assert "scale is out of range" in str(err)
+                assert k not in GRID_SCALE_EXPONENTS_IN_RANGE
+                continue
+            if isinstance(got, kdeband.Grid):
+                assert np.array_equal(got.origin, scale * expected.origin)
+                got, expected = got.values, expected.values
+            assert np.array_equal(got, expected * 2.0 ** (-k * d))
 
 
 HOSTILE_LAWS = {
