@@ -57,9 +57,9 @@ class DomainError(KdebandError):
 
 
 @contextmanager
-def _out_of_range(subject: str, computation: str):
-    """Raise DomainError "<subject> is out of range" for any ArithmeticError
-    in the block.
+def _out_of_range(subject: str, computation: str, error: type = DomainError):
+    """Raise ``error`` (DomainError unless given) "<subject> is out of
+    range" for any ArithmeticError in the block.
 
     numpy is made to raise FloatingPointError there on overflow, division
     by zero and invalid operations; Python float powers and division raise
@@ -71,7 +71,7 @@ def _out_of_range(subject: str, computation: str):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except ArithmeticError as exc:
-        raise DomainError(
+        raise error(
             f"{subject} is out of range: {computation} over- or underflows in floating point"
         ) from exc
 

@@ -378,6 +378,11 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
 # Grid deposit
 # ---------------------------------------------------------------------------
 
+# Points a deposit takes at once: each of a chunk's point-sized arrays
+# (256 kB) stays in cache, and the deposit's memory stops growing with Np.
+_POINT_CHUNK = 1 << 15
+
+
 def build_grid(
     sample: Sample,
     kernel: Kernel,
@@ -392,59 +397,102 @@ def build_grid(
     origin is snapped down to the absolute lattice {k h}.  Tabulated
     values agree with estimate_density_1d / estimate_density_3d at the
     node positions.  ``grid_cap`` bounds the node count (default
-    DEFAULT_GRID_CAP_1D in 1D, DEFAULT_GRID_CAP_3D otherwise).  (h, Np, d)
-    must lie in the scale domain of _check_scale, else DomainError.
+    DEFAULT_GRID_CAP_1D in 1D, DEFAULT_GRID_CAP_3D otherwise); a span
+    whose node count overflows raises GridTooLarge too.  (h, Np, d) must
+    lie in the scale domain of _check_scale, else DomainError.
 
     Each point's weight goes to the nodes within its closed support
-    window, one bincount pass per combination of per-axis node offsets
-    (see _axis_offsets and _deposit).  Offsets at which the kernel is zero
-    for every point are skipped, which leaves every value bit for bit as
-    it would be with every offset computed: TSC runs 3^d passes, CIC 2^d
-    and NGP one, plus one more offset on an axis where some point lies
-    exactly on the closed boundary of NGP's support or rounds onto a
-    support's edge.
+    window, one pass per combination of per-axis node offsets (see
+    _axis_offsets and _deposit).  Offsets at which the kernel is zero for
+    every point are skipped, which leaves every value bit for bit as it
+    would be with every offset computed: TSC runs 3^d passes, CIC 2^d and
+    NGP one, plus one more offset on an axis where some point lies exactly
+    on the closed boundary of NGP's support or rounds onto a support's
+    edge.
 
-    The outermost axis's offsets are used once each, so they are streamed
-    and one at a time is held; the inner axes' offsets serve every
-    combination of the axes before them, so they are kept.
+    The points are taken in chunks of ``_POINT_CHUNK``, so the deposit's
+    point-sized arrays are a chunk's, whatever Np.  Each pass sums its
+    weights into an accumulator of its own: the first chunk to run the
+    pass starts it with a bincount, later chunks continue that sum with
+    np.add.at, term by term in point order.  Once no later chunk can add
+    to them, the accumulators go into the grid in pass order, offsets in
+    lexicographic order with -1 first.  Every node thus sums the same
+    terms in the same order as one pass over the whole sample would, and
+    the grid adds the passes in the same order: a chunk skips only passes
+    that would have added +0.0 for its points, and its tighter branch
+    bounds are still bounds (see kernels.radial_profile).
+
+    The accumulators take up to (w+1)^d n values, so the sample is chunked
+    only where that is less than 2d(w+1) Np, two point-sized arrays per
+    axis and offset: a round bound on what the whole sample in one chunk
+    holds (6 to 16 such arrays, measured).  Otherwise, as when the grid
+    has more nodes than the sample has points, the sample is one chunk and
+    each pass goes into the grid as soon as it is summed.
     """
     h = _check_bandwidth(h)
     d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
-    _check_scale(h, sample.size_Np, d)
+    Np = sample.size_Np
+    _check_scale(h, Np, d)
     cap = DEFAULT_GRID_CAP_1D if d == 1 else DEFAULT_GRID_CAP_3D
     cap = cap if grid_cap is None else int(grid_cap)
-    pts = sample.points.reshape(sample.size_Np, d)
+    pts = sample.points.reshape(Np, d)
     w = kernel.width_w
     half = 0.5 * w * h
-    origin = np.floor((pts.min(axis=0) - half) / h) * h
-    dims = [
-        int(np.ceil((top + half - low) / h)) + 1
-        for top, low in zip(pts.max(axis=0), origin)
-    ]
+    with _out_of_range("sample scale", "the grid's lattice origin"):
+        origin = np.floor((pts.min(axis=0) - half) / h) * h
+    with _out_of_range("sample span", "the grid's node count", GridTooLarge):
+        dims = [
+            int(np.ceil((top + half - low) / h)) + 1
+            for top, low in zip(pts.max(axis=0), origin)
+        ]
     n = math.prod(dims)
     if n > cap:
         raise GridTooLarge(
             f"{d}D grid would need {'x'.join(map(str, dims))} = {n} cells "
             f"at h={h:g}, above the cap of {cap}"
         )
-    axes = [
-        _axis_offsets(pts[:, a], origin[a], dims[a], math.prod(dims[a + 1:]), half, w, h, kernel)
-        for a in range(d)
-    ]
-    axes[1:] = [list(offsets) for offsets in axes[1:]]
+    chunk = _POINT_CHUNK if (w + 1) ** (d - 1) * n < 2 * d * Np else Np
     acc = np.zeros(n, dtype=float)
-    _deposit(acc, axes, kernel, h)
-    values = acc.reshape(dims) / (sample.size_Np * h ** d)
-    return Grid(origin=origin, spacing=h, values=values)
+    held = {}  # each pass's sum over the chunks so far, by its offsets
+    for start in range(0, Np, chunk):
+        final = start + chunk >= Np
+        _deposit(acc, held, final, kernel, h,
+                 *_chunk_axes(pts[start:start + chunk], origin, dims, half, w, h, kernel))
+    for key in sorted(held):
+        acc += held.pop(key)
+    acc /= Np * h ** d
+    return Grid(origin=origin, spacing=h, values=acc.reshape(dims))
 
 
-def _axis_offsets(x, origin, n, stride, half, w, h, kernel):
+def _chunk_axes(points, origin, dims, half, w, h, kernel):
+    """The flat index of each point's node at offset 0 on every axis, and
+    per axis its flat-index stride and offsets (see _axis_offsets).
+
+    The outermost axis's offsets are used once each, so they are streamed
+    and one at a time is held; the inner axes' offsets serve every
+    combination of the axes before them, so they are kept.
+    """
+    axes = []
+    for a, x in enumerate(points.T):
+        j0 = np.ceil((x - half - origin[a]) / h).astype(np.int64)
+        stride = math.prod(dims[a + 1:])
+        term = j0 if stride == 1 else j0 * stride
+        base = term if a == 0 else base + term
+        offsets = _axis_offsets(x, j0, origin[a], dims[a], half, w, h, kernel)
+        axes.append((stride, offsets if a == 0 else list(offsets)))
+    return base, axes
+
+
+def _axis_offsets(x, j0, origin, n, half, w, h, kernel):
     """Yield, for each offset o in -1..w along one axis that can carry
-    weight: the flat-grid index (j0 + o) * stride of each point's node o
-    steps from j0 = ceil((x - w h/2 - origin) / h), the in-range mask (None
-    when every index is in range), the squared distance dist**2 from the
-    point to that node, and bounds (near**2, far**2) with
-    near**2 <= dist_i**2 <= far**2 for every point, all squares rounded.
+    weight for the points x of one chunk: o, the in-range mask of node
+    j0 + o (None when every node is in range), the squared distance
+    dist**2 from each point to its node o steps from
+    j0 = ceil((x - w h/2 - origin) / h), and bounds near**2, far**2 with
+    near**2 <= dist_i**2 <= far**2 for every point of the chunk, all
+    squares rounded.  Every per-point value is the one the whole sample
+    gives; only the offsets kept, the masks built and the bounds depend on
+    the chunk.
 
     In exact arithmetic j0 is the lowest node inside a point's closed
     support window, but the rounded quotient can land just above an
@@ -459,15 +507,14 @@ def _axis_offsets(x, origin, n, stride, half, w, h, kernel):
     nearest its node, ``radial_profile(kernel, sqrt(near**2) / h) == 0``.
     The deposit's radius sqrt(sum of dist**2) / h is never below that on
     any axis, and the profile never increases with r, so a skipped pass
-    would have added +0.0 to every node: the grid is bit-identical with
-    or without it.  TSC thus keeps 3 of its offsets, CIC 2 and NGP 1,
-    except where some point lies on the closed boundary.
+    would have added +0.0 for every point of the chunk: the grid is
+    bit-identical with or without it.  TSC thus keeps 3 of its offsets,
+    CIC 2 and NGP 1, except where some point lies on the closed boundary.
 
-    The padded grid holds every index unless rounding pushes one out, so
+    The padded grid holds every node unless rounding pushes one out, so
     an offset's in-range mask is built only when its lowest and highest
-    indices say it is needed.
+    nodes say it is needed.
     """
-    j0 = np.ceil((x - half - origin) / h).astype(np.int64)
     first, last = int(j0.min()), int(j0.max())
 
     def offset(o):
@@ -475,7 +522,7 @@ def _axis_offsets(x, origin, n, stride, half, w, h, kernel):
         ok = None if first + o >= 0 and last + o < n else (j >= 0) & (j < n)
         dist = origin + j * h - x
         ok = None if ok is None or ok.all() else ok
-        return j, ok, dist, float(dist.min()), float(dist.max())
+        return o, ok, dist, float(dist.min()), float(dist.max())
 
     def candidates():
         zero = offset(0)
@@ -489,46 +536,61 @@ def _axis_offsets(x, origin, n, stride, half, w, h, kernel):
         for o in range(1, w + 1):
             yield offset(o)
 
-    for j, ok, dist, lowest, highest in candidates():
+    for o, ok, dist, lowest, highest in candidates():
         near, far = max(lowest, -highest, 0.0), max(-lowest, highest)
         near_sq = near * near
         if radial_profile(kernel, math.sqrt(near_sq) / h) == 0.0:
             continue
-        if stride > 1:
-            j *= stride
         dist *= dist
-        yield j, ok, dist, (near_sq, far * far)
+        yield o, ok, dist, near_sq, far * far
 
 
-def _deposit(acc, axes, kernel, h, a=0, index=None, sq=None, mask=None, bounds_sq=(0.0, 0.0)):
-    """Add the kernel weight of every point at every combination of its
-    per-axis offsets into the flat ``acc``, outer axis first.
+def _deposit(acc, held, final, kernel, h, base, axes, offsets=(), sq=None, mask=None,
+             bounds_sq=(0.0, 0.0)):
+    """Run each pass of one chunk, in lexicographic order of its per-axis
+    offsets, outer axis first: sum the kernel weight of every point at
+    that combination of offsets into the pass's accumulator in ``held``,
+    keyed by the offsets.  In the ``final`` chunk, each pass then goes
+    into the flat grid ``acc`` with every held pass before it, in key
+    order.
 
-    ``index``, ``sq``, ``mask`` and ``bounds_sq`` carry the flat node
-    index, the summed squared distance, the in-range mask and the sums of
-    the squared (near, far) bounds of the axes before ``a``.  At the last
-    axis the radius is r = sqrt(sq) / h; the bounds, summed in the
-    radius's own order, then rooted and divided by h, bound every rounded
-    r, since each step is monotone.  They let the kernel compute only the
-    branch they take (see kernels.radial_profile).  The outermost axis's
-    offsets are streamed, so with one axis r takes the memory of its
-    squares.
+    ``axes`` holds each axis's flat-index stride and offsets (see
+    _axis_offsets), and ``base`` each point's flat index at offset 0 on
+    every axis, so a pass's node index is ``base`` plus the sum of its
+    offsets times their strides.  ``offsets``, ``sq``, ``mask`` and
+    ``bounds_sq`` carry the offsets, the summed squared distance, the
+    in-range mask and the sums of the squared (near, far) bounds of the
+    axes before the next one.  At the last axis the radius is
+    r = sqrt(sq) / h; the bounds, summed in the radius's own order, then
+    rooted and divided by h, bound every rounded r, since each step is
+    monotone.  They let the kernel compute only the branch they take (see
+    kernels.radial_profile).  The outermost axis's offsets are streamed,
+    so with one axis r takes the memory of its squares.
     """
-    last = a == len(axes) - 1
-    for j, ok, dist, (near, far) in axes[a]:
-        idx = j if index is None else index + j
+    a = len(offsets)
+    for o, ok, dist, near, far in axes[a][1]:
+        key = offsets + (o,)
         m = ok if mask is None else mask if ok is None else mask & ok
         s = dist if sq is None else sq + dist
         near_sq, far_sq = bounds_sq[0] + near, bounds_sq[1] + far
-        if not last:
-            _deposit(acc, axes, kernel, h, a + 1, idx, s, m, (near_sq, far_sq))
+        if a + 1 < len(axes):
+            _deposit(acc, held, final, kernel, h, base, axes, key, s, m, (near_sq, far_sq))
             continue
+        idx = base + sum(step * stride for step, (stride, _) in zip(key, axes))
         r = np.sqrt(s, out=s)
         if m is not None:
             idx, r = idx[m], r[m]
         r /= h
         bounds = (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h)
-        acc += np.bincount(idx, weights=radial_profile(kernel, r, bounds), minlength=acc.size)
+        weights = radial_profile(kernel, r, bounds)
+        if key in held:
+            np.add.at(held[key], idx, weights)
+        else:
+            held[key] = np.bincount(idx, weights=weights, minlength=acc.size)
+        del weights  # not to be held while the next pass is computed
+        if final:  # no later chunk runs this pass or one before it
+            for done in sorted(k for k in held if k <= key):
+                acc += held.pop(done)
 
 
 build_grid_1d = partial(build_grid, dim=1)

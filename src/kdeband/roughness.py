@@ -28,6 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
+from .errors import DomainError, _normal, _out_of_range
 from .estimator import Sample, build_grid, integrate_squared, laplacian
 from .kernels import Kernel
 
@@ -64,13 +67,25 @@ def corrected_roughness(
     The sample is deposited on a grid with spacing exactly h (the
     correction constant is derived under that spacing), differentiated
     with the Laplacian stencil, and integrated by node sums.  The
-    Poisson-noise bias 2d(2d+1)/(w^d h^(4+d) Np) is then subtracted.
+    Poisson-noise bias 2d(2d+1)/(w^d h^(4+d) Np) is then subtracted.  A
+    scale at which the Laplacian underflows to zero or the noise term
+    leaves the normal floats raises DomainError.
     ``dim`` is as in :func:`kdeband.estimator.build_grid`.
     """
     grid = build_grid(sample, kernel, h, grid_cap=grid_cap, dim=dim)
     d = grid.dim
-    raw = integrate_squared(laplacian(grid))
-    correction = 2 * d * (2 * d + 1) / (kernel.width_w ** d * h ** (4 + d) * sample.size_Np)
+    curvature = laplacian(grid)
+    # The deposit is non-zero and zero-padded, so its Laplacian is zero
+    # everywhere only where every value underflowed.
+    if not np.any(curvature.values):
+        raise DomainError(
+            "grid scale is out of range: the Laplacian stencil underflows to zero"
+        )
+    raw = integrate_squared(curvature)
+    with _out_of_range("bandwidth scale", "the noise term"):
+        correction = _normal(
+            2 * d * (2 * d + 1) / (kernel.width_w ** d * h ** (4 + d) * sample.size_Np)
+        )
     return RoughnessResult(raw=raw, correction=correction, corrected=raw - correction)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kdeband import estimator
 from kdeband import (
     DomainError,
     Sample,
@@ -216,6 +217,17 @@ def test_grid_1d_too_large():
         build_grid_1d(s, TSC, 0.5, grid_cap=10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_span_or_origin_out_of_range_raises_named_error():
+    """A span whose node count overflows is GridTooLarge, and a lattice
+    origin that overflows is DomainError: neither a RuntimeWarning nor a
+    bare OverflowError."""
+    with pytest.raises(GridTooLarge, match="out of range"):
+        build_grid(Sample([-1.7e308, 1.7e308]), TSC, 1.0)
+    with pytest.raises(DomainError, match="out of range"):
+        build_grid(Sample([1e300]), TSC, 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # grid deposit: 3D
 # ---------------------------------------------------------------------------
@@ -408,18 +420,117 @@ def test_hostile_deposit_3d_matches_recorded_bits(kind, family):
     assert digest == HOSTILE_DEPOSIT_3D_SHA256[kind, family]
 
 
+# ---------------------------------------------------------------------------
+# grid deposit: chunks of points
+# ---------------------------------------------------------------------------
+
+def _count_chunks(monkeypatch):
+    """A list that gains one item per chunk a deposit takes."""
+    chunks = []
+    chunk_axes = estimator._chunk_axes
+    monkeypatch.setattr(
+        estimator, "_chunk_axes", lambda *args: chunks.append(1) or chunk_axes(*args)
+    )
+    return chunks
+
+
+# sha256 of build_grid(...).values.tobytes() for a default_rng(5) standard
+# normal sample, TSC, recorded before the deposit took its points in chunks.
+MULTI_CHUNK_DEPOSIT_SHA256 = {
+    (1, 300_000, 0.133): "cfc047e255532eafb49f520f81817c6b8962992feb7da870b2a566554b310403",
+    (3, 100_000, 0.355): "1cf8d00b793f9fe422370ce39df53e43abf5fb19d753471622124f5463e2c10c",
+}
+
+
+@pytest.mark.parametrize("dim, Np, h", sorted(MULTI_CHUNK_DEPOSIT_SHA256))
+def test_multi_chunk_deposit_matches_recorded_bits(dim, Np, h, monkeypatch):
+    """A deposit over several chunks of the default size has the bits it
+    had before the deposit was chunked."""
+    chunks = _count_chunks(monkeypatch)
+    sample = Sample(np.random.default_rng(5).standard_normal(Np if dim == 1 else (Np, dim)))
+    grid = build_grid(sample, kernel_constants("tsc", dim), h)
+    assert len(chunks) == -(-Np // estimator._POINT_CHUNK) > 1
+    digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
+    assert digest == MULTI_CHUNK_DEPOSIT_SHA256[dim, Np, h]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 257])
+def test_recorded_deposits_keep_their_bits_in_small_chunks(chunk, monkeypatch):
+    """The lattice and hostile deposits keep their recorded bits with the
+    points taken 1, 7 or 257 at a time, each chunk deciding its own offset
+    -1 test, zero-weight skips and in-range masks.  The 1D deposits run in
+    many chunks; the 3D ones, whose grids hold more nodes than their
+    samples have points, stay one chunk."""
+    monkeypatch.setattr(estimator, "_POINT_CHUNK", chunk)
+    chunks = _count_chunks(monkeypatch)
+    pins = [
+        (_lattice_sample(dim, 0.5), kernel_constants(family, dim), 0.5, digest)
+        for (family, dim), digest in LATTICE_DEPOSIT_SHA256.items()
+    ] + [
+        (_hostile_sample(kind), kernel_constants(family, 1), 0.37, digest)
+        for (kind, family), digest in HOSTILE_DEPOSIT_SHA256.items()
+    ] + [
+        (_hostile_sample_3d(kind), kernel_constants(family, 3), 0.37, digest)
+        for (kind, family), digest in HOSTILE_DEPOSIT_3D_SHA256.items()
+    ]
+    for sample, kernel, h, digest in pins:
+        chunks.clear()
+        grid = build_grid(sample, kernel, h)
+        assert hashlib.sha256(grid.values.tobytes()).hexdigest() == digest, kernel
+        assert len(chunks) == (-(-sample.size_Np // chunk) if kernel.dim == 1 else 1)
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_3d_deposit_bits_do_not_depend_on_chunk_size(family, monkeypatch):
+    """3000 points on multiples of h/2 in a small box, most of them on
+    some support boundary: a 3D deposit in chunks of 7 or 257 points has
+    the bits of one chunk, and equals direct evaluation at every node."""
+    h = 0.5
+    sample = Sample(np.random.default_rng(11).integers(-4, 5, (3000, 3)) * (h / 2))
+    kernel = kernel_constants(family, 3)
+    chunks = _count_chunks(monkeypatch)
+    digests = set()
+    for chunk in (7, 257, sample.size_Np):
+        monkeypatch.setattr(estimator, "_POINT_CHUNK", chunk)
+        chunks.clear()
+        grid = build_grid(sample, kernel, h)
+        assert len(chunks) == -(-sample.size_Np // chunk)
+        digests.add(hashlib.sha256(grid.values.tobytes()).hexdigest())
+    assert len(digests) == 1
+    direct = estimate_density_3d(sample, kernel, h, _node_mesh(grid)).reshape(grid.dims)
+    assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
+
+
+def _traced_deposit_peak(sample, kernel, h, **kwargs):
+    """Bytes traced at the peak of one deposit, above those before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build_grid(sample, kernel, h, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 # Traced peak of one deposit, in point-sized arrays of 8 Np bytes: 1D at
 # Np = 2e5 and h = 0.133, 3D at Np = 2e4 and h = 0.5, a standard normal
-# sample.  The outermost axis's offsets are streamed and only the inner
-# axes' offsets are kept, so a change that caches the outer axis again
-# (TSC3 25.8, CIC3 18.4) or holds another point-sized array per pass fails.
+# sample.  The 1D deposit runs in chunks, so its peak is a few chunk-sized
+# arrays (1D was 6.01 before chunking).  The 3D samples fit in one chunk:
+# the inner axes keep one squared distance per offset, the points' flat
+# indices once for all axes, and the outermost axis streams its offsets,
+# so a change that caches the outer axis again or keeps an index array per
+# offset (NGP3 13.52, CIC3 17.42, TSC3 22.78 before) fails.
 DEPOSIT_PEAK_POINT_ARRAYS = {
-    ("ngp", 1): 6.01,
-    ("cic", 1): 6.01,
-    ("tsc", 1): 6.01,
-    ("ngp", 3): 13.52,
-    ("cic", 3): 17.42,
-    ("tsc", 3): 22.78,
+    ("ngp", 1): 1.00,
+    ("cic", 1): 1.00,
+    ("tsc", 1): 1.00,
+    ("ngp", 3): 10.53,
+    ("cic", 3): 12.42,
+    ("tsc", 3): 15.78,
 }
 
 
@@ -427,19 +538,27 @@ DEPOSIT_PEAK_POINT_ARRAYS = {
 def test_deposit_peak_memory(family, dim):
     Np, h = (200_000, 0.133) if dim == 1 else (20_000, 0.5)
     sample = Sample(np.random.default_rng(1).standard_normal(Np if dim == 1 else (Np, dim)))
-    kernel = kernel_constants(family, dim)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        build_grid(sample, kernel, h)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
+    peak = _traced_deposit_peak(sample, kernel_constants(family, dim), h)
     assert peak / (8 * Np) <= DEPOSIT_PEAK_POINT_ARRAYS[family, dim]
+
+
+def test_deposit_peak_memory_does_not_grow_with_Np():
+    """A 1D TSC deposit of 1e6 points peaks at the bytes of one of 2e5
+    points, 1.58 MB: its chunks' arrays, not the sample's (48 MB before
+    chunking)."""
+    sample = Sample(np.random.default_rng(1).standard_normal(1_000_000))
+    assert _traced_deposit_peak(sample, TSC, 0.133) <= 1_600_000
+
+
+def test_deposit_peak_memory_on_a_grid_larger_than_the_sample():
+    """Where the grid holds more nodes than the sample has points, the
+    sample is one chunk and each pass goes into the grid once summed: a
+    clipped-Cauchy TSC3 deposit of 2e4 points onto 6.1e5 nodes peaks at
+    2.42 grid-sized arrays, the grid twice and the sample's point arrays
+    (3.39 before chunking; holding all 27 passes' sums would add 27)."""
+    sample = Sample(np.clip(np.random.default_rng(47).standard_cauchy((20_000, 3)), -8.0, 8.0))
+    n_nodes = build_grid(sample, TSC3, 0.2).n_nodes
+    assert _traced_deposit_peak(sample, TSC3, 0.2) / (8 * n_nodes) <= 2.43
 
 
 def _node_mesh(grid):

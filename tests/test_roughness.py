@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from kdeband import (
+    DomainError,
     GridTooLarge,
     NonPositiveBandwidth,
     Sample,
@@ -272,3 +273,13 @@ def test_grid_cap_propagates():
     s = _gauss_sample(1_000, 1)
     with pytest.raises(GridTooLarge):
         corrected_roughness_1d(s, TSC, 0.001, grid_cap=100)
+
+
+@pytest.mark.filterwarnings("error")
+def test_out_of_range_scale_raises_domain_error():
+    """At 2^300 times a 3D standard normal the deposit is in range, but its
+    Laplacian underflows to zero and the noise term's h^7 overflows:
+    DomainError, not raw = 0.0 followed by a bare OverflowError."""
+    s = Sample(np.random.default_rng(0).standard_normal((2000, 3)) * 2.0 ** 300)
+    with pytest.raises(DomainError, match="out of range"):
+        corrected_roughness(s, TSC3, 0.375 * 2.0 ** 300)

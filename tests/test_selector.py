@@ -539,6 +539,13 @@ def test_selection_matches_recorded_bits(law, Np, seed, family, final_h, n_recor
     assert trace.iterations[-1].corrected_roughness.hex() == corrected
 
 
+def test_selection_keeps_recorded_bits_in_small_chunks(monkeypatch):
+    """A 1e5-point selection whose deposits take 3000 points at a time
+    keeps the recorded bits."""
+    monkeypatch.setattr(kdeband.estimator, "_POINT_CHUNK", 3000)
+    test_selection_matches_recorded_bits(*GOLDEN[3])
+
+
 @pytest.mark.parametrize(
     "name, generic, d",
     [
