@@ -132,15 +132,27 @@ _BRANCHES = {
 }
 
 
-def profile_branches(kernel: Kernel) -> tuple:
-    """The closed branches ``(top, W)`` of the kernel's shape W (without
-    its normalization), in ascending order of top."""
-    branches = _BRANCHES.get(kernel.family.removesuffix("3"))
-    if branches is None:
+# Per family, what radial_profile reads on every call: the lower end of
+# each branch's interval, (-inf, then each previous top), and whether W is
+# +0.0 at the last top.
+_FLOORS = {f: (-np.inf,) + tuple(top for top, _ in b[:-1]) for f, b in _BRANCHES.items()}
+_ZERO_AT_TOP = {f: bool(b[-1][1](np.float64(b[-1][0])) == 0.0) for f, b in _BRANCHES.items()}
+
+
+def _family(kernel: Kernel) -> str:
+    """The key of the kernel's shape in ``_BRANCHES``."""
+    family = kernel.family.removesuffix("3")
+    if family not in _BRANCHES:
         raise DomainError(
             f"unknown kernel family {kernel.family!r}; expected one of {KERNEL_FAMILIES}"
         )
-    return branches
+    return family
+
+
+def profile_branches(kernel: Kernel) -> tuple:
+    """The closed branches ``(top, W)`` of the kernel's shape W (without
+    its normalization), in ascending order of top."""
+    return _BRANCHES[_family(kernel)]
 
 
 def radial_profile(
@@ -158,14 +170,16 @@ def radial_profile(
     inside the last branch and hi beyond its top, and W is zero at that top
     (CIC, TSC; not NGP), the last branch is computed on min(r, top), which
     gives W(top) = +0.0 beyond the top.  Each value is bit for bit the one
-    the full selection over all branches gives.
+    the full selection over all branches gives; a scalar r with the bounds
+    (r, r) thus takes one branch and no selection.
     """
-    branches = profile_branches(kernel)
+    family = _family(kernel)
+    branches = _BRANCHES[family]
     out = None
     if bounds is not None:
         lo, hi = bounds
-        tops = [-np.inf] + [top for top, _ in branches]
-        for (top, shape), previous in zip(branches, tops):
+        floors = _FLOORS[family]
+        for (top, shape), previous in zip(branches, floors):
             if previous < lo and hi <= top:
                 out = shape(r)
                 break
@@ -173,7 +187,7 @@ def radial_profile(
             top, shape = branches[-1]
             if lo > top:
                 out = np.zeros_like(r)
-            elif lo > tops[-2] and shape(np.float64(top)) == 0.0:
+            elif lo > floors[-1] and _ZERO_AT_TOP[family]:
                 # W(top) is +0.0, the selection's value beyond the top.
                 out = shape(np.minimum(r, top))
     if out is None:

@@ -1,6 +1,7 @@
 """Density evaluation, grid deposit, stencils, and quadrature."""
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kdeband import estimator
+from kdeband.kernels import radial_profile
 from kdeband import (
     DomainError,
     Sample,
@@ -150,6 +152,103 @@ def test_estimate_3d_edge_cases_match_brute_force(family):
     )
     empty = estimate_density_3d(s, kernel, h, np.zeros((0, 3)))
     assert empty.shape == (0,) and empty.dtype == float
+
+
+def _naive_3d(s, kernel, h, queries):
+    """The naive sum over every (query, point) pair, each radius rounded
+    as the cell list rounds it, sqrt((dx^2 + dy^2) + dz^2) / h with
+    d = point - query; _brute_3d's einsum may round it otherwise."""
+    out = []
+    for q in queries:
+        d = s.points - q
+        d *= d
+        r = np.sqrt(d[:, 0] + d[:, 1] + d[:, 2]) / h
+        out.append(np.sum(radial_profile(kernel, r[r <= 0.5 * kernel.width_w])))
+    return np.array(out) / (s.size_Np * h ** 3)
+
+
+# The 48 unit vectors (+-2, +-3, +-6) / 7, in every order.
+_SEVENTHS = np.array([
+    [sx * a, sy * b, sz * c]
+    for a, b, c in itertools.permutations((2, 3, 6))
+    for sx, sy, sz in itertools.product((-1, 1), repeat=3)
+]) / 7.0
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_estimate_3d_clipped_windows_keep_every_boundary_point(family):
+    """The cell list visits only the columns the support sphere reaches
+    and, in each, only the chord's z cells.  Points on each query's
+    support sphere about queries at offsets up to 2^20 -- along each axis
+    at exactly R and one ulp inside and outside, and in 48 off-axis
+    directions whose rounded radius lands on, just inside or just outside
+    w/2 -- and h/2-lattice samples, give the naive sum, zeros exactly.
+    Where h is a power of two, the points along the axes and on the
+    lattice have exact radii and _brute_3d is the reference; elsewhere the
+    radii need the cell list's own rounding (_naive_3d).  NGP weighs a
+    point at exactly R fully."""
+    kernel = kernel_constants_3d(family)
+    rng = np.random.default_rng(71)
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+
+    def check(s, h, queries, reference):
+        got = estimate_density_3d(s, kernel, h, queries)
+        want = reference(s, kernel, h, queries)
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        return got
+
+    for h in (0.5, 2.0 ** -7):
+        radius = 0.5 * kernel.width_w * h
+        for offset in (0.0, 1024.0, 2.0 ** 20):
+            centres = rng.integers(-64, 65, (4, 3)) * (h / 8) + offset
+            queries = np.concatenate([centres, centres + rng.uniform(-radius, radius, (4, 3))])
+            on_axis = [c + radius * axes for c in centres]
+            exact = check(Sample(np.concatenate(on_axis)), h, queries, _brute_3d)
+            assert np.all(exact[:4] > 0.0) if family == "ngp" else np.all(exact[:4] == 0.0)
+            ulps = [np.nextafter(p, p + side * (p - c)) for c, p in zip(centres, on_axis)
+                    for side in (-1, 1)]
+            check(Sample(np.concatenate(ulps)), h, queries, _brute_3d)
+            check(Sample(np.concatenate([c + radius * _SEVENTHS for c in centres])),
+                  h, queries, _naive_3d)
+
+    h = 0.5
+    for offset in (0.0, 1024.0):
+        s = Sample(rng.integers(-6, 7, (300, 3)) * (h / 2) + offset)
+        check(s, h, rng.integers(-14, 15, (60, 3)) * (h / 4) + offset, _brute_3d)
+    # h/2-lattice queries, each with points at R along every axis, at h
+    # whose cell units round: windows without their margins miss some.
+    for h in rng.uniform(0.05, 8.0, 20):
+        radius = 0.5 * kernel.width_w * h
+        for offset in (0.0, 1024.0):
+            queries = rng.integers(-40, 41, (20, 3)) * (h / 2) + offset
+            s = Sample((queries[:, None, :] + radius * axes).reshape(-1, 3))
+            check(s, h, queries, _naive_3d)
+
+
+# sha256 of estimate_density_3d(...).tobytes() in one chunk of pairs, for
+# 2e4 default_rng(29) standard-normal points and 200 queries (the next
+# draws, times 1.5), recorded when every query visited the whole cube of
+# five cells per axis around it.
+ONE_CHUNK_3D_ESTIMATE_SHA256 = {
+    ("ngp", 0.8): "6195d4a814d1428d966037781a206a988880f02042e4dccdd48567955e4d6216",
+    ("cic", 0.5): "6e362728d8e16947af304328fb5648ec4a8908bcf33d85ed7b1084041d7830eb",
+    ("tsc", 0.4): "0a6d420991052664aa7aa63ff9eca29adc4bae220c2269ee144b9436c1063aa9",
+}
+
+
+@pytest.mark.parametrize("family, h", sorted(ONE_CHUNK_3D_ESTIMATE_SHA256))
+def test_3d_estimate_in_one_chunk_matches_recorded_bits(family, h, monkeypatch):
+    """Windows clipped to the support sphere drop only points outside it
+    and keep the order of the rest, so with every pair in one chunk the
+    estimates keep the bits of the cube windows.  Chunks of pairs can
+    still split a query's sum at another point."""
+    monkeypatch.setattr(estimator, "_PAIR_CHUNK", 1 << 40)
+    rng = np.random.default_rng(29)
+    sample = Sample(rng.standard_normal((20_000, 3)))
+    queries = rng.standard_normal((200, 3)) * 1.5
+    got = estimate_density_3d(sample, kernel_constants_3d(family), h, queries)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == ONE_CHUNK_3D_ESTIMATE_SHA256[family, h]
 
 
 def test_non_finite_queries_rejected():
@@ -501,15 +600,15 @@ def test_3d_deposit_bits_do_not_depend_on_chunk_size(family, monkeypatch):
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
 
-def _traced_deposit_peak(sample, kernel, h, **kwargs):
-    """Bytes traced at the peak of one deposit, above those before it."""
+def _traced_peak(call, *args, **kwargs):
+    """Bytes traced at the peak of one call, above those before it."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        build_grid(sample, kernel, h, **kwargs)
+        call(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
@@ -538,7 +637,7 @@ DEPOSIT_PEAK_POINT_ARRAYS = {
 def test_deposit_peak_memory(family, dim):
     Np, h = (200_000, 0.133) if dim == 1 else (20_000, 0.5)
     sample = Sample(np.random.default_rng(1).standard_normal(Np if dim == 1 else (Np, dim)))
-    peak = _traced_deposit_peak(sample, kernel_constants(family, dim), h)
+    peak = _traced_peak(build_grid, sample, kernel_constants(family, dim), h)
     assert peak / (8 * Np) <= DEPOSIT_PEAK_POINT_ARRAYS[family, dim]
 
 
@@ -547,18 +646,43 @@ def test_deposit_peak_memory_does_not_grow_with_Np():
     points, 1.58 MB: its chunks' arrays, not the sample's (48 MB before
     chunking)."""
     sample = Sample(np.random.default_rng(1).standard_normal(1_000_000))
-    assert _traced_deposit_peak(sample, TSC, 0.133) <= 1_600_000
+    assert _traced_peak(build_grid, sample, TSC, 0.133) <= 1_600_000
 
 
 def test_deposit_peak_memory_on_a_grid_larger_than_the_sample():
     """Where the grid holds more nodes than the sample has points, the
     sample is one chunk and each pass goes into the grid once summed: a
     clipped-Cauchy TSC3 deposit of 2e4 points onto 6.1e5 nodes peaks at
-    2.42 grid-sized arrays, the grid twice and the sample's point arrays
-    (3.39 before chunking; holding all 27 passes' sums would add 27)."""
+    2.42 grid-sized arrays: the grid, one pass's sum and the sample's
+    point arrays (3.39 before chunking; holding all 27 passes' sums would
+    add 27).  The grid no longer copies the deposit, which is not at this
+    peak."""
     sample = Sample(np.clip(np.random.default_rng(47).standard_cauchy((20_000, 3)), -8.0, 8.0))
     n_nodes = build_grid(sample, TSC3, 0.2).n_nodes
-    assert _traced_deposit_peak(sample, TSC3, 0.2) / (8 * n_nodes) <= 2.43
+    assert _traced_peak(build_grid, sample, TSC3, 0.2) / (8 * n_nodes) <= 2.43
+
+
+def test_laplacian_peak_memory():
+    """The stencil sums into its result in place and the grid freezes that
+    array rather than copying it: the Laplacian of a 60^3 grid peaks at the
+    result and one temporary, two interior-sized arrays (3.0 with a new
+    array per step, plus a copy)."""
+    grid = Grid(origin=np.zeros(3), spacing=0.5,
+                values=np.random.default_rng(3).uniform(size=(60, 60, 60)))
+    assert _traced_peak(laplacian, grid) / (8 * 58 ** 3) <= 2.05
+
+
+def test_library_grids_are_read_only_and_caller_arrays_are_copied():
+    """A grid holds its own copy of the values a caller passes; the grids
+    build_grid and laplacian return hold their arrays read-only."""
+    values = np.arange(5.0)
+    grid = Grid(origin=0.0, spacing=1.0, values=values)
+    values[0] = 9.0
+    assert grid.values[0] == 0.0
+    built = build_grid(Sample(np.random.default_rng(2).standard_normal((50, 3))), TSC3, 0.5)
+    for g in (grid, built, laplacian(built)):
+        with pytest.raises(ValueError):
+            g.values[(0,) * g.dim] = 1.0
 
 
 def _node_mesh(grid):
@@ -913,6 +1037,31 @@ def test_sample_summaries():
     assert_allclose(s3.min, [0.0, 2.0, 4.0])
     assert_allclose(s3.max, [2.0, 6.0, 8.0])
     assert_allclose(s3.std, np.mean(np.std(pts, axis=0)), rtol=1e-15)
+
+
+def test_sample_statistics_have_the_bits_of_numpys_reductions():
+    """Sample.min, max and std reduce one column at a time, and keep the
+    bits of numpy's reductions of the whole array along axis 0 (np.std of
+    the array in 1D, which sums pairwise) at every n, d, 2^k scale and
+    1e12 offset tried: the selection's h0 depends on std's bits."""
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 7, 129, 65537):
+        for d in (1, 2, 3, 5):
+            for k, offset in ((-30, 0.0), (0, 1e12), (30, -1e12), (int(rng.integers(-60, 61)), 0.0)):
+                s = Sample(rng.standard_normal((n, d)) * 2.0 ** k + offset)
+                points = s.points
+                assert np.asarray(s.min).tobytes() == np.asarray(points.min(axis=0)).tobytes()
+                assert np.asarray(s.max).tobytes() == np.asarray(points.max(axis=0)).tobytes()
+                std = float(np.mean(np.std(points, axis=0)))
+                assert s.std == std, (n, d, k, offset)
+
+
+def test_sample_std_peak_memory():
+    """Sample.std of a (2e5, 3) sample holds one column-sized array at its
+    peak (3.04 with np.std along axis 0)."""
+    Np = 200_000
+    sample = Sample(np.random.default_rng(1).standard_normal((Np, 3)))
+    assert _traced_peak(lambda: sample.std) / (8 * Np) <= 1.05
 
 
 def test_samples_are_immutable():
