@@ -173,15 +173,16 @@ class Sample:
         """Mean of the per-axis standard deviations, with the bits of
         ``np.mean(np.std(points, axis=0))``.
 
-        In 1D that is np.std itself, which sums a contiguous array
-        pairwise.  Along axis 0 of an (Np, d) array numpy sums row after
-        row, so each column's sums here are the last terms of a cumsum,
-        which adds in that order, and the column's deviations reuse the
-        cumsum's buffer: one column-sized array at a time.
+        numpy sums a contiguous axis pairwise: where each axis is one (1D,
+        or an F-ordered (Np, d) array), this is np.std of each column.
+        Along axis 0 of a C-ordered (Np, d) array numpy sums row after row,
+        so there each column's sums are the last terms of a cumsum, which
+        adds in that order, and the column's deviations reuse the cumsum's
+        buffer.  Either way one column-sized array is live at a time.
         """
         pts = self.points
-        if pts.ndim == 1:
-            return float(np.std(pts))
+        if pts.T.flags.c_contiguous:
+            return float(np.mean(self._per_axis(np.std)))
         n = pts.shape[0]
         buf = np.empty(n)
         stds = np.empty(pts.shape[1])
@@ -335,16 +336,16 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
     over the whole cube of five cells per axis), not with queries x Np.
 
     Cells are numbered by their rank among the occupied cells of each axis,
-    so no key grows with the bounding box, and no table either unless it
-    is shorter than the sample (see _distinct).  A point's cell is the
+    so no key or table grows with the bounding box.  A point's cell is the
     floor of its coordinate in cell units, (x - ref) / edge.  A query's
-    windows are taken in the same units, with margins: R widened by a
-    relative 2^-30, and on each axis a slack of 2^-40 (|t| + R) for the
-    query's coordinate t there, taken off the gap to a column's cells and
-    added to the chord.  Both are far larger than the roundings of the
-    cell units and of a point's radius, so every point with r <= w/2 is
-    visited, one at exactly R included, and that test alone decides
-    which points are weighted, by the kernel's closed branches.
+    windows are taken in the same units, its coordinate t there clamped to
+    within R + 2 cells of the sample's cells (a query farther out sees no
+    cell either way), with margins: R widened by a relative 2^-30, and on
+    each axis a slack of 2^-40 (|t| + R), taken off the gap to a column's
+    cells and added to the chord.  Both are far larger than the roundings
+    of the cell units and of a point's radius, so every point with
+    r <= w/2 is visited, one at exactly R included, and that test alone
+    decides which points are weighted, by the kernel's closed branches.
     """
     h = _check_bandwidth(h)
     common_dim(3, sample=sample.dim, kernel=kernel.dim)
@@ -366,12 +367,12 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
     # Floats holding integers: an int64 cast could overflow on a wide
     # sample at small h.
     occupied, rank = [], []
-    for a, top in enumerate(np.floor((sample.max - ref) / edge)):
-        cells, inverse = _distinct(np.floor((pts[:, a] - ref[a]) / edge), top)
+    for a in range(3):
+        cells, inverse = np.unique(np.floor((pts[:, a] - ref[a]) / edge), return_inverse=True)
         occupied.append(cells)
         rank.append(inverse)
     rows = occupied[1].size  # a column's number is rank_x * rows + rank_y
-    columns, column = _distinct(rank[0] * rows + rank[1], occupied[0].size * rows - 1)
+    columns, column = np.unique(rank[0] * rows + rank[1], return_inverse=True)
     nz = occupied[2].size
     key = column * nz + rank[2]  # below Np**2: no int64 overflow
     order = np.argsort(key)
@@ -380,10 +381,15 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
     coords = [col.take(order) for col in pts.T]
     targets = [np.ascontiguousarray(queries[:, a]) for a in range(3)]
 
-    # The queries in cell units, the window's radius there and each query's
-    # slack per axis.
-    t = [(targets[a] - ref[a]) / edge for a in range(3)]
+    # The window's radius in cell units, the queries there, clamped so that
+    # t and its slack stay finite and bounded by the sample's span (a query
+    # far out may overflow to +-inf first), and each query's slack per axis.
     reach = radius / edge * (1.0 + 2.0 ** -30)
+    with np.errstate(over="ignore"):
+        t = [
+            np.clip((targets[a] - ref[a]) / edge, -(reach + 2.0), occupied[a][-1] + reach + 2.0)
+            for a in range(3)
+        ]
     slack = [2.0 ** -40 * (np.abs(ta) + reach) for ta in t]
 
     def window(a, center, half, q=slice(None)):
@@ -440,18 +446,6 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
         )
         i = j
     return out / (sample.size_Np * h ** 3)
-
-
-def _distinct(values: np.ndarray, top) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` of values that hold
-    integers in [0, top]: the distinct values in ascending order, and the
-    rank of each value among them.  Where that range is shorter than the
-    array, a table of it replaces the sort."""
-    if top >= values.size:
-        return np.unique(values, return_inverse=True)
-    index = values.astype(np.intp)
-    seen = np.bincount(index, minlength=int(top) + 1) > 0
-    return np.flatnonzero(seen).astype(values.dtype), (np.cumsum(seen) - 1)[index]
 
 
 # ---------------------------------------------------------------------------

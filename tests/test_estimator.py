@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kdeband import estimator
 from kdeband.kernels import radial_profile
@@ -224,6 +224,31 @@ def test_estimate_3d_clipped_windows_keep_every_boundary_point(family):
             queries = rng.integers(-40, 41, (20, 3)) * (h / 2) + offset
             s = Sample((queries[:, None, :] + radius * axes).reshape(-1, 3))
             check(s, h, queries, _naive_3d)
+
+
+def test_estimate_3d_far_queries_visit_no_column():
+    """A query far outside the sample, out to +-1e307 where its coordinate
+    in cell units overflows, sees no cell: it reads 0, leaves the other
+    queries' estimates as they are, and allocates nothing beyond the cell
+    list itself.  (Unclamped, an infinite coordinate made a nan window
+    holding every occupied cell: about Np^2 pairs here.)"""
+    rng = np.random.default_rng(3)
+    s = Sample(rng.uniform(0.0, 1e4, (500, 3)))
+    kernel, h = kernel_constants_3d("tsc"), 0.01
+    far = []
+    for a in range(3):
+        for v in (-1e307, -1e300, 1e300, 1e307):
+            q = np.full(3, 5e3)
+            q[a] = v
+            far.append(q)
+    far = np.array(far + [[-1e307, -1e307, 5e3], [1e307, 1e307, 1e307], [-1e307] * 3])
+    near = s.points[:8] + 0.004
+    got = estimate_density_3d(s, kernel, h, np.concatenate([far, near]))
+    assert np.all(got[: len(far)] == 0.0)
+    assert_array_equal(got[len(far):], estimate_density_3d(s, kernel, h, near))
+    assert np.all(got[len(far):] > 0.0)
+    empty = _traced_peak(estimate_density_3d, s, kernel, h, np.zeros((0, 3)))
+    assert _traced_peak(estimate_density_3d, s, kernel, h, far) <= empty + 4096
 
 
 # sha256 of estimate_density_3d(...).tobytes() in one chunk of pairs, for
@@ -1041,27 +1066,32 @@ def test_sample_summaries():
 
 def test_sample_statistics_have_the_bits_of_numpys_reductions():
     """Sample.min, max and std reduce one column at a time, and keep the
-    bits of numpy's reductions of the whole array along axis 0 (np.std of
-    the array in 1D, which sums pairwise) at every n, d, 2^k scale and
-    1e12 offset tried: the selection's h0 depends on std's bits."""
+    bits of numpy's reductions of the whole array along axis 0 at every n,
+    d, 2^k scale and 1e12 offset tried, in C and in F order: numpy sums a
+    C-ordered array's columns row after row and an F-ordered array's (or
+    a 1D array) pairwise.  The selection's h0 depends on std's bits."""
     rng = np.random.default_rng(19)
     for n in (1, 2, 7, 129, 65537):
         for d in (1, 2, 3, 5):
             for k, offset in ((-30, 0.0), (0, 1e12), (30, -1e12), (int(rng.integers(-60, 61)), 0.0)):
-                s = Sample(rng.standard_normal((n, d)) * 2.0 ** k + offset)
-                points = s.points
-                assert np.asarray(s.min).tobytes() == np.asarray(points.min(axis=0)).tobytes()
-                assert np.asarray(s.max).tobytes() == np.asarray(points.max(axis=0)).tobytes()
-                std = float(np.mean(np.std(points, axis=0)))
-                assert s.std == std, (n, d, k, offset)
+                c_points = rng.standard_normal((n, d)) * 2.0 ** k + offset
+                for points in (c_points, np.asfortranarray(c_points)):
+                    s = Sample(points)
+                    if d == 1:
+                        points = points[:, 0]
+                    assert np.asarray(s.min).tobytes() == np.asarray(points.min(axis=0)).tobytes()
+                    assert np.asarray(s.max).tobytes() == np.asarray(points.max(axis=0)).tobytes()
+                    std = float(np.mean(np.std(points, axis=0)))
+                    assert s.std == std, (n, d, k, offset, points.flags.f_contiguous)
 
 
 def test_sample_std_peak_memory():
-    """Sample.std of a (2e5, 3) sample holds one column-sized array at its
-    peak (3.04 with np.std along axis 0)."""
+    """Sample.std of a (2e5, 3) sample, C- or F-ordered, holds one
+    column-sized array at its peak (3.04 with np.std along axis 0)."""
     Np = 200_000
-    sample = Sample(np.random.default_rng(1).standard_normal((Np, 3)))
-    assert _traced_peak(lambda: sample.std) / (8 * Np) <= 1.05
+    points = np.random.default_rng(1).standard_normal((Np, 3))
+    for sample in (Sample(points), Sample(np.asfortranarray(points))):
+        assert _traced_peak(lambda: sample.std) / (8 * Np) <= 1.05
 
 
 def test_samples_are_immutable():
