@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -128,7 +128,10 @@ class Sample:
     """An immutable sample of Np finite points in d dimensions.
 
     ``points`` has shape (Np,) when d = 1 and (Np, d) otherwise; an
-    (Np, 1) array is stored as (Np,).
+    (Np, 1) array is stored as (Np,).  ``min`` and ``max`` are reduced on
+    first use and kept (read-only when d > 1): a selection reads them at
+    every deposit.  ``std`` is computed on each use; a selection reads it
+    once.
     """
 
     points: np.ndarray
@@ -156,16 +159,16 @@ class Sample:
         # with an inner loop of length d over every row, several times
         # slower than d reductions of a column.
         pts = self.points
-        return reduce(pts) if pts.ndim == 1 else np.array([reduce(col) for col in pts.T])
+        return reduce(pts) if pts.ndim == 1 else _frozen_array([reduce(col) for col in pts.T])
 
-    @property
+    @cached_property
     def min(self):
-        """Per-axis minimum (a scalar when d = 1)."""
+        """Per-axis minimum (a scalar when d = 1), reduced once per sample."""
         return self._per_axis(np.min)
 
-    @property
+    @cached_property
     def max(self):
-        """Per-axis maximum (a scalar when d = 1)."""
+        """Per-axis maximum (a scalar when d = 1), reduced once per sample."""
         return self._per_axis(np.max)
 
     @property
@@ -479,7 +482,7 @@ def build_grid(
 
     Each point's weight goes to the nodes within its closed support
     window, one pass per combination of per-axis node offsets (see
-    _axis_offsets and _deposit).  Offsets at which the kernel is zero for
+    _axis_offsets and _passes).  Offsets at which the kernel is zero for
     every point are skipped, which leaves every value bit for bit as it
     would be with every offset computed: TSC runs 3^d passes, CIC 2^d and
     NGP one, plus one more offset on an axis where some point lies exactly
@@ -488,22 +491,28 @@ def build_grid(
 
     The points are taken in chunks of ``_POINT_CHUNK``, so the deposit's
     point-sized arrays are a chunk's, whatever Np.  Each pass sums its
-    weights into an accumulator of its own: the first chunk to run the
-    pass starts it with a bincount, later chunks continue that sum with
-    np.add.at, term by term in point order.  Once no later chunk can add
-    to them, the accumulators go into the grid in pass order, offsets in
-    lexicographic order with -1 first.  Every node thus sums the same
-    terms in the same order as one pass over the whole sample would, and
-    the grid adds the passes in the same order: a chunk skips only passes
-    that would have added +0.0 for its points, and its tighter branch
-    bounds are still bounds (see kernels.radial_profile).
+    weights into an accumulator of its own, at each point's slot (see
+    _chunk_axes), which every pass of a chunk shares: the first chunk to
+    run the pass starts its sums with a bincount, later chunks continue
+    them with np.add.at, term by term in point order.  A pass's offsets
+    only decide which node a slot stands for, so they are applied once,
+    as a shift, when the pass goes into the grid (_add_pass).  Once no
+    later chunk can add to them, the accumulators go into the grid in pass
+    order, offsets in lexicographic order with -1 first.  Every node thus
+    sums the same terms in the same order as one pass over the whole
+    sample would, and the grid adds the passes in the same order: a chunk
+    skips only passes that would have added +0.0 for its points, and its
+    branch bounds, however loose, are still bounds (see
+    kernels.radial_profile).
 
     The accumulators take up to (w+1)^d n values, so the sample is chunked
     only where that is less than 2d(w+1) Np, two point-sized arrays per
     axis and offset: a round bound on what the whole sample in one chunk
-    holds (6 to 16 such arrays, measured).  Otherwise, as when the grid
-    has more nodes than the sample has points, the sample is one chunk and
-    each pass goes into the grid as soon as it is summed.
+    holds (6 to 16 such arrays, measured).  Otherwise the sample is one
+    chunk and each pass goes into the grid as soon as it is summed; where
+    the grid also has more nodes than the sample has points, the slots
+    are the distinct nodes the points take, so that a pass sums at most Np
+    values, not n.
     """
     h = _check_bandwidth(h)
     d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
@@ -514,160 +523,218 @@ def build_grid(
     pts = sample.points.reshape(Np, d)
     w = kernel.width_w
     half = 0.5 * w * h
+    low, top = np.atleast_1d(sample.min), np.atleast_1d(sample.max)
     with _out_of_range("sample scale", "the grid's lattice origin"):
-        origin = np.floor((np.atleast_1d(sample.min) - half) / h) * h
+        origin = np.floor((low - half) / h) * h
     with _out_of_range("sample span", "the grid's node count", GridTooLarge):
-        dims = [
-            int(np.ceil((top + half - low) / h)) + 1
-            for top, low in zip(np.atleast_1d(sample.max), origin)
-        ]
+        dims = [int(np.ceil((high + half - o) / h)) + 1 for high, o in zip(top, origin)]
     n = math.prod(dims)
     if n > cap:
         raise GridTooLarge(
             f"{d}D grid would need {'x'.join(map(str, dims))} = {n} cells "
             f"at h={h:g}, above the cap of {cap}"
         )
-    chunk = _POINT_CHUNK if (w + 1) ** (d - 1) * n < 2 * d * Np else Np
+    # Each axis's node index at offset 0, j0 = ceil((x - w h/2 - origin) / h),
+    # never falls as x grows: the sample's extrema give its range.
+    first, last = (np.ceil((v - half - origin) / h) for v in (low, top))
+    strides = [math.prod(dims[a + 1:]) for a in range(d)]
+    lowest = sum(int(j) * stride for j, stride in zip(first, strides))
+
+    def shift(key):
+        # Slot p stands for node p + lowest at offset 0 (see _chunk_axes),
+        # and at the pass's offsets for that node shifted by this.
+        return lowest + sum(o * stride for o, stride in zip(key, strides))
+
+    one_chunk = (w + 1) ** (d - 1) * n >= 2 * d * Np
+    chunk = Np if one_chunk else _POINT_CHUNK
+    distinct = one_chunk and n > Np  # a pass sums at most Np values, not n
+    slots_size = sum(int(j - f) * stride for j, f, stride in zip(last, first, strides)) + 1
     acc = np.zeros(n, dtype=float)
-    held = {}  # each pass's sum over the chunks so far, by its offsets
+    held = {}  # each pass's sums over the chunks so far, by its offsets
     for start in range(0, Np, chunk):
         final = start + chunk >= Np
-        _deposit(acc, held, final, kernel, h,
-                 *_chunk_axes(pts[start:start + chunk], origin, dims, half, w, h, kernel))
+        slots, occupied, axes = _chunk_axes(pts[start:start + chunk], origin, dims, first, last,
+                                            half, w, h, kernel, distinct)
+        size = slots_size if occupied is None else occupied.size
+        for key, weights in _passes(kernel, h, axes):
+            if key in held:
+                np.add.at(held[key], slots, weights)
+            else:
+                held[key] = np.bincount(slots, weights=weights, minlength=size)
+            del weights  # not to be held while the next pass is computed
+            if final:  # no later chunk runs this pass or one before it
+                for done in sorted(k for k in held if k <= key):
+                    _add_pass(acc, held.pop(done), shift(done), occupied)
     for key in sorted(held):
-        acc += held.pop(key)
+        _add_pass(acc, held.pop(key), shift(key), occupied)
     acc /= Np * h ** d
     return Grid._adopt(origin, h, acc.reshape(dims))
 
 
-def _chunk_axes(points, origin, dims, half, w, h, kernel):
-    """The flat index of each point's node at offset 0 on every axis, and
-    per axis its flat-index stride and offsets (see _axis_offsets).
-
-    The outermost axis's offsets are used once each, so they are streamed
-    and one at a time is held; the inner axes' offsets serve every
-    combination of the axes before them, so they are kept.
+def _add_pass(acc, sums, shift, occupied):
+    """Add one pass's sums into the flat grid ``acc``: slot p's sum to node
+    p + shift, or, where ``occupied`` holds the chunk's distinct slots in
+    ascending order (see _chunk_axes), to occupied[p] + shift.
+    A slot that lands outside the grid holds only masked points, whose
+    weights are +0.0, and is dropped; so, in effect, is every slot's
+    masked point, since a node's sum from +0.0 on is unchanged by adding
+    +0.0.
     """
-    axes = []
-    for a, x in enumerate(points.T):
-        j0 = np.ceil((x - half - origin[a]) / h).astype(np.int64)
-        stride = math.prod(dims[a + 1:])
-        term = j0 if stride == 1 else j0 * stride
-        base = term if a == 0 else base + term
-        offsets = _axis_offsets(x, j0, origin[a], dims[a], half, w, h, kernel)
-        axes.append((stride, offsets if a == 0 else list(offsets)))
-    return base, axes
+    if occupied is None:
+        lo, hi = max(shift, 0), min(acc.size, sums.size + shift)
+        if lo < hi:
+            acc[lo:hi] += sums[lo - shift:hi - shift]
+    else:
+        lo, hi = np.searchsorted(occupied, (-shift, acc.size - shift))
+        acc[occupied[lo:hi] + shift] += sums[lo:hi]
 
 
-def _axis_offsets(x, j0, origin, n, half, w, h, kernel):
+def _chunk_axes(points, origin, dims, first, last, half, w, h, kernel, distinct):
+    """Each point's slot, the slots occupied, and per axis the offsets (see
+    _axis_offsets) of the points of one chunk.
+
+    A point's node at offset 0 on every axis has the flat index
+    sum_a j0_a stride_a, with j0 = ceil((x - w h/2 - origin) / h) on each
+    axis.  Its slot is that index less the lowest one a point of the
+    sample can take, sum_a first_a stride_a, and ``occupied`` is None.
+    Where ``distinct``, the point's slot is instead its rank among the
+    chunk's distinct such slots, which ``occupied`` holds in ascending
+    order.  Every pass of the chunk sums its weights at these slots.
+
+    Each axis holds one array of its points' j0, as floats, which its
+    offsets reuse.  The outermost axis's offsets are used once each, so
+    they are streamed and one at a time is held; the inner axes' offsets
+    serve every combination of the axes before them, so they are kept.
+    """
+    columns = points.T
+    j0 = [np.ceil((x - half - origin[a]) / h) for a, x in enumerate(columns)]
+    # Exact: every value is an integer of magnitude below 2^53.
+    flat = j0[0] - first[0]
+    for a in range(1, len(j0)):
+        flat *= dims[a]
+        flat += j0[a]
+        flat -= first[a]
+    slots = flat.astype(np.int64)
+    del flat
+    occupied = None
+    if distinct:
+        occupied, slots = np.unique(slots, return_inverse=True)
+    axes = [
+        _axis_offsets(x, j, origin[a], dims[a], first[a], last[a], half, w, h, kernel)
+        for a, (x, j) in enumerate(zip(columns, j0))
+    ]
+    return slots, occupied, [axes[0]] + [list(offsets) for offsets in axes[1:]]
+
+
+def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel):
     """Yield, for each offset o in -1..w along one axis that can carry
     weight for the points x of one chunk: o, the in-range mask of node
     j0 + o (None when every node is in range), the squared distance
     dist**2 from each point to its node o steps from
-    j0 = ceil((x - w h/2 - origin) / h), and bounds near**2, far**2 with
-    near**2 <= dist_i**2 <= far**2 for every point of the chunk, all
-    squares rounded.  Every per-point value is the one the whole sample
-    gives; only the offsets kept, the masks built and the bounds depend on
-    the chunk.
+    j0 = ceil((x - w h/2 - origin) / h), given as an array of floats,
+    and bounds near**2, far**2 with near**2 <= dist_i**2 <=
+    far**2 for every point of the chunk, all squares rounded.  ``first``
+    and ``last`` bound j0 over the whole sample.  Every per-point value is
+    the one the whole sample gives; only the offsets kept, the masks built
+    and the bounds depend on the chunk.
+
+    Each distance is computed as ((j0 + o) h + origin) - x in one buffer.
+    j0 + o is an exact integer, so these are the bits of
+    origin + (j0 + o) h - x.
 
     In exact arithmetic j0 is the lowest node inside a point's closed
     support window, but the rounded quotient can land just above an
     integer and put j0 one node past a node that the kernel's own radius
-    still reaches: offset -1.  It is computed only when offset 0's highest
-    distance less h comes within rounding of -w h/2; below that, no
-    point's support reaches it.
+    still reaches: offset -1.  With spacing == h at most w+1 nodes per
+    axis can carry weight, and only w of them unless a point sits exactly
+    on a support boundary.
 
-    With spacing == h at most w+1 nodes per axis can carry weight, and
-    only w of them unless a point sits exactly on a support boundary.  An
-    offset is skipped when the kernel is zero at the radius of the point
-    nearest its node, ``radial_profile(kernel, sqrt(near**2) / h) == 0``.
-    The deposit's radius sqrt(sum of dist**2) / h is never below that on
-    any axis, and the profile never increases with r, so a skipped pass
-    would have added +0.0 for every point of the chunk: the grid is
-    bit-identical with or without it.  TSC thus keeps 3 of its offsets,
-    CIC 2 and NGP 1, except where some point lies on the closed boundary.
+    Only offset 0 is reduced: its lowest and highest distance, measured.
+    Every other offset's distances are offset 0's plus o h, up to the
+    roundings of the products j h, of the sums with origin and of the
+    differences with x, each at most 2^-53 of a magnitude below
+    |origin| + (n + 2w) h, and of o h and its sum with the bound: a few
+    times 2^-52 (|origin| + n h) in all, where n >= w + 1.  So offset o's
+    distances lie within lowest + o h - slack and highest + o h + slack,
+    with slack = 2^-40 (|origin| + n h), hundreds of times those
+    roundings.  An offset is skipped when the kernel is zero at the radius
+    of the nearest such bound, ``radial_profile(kernel, sqrt(near**2) / h)
+    == 0``.  The deposit's radius sqrt(sum of dist**2) / h is never below
+    that on any axis, and the profile never increases with r, so a skipped
+    pass would have added +0.0 for every point of the chunk: the grid is
+    bit-identical with or without it.  On continuous data the point
+    nearest a support edge sits far more than the slack inside it (about
+    h / 2^15 in a chunk of 2^15 points), so TSC keeps 3 of its offsets,
+    CIC 2 and NGP 1; on a lattice a point on the closed boundary keeps one
+    more.  A kept offset's pass may then carry only +0.0, which leaves
+    every bit alone too.
 
     The padded grid holds every node unless rounding pushes one out, so
-    an offset's in-range mask is built only when its lowest and highest
-    nodes say it is needed.
+    an offset's in-range mask is built only when ``first`` and ``last``
+    say it may be needed.
     """
-    first, last = int(j0.min()), int(j0.max())
+    slack = 2.0 ** -40 * (abs(origin) + n * h)
 
     def offset(o):
-        j = j0 + o
-        ok = None if first + o >= 0 and last + o < n else (j >= 0) & (j < n)
-        dist = origin + j * h - x
-        ok = None if ok is None or ok.all() else ok
-        return o, ok, dist, float(dist.min()), float(dist.max())
+        if o:
+            dist = j0 + o
+            dist *= h
+        else:
+            dist = j0 * h
+        dist += origin
+        dist -= x
+        ok = None if first + o >= 0 and last + o < n else (j0 >= -o) & (j0 < n - o)
+        return (None if ok is None or ok.all() else ok), dist
 
-    def candidates():
-        zero = offset(0)
-        # Offset -1's distances are offset 0's less h, up to a few roundings
-        # of numbers no larger than |origin| + n h; the last item of an
-        # offset is its highest distance.
-        if zero[-1] - h >= -half - 2.0 ** -40 * (abs(origin) + n * h):
-            yield offset(-1)
-        yield zero
-        del zero  # a streamed offset's arrays must not outlive its pass
-        for o in range(1, w + 1):
-            yield offset(o)
-
-    for o, ok, dist, lowest, highest in candidates():
-        near, far = max(lowest, -highest, 0.0), max(-lowest, highest)
+    zero = offset(0)
+    lowest, highest = float(zero[1].min()), float(zero[1].max())
+    for o in range(-1, w + 1):
+        widen = slack if o else 0.0
+        lo, hi = lowest + o * h - widen, highest + o * h + widen
+        near, far = max(lo, -hi, 0.0), max(-lo, hi)
         near_sq = near * near
         r = math.sqrt(near_sq) / h
-        if radial_profile(kernel, r, (r, r)) == 0.0:
-            continue
-        dist *= dist
-        yield o, ok, dist, near_sq, far * far
+        if radial_profile(kernel, r, (r, r)) != 0.0:
+            ok, dist = offset(o) if o else zero
+            dist *= dist
+            yield o, ok, dist, near_sq, far * far
+            del ok, dist
+        if o == 0:
+            zero = None  # a streamed offset's arrays must not outlive its pass
 
 
-def _deposit(acc, held, final, kernel, h, base, axes, offsets=(), sq=None, mask=None,
-             bounds_sq=(0.0, 0.0)):
-    """Run each pass of one chunk, in lexicographic order of its per-axis
-    offsets, outer axis first: sum the kernel weight of every point at
-    that combination of offsets into the pass's accumulator in ``held``,
-    keyed by the offsets.  In the ``final`` chunk, each pass then goes
-    into the flat grid ``acc`` with every held pass before it, in key
-    order.
+def _passes(kernel, h, axes, offsets=(), sq=None, mask=None, bounds_sq=(0.0, 0.0)):
+    """Yield each pass of one chunk, in lexicographic order of its per-axis
+    offsets, outer axis first: the offsets and the kernel weight of every
+    point at them, +0.0 where the point's node is masked out of the grid.
 
-    ``axes`` holds each axis's flat-index stride and offsets (see
-    _axis_offsets), and ``base`` each point's flat index at offset 0 on
-    every axis, so a pass's node index is ``base`` plus the sum of its
-    offsets times their strides.  ``offsets``, ``sq``, ``mask`` and
-    ``bounds_sq`` carry the offsets, the summed squared distance, the
-    in-range mask and the sums of the squared (near, far) bounds of the
-    axes before the next one.  At the last axis the radius is
-    r = sqrt(sq) / h; the bounds, summed in the radius's own order, then
-    rooted and divided by h, bound every rounded r, since each step is
-    monotone.  They let the kernel compute only the branch they take (see
-    kernels.radial_profile).  The outermost axis's offsets are streamed,
-    so with one axis r takes the memory of its squares.
+    ``axes`` holds each axis's offsets (see _axis_offsets).  ``offsets``,
+    ``sq``, ``mask`` and ``bounds_sq`` carry the offsets, the summed
+    squared distance, the in-range mask and the sums of the squared
+    (near, far) bounds of the axes before the next one.  At the last axis
+    the radius is r = sqrt(sq) / h; the bounds, summed in the radius's own
+    order, then rooted and divided by h, bound every rounded r, since each
+    step is monotone.  They let the kernel compute only the branch they
+    take (see kernels.radial_profile).  The outermost axis's offsets are
+    streamed, so with one axis r takes the memory of its squares.
     """
     a = len(offsets)
-    for o, ok, dist, near, far in axes[a][1]:
+    for o, ok, dist, near, far in axes[a]:
         key = offsets + (o,)
         m = ok if mask is None else mask if ok is None else mask & ok
         s = dist if sq is None else sq + dist
         near_sq, far_sq = bounds_sq[0] + near, bounds_sq[1] + far
         if a + 1 < len(axes):
-            _deposit(acc, held, final, kernel, h, base, axes, key, s, m, (near_sq, far_sq))
+            yield from _passes(kernel, h, axes, key, s, m, (near_sq, far_sq))
             continue
-        idx = base + sum(step * stride for step, (stride, _) in zip(key, axes))
         r = np.sqrt(s, out=s)
-        if m is not None:
-            idx, r = idx[m], r[m]
         r /= h
-        bounds = (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h)
-        weights = radial_profile(kernel, r, bounds)
-        if key in held:
-            np.add.at(held[key], idx, weights)
-        else:
-            held[key] = np.bincount(idx, weights=weights, minlength=acc.size)
-        del weights  # not to be held while the next pass is computed
-        if final:  # no later chunk runs this pass or one before it
-            for done in sorted(k for k in held if k <= key):
-                acc += held.pop(done)
+        weights = radial_profile(kernel, r, (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h))
+        del r, s
+        if m is not None:
+            weights *= m
+        yield key, weights
+        del weights
 
 
 build_grid_1d = partial(build_grid, dim=1)

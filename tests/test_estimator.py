@@ -29,6 +29,7 @@ from kdeband import (
     kernel_constants_1d,
     kernel_constants_3d,
     laplacian,
+    select_bandwidth,
 )
 
 TSC = kernel_constants_1d("tsc")
@@ -94,11 +95,16 @@ def test_estimate_3d_matches_brute_force():
 
 
 def _brute_3d(s, kernel, h, queries):
-    """The naive double loop over queries and points."""
-    naive = np.array(
-        [np.sum(eval_kernel_3d(kernel, (q - s.points) / h)) for q in queries]
-    )
-    return naive / (s.size_Np * h ** 3)
+    """The naive double loop over queries and points, each radius rounded
+    as the cell list rounds it, sqrt((dx^2 + dy^2) + dz^2) / h with
+    d = point - query.  (A radius taken as sqrt(einsum(x, x)) of
+    x = (q - p) / h may round to the other side of the support edge.)"""
+    out = []
+    for q in queries:
+        d = s.points - q
+        d *= d
+        out.append(np.sum(radial_profile(kernel, np.sqrt(d[:, 0] + d[:, 1] + d[:, 2]) / h)))
+    return np.array(out) / (s.size_Np * h ** 3)
 
 
 @pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
@@ -154,19 +160,6 @@ def test_estimate_3d_edge_cases_match_brute_force(family):
     assert empty.shape == (0,) and empty.dtype == float
 
 
-def _naive_3d(s, kernel, h, queries):
-    """The naive sum over every (query, point) pair, each radius rounded
-    as the cell list rounds it, sqrt((dx^2 + dy^2) + dz^2) / h with
-    d = point - query; _brute_3d's einsum may round it otherwise."""
-    out = []
-    for q in queries:
-        d = s.points - q
-        d *= d
-        r = np.sqrt(d[:, 0] + d[:, 1] + d[:, 2]) / h
-        out.append(np.sum(radial_profile(kernel, r[r <= 0.5 * kernel.width_w])))
-    return np.array(out) / (s.size_Np * h ** 3)
-
-
 # The 48 unit vectors (+-2, +-3, +-6) / 7, in every order.
 _SEVENTHS = np.array([
     [sx * a, sy * b, sz * c]
@@ -183,10 +176,7 @@ def test_estimate_3d_clipped_windows_keep_every_boundary_point(family):
     at exactly R and one ulp inside and outside, and in 48 off-axis
     directions whose rounded radius lands on, just inside or just outside
     w/2 -- and h/2-lattice samples, give the naive sum, zeros exactly.
-    Where h is a power of two, the points along the axes and on the
-    lattice have exact radii and _brute_3d is the reference; elsewhere the
-    radii need the cell list's own rounding (_naive_3d).  NGP weighs a
-    point at exactly R fully."""
+    NGP weighs a point at exactly R fully."""
     kernel = kernel_constants_3d(family)
     rng = np.random.default_rng(71)
     axes = np.vstack([np.eye(3), -np.eye(3)])
@@ -210,7 +200,7 @@ def test_estimate_3d_clipped_windows_keep_every_boundary_point(family):
                     for side in (-1, 1)]
             check(Sample(np.concatenate(ulps)), h, queries, _brute_3d)
             check(Sample(np.concatenate([c + radius * _SEVENTHS for c in centres])),
-                  h, queries, _naive_3d)
+                  h, queries, _brute_3d)
 
     h = 0.5
     for offset in (0.0, 1024.0):
@@ -223,7 +213,29 @@ def test_estimate_3d_clipped_windows_keep_every_boundary_point(family):
         for offset in (0.0, 1024.0):
             queries = rng.integers(-40, 41, (20, 3)) * (h / 2) + offset
             s = Sample((queries[:, None, :] + radius * axes).reshape(-1, 3))
-            check(s, h, queries, _naive_3d)
+            check(s, h, queries, _brute_3d)
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic"])
+def test_estimate_3d_support_edge_at_any_h_matches_brute_force(family):
+    """One point at R along each of the 48 directions (+-2, +-3, +-6) / 7
+    from its own query, the queries 4R apart, at h that are not powers of
+    two: each rounded radius lands on, just inside or just outside w/2,
+    and each query's estimate is its one point's weight, so the cell list
+    and _brute_3d agree exactly, zeros included."""
+    kernel = kernel_constants_3d(family)
+    rng = np.random.default_rng(73)
+    lattice = np.array(list(itertools.product(range(4), range(4), range(3))))
+    weighted = 0
+    for h in np.concatenate([[0.37, 0.1, 1.3], rng.uniform(0.05, 5.0, 5)]):
+        radius = 0.5 * kernel.width_w * h
+        for offset in (0.0, 1024.0):
+            queries = 4 * radius * lattice + rng.integers(-8, 9, (48, 3)) * (h / 8) + offset
+            s = Sample(queries + radius * _SEVENTHS)
+            got = estimate_density_3d(s, kernel, h, queries)
+            assert_array_equal(got, _brute_3d(s, kernel, h, queries))
+            weighted += np.count_nonzero(got)
+    assert 0 < weighted < 16 * 48  # points on both sides of the edge
 
 
 def test_estimate_3d_far_queries_visit_no_column():
@@ -625,6 +637,160 @@ def test_3d_deposit_bits_do_not_depend_on_chunk_size(family, monkeypatch):
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
 
+# sha256 of build_grid(Sample(np.full((15, dim), 1e12)), ..., h).values.tobytes(),
+# recorded before the passes summed at slots shared by the whole chunk.
+COINCIDENT_DEPOSIT_SHA256 = {
+    (1, "ngp", 0.00027): "83abdb5228d6883cdc4d72f9ccef47a9287d943b788ddcda00ce15c72f34471e",
+    (1, "ngp", 3.1e-05): "4e4bec6e5a8958f98f8ffb78ab72e9401f29b5c13d660a2f70711a8418817114",
+    (1, "cic", 0.00027): "8420d5f612f41e8ae197bc585ee92ec79b01ffc79dc84a324e1c5ece4ab9f11f",
+    (1, "cic", 3.1e-05): "4e4bec6e5a8958f98f8ffb78ab72e9401f29b5c13d660a2f70711a8418817114",
+    (1, "tsc", 0.00027): "c170bd420fe5b43e36ca68a2929959b6d50dfcaefd37dcebf84508526d1bb030",
+    (1, "tsc", 3.1e-05): "28e288b8033ad83f6755d86e01f8eb6bcb1c57094610eb17895c1a9800831c7e",
+    (3, "ngp", 0.00027): "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
+    (3, "ngp", 3.1e-05): "e47cdef4ff70c084cef90bc6ce3305ed7cc483711a6e3d37f8699dba77475924",
+    (3, "cic", 0.00027): "1c8ad63f77df9aaeda4873e5d1d3937619c2550aad923bb3593a30706723fa46",
+    (3, "cic", 3.1e-05): "b20101039cb0fcd0d6684679962dcd3c1163e96a1a965294ea611e528688bbe8",
+    (3, "tsc", 0.00027): "392062971eeb12138913b8b20eb647e5a32e65f19ee4bae6ff75c455d19f0548",
+    (3, "tsc", 3.1e-05): "d5dca83a49ea3a2dbb32caf009ada2c7154f796026ec82bafed2a8c3de81d2f2",
+}
+
+
+@pytest.mark.parametrize("dim, family, h", sorted(COINCIDENT_DEPOSIT_SHA256))
+def test_deposit_of_coincident_far_points_matches_recorded_bits(dim, family, h):
+    """15 coincident points at 1e12, where floats lie 1.2e-4 apart, at h
+    of about two spacings or a quarter of one: the grid has 1 to 5 nodes
+    per axis, a point's one slot stands for every node, and a pass's
+    shift can move the slots' sums wholly off the grid, which then drops
+    them.  Every value keeps its recorded bits."""
+    grid = build_grid(Sample(np.full((15, dim), 1e12)), kernel_constants(family, dim), h)
+    digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
+    assert digest == COINCIDENT_DEPOSIT_SHA256[dim, family, h]
+
+
+def _every_offset_kept(monkeypatch):
+    """Turn the deposit's zero-weight skip off: its scalar test of the
+    kernel at an offset's nearest bound always reads non-zero, so every
+    offset -1..w of every axis is built and its pass run."""
+    profile = estimator.radial_profile
+    monkeypatch.setattr(
+        estimator, "radial_profile",
+        lambda kernel, r, bounds=None: 1.0 if np.ndim(r) == 0 else profile(kernel, r, bounds),
+    )
+
+
+def _fuzz_deposit_sample(kind, rng, dim, h, w):
+    """4000 points (600 in 1D) of one kind, in a box small enough that a
+    3D deposit of them runs in chunks: a few ulps either side of support
+    edges k h +- w h/2, on an h/2 lattice, or offset by 1e12."""
+    shape = 600 if dim == 1 else (4000, dim)
+    if kind == "edges":
+        x = rng.integers(-1, 2, shape) * h + rng.choice([-0.5, 0.5], shape) * (w * h)
+        return Sample(x + rng.integers(-3, 4, shape) * np.spacing(x))
+    if kind == "lattice":
+        return Sample(rng.integers(-6, 7, shape) * (h / 2))
+    return Sample(1e12 + rng.uniform(-3.0, 3.0, shape) * h)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_deposit_bits_match_every_offset_kept(family, dim, monkeypatch):
+    """Bounds derived from offset 0 skip only passes that add +0.0: on
+    points a few ulps from support edges, on h/2 lattices and 1e12 from
+    the origin, at h that are not powers of two, the deposit has the bits
+    of the same deposit with every offset -1..w kept.  Each sample is
+    deposited in small chunks, in one chunk, and, cut to its first 150
+    points, onto a grid with more nodes than points, which in 3D is one
+    chunk whose passes sum by the distinct nodes the points take."""
+    kernel = kernel_constants(family, dim)
+    rng = np.random.default_rng(59)
+    distinct = []  # per chunk, whether its passes sum by distinct nodes
+    chunk_axes = estimator._chunk_axes
+
+    def recorded_chunk(*args):
+        chunk = chunk_axes(*args)
+        distinct.append(chunk[1] is not None)
+        return chunk
+
+    monkeypatch.setattr(estimator, "_chunk_axes", recorded_chunk)
+    small = 61 if dim == 1 else 331  # 10 or 13 chunks of the full sample
+    by_distinct_nodes = 0
+    for kind in ("edges", "lattice", "offset"):
+        for h in rng.uniform(0.1, 3.0, 24 if dim == 1 else 6):
+            full = _fuzz_deposit_sample(kind, rng, dim, h, kernel.width_w)
+            cut = Sample(full.points[:150])
+            for sample, chunk in ((full, small), (full, 1 << 20), (cut, 61)):
+                monkeypatch.setattr(estimator, "_POINT_CHUNK", chunk)
+                distinct.clear()
+                got = build_grid(sample, kernel, h).values
+                if sample is full:
+                    assert len(distinct) == -(-full.size_Np // chunk)
+                by_distinct_nodes += distinct == [True]
+                with monkeypatch.context() as every:
+                    _every_offset_kept(every)
+                    want = build_grid(sample, kernel, h).values
+                assert got.tobytes() == want.tobytes(), (kind, h, chunk)
+    assert (by_distinct_nodes > 0) == (dim == 3)
+
+
+class _ScatterSpy:
+    """numpy as the estimator module sees it, except that np.bincount and
+    np.add.at record the index array each call sums at."""
+
+    def __init__(self, seen):
+        self.seen = seen
+        self.add = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, index, *args, **kwargs):
+        self.seen.append(index)
+        return np.bincount(index, *args, **kwargs)
+
+    def at(self, target, index, values):
+        self.seen.append(index)
+        np.add.at(target, index, values)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_deposit_builds_w_offsets_per_axis_and_one_index_per_chunk(family, dim, monkeypatch):
+    """On a 1e5-point Gaussian every chunk keeps exactly the offsets
+    0..w-1 of each axis.  An offset other than 0 is built only once it is
+    kept, and offset 0 always is, so each chunk builds exactly w offsets
+    per axis: never offset -1 or w, which carry no weight.  Every pass of
+    a chunk sums at the one slot array the chunk made: no pass makes an
+    index array of its own."""
+    kernel = kernel_constants(family, dim)
+    w = kernel.width_w
+    Np = 100_000
+    sample = Sample(np.random.default_rng(13).standard_normal(Np if dim == 1 else (Np, dim)))
+    kept, slots, seen = [], [], []
+    axis_offsets, chunk_axes = estimator._axis_offsets, estimator._chunk_axes
+
+    def counted_offsets(*args):
+        kept.append([])
+        for item in axis_offsets(*args):
+            kept[-1].append(item[0])
+            yield item
+
+    def recorded_chunk(*args):
+        chunk = chunk_axes(*args)
+        slots.append(chunk[0])
+        return chunk
+
+    monkeypatch.setattr(estimator, "_axis_offsets", counted_offsets)
+    monkeypatch.setattr(estimator, "_chunk_axes", recorded_chunk)
+    monkeypatch.setattr(estimator, "np", _ScatterSpy(seen))
+    build_grid(sample, kernel, 0.1 if dim == 1 else 0.4)
+    n_chunks = -(-Np // estimator._POINT_CHUNK)
+    assert len(slots) == n_chunks
+    assert kept == [list(range(w))] * (dim * n_chunks)
+    assert len(seen) == w ** dim * n_chunks
+    for c, index in enumerate(slots):
+        assert all(s is index for s in seen[c * w ** dim:(c + 1) * w ** dim])
+
+
 def _traced_peak(call, *args, **kwargs):
     """Bytes traced at the peak of one call, above those before it."""
     started = not tracemalloc.is_tracing()
@@ -643,18 +809,20 @@ def _traced_peak(call, *args, **kwargs):
 # Traced peak of one deposit, in point-sized arrays of 8 Np bytes: 1D at
 # Np = 2e5 and h = 0.133, 3D at Np = 2e4 and h = 0.5, a standard normal
 # sample.  The 1D deposit runs in chunks, so its peak is a few chunk-sized
-# arrays (1D was 6.01 before chunking).  The 3D samples fit in one chunk:
-# the inner axes keep one squared distance per offset, the points' flat
-# indices once for all axes, and the outermost axis streams its offsets,
-# so a change that caches the outer axis again or keeps an index array per
-# offset (NGP3 13.52, CIC3 17.42, TSC3 22.78 before) fails.
+# arrays (1D was 6.01 before chunking, 0.99 before its offsets were built
+# in one buffer).  The 3D samples fit in one chunk: the inner axes keep
+# one squared distance per offset, the points' slots once for all passes,
+# and the outermost axis streams its offsets, so a change that caches the
+# outer axis again or keeps an index array per offset (NGP3 13.52, CIC3
+# 17.42, TSC3 22.78 before; 10.52, 12.41 and 15.77 with one index array
+# per pass) fails.
 DEPOSIT_PEAK_POINT_ARRAYS = {
-    ("ngp", 1): 1.00,
-    ("cic", 1): 1.00,
-    ("tsc", 1): 1.00,
-    ("ngp", 3): 10.53,
-    ("cic", 3): 12.42,
-    ("tsc", 3): 15.78,
+    ("ngp", 1): 0.67,
+    ("cic", 1): 0.67,
+    ("tsc", 1): 0.83,
+    ("ngp", 3): 9.53,
+    ("cic", 3): 11.43,
+    ("tsc", 3): 14.79,
 }
 
 
@@ -668,23 +836,23 @@ def test_deposit_peak_memory(family, dim):
 
 def test_deposit_peak_memory_does_not_grow_with_Np():
     """A 1D TSC deposit of 1e6 points peaks at the bytes of one of 2e5
-    points, 1.58 MB: its chunks' arrays, not the sample's (48 MB before
-    chunking)."""
+    points, 1.32 MB: its chunks' arrays, not the sample's (48 MB before
+    chunking, 1.58 MB before its offsets were built in one buffer)."""
     sample = Sample(np.random.default_rng(1).standard_normal(1_000_000))
-    assert _traced_peak(build_grid, sample, TSC, 0.133) <= 1_600_000
+    assert _traced_peak(build_grid, sample, TSC, 0.133) <= 1_330_000
 
 
 def test_deposit_peak_memory_on_a_grid_larger_than_the_sample():
     """Where the grid holds more nodes than the sample has points, the
-    sample is one chunk and each pass goes into the grid once summed: a
-    clipped-Cauchy TSC3 deposit of 2e4 points onto 6.1e5 nodes peaks at
-    2.42 grid-sized arrays: the grid, one pass's sum and the sample's
-    point arrays (3.39 before chunking; holding all 27 passes' sums would
-    add 27).  The grid no longer copies the deposit, which is not at this
-    peak."""
+    sample is one chunk, each pass sums its weights by the distinct nodes
+    the points take and goes into the grid once summed: a clipped-Cauchy
+    TSC3 deposit of 2e4 points onto 6.1e5 nodes peaks at 1.49 grid-sized
+    arrays, the grid and the sample's point arrays (3.39 before chunking;
+    2.42 while each pass summed into a grid-sized bincount; holding all 27
+    passes' sums would add 27)."""
     sample = Sample(np.clip(np.random.default_rng(47).standard_cauchy((20_000, 3)), -8.0, 8.0))
     n_nodes = build_grid(sample, TSC3, 0.2).n_nodes
-    assert _traced_peak(build_grid, sample, TSC3, 0.2) / (8 * n_nodes) <= 2.43
+    assert _traced_peak(build_grid, sample, TSC3, 0.2) / (8 * n_nodes) <= 1.50
 
 
 def test_laplacian_peak_memory():
@@ -1083,6 +1251,30 @@ def test_sample_statistics_have_the_bits_of_numpys_reductions():
                     assert np.asarray(s.max).tobytes() == np.asarray(points.max(axis=0)).tobytes()
                     std = float(np.mean(np.std(points, axis=0)))
                     assert s.std == std, (n, d, k, offset, points.flags.f_contiguous)
+
+
+def test_sample_extrema_are_reduced_once_and_read_only(monkeypatch):
+    """Sample.min and Sample.max are reduced on first use and kept, with
+    the bits of np.min and np.max along axis 0, and the kept 3D arrays are
+    read-only.  A whole selection of several deposits reduces each once."""
+    rng = np.random.default_rng(23)
+    for points in (rng.standard_normal(1000) * 1e12, rng.standard_normal((1000, 3)) + 1e12):
+        s = Sample(points)
+        for got, want in ((s.min, points.min(axis=0)), (s.max, points.max(axis=0))):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert s.min is s.min and s.max is s.max
+        if points.ndim == 2:
+            for extremum in (s.min, s.max):
+                with pytest.raises(ValueError):
+                    extremum[0] = 0.0
+    reductions = []
+    per_axis = Sample._per_axis
+    monkeypatch.setattr(
+        Sample, "_per_axis", lambda self, reduce: reductions.append(reduce) or per_axis(self, reduce)
+    )
+    trace = select_bandwidth(Sample(rng.standard_normal((20_000, 3))), TSC3)
+    assert len(trace.iterations) > 1
+    assert reductions.count(np.min) == reductions.count(np.max) == 1
 
 
 def test_sample_std_peak_memory():
