@@ -47,7 +47,7 @@ from .errors import (
     NonPositiveBandwidth,
     _out_of_range,
 )
-from .kernels import Kernel, common_dim, profile_branches, radial_profile
+from .kernels import Kernel, _profile_in_place, common_dim, profile_branches, radial_profile
 
 __all__ = [
     "Sample",
@@ -284,6 +284,14 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
     tops with the closed comparisons the kernel itself makes: every point
     takes the branch it would take in the kernel, and only that branch's
     expression is computed for it.
+
+    The offsets of every query are computed in one buffer, sized to the
+    largest window, and each branch overwrites its two slices of it with
+    its values.  A branch's factor (1/2 on TSC's outer branch, else 1)
+    multiplies the sum of its two slices' sums rather than each value:
+    scaling by a power of two is exact while no value is subnormal (none
+    is: see kernels._profile_in_place), so it commutes with every
+    rounding of numpy's pairwise sums, and both give the same bits.
     """
     h = _check_bandwidth(h)
     common_dim(1, sample=sample.dim, kernel=kernel.dim)
@@ -302,10 +310,11 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
     lo = np.searchsorted(pts, queries - reach, side="left")
     hi = np.searchsorted(pts, queries + reach, side="right")
     branches = profile_branches(kernel)
-    tops = np.array([top for top, _ in branches])
+    tops = np.array([top for top, _, _ in branches])
     out = np.empty(queries.size, dtype=float)
-    for q in range(queries.size):
-        u = pts[lo[q]:hi[q]] - queries[q]
+    buf = np.empty((hi - lo).max(initial=0))
+    for q, (start, stop, query) in enumerate(zip(lo, hi, queries)):
+        u = np.subtract(pts[start:stop], query, out=buf[:stop - start])
         u /= h
         # u ascends and |u| has the bits of |(query - x) / h|, so the points
         # with -top <= u <= top are those with |u| <= top: one contiguous
@@ -316,11 +325,28 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
         r = np.abs(u, out=u)
         total = 0.0
         inner_left = inner_right = left[0]
-        for (_, shape), a, b in zip(branches, left, right):
-            total += shape(r[a:inner_left]).sum() + shape(r[inner_right:b]).sum()
+        for (_, evaluate, factor), a, b in zip(branches, left, right):
+            total += factor * (evaluate(r[a:inner_left]).sum() + evaluate(r[inner_right:b]).sum())
             inner_left, inner_right = a, b
         out[q] = total
-    return out / (sample.size_Np * h)
+    out /= sample.size_Np * h
+    return out
+
+
+def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(key, kind="stable") of integer keys 0 <= key < bound.
+
+    numpy's default sort is not stable, and the order it gives tied keys
+    depends on the CPU and the numpy build.  Where bound * key.size fits
+    an int64, the keys key * size + index are distinct and order as the
+    stable sort orders key, so the default sort gives the stable
+    permutation, at well under half the cost of kind="stable" on a 3D
+    sample's cell keys.  Otherwise the stable sort runs.
+    """
+    size = key.size
+    if bound * size < 2 ** 63:  # Python ints: the test cannot overflow
+        return np.argsort(key * size + np.arange(size))
+    return np.argsort(key, kind="stable")
 
 
 def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
@@ -329,7 +355,9 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
     The sample is sorted once by cubic cells of edge R/2, where R = w*h/2
     is the kernel's support radius, into one contiguous coordinate array
     per axis, so the points of one (x, y) cell column in a range of z
-    cells form one contiguous slice.  A query visits only the
+    cells form one contiguous slice.  The sort is stable (see
+    _stable_argsort): each cell keeps its points in sample order, so every
+    query sums in the same order on every machine.  A query visits only the
     columns whose cells come within R of it in (x, y), and in each only
     the z cells within the chord sqrt(R^2 - d^2) of it, d the column's
     distance from the query in (x, y).  The (query, point) pairs of all
@@ -378,7 +406,7 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
     columns, column = np.unique(rank[0] * rows + rank[1], return_inverse=True)
     nz = occupied[2].size
     key = column * nz + rank[2]  # below Np**2: no int64 overflow
-    order = np.argsort(key)
+    order = _stable_argsort(key, columns.size * nz)
     key = key[order]
     del rank, column  # point-sized, not to be held through the pair loop
     coords = [col.take(order) for col in pts.T]
@@ -445,7 +473,7 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
         r /= h
         inside = r <= support
         out += np.bincount(
-            owner[inside], weights=radial_profile(kernel, r[inside]), minlength=out.size
+            owner[inside], weights=_profile_in_place(kernel, r[inside]), minlength=out.size
         )
         i = j
     return out / (sample.size_Np * h ** 3)
@@ -619,20 +647,24 @@ def _chunk_axes(points, origin, dims, first, last, half, w, h, kernel, distinct)
     occupied = None
     if distinct:
         occupied, slots = np.unique(slots, return_inverse=True)
+    # One axis's radius is |dist| / h, the bits of sqrt(dist**2) / h (see
+    # _check_scale); more axes sum their squares.
+    part = np.abs if len(j0) == 1 else np.square
     axes = [
-        _axis_offsets(x, j, origin[a], dims[a], first[a], last[a], half, w, h, kernel)
+        _axis_offsets(x, j, origin[a], dims[a], first[a], last[a], half, w, h, kernel, part)
         for a, (x, j) in enumerate(zip(columns, j0))
     ]
     return slots, occupied, [axes[0]] + [list(offsets) for offsets in axes[1:]]
 
 
-def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel):
+def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel, part):
     """Yield, for each offset o in -1..w along one axis that can carry
     weight for the points x of one chunk: o, the in-range mask of node
-    j0 + o (None when every node is in range), the squared distance
-    dist**2 from each point to its node o steps from
-    j0 = ceil((x - w h/2 - origin) / h), given as an array of floats,
-    and bounds near**2, far**2 with near**2 <= dist_i**2 <=
+    j0 + o (None when every node is in range), part(dist) of the distance
+    dist from each point to its node o steps from
+    j0 = ceil((x - w h/2 - origin) / h), computed in place in an array of
+    floats (``part`` is np.square, or np.abs where the chunk has one
+    axis), and bounds near**2, far**2 with near**2 <= dist_i**2 <=
     far**2 for every point of the chunk, all squares rounded.  ``first``
     and ``last`` bound j0 over the whole sample.  Every per-point value is
     the one the whole sample gives; only the offsets kept, the masks built
@@ -696,8 +728,7 @@ def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel):
         r = math.sqrt(near_sq) / h
         if radial_profile(kernel, r, (r, r)) != 0.0:
             ok, dist = offset(o) if o else zero
-            dist *= dist
-            yield o, ok, dist, near_sq, far * far
+            yield o, ok, part(dist, out=dist), near_sq, far * far
             del ok, dist
         if o == 0:
             zero = None  # a streamed offset's arrays must not outlive its pass
@@ -712,11 +743,18 @@ def _passes(kernel, h, axes, offsets=(), sq=None, mask=None, bounds_sq=(0.0, 0.0
     ``sq``, ``mask`` and ``bounds_sq`` carry the offsets, the summed
     squared distance, the in-range mask and the sums of the squared
     (near, far) bounds of the axes before the next one.  At the last axis
-    the radius is r = sqrt(sq) / h; the bounds, summed in the radius's own
-    order, then rooted and divided by h, bound every rounded r, since each
-    step is monotone.  They let the kernel compute only the branch they
-    take (see kernels.radial_profile).  The outermost axis's offsets are
-    streamed, so with one axis r takes the memory of its squares.
+    the radius is r = sqrt(sq) / h, or |dist| / h with one axis, which
+    has the same bits (see _check_scale); the bounds, summed in the
+    radius's own order, then rooted and divided by h, bound every rounded
+    r, since each step is monotone.  They let the kernel compute only the
+    branch they take (see kernels.radial_profile).  The outermost axis's
+    offsets are streamed, so with one axis r is its offset's own array of
+    distances, and the kernel's values overwrite it.
+
+    The kernel's normalization n and a branch's factor (1/2 on TSC's
+    outer branch, else 1) go in as one multiply by their product, which is
+    exact: fl((factor n) p) and fl(n fl(factor p)) round the same real
+    number (see kernels._profile_in_place).
     """
     a = len(offsets)
     for o, ok, dist, near, far in axes[a]:
@@ -727,9 +765,9 @@ def _passes(kernel, h, axes, offsets=(), sq=None, mask=None, bounds_sq=(0.0, 0.0
         if a + 1 < len(axes):
             yield from _passes(kernel, h, axes, key, s, m, (near_sq, far_sq))
             continue
-        r = np.sqrt(s, out=s)
+        r = s if sq is None else np.sqrt(s, out=s)  # one axis: s holds |dist|
         r /= h
-        weights = radial_profile(kernel, r, (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h))
+        weights = _profile_in_place(kernel, r, (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h))
         del r, s
         if m is not None:
             weights *= m

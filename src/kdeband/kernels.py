@@ -17,6 +17,17 @@ over R^3.
 
 All constants are exact rationals (or rational multiples of 1/pi) and are
 spelled out as such rather than floating literals wherever possible.
+
+Each shape W is one table of closed branches (top, evaluate, factor):
+``evaluate`` overwrites an array of radii with its branch's values, in
+place, and ``factor`` is the branch's exact power-of-two constant (1/2 on
+TSC's outer branch, else 1).  Callers that own their radii evaluate in
+them and apply a factor where it costs least: times the normalization,
+as one multiply (``_profile_in_place``), or times a sum of a branch's
+values (``estimate_density_1d``).  Both keep the bits of multiplying each
+value in turn: a power of two scales a normal float exactly, and no
+branch value is subnormal.  ``radial_profile`` is the same evaluation on
+a copy, which leaves the caller's radii as they are.
 """
 
 from __future__ import annotations
@@ -122,21 +133,30 @@ kernel_constants_1d = partial(kernel_constants, dim=1)
 kernel_constants_3d = partial(kernel_constants, dim=3)
 
 
+def _ones(r):
+    r.fill(1.0)
+    return r
+
+
 # The piecewise shape W of each family as closed branches
-# (top, W on (previous top, top]), in ascending order of top; the first
-# branch starts at r = 0 and W is zero beyond the last top.
+# (top, evaluate, factor), W = factor * evaluate on (previous top, top],
+# in ascending order of top; the first branch starts at r = 0 and W is
+# zero beyond the last top.
 _BRANCHES = {
-    "ngp": ((0.5, np.ones_like),),
-    "cic": ((1.0, lambda r: 1.0 - r),),
-    "tsc": ((0.5, lambda r: 0.75 - r * r), (1.5, lambda r: 0.5 * (1.5 - r) ** 2)),
+    "ngp": ((0.5, _ones, 1.0),),
+    "cic": ((1.0, lambda r: np.subtract(1.0, r, out=r), 1.0),),
+    "tsc": (
+        (0.5, lambda r: np.subtract(0.75, np.multiply(r, r, out=r), out=r), 1.0),
+        (1.5, lambda r: np.square(np.subtract(1.5, r, out=r), out=r), 0.5),
+    ),
 }
 
 
-# Per family, what radial_profile reads on every call: the lower end of
+# Per family, what the profile reads on every call: the lower end of
 # each branch's interval, (-inf, then each previous top), and whether W is
 # +0.0 at the last top.
-_FLOORS = {f: (-np.inf,) + tuple(top for top, _ in b[:-1]) for f, b in _BRANCHES.items()}
-_ZERO_AT_TOP = {f: bool(b[-1][1](np.float64(b[-1][0])) == 0.0) for f, b in _BRANCHES.items()}
+_FLOORS = {f: (-np.inf,) + tuple(top for top, _, _ in b[:-1]) for f, b in _BRANCHES.items()}
+_ZERO_AT_TOP = {f: bool(b[-1][1](np.array(b[-1][0])) == 0.0) for f, b in _BRANCHES.items()}
 
 
 def _family(kernel: Kernel) -> str:
@@ -150,8 +170,10 @@ def _family(kernel: Kernel) -> str:
 
 
 def profile_branches(kernel: Kernel) -> tuple:
-    """The closed branches ``(top, W)`` of the kernel's shape W (without
-    its normalization), in ascending order of top."""
+    """The closed branches ``(top, evaluate, factor)`` of the kernel's
+    shape W (without its normalization), in ascending order of top: W is
+    factor * evaluate on (previous top, top], and evaluate overwrites the
+    array of radii it is given with its values and returns it."""
     return _BRANCHES[_family(kernel)]
 
 
@@ -161,8 +183,9 @@ def radial_profile(
     """normalization * W(r) at radii r >= 0 (in bandwidth units), unchecked.
 
     Branch boundaries of W are closed and the first matching branch wins,
-    so e.g. the NGP kernel is at full height at r = 1/2 exactly.  The grid
-    deposit calls this directly: its radii are non-negative by construction.
+    so e.g. the NGP kernel is at full height at r = 1/2 exactly.  ``r`` is
+    left as it is: the values are computed in a copy of it (see
+    _profile_in_place, which a caller that owns its radii uses instead).
 
     ``bounds``, when given, is a pair (lo, hi) with lo <= r <= hi for
     every r.  If one branch's interval (previous top, top] holds both, only
@@ -173,30 +196,54 @@ def radial_profile(
     the full selection over all branches gives; a scalar r with the bounds
     (r, r) thus takes one branch and no selection.
     """
+    return _profile_in_place(kernel, np.array(r, dtype=float), bounds)
+
+
+def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=None) -> np.ndarray:
+    """radial_profile(kernel, r, bounds), computed in the caller's array
+    of radii r, which it overwrites: the values are returned in r itself
+    where one branch (or zeros) covers the bounds, else in a new array.
+
+    A branch's factor and the kernel's normalization n are applied as one
+    multiply by c = factor * n.  Both factors are exact powers of two and
+    n is a normal float, so c is exact, and fl(c * p) rounds the same real
+    number as fl(n * fl(factor * p)), the value of multiplying them in one
+    at a time: factor * p is exact too, since no branch's value p is
+    subnormal (a TSC outer value (3/2 - r)^2 is 0 or at least 2^-106, as
+    3/2 - r is a multiple of 2^-53).  Where the branches are selected per
+    radius, each is scaled before the selection; the selection's zero
+    beyond the last top is +0.0, as n * 0.0 is.
+    """
     family = _family(kernel)
     branches = _BRANCHES[family]
-    out = None
+    scale = kernel.normalization
     if bounds is not None:
         lo, hi = bounds
         floors = _FLOORS[family]
-        for (top, shape), previous in zip(branches, floors):
+        for (top, evaluate, factor), previous in zip(branches, floors):
             if previous < lo and hi <= top:
-                out = shape(r)
-                break
-        else:
-            top, shape = branches[-1]
-            if lo > top:
-                out = np.zeros_like(r)
-            elif lo > floors[-1] and _ZERO_AT_TOP[family]:
-                # W(top) is +0.0, the selection's value beyond the top.
-                out = shape(np.minimum(r, top))
-    if out is None:
-        out = np.select(
-            [r <= top for top, _ in branches],
-            [shape(r) for _, shape in branches],
-            default=0.0,
-        )
-    return out if kernel.normalization == 1.0 else kernel.normalization * out
+                return _scaled(evaluate(r), factor * scale)
+        top, evaluate, factor = branches[-1]
+        if lo > top:
+            r.fill(0.0)
+            return r
+        if lo > floors[-1] and _ZERO_AT_TOP[family]:
+            # W(top) is +0.0, the selection's value beyond the top.
+            return _scaled(evaluate(np.minimum(r, top, out=r)), factor * scale)
+    conds = [r <= top for top, _, _ in branches]
+    # Every branch but the last is computed in a copy; the last takes r.
+    last = len(branches) - 1
+    choices = [
+        _scaled(evaluate(r if i == last else r.copy()), factor * scale)
+        for i, (_, evaluate, factor) in enumerate(branches)
+    ]
+    return np.select(conds, choices, default=0.0)
+
+
+def _scaled(values: np.ndarray, c: float) -> np.ndarray:
+    if c != 1.0:
+        values *= c
+    return values
 
 
 def eval_kernel_1d(kernel: Kernel, u):

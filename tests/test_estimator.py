@@ -265,12 +265,15 @@ def test_estimate_3d_far_queries_visit_no_column():
 
 # sha256 of estimate_density_3d(...).tobytes() in one chunk of pairs, for
 # 2e4 default_rng(29) standard-normal points and 200 queries (the next
-# draws, times 1.5), recorded when every query visited the whole cube of
-# five cells per axis around it.
+# draws, times 1.5).  Recorded once the cells' points were sorted stably,
+# the same as with every query visiting the whole cube of five cells per
+# axis around it and the cells sorted by np.argsort(key, kind="stable").
+# (The CIC and TSC digests recorded before, with numpy's unstable default
+# sort, held on one CPU and numpy build only.)
 ONE_CHUNK_3D_ESTIMATE_SHA256 = {
     ("ngp", 0.8): "6195d4a814d1428d966037781a206a988880f02042e4dccdd48567955e4d6216",
-    ("cic", 0.5): "6e362728d8e16947af304328fb5648ec4a8908bcf33d85ed7b1084041d7830eb",
-    ("tsc", 0.4): "0a6d420991052664aa7aa63ff9eca29adc4bae220c2269ee144b9436c1063aa9",
+    ("cic", 0.5): "5164d5e4806b7b9eb2dbdcd6fab0be8b96807415e65ab303703e347fa0f89f59",
+    ("tsc", 0.4): "8bbb5872c4b2ac2168aeebb387b801d0c3876787119fd70bc85d7bc14537cbfa",
 }
 
 
@@ -286,6 +289,99 @@ def test_3d_estimate_in_one_chunk_matches_recorded_bits(family, h, monkeypatch):
     queries = rng.standard_normal((200, 3)) * 1.5
     got = estimate_density_3d(sample, kernel_constants_3d(family), h, queries)
     assert hashlib.sha256(got.tobytes()).hexdigest() == ONE_CHUNK_3D_ESTIMATE_SHA256[family, h]
+
+
+def test_3d_cell_order_is_the_stable_sort(monkeypatch):
+    """The cell list orders the points of each cell as the stable sort
+    does, on a lattice sample where most cells hold many points, and
+    where bound * size cannot be an int64 the stable sort itself runs."""
+    seen = []
+    stable_argsort = estimator._stable_argsort
+
+    def recorded(key, bound):
+        order = stable_argsort(key, bound)
+        seen.append((key.copy(), order))
+        return order
+
+    monkeypatch.setattr(estimator, "_stable_argsort", recorded)
+    rng = np.random.default_rng(43)
+    sample = Sample(rng.integers(-4, 5, (6000, 3)) * 0.25)
+    estimate_density_3d(sample, TSC3, 0.5, rng.uniform(-1.0, 1.0, (20, 3)))
+    (key, order), = seen
+    assert np.unique(key).size < key.size // 20
+    assert_array_equal(order, np.argsort(key, kind="stable"))
+    assert_array_equal(stable_argsort(key, 2 ** 62), np.argsort(key, kind="stable"))
+
+
+def _estimate_1d_case(case, w):
+    """(sample points, h, queries) of one recorded 1D evaluation case."""
+    rng = np.random.default_rng(71)
+    h = 0.37
+    if case == "normal":
+        return rng.standard_normal(5000), h, np.linspace(-4.0, 4.0, 401)
+    if case == "offset":
+        points = 1e12 + rng.uniform(-3.0, 3.0, 3000) * h
+        return points, h, 1e12 + np.linspace(-4.0, 4.0, 301) * h
+    if case == "lattice":
+        return rng.integers(-12, 13, 3000) * (h / 2), h, np.arange(-14, 15) * (h / 2)
+    if case == "edges":
+        # Points at exactly q +- top h for every branch top of the three
+        # families, and one ulp either side, about queries q on two scales.
+        queries = np.concatenate([rng.uniform(-2.0, 2.0, 30), rng.integers(-8, 9, 10) * h])
+        at = (queries[:, None] + np.array([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]) * h).ravel()
+        points = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)])
+        return points, h, queries
+    # Queries far outside the sample, whose windows are empty, among near ones.
+    far = np.array([-1e6, -50.0, -6.0 - w * h, 6.0 + w * h, 1e6, 1e300])
+    return rng.uniform(-3.0, 3.0, 2000), h, np.concatenate([far, rng.uniform(-3.0, 3.0, 20)])
+
+
+# sha256 of estimate_density_1d(...).tobytes() for each case of
+# _estimate_1d_case, recorded while each kernel branch was evaluated as a
+# chain of new temporaries, one term at a time.
+ESTIMATE_1D_SHA256 = {
+    ("ngp", "normal"): "04c391d69613ec4190252a9f47dfd2e7c5683c0391340d35969c5dc6044900a0",
+    ("ngp", "offset"): "364630234a93ef1ec87e82678a3148bd05a3186c00f58605d87fc0b29d40dad6",
+    ("ngp", "lattice"): "d30fe8b623222e8a0a4e45f83668d5f5fe9fe0c4abfede839eb2bbf05a87a9eb",
+    ("ngp", "edges"): "4c6e845512388e84ca872ffb7c862a4ecc4c0142e33244f3e7933098bf0f43f1",
+    ("ngp", "far"): "aa484b9e8d9925b630427662da4fe1ea14ab1ff678edf1148befe2341f05896a",
+    ("cic", "normal"): "6b6ca86b7559eae807043dd014cc512a318d67e419070891a1512ea206cad19f",
+    ("cic", "offset"): "8fe06be539a397ee5f209fb523316a1b5dd300c78853f61545abdb5c404e9b0b",
+    ("cic", "lattice"): "19cd12c14cbe2d3075de17ac8c0a9b71fc4a0144a2b420d36cc871a6885183c6",
+    ("cic", "edges"): "a21e00a8e9ce532da6bcac3ab67f30ec34e1a84ce4533628f344a0e6edc193fc",
+    ("cic", "far"): "40b9352f32c275121d39195cbb5a59de2a56cf4ddfdab3e1bb9196e2a907f9fc",
+    ("tsc", "normal"): "80f5a383013bf823f79e22e846a7d547a1aae4c6898f758304c03c66bfda7a59",
+    ("tsc", "offset"): "8831314490f4e92853fb41b844b2960735ef0bd03a7bb525d698e4d9b650a9b1",
+    ("tsc", "lattice"): "8c60d2ef4b5b7e9ba5dded2f053fa4a4a4a95ec5cdbbd6eca181fc719319db40",
+    ("tsc", "edges"): "016f1e2c5646e6f7863fbdaaaba9b675dfe32287451e46123f5bc6d619359f89",
+    ("tsc", "far"): "1d2d11ad19891ba8bb3f255cf250b98c4d395f5f20a3a53e5ad2cb89ec50dcdd",
+}
+
+
+@pytest.mark.parametrize("family, case", sorted(ESTIMATE_1D_SHA256))
+def test_estimate_1d_matches_recorded_bits(family, case):
+    """A normal sample, a sample 1e12 from the origin, an h/2 lattice,
+    points at and one ulp either side of every branch top about each
+    query, and far queries with empty windows: every estimate keeps its
+    recorded bits, and an empty window reads +0.0."""
+    kernel = kernel_constants_1d(family)
+    points, h, queries = _estimate_1d_case(case, kernel.width_w)
+    got = estimate_density_1d(Sample(points), kernel, h, queries)
+    assert got.shape == queries.shape
+    assert hashlib.sha256(got.tobytes()).hexdigest() == ESTIMATE_1D_SHA256[family, case]
+    if case == "far":
+        assert got[:6].tobytes() == np.zeros(6).tobytes()
+        assert np.all(got[6:] > 0.0)
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_estimate_1d_of_no_queries_is_empty(family):
+    """Zero queries give an empty float array, with or without a window."""
+    kernel = kernel_constants_1d(family)
+    sample = Sample(np.random.default_rng(3).standard_normal(100))
+    for queries in ([], np.zeros(0), np.array([1e6])[:0]):
+        got = estimate_density_1d(sample, kernel, 0.3, queries)
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 def test_non_finite_queries_rejected():
@@ -832,6 +928,26 @@ def test_deposit_peak_memory(family, dim):
     sample = Sample(np.random.default_rng(1).standard_normal(Np if dim == 1 else (Np, dim)))
     peak = _traced_peak(build_grid, sample, kernel_constants(family, dim), h)
     assert peak / (8 * Np) <= DEPOSIT_PEAK_POINT_ARRAYS[family, dim]
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_estimate_1d_peak_memory(family):
+    """801 queries of a 1e6-point sample peak at the sorted copy of the
+    sample, one buffer of the largest window's size and eight words per
+    query: 9.32 MB for TSC at h = 0.1345, the 8 MB copy, a 1.29 MB window
+    and 36 bytes per query (10.60 MB while each query's offsets and every
+    branch's values took new arrays)."""
+    kernel = kernel_constants_1d(family)
+    Np, h = 1_000_000, 0.1345
+    sample = Sample(np.random.default_rng(1).standard_normal(Np))
+    queries = np.linspace(-5.0, 5.0, 801)
+    pts = np.sort(sample.points)
+    half = 0.5 * kernel.width_w * h
+    window = np.max(np.searchsorted(pts, queries + half, side="right")
+                    - np.searchsorted(pts, queries - half, side="left"))
+    del pts
+    peak = _traced_peak(estimate_density_1d, sample, kernel, h, queries)
+    assert peak <= 8 * (Np + window) + 64 * queries.size
 
 
 def test_deposit_peak_memory_does_not_grow_with_Np():
