@@ -6,8 +6,8 @@ bandwidth from the data alone, by iterating a noise-corrected curvature
 roughness measurement against the closed-form optimal-bandwidth formula.
 One implementation serves every dimension d, taken from the sample's
 shape (Np, d), and one set of types (``Sample``, ``Grid``, ``Kernel``)
-serves every d.  Only the direct evaluations are one function per
-dimension (``estimate_density_1d``/``_3d``, ``eval_kernel_1d``/``_3d``).
+serves every d, as does ``eval_kernel``.  Only the direct evaluations
+are one function per dimension (``estimate_density_1d``/``_3d``).
 Eight further names fix d of a generic function and do nothing else:
 ``kernel_constants_1d``/``_3d``, ``build_grid_1d``/``_3d``,
 ``select_bandwidth_1d``/``_3d``, ``corrected_roughness_1d`` and

@@ -21,8 +21,8 @@ characterised in closed form.
 Grids are anchored to the absolute lattice {k*h : k integer} rather than
 to the sample minimum, so two samples with the same support tabulate onto
 identical node positions.  Both paths accept the same scale domain of
-(h, Np, d), which ``_check_scale`` tests before any arithmetic: outside
-it they raise DomainError.
+(h, Np, d), which ``_check_scale`` tests before any arithmetic, and a
+grid's nodes must lie within 2^50 h of zero: outside, DomainError.
 
 Every type and function here serves any d, except the direct
 evaluations, which are one per dimension (``estimate_density_1d`` and
@@ -506,7 +506,21 @@ def build_grid(
     ``grid_cap`` bounds the node count (default DEFAULT_GRID_CAP_1D in 1D,
     DEFAULT_GRID_CAP_3D otherwise); a span whose node count overflows
     raises GridTooLarge too.  (h, Np, d) must lie in the scale domain of
-    _check_scale, else DomainError.
+    _check_scale, and no node of the grid may lie more than 2^50 h from
+    zero, else DomainError.
+
+    The second rule lets every offset's node go unchecked.  Inside it,
+    each distance ((j0 + o) h + origin) - x is within about
+    2^-52 (|origin| + n h) <= h/4 of exact (n is far below 2^50 for any
+    grid an array holds), and the quotient behind j0 within 1/8, so the
+    offsets -1..w still reach every node the kernel's closed support
+    holds.  The padded grid reaches w h/2 past the sample on each side,
+    less at most 3h/8 that the origin rounds away, so a node off the grid
+    is at least w h/2 + 5h/8 from every point: its computed radius
+    exceeds w/2 + 3/8, and its weight is +0.0, which changes no node's
+    bits wherever its slot lands, since every sum is >= +0.0.  Farther
+    out, positions round by whole nodes and mass is lost or gained.  The
+    rule depends only on |x| / h, so it holds at every 2^k scaling.
 
     Each point's weight goes to the nodes within its closed support
     window, one pass per combination of per-axis node offsets (see
@@ -553,7 +567,8 @@ def build_grid(
     half = 0.5 * w * h
     low, top = np.atleast_1d(sample.min), np.atleast_1d(sample.max)
     with _out_of_range("sample scale", "the grid's lattice origin"):
-        origin = np.floor((low - half) / h) * h
+        node0 = np.floor((low - half) / h)  # the origin is node0 h, node0 an integer
+        origin = node0 * h
     with _out_of_range("sample span", "the grid's node count", GridTooLarge):
         dims = [int(np.ceil((high + half - o) / h)) + 1 for high, o in zip(top, origin)]
     n = math.prod(dims)
@@ -561,6 +576,13 @@ def build_grid(
         raise GridTooLarge(
             f"{d}D grid would need {'x'.join(map(str, dims))} = {n} cells "
             f"at h={h:g}, above the cap of {cap}"
+        )
+    farthest = max(max(abs(k), abs(k + m - 1)) for k, m in zip(node0, dims))  # in units of h
+    if farthest > 2.0 ** 50:
+        raise DomainError(
+            f"sample offset is out of range: at h = {h:g} the grid's farthest node lies "
+            f"2^{math.log2(farthest):.2f} h from zero, above 2^50 h, where node positions "
+            "round by more than h/8"
         )
     # Each axis's node index at offset 0, j0 = ceil((x - w h/2 - origin) / h),
     # never falls as x grows: the sample's extrema give its range.
@@ -581,7 +603,7 @@ def build_grid(
     held = {}  # each pass's sums over the chunks so far, by its offsets
     for start in range(0, Np, chunk):
         final = start + chunk >= Np
-        slots, occupied, axes = _chunk_axes(pts[start:start + chunk], origin, dims, first, last,
+        slots, occupied, axes = _chunk_axes(pts[start:start + chunk], origin, dims, first,
                                             half, w, h, kernel, distinct)
         size = slots_size if occupied is None else occupied.size
         for key, weights in _passes(kernel, h, axes):
@@ -603,10 +625,10 @@ def _add_pass(acc, sums, shift, occupied):
     """Add one pass's sums into the flat grid ``acc``: slot p's sum to node
     p + shift, or, where ``occupied`` holds the chunk's distinct slots in
     ascending order (see _chunk_axes), to occupied[p] + shift.
-    A slot that lands outside the grid holds only masked points, whose
-    weights are +0.0, and is dropped; so, in effect, is every slot's
-    masked point, since a node's sum from +0.0 on is unchanged by adding
-    +0.0.
+    A slot that lands outside the grid holds only points whose node at
+    this pass is off the grid, whose weights are +0.0 (see build_grid),
+    and is dropped; the empty-range guard keeps a pass that lands wholly
+    off the grid from adding anything.
     """
     if occupied is None:
         lo, hi = max(shift, 0), min(acc.size, sums.size + shift)
@@ -617,7 +639,7 @@ def _add_pass(acc, sums, shift, occupied):
         acc[occupied[lo:hi] + shift] += sums[lo:hi]
 
 
-def _chunk_axes(points, origin, dims, first, last, half, w, h, kernel, distinct):
+def _chunk_axes(points, origin, dims, first, half, w, h, kernel, distinct):
     """Each point's slot, the slots occupied, and per axis the offsets (see
     _axis_offsets) of the points of one chunk.
 
@@ -651,24 +673,24 @@ def _chunk_axes(points, origin, dims, first, last, half, w, h, kernel, distinct)
     # _check_scale); more axes sum their squares.
     part = np.abs if len(j0) == 1 else np.square
     axes = [
-        _axis_offsets(x, j, origin[a], dims[a], first[a], last[a], half, w, h, kernel, part)
+        _axis_offsets(x, j, origin[a], dims[a], half, w, h, kernel, part)
         for a, (x, j) in enumerate(zip(columns, j0))
     ]
     return slots, occupied, [axes[0]] + [list(offsets) for offsets in axes[1:]]
 
 
-def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel, part):
+def _axis_offsets(x, j0, origin, n, half, w, h, kernel, part):
     """Yield, for each offset o in -1..w along one axis that can carry
-    weight for the points x of one chunk: o, the in-range mask of node
-    j0 + o (None when every node is in range), part(dist) of the distance
+    weight for the points x of one chunk: o, part(dist) of the distance
     dist from each point to its node o steps from
     j0 = ceil((x - w h/2 - origin) / h), computed in place in an array of
     floats (``part`` is np.square, or np.abs where the chunk has one
     axis), and bounds near**2, far**2 with near**2 <= dist_i**2 <=
-    far**2 for every point of the chunk, all squares rounded.  ``first``
-    and ``last`` bound j0 over the whole sample.  Every per-point value is
-    the one the whole sample gives; only the offsets kept, the masks built
-    and the bounds depend on the chunk.
+    far**2 for every point of the chunk, all squares rounded.  Every
+    per-point value is the one the whole sample gives; only the offsets
+    kept and the bounds depend on the chunk.  A node j0 + o off the grid
+    needs no mask: its distance puts it outside the kernel's support (see
+    build_grid).
 
     Each distance is computed as ((j0 + o) h + origin) - x in one buffer.
     j0 + o is an exact integer, so these are the bits of
@@ -700,10 +722,6 @@ def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel, part):
     CIC 2 and NGP 1; on a lattice a point on the closed boundary keeps one
     more.  A kept offset's pass may then carry only +0.0, which leaves
     every bit alone too.
-
-    The padded grid holds every node unless rounding pushes one out, so
-    an offset's in-range mask is built only when ``first`` and ``last``
-    say it may be needed.
     """
     slack = 2.0 ** -40 * (abs(origin) + n * h)
 
@@ -715,11 +733,10 @@ def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel, part):
             dist = j0 * h
         dist += origin
         dist -= x
-        ok = None if first + o >= 0 and last + o < n else (j0 >= -o) & (j0 < n - o)
-        return (None if ok is None or ok.all() else ok), dist
+        return dist
 
     zero = offset(0)
-    lowest, highest = float(zero[1].min()), float(zero[1].max())
+    lowest, highest = float(zero.min()), float(zero.max())
     for o in range(-1, w + 1):
         widen = slack if o else 0.0
         lo, hi = lowest + o * h - widen, highest + o * h + widen
@@ -727,29 +744,30 @@ def _axis_offsets(x, j0, origin, n, first, last, half, w, h, kernel, part):
         near_sq = near * near
         r = math.sqrt(near_sq) / h
         if radial_profile(kernel, r, (r, r)) != 0.0:
-            ok, dist = offset(o) if o else zero
-            yield o, ok, part(dist, out=dist), near_sq, far * far
-            del ok, dist
+            dist = offset(o) if o else zero
+            yield o, part(dist, out=dist), near_sq, far * far
+            del dist
         if o == 0:
             zero = None  # a streamed offset's arrays must not outlive its pass
 
 
-def _passes(kernel, h, axes, offsets=(), sq=None, mask=None, bounds_sq=(0.0, 0.0)):
+def _passes(kernel, h, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
     """Yield each pass of one chunk, in lexicographic order of its per-axis
     offsets, outer axis first: the offsets and the kernel weight of every
-    point at them, +0.0 where the point's node is masked out of the grid.
+    point at them, which is +0.0 where the point's node is off the grid
+    (see build_grid).
 
     ``axes`` holds each axis's offsets (see _axis_offsets).  ``offsets``,
-    ``sq``, ``mask`` and ``bounds_sq`` carry the offsets, the summed
-    squared distance, the in-range mask and the sums of the squared
-    (near, far) bounds of the axes before the next one.  At the last axis
-    the radius is r = sqrt(sq) / h, or |dist| / h with one axis, which
-    has the same bits (see _check_scale); the bounds, summed in the
-    radius's own order, then rooted and divided by h, bound every rounded
-    r, since each step is monotone.  They let the kernel compute only the
-    branch they take (see kernels.radial_profile).  The outermost axis's
-    offsets are streamed, so with one axis r is its offset's own array of
-    distances, and the kernel's values overwrite it.
+    ``sq`` and ``bounds_sq`` carry the offsets, the summed squared
+    distance and the sums of the squared (near, far) bounds of the axes
+    before the next one.  At the last axis the radius is r = sqrt(sq) / h,
+    or |dist| / h with one axis, which has the same bits (see
+    _check_scale); the bounds, summed in the radius's own order, then
+    rooted and divided by h, bound every rounded r, since each step is
+    monotone.  They let the kernel compute only the branch they take (see
+    kernels.radial_profile).  The outermost axis's offsets are streamed,
+    so with one axis r is its offset's own array of distances, and the
+    kernel's values overwrite it.
 
     The kernel's normalization n and a branch's factor (1/2 on TSC's
     outer branch, else 1) go in as one multiply by their product, which is
@@ -757,20 +775,17 @@ def _passes(kernel, h, axes, offsets=(), sq=None, mask=None, bounds_sq=(0.0, 0.0
     number (see kernels._profile_in_place).
     """
     a = len(offsets)
-    for o, ok, dist, near, far in axes[a]:
+    for o, dist, near, far in axes[a]:
         key = offsets + (o,)
-        m = ok if mask is None else mask if ok is None else mask & ok
         s = dist if sq is None else sq + dist
         near_sq, far_sq = bounds_sq[0] + near, bounds_sq[1] + far
         if a + 1 < len(axes):
-            yield from _passes(kernel, h, axes, key, s, m, (near_sq, far_sq))
+            yield from _passes(kernel, h, axes, key, s, (near_sq, far_sq))
             continue
         r = s if sq is None else np.sqrt(s, out=s)  # one axis: s holds |dist|
         r /= h
         weights = _profile_in_place(kernel, r, (math.sqrt(near_sq) / h, math.sqrt(far_sq) / h))
         del r, s
-        if m is not None:
-            weights *= m
         yield key, weights
         del weights
 

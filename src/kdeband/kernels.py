@@ -8,12 +8,12 @@ Three classic assignment kernels are provided in one and three dimensions:
 
 Every kernel is radial, ``K(x) = normalization * W(|x|)`` on R^d, with
 the piecewise shape W of its family; in 1D the normalization is 1 and K
-is W itself.  Each kernel carries the closed-form constants that
-bandwidth selection needs: the integer support width ``w`` (in units of
-the bandwidth), the roughness ``R(K) = integral K^2`` and the per-axis
-second moment ``mu2 = integral x1^2 K(x) d^dx``.  The 3D variants
-(families ``ngp3``, ``cic3``, ``tsc3``) are normalised to integrate to one
-over R^3.
+is W itself, and ``eval_kernel`` evaluates K in any d.  Each kernel
+carries the closed-form constants that bandwidth selection needs: the
+integer support width ``w`` (in units of the bandwidth), the roughness
+``R(K) = integral K^2`` and the per-axis second moment
+``mu2 = integral x1^2 K(x) d^dx``.  The 3D variants (families ``ngp3``,
+``cic3``, ``tsc3``) are normalised to integrate to one over R^3.
 
 All constants are exact rationals (or rational multiples of 1/pi) and are
 spelled out as such rather than floating literals wherever possible.
@@ -44,9 +44,7 @@ __all__ = [
     "kernel_constants",
     "kernel_constants_1d",
     "kernel_constants_3d",
-    "eval_kernel_1d",
-    "eval_kernel_3d",
-    "eval_kernel_3d_radial",
+    "eval_kernel",
     "KERNEL_FAMILIES",
 ]
 
@@ -84,9 +82,9 @@ class Kernel:
 
 def common_dim(expected: int | None, **dims: int) -> int:
     """The one dimension shared by the named inputs and, unless None, by
-    ``expected``: the d a function serves only (``estimate_density_1d``,
-    ``eval_kernel_1d``, ...), or the ``dim`` keyword of one of the four
-    functions that the ``_1d``/``_3d`` names fix (``build_grid``,
+    ``expected``: the d a direct evaluation serves only
+    (``estimate_density_1d``/``_3d``), or the ``dim`` keyword of one of
+    the four functions that the ``_1d``/``_3d`` names fix (``build_grid``,
     ``corrected_roughness``, ``optimal_bandwidth``, ``select_bandwidth``).
 
     Raises DomainError naming every dimension when they differ.
@@ -246,46 +244,29 @@ def _scaled(values: np.ndarray, c: float) -> np.ndarray:
     return values
 
 
-def eval_kernel_1d(kernel: Kernel, u):
-    """Evaluate K(u) elementwise.
+def eval_kernel(kernel: Kernel, x):
+    """K(x) = normalization * W(r) at dimensionless offsets x = (y - x_i) / h.
 
-    Parameters
-    ----------
-    kernel : Kernel
-        A 1D kernel.
-    u : array_like
-        Dimensionless offsets (x - x_i) / h.
-
-    Returns
-    -------
-    ndarray or float
-        Kernel values; zero outside |u| <= w/2.
-    """
-    common_dim(1, kernel=kernel.dim)
-    u = np.asarray(u, dtype=float)
-    out = radial_profile(kernel, np.abs(u))
-    return out if out.ndim else float(out)
-
-
-def eval_kernel_3d_radial(kernel: Kernel, r):
-    """Evaluate the 3D radial kernel at radius r >= 0 (in bandwidth units)."""
-    common_dim(3, kernel=kernel.dim)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise DomainError("radial kernel argument must be non-negative")
-    out = radial_profile(kernel, r)
-    return out if out.ndim else float(out)
-
-
-def eval_kernel_3d(kernel: Kernel, x):
-    """Evaluate K3 at one 3-vector, or at each row of an (M, 3) array.
-
-    K3(x) = normalization * W(|x|) with the piecewise shape of the
-    kernel's 1D base family.
+    In 1D, x has any shape and r = |x| elementwise.  In d > 1, x is one
+    d-vector (a float results) or an (M, d) array (M values), and r is the
+    root of each row's sum of squares; a single vector is taken as a
+    one-row array, so it has its row's bits.  Other shapes raise
+    DomainError.  Nothing warns: a sum of squares that overflows is
+    r = inf, and each r past the last top is clamped to the next float,
+    where W is still zero, so no branch the selection discards sees a
+    huge radius.  Every value has the bits of radial_profile(kernel, r).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and x.shape == (3,):
-        return eval_kernel_3d_radial(kernel, float(np.sqrt(np.dot(x, x))))
-    if x.ndim != 2 or x.shape[1] != 3:
-        raise DomainError("x must be a 3-vector or an (M, 3) array")
-    return eval_kernel_3d_radial(kernel, np.sqrt(np.einsum("ij,ij->i", x, x)))
+    d = kernel.dim
+    if d == 1:
+        r = np.abs(x, out=np.empty(x.shape))  # an array even where x is 0-d
+    else:
+        rows = x[None, :] if x.shape == (d,) else x
+        if rows.ndim != 2 or rows.shape[1] != d:
+            raise DomainError(f"x must be a {d}-vector or an (M, {d}) array")
+        r = np.einsum("ij,ij->i", rows, rows)  # inf where a sum overflows, without a warning
+        r = np.sqrt(r, out=r).reshape(x.shape[:-1])
+    top = profile_branches(kernel)[-1][0]
+    np.minimum(r, np.nextafter(top, np.inf), out=r)
+    out = _profile_in_place(kernel, r)
+    return out if out.ndim else float(out)

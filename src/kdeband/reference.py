@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, _normal, _out_of_range
-from .kernels import Kernel, common_dim, eval_kernel_1d, kernel_constants
+from .kernels import Kernel, common_dim, eval_kernel, kernel_constants
 from .samplers import (
     TRIMODAL_MEANS,
     TRIMODAL_SIGMAS,
@@ -148,7 +148,7 @@ def _normal_pdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
 
 
 def _tsc_density_pdf(density, x):
-    return np.asarray(eval_kernel_1d(kernel_constants("tsc", 1), x))
+    return np.asarray(eval_kernel(kernel_constants("tsc", 1), x))
 
 
 def _trimodal_pdf(density, x):

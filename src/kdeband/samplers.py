@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimator import Sample, _check_count
-from .kernels import eval_kernel_1d, kernel_constants
+from .kernels import eval_kernel, kernel_constants
 
 __all__ = [
     "RNG_NAME",
@@ -125,7 +125,7 @@ def sample_tsc_density(Np: int, seed: int) -> Sample:
         m = max(4096, int(np.ceil((Np - filled) * 9.0 / 4.0 * 1.05)))
         y = rng.uniform(-1.5, 1.5, m)
         u = rng.uniform(0.0, 0.75, m)
-        acc = y[u <= eval_kernel_1d(tsc, y)]
+        acc = y[u <= eval_kernel(tsc, y)]
         take = min(Np - filled, acc.size)
         out[filled : filled + take] = acc[:take]
         filled += take

@@ -35,10 +35,10 @@ from kdeband.estimator import (
     laplacian,
 )
 from kdeband.kernels import (
-    eval_kernel_1d,
-    eval_kernel_3d_radial,
+    eval_kernel,
     kernel_constants_1d,
     kernel_constants_3d,
+    radial_profile,
 )
 from kdeband.reference import (
     analytic_optimal_bandwidth,
@@ -382,21 +382,21 @@ def test_acceptance_08_numerical_spot_checks(capsys):
     for fam in ("ngp", "cic", "tsc"):
         kern = kernel_constants_1d(fam)
         r_num, _ = quad(
-            lambda u: eval_kernel_1d(kern, u) ** 2, -1.5, 1.5, points=[-1.0, -0.5, 0.5, 1.0]
+            lambda u: eval_kernel(kern, u) ** 2, -1.5, 1.5, points=[-1.0, -0.5, 0.5, 1.0]
         )
         m_num, _ = quad(
-            lambda u: u * u * eval_kernel_1d(kern, u), -1.5, 1.5,
+            lambda u: u * u * eval_kernel(kern, u), -1.5, 1.5,
             points=[-1.0, -0.5, 0.5, 1.0],
         )
         const_err = max(const_err, abs(r_num - kern.roughness_RK), abs(m_num - kern.second_moment_mu2))
     for fam in ("ngp3", "cic3", "tsc3"):
         kern = kernel_constants_3d(fam)
         r_num, _ = quad(
-            lambda r: 4.0 * np.pi * r * r * eval_kernel_3d_radial(kern, r) ** 2,
+            lambda r: 4.0 * np.pi * r * r * radial_profile(kern, r) ** 2,
             0.0, 1.5, points=[0.5, 1.0],
         )
         m_num, _ = quad(
-            lambda r: (4.0 * np.pi / 3.0) * r ** 4 * eval_kernel_3d_radial(kern, r),
+            lambda r: (4.0 * np.pi / 3.0) * r ** 4 * radial_profile(kern, r),
             0.0, 1.5, points=[0.5, 1.0],
         )
         const_err = max(const_err, abs(r_num - kern.roughness_RK), abs(m_num - kern.second_moment_mu2))
@@ -424,7 +424,7 @@ def test_acceptance_08_numerical_spot_checks(capsys):
     fast = estimate_density_3d(sample3, kern3, h3, targets)
     diff = (targets[:, None, :] - pts[None, :, :]) / h3
     brute = np.array(
-        [np.sum(eval_kernel_3d_radial(kern3, np.linalg.norm(d, axis=1))) for d in diff]
+        [np.sum(radial_profile(kern3, np.linalg.norm(d, axis=1))) for d in diff]
     ) / (200 * h3 ** 3)
     brute_err = float(np.max(np.abs(fast - brute) / np.maximum(brute, 1e-300)))
     checks.append((f"3d window vs brute force {brute_err:.1e}<=1e-12", brute_err <= 1e-12))

@@ -23,8 +23,7 @@ from kdeband import (
     build_grid_3d,
     estimate_density_1d,
     estimate_density_3d,
-    eval_kernel_1d,
-    eval_kernel_3d,
+    eval_kernel,
     integrate_squared,
     kernel_constants_1d,
     kernel_constants_3d,
@@ -75,7 +74,7 @@ def test_estimate_1d_matches_direct_sum():
     h = 0.37
     got = estimate_density_1d(s, TSC, h, queries)
     naive = np.array(
-        [np.sum(eval_kernel_1d(TSC, (q - s.points) / h)) for q in queries]
+        [np.sum(eval_kernel(TSC, (q - s.points) / h)) for q in queries]
     ) / (s.size_Np * h)
     assert_allclose(got, naive, rtol=1e-12)
 
@@ -89,7 +88,7 @@ def test_estimate_3d_matches_brute_force():
     got = estimate_density_3d(s, TSC3, h, queries)
     naive = np.empty(queries.shape[0])
     for i, q in enumerate(queries):
-        naive[i] = np.sum(eval_kernel_3d(TSC3, (q - s.points) / h))
+        naive[i] = np.sum(eval_kernel(TSC3, (q - s.points) / h))
     naive /= s.size_Np * h ** 3
     assert_allclose(got, naive, rtol=1e-12, atol=1e-300)
 
@@ -734,33 +733,112 @@ def test_3d_deposit_bits_do_not_depend_on_chunk_size(family, monkeypatch):
 
 
 # sha256 of build_grid(Sample(np.full((15, dim), 1e12)), ..., h).values.tobytes(),
-# recorded before the passes summed at slots shared by the whole chunk.
+# recorded before the deposit dropped its in-range masks.  At h = 0.0145
+# and 0.1, |x| / h is 2^45.97 and 2^43.19.
 COINCIDENT_DEPOSIT_SHA256 = {
-    (1, "ngp", 0.00027): "83abdb5228d6883cdc4d72f9ccef47a9287d943b788ddcda00ce15c72f34471e",
-    (1, "ngp", 3.1e-05): "4e4bec6e5a8958f98f8ffb78ab72e9401f29b5c13d660a2f70711a8418817114",
-    (1, "cic", 0.00027): "8420d5f612f41e8ae197bc585ee92ec79b01ffc79dc84a324e1c5ece4ab9f11f",
-    (1, "cic", 3.1e-05): "4e4bec6e5a8958f98f8ffb78ab72e9401f29b5c13d660a2f70711a8418817114",
-    (1, "tsc", 0.00027): "c170bd420fe5b43e36ca68a2929959b6d50dfcaefd37dcebf84508526d1bb030",
-    (1, "tsc", 3.1e-05): "28e288b8033ad83f6755d86e01f8eb6bcb1c57094610eb17895c1a9800831c7e",
-    (3, "ngp", 0.00027): "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
-    (3, "ngp", 3.1e-05): "e47cdef4ff70c084cef90bc6ce3305ed7cc483711a6e3d37f8699dba77475924",
-    (3, "cic", 0.00027): "1c8ad63f77df9aaeda4873e5d1d3937619c2550aad923bb3593a30706723fa46",
-    (3, "cic", 3.1e-05): "b20101039cb0fcd0d6684679962dcd3c1163e96a1a965294ea611e528688bbe8",
-    (3, "tsc", 0.00027): "392062971eeb12138913b8b20eb647e5a32e65f19ee4bae6ff75c455d19f0548",
-    (3, "tsc", 3.1e-05): "d5dca83a49ea3a2dbb32caf009ada2c7154f796026ec82bafed2a8c3de81d2f2",
+    (1, "ngp", 0.0145): "b5f82e95d46319d6ad0caee741fed48022ddbdc14b5bffcff1151cdf79242ead",
+    (1, "ngp", 0.1): "0e78deb868638ecc804c0d16d57d34a7f5db15eaff10c88db1d4d09e1a5c9f7c",
+    (1, "cic", 0.0145): "65ac5da0fe5f19361576865856b4ddebe5a08333c6ada239bfe7531c7d3cce99",
+    (1, "cic", 0.1): "04ddc28e7db1626776ad6701b3abbd84a41a651b65c91851e1509ce1deaf8fdc",
+    (1, "tsc", 0.0145): "d05ed673876aab1ef58b9925e5ff2d0f55ee6661b3d253ee80e7f9eb52616be1",
+    (1, "tsc", 0.1): "f764dcd87b1d7482e25c7eba8b7d08f44f4b79b43ad8e5fc4d5e52f4d55d2266",
+    (3, "ngp", 0.0145): "a5645e7a3fa0866cde8842c4dab96567507c3d1a3c028b816bc63f6966367b70",
+    (3, "ngp", 0.1): "7308d9f07920f4cc6a2af06ee8f449ac31ee0939241499e662abaf4f7bd05c16",
+    (3, "cic", 0.0145): "1e223b47f88f4a22c8558d643365e0eb83d44f6d33871c1263fb74fc8d986cc5",
+    (3, "cic", 0.1): "9b5505090f1cfdeac8349eae36394054c19d8f6a9784e177cff5b895aca30db4",
+    (3, "tsc", 0.0145): "0dc0660268827224628e710684fcec954986d693aa4cf013e73802170b88416d",
+    (3, "tsc", 0.1): "b26b1e340e8861386a906bfd677a882daa08bbbbacb7c9682aec36601e263d74",
 }
 
 
-@pytest.mark.parametrize("dim, family, h", sorted(COINCIDENT_DEPOSIT_SHA256))
+# The same points at h of about two float spacings or a quarter of one.
+COINCIDENT_PAST_THE_DOMAIN = [
+    (dim, family, h) for dim in (1, 3) for family in ("ngp", "cic", "tsc")
+    for h in (0.00027, 3.1e-05)
+]
+
+
+@pytest.mark.parametrize(
+    "dim, family, h", sorted(COINCIDENT_DEPOSIT_SHA256) + COINCIDENT_PAST_THE_DOMAIN
+)
 def test_deposit_of_coincident_far_points_matches_recorded_bits(dim, family, h):
-    """15 coincident points at 1e12, where floats lie 1.2e-4 apart, at h
-    of about two spacings or a quarter of one: the grid has 1 to 5 nodes
-    per axis, a point's one slot stands for every node, and a pass's
-    shift can move the slots' sums wholly off the grid, which then drops
-    them.  Every value keeps its recorded bits."""
-    grid = build_grid(Sample(np.full((15, dim), 1e12)), kernel_constants(family, dim), h)
-    digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
+    """15 coincident points at 1e12, where floats lie 1.2e-4 apart.  At h
+    of about 120 or 820 such spacings (|x| / h = 2^46.0 and 2^43.2) the
+    grid has 3 to 5 nodes per axis, a point's one slot stands for every
+    node, and every value keeps its recorded bits.  At h of about two
+    spacings or a quarter of one (2^51.8 and 2^54.8), node positions
+    round by whole nodes, and the deposit raises DomainError instead of
+    depositing the wrong mass."""
+    sample, kernel = Sample(np.full((15, dim), 1e12)), kernel_constants(family, dim)
+    if (dim, family, h) in COINCIDENT_PAST_THE_DOMAIN:
+        with pytest.raises(DomainError, match="offset is out of range"):
+            build_grid(sample, kernel, h)
+        return
+    digest = hashlib.sha256(build_grid(sample, kernel, h).values.tobytes()).hexdigest()
     assert digest == COINCIDENT_DEPOSIT_SHA256[dim, family, h]
+
+
+# sha256 of build_grid(_plane_sample(family), ..., 0.75).values.tobytes(),
+# recorded before the deposit dropped its in-range masks.
+PLANE_DEPOSIT_SHA256 = {
+    "ngp": "3dffb1c00cd44a8bb65675b8ad0b19f4ca5dee525e1466b5c4f793da9113fef0",
+    "cic": "9fb6cb11a0bf9f095057e2255327718c0af3ccd77b0d0a2cc258a8213f3a2549",
+    "tsc": "6901407de8265d8929800131663eecfffafbf83c6359cac9438e5a3a5a35e128",
+}
+
+
+def _plane_sample(kernel, h):
+    """3000 points on the plane x = 2^42 h + w h/2, on an h/2 lattice in y
+    and z: every point's offset-0 node on x is the grid's first."""
+    rng = np.random.default_rng(3)
+    x = 2.0 ** 42 * h + 0.5 * kernel.width_w * h
+    yz = rng.integers(0, 9, (3000, 2)) * (h / 2)
+    return Sample(np.column_stack([np.full(3000, x), yz]))
+
+
+@pytest.mark.parametrize("family", sorted(PLANE_DEPOSIT_SHA256))
+def test_deposit_with_a_pass_wholly_off_the_grid_matches_recorded_bits(family):
+    """At 2^42 h from zero the offset bounds' slack exceeds h, so offset -1
+    of the x axis is kept although its nodes all lie before the grid: its
+    passes land wholly off it, and _add_pass must add none of their sums.
+    The grid has fewer nodes than the sample has points, so the passes go
+    in by slices.  Every value keeps its recorded bits."""
+    kernel, h = kernel_constants(family, 3), 0.75
+    grid = build_grid(_plane_sample(kernel, h), kernel, h)
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == PLANE_DEPOSIT_SHA256[family]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_lattice_domain_boundary(family, dim):
+    """A grid whose farthest node is exactly 2^50 h from zero deposits, on
+    either side of zero, and equals direct evaluation there; one node
+    further raises DomainError.  At h = 1 and h = 0.375 the boundary
+    node is an exact float."""
+    kernel = kernel_constants(family, dim)
+    half = 0.5 * kernel.width_w
+    for h in (1.0, 0.375):
+        for sign in (1.0, -1.0):
+            # the point's farthest node, ceil(x/h + w/2) in units of h, is 2^50
+            x = sign * (2.0 ** 50 - half - 0.5) * h
+            sample = Sample(np.full((1, dim), x))
+            grid = build_grid(sample, kernel, h)
+            nodes = np.atleast_1d(grid.origin)[0] / h + np.array([0, grid.dims[0] - 1])
+            assert np.abs(nodes).max() == 2.0 ** 50
+            assert grid.values.sum() > 0.0
+            if dim == 1:
+                direct = estimate_density_1d(sample, kernel, h, grid.node_coordinates())
+                assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
+            with pytest.raises(DomainError, match="offset is out of range"):
+                build_grid(Sample(np.full((1, dim), x + sign * h)), kernel, h)
+
+
+def test_deposit_of_spread_far_points_past_the_lattice_domain_raises():
+    """1D TSC with 30 points at 1e12 + k 2^-13 and h = 2.58e-5 (2^55.1 h)
+    deposited 74.25 points' worth of weight, and now raises, as NGP3's
+    all-zero grid of the coincident case [3-ngp-0.00027] does."""
+    with pytest.raises(DomainError, match="offset is out of range"):
+        build_grid(Sample(1e12 + np.arange(30) * 2.0 ** -13), TSC, 2.58e-5)
 
 
 def _every_offset_kept(monkeypatch):
@@ -1079,7 +1157,7 @@ def test_estimate_1d_matches_naive_sum_by_branch(kind, family):
         ])
     got = estimate_density_1d(s, kernel, h, queries)
     naive = np.array(
-        [np.sum(eval_kernel_1d(kernel, (q - s.points) / h)) for q in queries]
+        [np.sum(eval_kernel(kernel, (q - s.points) / h)) for q in queries]
     ) / (s.size_Np * h)
     assert_allclose(got, naive, rtol=1e-12, atol=1e-300)
     assert np.array_equal(got == 0.0, naive == 0.0)

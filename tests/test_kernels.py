@@ -7,9 +7,7 @@ from scipy.integrate import quad
 
 from kdeband import (
     DomainError,
-    eval_kernel_1d,
-    eval_kernel_3d,
-    eval_kernel_3d_radial,
+    eval_kernel,
     kernel_constants_1d,
     kernel_constants_3d,
 )
@@ -52,8 +50,8 @@ def test_constants_1d_match_quadrature(family):
     k = kernel_constants_1d(family)
     half = k.width_w / 2.0
     breaks = [b for b in (-1.0, -0.5, 0.5, 1.0) if abs(b) < half]
-    rk, _ = quad(lambda u: eval_kernel_1d(k, u) ** 2, -half, half, points=breaks)
-    mu2, _ = quad(lambda u: u * u * eval_kernel_1d(k, u), -half, half, points=breaks)
+    rk, _ = quad(lambda u: eval_kernel(k, u) ** 2, -half, half, points=breaks)
+    mu2, _ = quad(lambda u: u * u * eval_kernel(k, u), -half, half, points=breaks)
     assert_allclose(rk, k.roughness_RK, rtol=1e-10)
     assert_allclose(mu2, k.second_moment_mu2, rtol=1e-10)
 
@@ -66,7 +64,7 @@ def test_unit_integral_1d(family):
     n = 1_000_000
     step = (2.0 * half) / n
     mid = -half + (np.arange(n) + 0.5) * step
-    total = eval_kernel_1d(k, mid).sum() * step
+    total = eval_kernel(k, mid).sum() * step
     assert_allclose(total, 1.0, rtol=1e-8)
 
 
@@ -79,33 +77,33 @@ def test_eval_1d_examples():
     tsc = kernel_constants_1d("tsc")
     ngp = kernel_constants_1d("ngp")
     cic = kernel_constants_1d("cic")
-    assert eval_kernel_1d(tsc, 0.0) == 0.75
-    assert eval_kernel_1d(ngp, 0.7) == 0.0
-    assert eval_kernel_1d(tsc, 1.0) == 0.125
-    assert eval_kernel_1d(cic, -0.25) == 0.75
+    assert eval_kernel(tsc, 0.0) == 0.75
+    assert eval_kernel(ngp, 0.7) == 0.0
+    assert eval_kernel(tsc, 1.0) == 0.125
+    assert eval_kernel(cic, -0.25) == 0.75
 
 
 def test_closed_boundaries():
     """Branch boundaries are closed: the first listed branch wins."""
     ngp = kernel_constants_1d("ngp")
-    assert eval_kernel_1d(ngp, 0.5) == 1.0
-    assert eval_kernel_1d(ngp, -0.5) == 1.0
-    assert eval_kernel_1d(ngp, np.nextafter(0.5, 1.0)) == 0.0
+    assert eval_kernel(ngp, 0.5) == 1.0
+    assert eval_kernel(ngp, -0.5) == 1.0
+    assert eval_kernel(ngp, np.nextafter(0.5, 1.0)) == 0.0
     cic = kernel_constants_1d("cic")
-    assert eval_kernel_1d(cic, 1.0) == 0.0
-    assert eval_kernel_1d(cic, np.nextafter(1.0, 2.0)) == 0.0
+    assert eval_kernel(cic, 1.0) == 0.0
+    assert eval_kernel(cic, np.nextafter(1.0, 2.0)) == 0.0
 
 
 def test_tsc_branches_join():
     """The TSC parabola pieces agree at their shared boundaries."""
     tsc = kernel_constants_1d("tsc")
     # both branch formulas give the same value at |u| = 1/2 and 3/2
-    assert eval_kernel_1d(tsc, 0.5) == 0.5
+    assert eval_kernel(tsc, 0.5) == 0.5
     assert abs(0.5 * (1.5 - 0.5) ** 2 - (0.75 - 0.5 ** 2)) < 1e-15
-    assert eval_kernel_1d(tsc, 1.5) == 0.0
+    assert eval_kernel(tsc, 1.5) == 0.0
     for u0 in (0.5, 1.5):
-        lo = eval_kernel_1d(tsc, u0 - 1e-9)
-        hi = eval_kernel_1d(tsc, u0 + 1e-9)
+        lo = eval_kernel(tsc, u0 - 1e-9)
+        hi = eval_kernel(tsc, u0 + 1e-9)
         assert abs(lo - hi) < 1e-8
 
 
@@ -115,7 +113,7 @@ def test_symmetry_bit_exact(family):
     k = kernel_constants_1d(family)
     rng = np.random.default_rng(42)
     u = rng.uniform(-2.0, 2.0, 10_000)
-    assert np.array_equal(eval_kernel_1d(k, u), eval_kernel_1d(k, -u))
+    assert np.array_equal(eval_kernel(k, u), eval_kernel(k, -u))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -127,8 +125,8 @@ def test_zero_outside_support(family):
     inside = rng.uniform(-half, half, 1000)
     outside = np.concatenate([rng.uniform(half, 3 * half, 500) + 1e-12,
                               -rng.uniform(half, 3 * half, 500) - 1e-12])
-    assert np.all(eval_kernel_1d(k, inside) >= 0.0)
-    assert np.all(eval_kernel_1d(k, outside) == 0.0)
+    assert np.all(eval_kernel(k, inside) >= 0.0)
+    assert np.all(eval_kernel(k, outside) == 0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -228,7 +226,7 @@ def test_constants_3d_match_quadrature(family):
 
 def _shape(kernel3, r):
     """Dimensionless profile W(r) recovered from the normalised kernel."""
-    return eval_kernel_3d_radial(kernel3, r) / kernel3.normalization
+    return radial_profile(kernel3, r) / kernel3.normalization
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +238,10 @@ def test_eval_3d_examples():
     ngp3 = kernel_constants_3d("ngp")
     tsc3 = kernel_constants_3d("tsc")
     cic3 = kernel_constants_3d("cic")
-    assert_allclose(eval_kernel_3d(ngp3, np.zeros(3)), 6.0 / np.pi, rtol=1e-15)
-    assert_allclose(eval_kernel_3d(tsc3, np.zeros(3)), 3.0 / (2.0 * np.pi), rtol=1e-15)
-    assert eval_kernel_3d(cic3, np.array([1.5, 0.0, 0.0])) == 0.0
-    assert eval_kernel_3d(cic3, np.array([0.9, 0.9, 0.9])) == 0.0
+    assert_allclose(eval_kernel(ngp3, np.zeros(3)), 6.0 / np.pi, rtol=1e-15)
+    assert_allclose(eval_kernel(tsc3, np.zeros(3)), 3.0 / (2.0 * np.pi), rtol=1e-15)
+    assert eval_kernel(cic3, np.array([1.5, 0.0, 0.0])) == 0.0
+    assert eval_kernel(cic3, np.array([0.9, 0.9, 0.9])) == 0.0
 
 
 def test_eval_3d_vectorized_rows():
@@ -251,8 +249,8 @@ def test_eval_3d_vectorized_rows():
     k = kernel_constants_3d("tsc")
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.0, 2.0, (50, 3))
-    batch = eval_kernel_3d(k, pts)
-    single = np.array([eval_kernel_3d(k, p) for p in pts])
+    batch = eval_kernel(k, pts)
+    single = np.array([eval_kernel(k, p) for p in pts])
     assert np.array_equal(batch, single)
 
 
@@ -263,35 +261,80 @@ def test_eval_3d_radial_reduction():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, (200, 3))
     flipped = pts * np.array([-1.0, 1.0, -1.0])
-    assert np.array_equal(eval_kernel_3d(k, pts), eval_kernel_3d(k, flipped))
+    assert np.array_equal(eval_kernel(k, pts), eval_kernel(k, flipped))
     r = 0.6
-    a = eval_kernel_3d(k, np.array([r, 0.0, 0.0]))
-    b = eval_kernel_3d(k, np.array([0.0, r, 0.0]))
-    c = eval_kernel_3d(k, np.array([r / np.sqrt(3.0)] * 3))
+    a = eval_kernel(k, np.array([r, 0.0, 0.0]))
+    b = eval_kernel(k, np.array([0.0, r, 0.0]))
+    c = eval_kernel(k, np.array([r / np.sqrt(3.0)] * 3))
     assert a == b
     assert_allclose(c, a, rtol=1e-14)
 
 
 def test_eval_3d_radial_matches_vector_form():
-    """eval_kernel_3d_radial(r) equals eval_kernel_3d at (r, 0, 0)."""
+    """radial_profile(r) equals eval_kernel at (r, 0, 0)."""
     for family in FAMILIES:
         k = kernel_constants_3d(family)
         rs = np.linspace(0.0, 2.0, 41)
-        radial = eval_kernel_3d_radial(k, rs)
+        radial = radial_profile(k, rs)
         vecs = np.column_stack([rs, np.zeros_like(rs), np.zeros_like(rs)])
-        assert np.array_equal(radial, eval_kernel_3d(k, vecs))
-
-
-def test_eval_3d_radial_rejects_negative():
-    k = kernel_constants_3d("tsc")
-    with pytest.raises(DomainError):
-        eval_kernel_3d_radial(k, -0.1)
+        assert np.array_equal(radial, eval_kernel(k, vecs))
 
 
 def test_eval_3d_rejects_bad_shape():
     k = kernel_constants_3d("tsc")
     with pytest.raises(DomainError):
-        eval_kernel_3d(k, np.zeros((4, 2)))
+        eval_kernel(k, np.zeros((4, 2)))
+
+
+def test_eval_kernel_result_shapes():
+    """A 1D kernel maps any shape elementwise and a scalar to a float; a 3D
+    kernel maps a 3-vector to a float and an (M, 3) array to M values, and
+    rejects every other shape."""
+    k, k3 = kernel_constants_1d("tsc"), kernel_constants_3d("tsc")
+    for x in (np.zeros(2), np.zeros((2, 3, 3)), 0.5):
+        with pytest.raises(DomainError):
+            eval_kernel(k3, x)
+    assert type(eval_kernel(k, 0.25)) is float
+    assert eval_kernel(k, np.zeros((2, 3))).shape == (2, 3)
+    assert type(eval_kernel(k3, [0.25, 0.0, 0.0])) is float
+    assert eval_kernel(k3, np.zeros((5, 3))).shape == (5,)
+    assert eval_kernel(k3, np.zeros((0, 3))).shape == (0,)
+
+
+def _edge_offsets(top):
+    """Offsets that make radii huge, subnormal, signed zero and a support
+    edge top exactly or one ulp either side, each with both signs."""
+    edges = [np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)]
+    magnitudes = [1e200, 1e308, 5e-324, 0.0, 0.2] + edges
+    return np.array([m * sign for m in magnitudes for sign in (1.0, -1.0)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eval_kernel_never_warns_and_keeps_profile_bits(family, dim):
+    """At offsets of +-1e200, +-1e308, +-5e-324, -0.0 and support edges
+    +-1 ulp, in 1D and as 3D vectors and rows, eval_kernel warns of no
+    overflow in a branch it discards: it reads 0 beyond the support and,
+    elsewhere, the bits of radial_profile at the radius."""
+    k = kernel_constants_1d(family) if dim == 1 else kernel_constants_3d(family)
+    half = 0.5 * k.width_w
+    u = _edge_offsets(half)
+    if dim == 1:
+        got, r = eval_kernel(k, u), np.abs(u)
+        assert [eval_kernel(k, x) for x in u] == got.tolist()
+    else:
+        rows = np.zeros((u.size * 3, 3))
+        for axis in range(3):
+            rows[axis * u.size:(axis + 1) * u.size, axis] = u
+        got, r = eval_kernel(k, rows), np.abs(rows).max(axis=1)
+        assert [eval_kernel(k, row) for row in rows] == got.tolist()
+        # squares that overflow, and a norm past the largest float
+        huge = np.array([[1e200, 1e200, 1e200], [-1.7e308, 1.7e308, 0.0]])
+        assert eval_kernel(k, huge).tolist() == [0.0, 0.0]
+    inside = r <= half
+    assert not np.any(got[~inside])
+    assert got[inside].tobytes() == radial_profile(k, r[inside]).tobytes()
 
 
 # ---------------------------------------------------------------------------

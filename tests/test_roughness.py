@@ -20,7 +20,7 @@ from kdeband import (
     Sample,
     corrected_roughness,
     corrected_roughness_1d,
-    eval_kernel_1d,
+    eval_kernel,
     kernel_constants_1d,
     kernel_constants_3d,
 )
@@ -135,7 +135,7 @@ def _smoothed_curvature_roughness(h, kernel, extent=9.0):
 
     def smoothed(x):
         val, _ = quad(
-            lambda u: eval_kernel_1d(kernel, u)
+            lambda u: eval_kernel(kernel, u)
             * np.exp(-0.5 * (x - h * u) ** 2) / np.sqrt(2.0 * np.pi),
             -half, half, points=[-0.5, 0.5], limit=200,
         )
@@ -158,9 +158,9 @@ def _stencil_noise_constant(kernel):
 
     def s(t):
         return (
-            eval_kernel_1d(kernel, t + 1.0)
-            + eval_kernel_1d(kernel, t - 1.0)
-            - 2.0 * eval_kernel_1d(kernel, t)
+            eval_kernel(kernel, t + 1.0)
+            + eval_kernel(kernel, t - 1.0)
+            - 2.0 * eval_kernel(kernel, t)
         )
 
     n = 2_000_000

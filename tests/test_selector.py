@@ -585,8 +585,6 @@ def test_dimension_named_public_names_are_pinned():
         "optimal_bandwidth_1d",
         # direct evaluation at query points is one algorithm per dimension
         "estimate_density_1d", "estimate_density_3d",
-        # the brute-force kernel reference the estimate_density_* tests use
-        "eval_kernel_1d", "eval_kernel_3d", "eval_kernel_3d_radial",
         # the normal sampler draws (Np,) or (Np, 3), one study each
         "sample_gaussian_1d", "sample_gaussian_3d",
         # each reference law exists in one dimension only
@@ -705,6 +703,16 @@ def test_grid_and_direct_evaluation_at_power_of_two_scales_are_exact_or_raise(fa
                 assert np.array_equal(got.origin, scale * expected.origin)
                 got, expected = got.values, expected.values
             assert np.array_equal(got, expected * 2.0 ** (-k * d))
+
+
+def test_select_past_the_lattice_domain_raises():
+    """A sample 1e12 from zero with spread 1e-3 needs h near 5e-4, where
+    the grid's nodes lie 2^51 h from zero and round by whole nodes: the
+    selection raises DomainError on its first deposit, where it once ran
+    100 updates to an unconverged h = 5.27e-4."""
+    points = 1e12 + 1e-3 * np.random.default_rng(0).standard_normal(1000)
+    with pytest.raises(DomainError, match="offset is out of range"):
+        kdeband.select_bandwidth(kdeband.Sample(points), kernel_constants_1d("tsc"))
 
 
 HOSTILE_LAWS = {
