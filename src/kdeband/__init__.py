@@ -5,14 +5,11 @@ classic assignment kernels (NGP, CIC, TSC) and selects the AMISE-optimal
 bandwidth from the data alone, by iterating a noise-corrected curvature
 roughness measurement against the closed-form optimal-bandwidth formula.
 One implementation serves every dimension d, taken from the sample's
-shape (Np, d), and one set of types (``Sample``, ``Grid``, ``Kernel``)
-serves every d, as does ``eval_kernel``.  Only the direct evaluations
-are one function per dimension (``estimate_density_1d``/``_3d``).
-Eight further names fix d of a generic function and do nothing else:
-``kernel_constants_1d``/``_3d``, ``build_grid_1d``/``_3d``,
-``select_bandwidth_1d``/``_3d``, ``corrected_roughness_1d`` and
-``optimal_bandwidth_1d``; they stay because the benchmark in
-``perfbench/`` resolves them by name.
+shape (Np, d): one set of types (``Sample``, ``Grid``, ``Kernel``) and
+one function per step of the selection (``build_grid``,
+``corrected_roughness``, ``optimal_bandwidth``, ``select_bandwidth``),
+each of which reads d from its inputs.  Only the direct evaluations are
+one function per dimension (``estimate_density_1d``/``_3d``).
 
 Typical use::
 
@@ -23,6 +20,8 @@ Typical use::
     trace = select_bandwidth(sample, kernel)
     h = trace.final_h
 """
+
+from functools import partial
 
 # Each module's __all__ lists its public names; the package re-exports them.
 from . import errors, estimator, kernels, reference, roughness, samplers, selector
@@ -41,3 +40,24 @@ __all__ = ["__version__"] + [
     for module in (errors, kernels, estimator, roughness, selector, samplers, reference)
     for name in module.__all__
 ]
+
+
+# Not public: the benchmark in perfbench/ resolves these eight names on the
+# package, so they stay, outside __all__, until it calls the generic ones.
+# kernel_constants takes d itself; the others take the kernel second.
+def _in_dim(fn, d):
+    def call(first, kernel, *args, **kwargs):
+        kernels.common_dim(d, kernel=kernel.dim)
+        return fn(first, kernel, *args, **kwargs)
+
+    return call
+
+
+kernel_constants_1d = partial(kernels.kernel_constants, dim=1)
+kernel_constants_3d = partial(kernels.kernel_constants, dim=3)
+build_grid_1d = _in_dim(estimator.build_grid, 1)
+build_grid_3d = _in_dim(estimator.build_grid, 3)
+corrected_roughness_1d = _in_dim(roughness.corrected_roughness, 1)
+optimal_bandwidth_1d = _in_dim(selector.optimal_bandwidth, 1)
+select_bandwidth_1d = _in_dim(selector.select_bandwidth, 1)
+select_bandwidth_3d = _in_dim(selector.select_bandwidth, 3)

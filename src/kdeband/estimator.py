@@ -22,21 +22,19 @@ Grids are anchored to the absolute lattice {k*h : k integer} rather than
 to the sample minimum, so two samples with the same support tabulate onto
 identical node positions.  Both paths accept the same scale domain of
 (h, Np, d), which ``_check_scale`` tests before any arithmetic, and a
-grid's nodes must lie within 2^50 h of zero: outside, DomainError.
+grid's nodes must lie within 2^48 h of zero: outside, DomainError.
 
-Every type and function here serves any d, except the direct
-evaluations, which are one per dimension (``estimate_density_1d`` and
-``estimate_density_3d``).  ``build_grid`` also takes an optional keyword
-``dim``, the dimension the caller expects of its inputs (a mismatch raises
-DomainError); ``build_grid_1d`` and ``build_grid_3d`` are ``build_grid``
-with ``dim`` fixed.
+Every type and function here serves any d, and ``build_grid`` takes d
+from the sample and the kernel, which must agree.  Only the direct
+evaluations are one per dimension (``estimate_density_1d`` and
+``estimate_density_3d``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +53,6 @@ __all__ = [
     "estimate_density_1d",
     "estimate_density_3d",
     "build_grid",
-    "build_grid_1d",
-    "build_grid_3d",
     "laplacian",
     "integrate_squared",
     "DEFAULT_GRID_CAP_1D",
@@ -87,11 +83,11 @@ def _check_bandwidth(h: float) -> float:
     return h
 
 
-def _check_count(Np) -> int:
-    """A point count as an int; DomainError unless it is an integer >= 1."""
-    count = int(Np) if np.isfinite(Np) else 0
-    if count < 1 or count != Np:
-        raise DomainError(f"Np must be a positive integer, got {Np!r}")
+def _check_count(value, name: str = "Np") -> int:
+    """A count as an int; DomainError naming it unless it is an integer >= 1."""
+    count = int(value) if np.isfinite(value) else 0
+    if count < 1 or count != value:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return count
 
 
@@ -494,7 +490,6 @@ def build_grid(
     h: float,
     *,
     grid_cap: int | None = None,
-    dim: int | None = None,
 ) -> Grid:
     """Deposit the sample onto a regular grid with spacing exactly h.
 
@@ -506,21 +501,25 @@ def build_grid(
     ``grid_cap`` bounds the node count (default DEFAULT_GRID_CAP_1D in 1D,
     DEFAULT_GRID_CAP_3D otherwise); a span whose node count overflows
     raises GridTooLarge too.  (h, Np, d) must lie in the scale domain of
-    _check_scale, and no node of the grid may lie more than 2^50 h from
+    _check_scale, and no node of the grid may lie more than 2^48 h from
     zero, else DomainError.
 
     The second rule lets every offset's node go unchecked.  Inside it,
     each distance ((j0 + o) h + origin) - x is within about
-    2^-52 (|origin| + n h) <= h/4 of exact (n is far below 2^50 for any
-    grid an array holds), and the quotient behind j0 within 1/8, so the
+    2^-52 (|origin| + n h) <= h/16 of exact (n is far below 2^48 for any
+    grid an array holds), and the quotient behind j0 within 1/32, so the
     offsets -1..w still reach every node the kernel's closed support
     holds.  The padded grid reaches w h/2 past the sample on each side,
-    less at most 3h/8 that the origin rounds away, so a node off the grid
-    is at least w h/2 + 5h/8 from every point: its computed radius
-    exceeds w/2 + 3/8, and its weight is +0.0, which changes no node's
-    bits wherever its slot lands, since every sum is >= +0.0.  Farther
-    out, positions round by whole nodes and mass is lost or gained.  The
-    rule depends only on |x| / h, so it holds at every 2^k scaling.
+    less at most 3h/32 that the origin rounds away, so a node off the
+    grid is at least w h/2 + 29h/32 from every point: its computed radius
+    exceeds w/2 + 27/32, and its weight is +0.0, which changes no node's
+    bits wherever its slot lands, since every sum is >= +0.0.  The bound
+    is 2^48 h rather than the 2^50 h this argument would still allow:
+    from 2^49 h on, the rounding of far positions moves a selection by
+    more than the lattice phase at zero does (-0.85 % to -2.42 % for 1D
+    TSC, against -0.77 % to +0.17 %).  Farther out, positions round by
+    whole nodes and mass is lost or gained.  The rule depends only on
+    |x| / h, so it holds at every 2^k scaling.
 
     Each point's weight goes to the nodes within its closed support
     window, one pass per combination of per-axis node offsets (see
@@ -557,7 +556,7 @@ def build_grid(
     values, not n.
     """
     h = _check_bandwidth(h)
-    d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
+    d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
     Np = sample.size_Np
     _check_scale(h, Np, d)
     cap = DEFAULT_GRID_CAP_1D if d == 1 else DEFAULT_GRID_CAP_3D
@@ -578,11 +577,11 @@ def build_grid(
             f"at h={h:g}, above the cap of {cap}"
         )
     farthest = max(max(abs(k), abs(k + m - 1)) for k, m in zip(node0, dims))  # in units of h
-    if farthest > 2.0 ** 50:
+    if farthest > 2.0 ** 48:
         raise DomainError(
             f"sample offset is out of range: at h = {h:g} the grid's farthest node lies "
-            f"2^{math.log2(farthest):.2f} h from zero, above 2^50 h, where node positions "
-            "round by more than h/8"
+            f"2^{math.log2(farthest):.2f} h from zero, above 2^48 h, where node positions "
+            "round by more than h/32"
         )
     # Each axis's node index at offset 0, j0 = ceil((x - w h/2 - origin) / h),
     # never falls as x grows: the sample's extrema give its range.
@@ -788,10 +787,6 @@ def _passes(kernel, h, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
         del r, s
         yield key, weights
         del weights
-
-
-build_grid_1d = partial(build_grid, dim=1)
-build_grid_3d = partial(build_grid, dim=3)
 
 
 # ---------------------------------------------------------------------------

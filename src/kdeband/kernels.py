@@ -33,7 +33,6 @@ a copy, which leaves the caller's radii as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from .errors import DomainError
 __all__ = [
     "Kernel",
     "kernel_constants",
-    "kernel_constants_1d",
-    "kernel_constants_3d",
     "eval_kernel",
     "KERNEL_FAMILIES",
 ]
@@ -83,9 +80,9 @@ class Kernel:
 def common_dim(expected: int | None, **dims: int) -> int:
     """The one dimension shared by the named inputs and, unless None, by
     ``expected``: the d a direct evaluation serves only
-    (``estimate_density_1d``/``_3d``), or the ``dim`` keyword of one of
-    the four functions that the ``_1d``/``_3d`` names fix (``build_grid``,
-    ``corrected_roughness``, ``optimal_bandwidth``, ``select_bandwidth``).
+    (``estimate_density_1d``/``_3d``, ``Grid.node_coordinates``), the d
+    a reference law was asked for, or the d of one of the package's
+    private dimension-named names.
 
     Raises DomainError naming every dimension when they differ.
     """
@@ -125,10 +122,6 @@ def kernel_constants(family: str, dim: int) -> Kernel:
             f"expected one of {KERNEL_FAMILIES}"
         )
     return kernel
-
-
-kernel_constants_1d = partial(kernel_constants, dim=1)
-kernel_constants_3d = partial(kernel_constants, dim=3)
 
 
 def _ones(r):

@@ -206,11 +206,10 @@ def _hernquist_roughness(density) -> float:
     rc = density.rc
     if density.r_window is None:
         lo_s, hi_s = 1.0, np.inf
-        z = 1.0
     else:
         lo, hi = density.r_window
         lo_s, hi_s = 1.0 + lo / rc, 1.0 + hi / rc
-        z = _hernquist_window_norm(density)
+    z = _hernquist_window_norm(density)
     hi_term = 0.0 if np.isinf(hi_s) else _hernquist_g(hi_s)
     return 144.0 * (hi_term - _hernquist_g(lo_s)) / (z * z * rc ** 5)
 

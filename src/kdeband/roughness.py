@@ -21,12 +21,13 @@ coefficients: 6 in 1D, 42 in 3D.  The corrected roughness subtracts this
 term.  At small h the raw estimate is noise-dominated and the corrected
 value can come out non-positive; that outcome is reported, not raised,
 so the bandwidth selector can respond by backing off to a larger h.
+``corrected_roughness`` takes d from the sample and the kernel, which
+must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .kernels import Kernel
 __all__ = [
     "RoughnessResult",
     "corrected_roughness",
-    "corrected_roughness_1d",
 ]
 
 
@@ -60,7 +60,6 @@ def corrected_roughness(
     h: float,
     *,
     grid_cap: int | None = None,
-    dim: int | None = None,
 ) -> RoughnessResult:
     """Estimate R_d = integral (laplacian f)^2 from the sample at bandwidth h.
 
@@ -70,9 +69,8 @@ def corrected_roughness(
     Poisson-noise bias 2d(2d+1)/(w^d h^(4+d) Np) is then subtracted.  A
     scale at which the Laplacian underflows to zero or the noise term
     leaves the normal floats raises DomainError.
-    ``dim`` is as in :func:`kdeband.estimator.build_grid`.
     """
-    grid = build_grid(sample, kernel, h, grid_cap=grid_cap, dim=dim)
+    grid = build_grid(sample, kernel, h, grid_cap=grid_cap)
     d = grid.dim
     curvature = laplacian(grid)
     # The deposit is non-zero and zero-padded, so its Laplacian is zero
@@ -87,6 +85,3 @@ def corrected_roughness(
             2 * d * (2 * d + 1) / (kernel.width_w ** d * h ** (4 + d) * sample.size_Np)
         )
     return RoughnessResult(raw=raw, correction=correction, corrected=raw - correction)
-
-
-corrected_roughness_1d = partial(corrected_roughness, dim=1)

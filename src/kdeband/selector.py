@@ -28,15 +28,14 @@ construction.  A run that hits the update cap returns its last iterate.
 
 The full history is returned as a :class:`BandwidthTrace` so callers can
 inspect convergence behaviour; nothing about the procedure requires
-knowledge of the true density.  The keyword ``dim`` of
-:func:`optimal_bandwidth` and :func:`select_bandwidth` is as in
-:func:`kdeband.estimator.build_grid`.
+knowledge of the true density.  Both functions take d from their
+inputs: :func:`optimal_bandwidth` from the kernel, and
+:func:`select_bandwidth` from the sample and the kernel, which must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -57,11 +56,8 @@ __all__ = [
     "IterationRecord",
     "BandwidthTrace",
     "optimal_bandwidth",
-    "optimal_bandwidth_1d",
     "amise",
     "select_bandwidth",
-    "select_bandwidth_1d",
-    "select_bandwidth_3d",
 ]
 
 
@@ -74,13 +70,15 @@ class SelectorConfig:
     rel_tolerance : float
         Stop once |h_new - h_old| / h_old drops to this level.
     max_iterations : int
-        Cap on bandwidth updates (backoffs are counted separately).
+        Cap on bandwidth updates (backoffs are counted separately); an
+        integer >= 1, stored as an int.
     initial_scale_c0 : float
         The starting bandwidth is c0 * std * Np^(-1/(4+d)).
     backoff_factor : float
         Multiplier applied to h when corrected roughness is non-positive.
     max_backoffs : int
-        Total backoffs allowed before giving up.
+        Total backoffs allowed before giving up; an integer >= 1, stored
+        as an int.
     """
 
     rel_tolerance: float = 1e-3
@@ -92,14 +90,12 @@ class SelectorConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tolerance < 1.0:
             raise DomainError("rel_tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
+        for name in ("max_iterations", "max_backoffs"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
         if not 0.0 < self.initial_scale_c0 < np.inf:
             raise DomainError("initial_scale_c0 must be a positive finite real")
         if not 1.0 < self.backoff_factor < np.inf:
             raise DomainError("backoff_factor must be a finite real above 1")
-        if self.max_backoffs < 1:
-            raise DomainError("max_backoffs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -144,22 +140,17 @@ def _check_roughness(roughness: float) -> float:
     return roughness
 
 
-def optimal_bandwidth(
-    roughness: float, kernel: Kernel, Np: int, *, dim: int | None = None
-) -> float:
+def optimal_bandwidth(roughness: float, kernel: Kernel, Np: int) -> float:
     """Closed-form AMISE-optimal bandwidth for a known curvature roughness
     R_d, in the kernel's dimension d.  A roughness so small or large that
     the bandwidth leaves the normal floats raises DomainError."""
-    d = common_dim(dim, kernel=kernel.dim)
+    d = kernel.dim
     Np = _check_count(Np)
     roughness = _check_roughness(roughness)
     mu2 = kernel.second_moment_mu2
     p = 1.0 / (4 + d)
     with _out_of_range("roughness scale", "the optimal bandwidth"):
         return _normal((d * kernel.roughness_RK / (roughness * mu2 ** 2)) ** p * Np ** -p)
-
-
-optimal_bandwidth_1d = partial(optimal_bandwidth, dim=1)
 
 
 def amise(h: float, kernel: Kernel, roughness: float, Np: int) -> float:
@@ -186,7 +177,6 @@ def select_bandwidth(
     config: SelectorConfig | None = None,
     *,
     grid_cap: int | None = None,
-    dim: int | None = None,
 ) -> BandwidthTrace:
     """Select the bandwidth from the data alone.
 
@@ -201,7 +191,7 @@ def select_bandwidth(
     floating-point range raises DomainError.
     """
     config = config or SelectorConfig()
-    d = common_dim(dim, sample=sample.dim, kernel=kernel.dim)
+    d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
     Np = sample.size_Np
     if Np < 2:
         raise DegenerateSample("bandwidth selection needs at least 2 points")
@@ -246,7 +236,3 @@ def select_bandwidth(
                 break
             h = h_new
     return BandwidthTrace(iterations=tuple(records), converged=converged, final_h=h)
-
-
-select_bandwidth_1d = partial(select_bandwidth, dim=1)
-select_bandwidth_3d = partial(select_bandwidth, dim=3)

@@ -30,14 +30,13 @@ from scipy.integrate import quad
 from kdeband.estimator import (
     Grid,
     Sample,
-    build_grid_3d,
+    build_grid,
     estimate_density_3d,
     laplacian,
 )
 from kdeband.kernels import (
     eval_kernel,
-    kernel_constants_1d,
-    kernel_constants_3d,
+    kernel_constants,
     radial_profile,
 )
 from kdeband.reference import (
@@ -48,7 +47,7 @@ from kdeband.reference import (
     trimodal_1d,
     tsc_density_1d,
 )
-from kdeband.roughness import corrected_roughness, corrected_roughness_1d
+from kdeband.roughness import corrected_roughness
 from kdeband.samplers import (
     HernquistParams,
     sample_gaussian_1d,
@@ -60,9 +59,7 @@ from kdeband.samplers import (
 from kdeband.selector import (
     amise,
     optimal_bandwidth,
-    optimal_bandwidth_1d,
-    select_bandwidth_1d,
-    select_bandwidth_3d,
+    select_bandwidth,
 )
 
 HQ_PARAMS = HernquistParams()  # rc=1, truncation window (0.05, 1000)
@@ -126,13 +123,13 @@ def _get_run(study: str, kernel_token: str, Np: int, seed: int) -> _Run:
     dim = _dim(study)
     sample = _SAMPLERS[study](Np, seed)
     if dim == 1:
-        kernel = kernel_constants_1d(kernel_token)
+        kernel = kernel_constants(kernel_token, 1)
         t0 = time.perf_counter()
-        trace = select_bandwidth_1d(sample, kernel)
+        trace = select_bandwidth(sample, kernel)
     else:
-        kernel = kernel_constants_3d(kernel_token)
+        kernel = kernel_constants(kernel_token, 3)
         t0 = time.perf_counter()
-        trace = select_bandwidth_3d(sample, kernel)
+        trace = select_bandwidth(sample, kernel)
     wall = time.perf_counter() - t0
     analytic_h = analytic_optimal_bandwidth(_DENSITIES[study], kernel, Np, dim)
     run = _Run(study, kernel_token, Np, seed, sample, kernel, trace, analytic_h, wall)
@@ -295,11 +292,11 @@ def test_acceptance_06_roughness_fidelity(capsys):
     """
     t0 = time.perf_counter()
     h_star = 0.3340452250230561  # closed-form optimum, gaussian/tsc, Np=1e4
-    kernel = kernel_constants_1d("tsc")
+    kernel = kernel_constants("tsc", 1)
     truth = gaussian_1d().roughness()
     raws, correcteds = [], []
     for seed in range(1, 51):
-        res = corrected_roughness_1d(sample_gaussian_1d(10_000, seed), kernel, h_star)
+        res = corrected_roughness(sample_gaussian_1d(10_000, seed), kernel, h_star)
         raws.append(res.raw)
         correcteds.append(res.corrected)
     elapsed = time.perf_counter() - t0
@@ -347,8 +344,8 @@ def test_acceptance_07_convergence_quality(capsys):
             worst_iters = max(worst_iters, iters)
             h = run.trace.final_h
             if _dim(study) == 1:
-                rough = corrected_roughness_1d(run.sample, run.kernel, h).corrected
-                h_next = optimal_bandwidth_1d(rough, run.kernel, Np)
+                rough = corrected_roughness(run.sample, run.kernel, h).corrected
+                h_next = optimal_bandwidth(rough, run.kernel, Np)
             else:
                 rough = corrected_roughness(run.sample, run.kernel, h).corrected
                 h_next = optimal_bandwidth(rough, run.kernel, Np)
@@ -380,7 +377,7 @@ def test_acceptance_08_numerical_spot_checks(capsys):
     # tabulated kernel constants vs direct quadrature
     const_err = 0.0
     for fam in ("ngp", "cic", "tsc"):
-        kern = kernel_constants_1d(fam)
+        kern = kernel_constants(fam, 1)
         r_num, _ = quad(
             lambda u: eval_kernel(kern, u) ** 2, -1.5, 1.5, points=[-1.0, -0.5, 0.5, 1.0]
         )
@@ -390,7 +387,7 @@ def test_acceptance_08_numerical_spot_checks(capsys):
         )
         const_err = max(const_err, abs(r_num - kern.roughness_RK), abs(m_num - kern.second_moment_mu2))
     for fam in ("ngp3", "cic3", "tsc3"):
-        kern = kernel_constants_3d(fam)
+        kern = kernel_constants(fam, 3)
         r_num, _ = quad(
             lambda r: 4.0 * np.pi * r * r * radial_profile(kern, r) ** 2,
             0.0, 1.5, points=[0.5, 1.0],
@@ -418,7 +415,7 @@ def test_acceptance_08_numerical_spot_checks(capsys):
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((200, 3))
     sample3 = Sample(pts)
-    kern3 = kernel_constants_3d("tsc3")
+    kern3 = kernel_constants("tsc3", 3)
     targets = rng.standard_normal((40, 3))
     h3 = 0.8
     fast = estimate_density_3d(sample3, kern3, h3, targets)
@@ -431,14 +428,14 @@ def test_acceptance_08_numerical_spot_checks(capsys):
 
     # selection is scale equivariant
     vals = sample_gaussian_1d(5000, seed=21).points
-    kern = kernel_constants_1d("tsc")
-    h_a = select_bandwidth_1d(Sample(vals), kern).final_h
-    h_b = select_bandwidth_1d(Sample(10.0 * vals), kern).final_h
+    kern = kernel_constants("tsc", 1)
+    h_a = select_bandwidth(Sample(vals), kern).final_h
+    h_b = select_bandwidth(Sample(10.0 * vals), kern).final_h
     scale_err = abs(h_b - 10.0 * h_a) / (10.0 * h_a)
     checks.append((f"scale equivariance {scale_err:.1e}<=1e-6", scale_err <= 1e-6))
 
     # AMISE is minimized at the closed-form optimum
-    h_opt = optimal_bandwidth_1d(1.7, kern, 50_000)
+    h_opt = optimal_bandwidth(1.7, kern, 50_000)
     grid = np.geomspace(h_opt / 4.0, 4.0 * h_opt, 101)
     vals_amise = [amise(hh, kern, 1.7, 50_000) for hh in grid]
     amise_ok = int(np.argmin(vals_amise)) == int(np.argmin(np.abs(grid - h_opt)))
@@ -463,8 +460,8 @@ def test_acceptance_08_numerical_spot_checks(capsys):
 
     # bit-identical repeatability of a full selection
     s = sample_gaussian_1d(20_000, seed=41)
-    t_one = select_bandwidth_1d(s, kern)
-    t_two = select_bandwidth_1d(s, kern)
+    t_one = select_bandwidth(s, kern)
+    t_two = select_bandwidth(s, kern)
     checks.append(
         ("bit-identical rerun", t_one.final_h == t_two.final_h and t_one.iterations == t_two.iterations)
     )

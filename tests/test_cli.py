@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 import kdeband.estimator
 from kdeband.cli import HERNQUIST_EXTERNAL_REFERENCE, main
-from kdeband.kernels import kernel_constants_1d
+from kdeband.kernels import kernel_constants
 from kdeband.reference import (
     analytic_optimal_bandwidth,
     eval_density,
@@ -236,7 +236,7 @@ def test_experiment_document_structure(tmp_path):
         assert list(rep) == REPORT_FIELDS
         assert rep["experiment_id"] == "gauss1d"
         expected_h = analytic_optimal_bandwidth(
-            gaussian_1d(), kernel_constants_1d("tsc"), rep["Np"], dimension=1
+            gaussian_1d(), kernel_constants("tsc", 1), rep["Np"], dimension=1
         )
         assert_allclose(rep["analytic_h"], expected_h, rtol=1e-12)
         assert_allclose(
@@ -295,7 +295,7 @@ def test_experiment_hernquist_external_reference(tmp_path):
 
     expected_h = analytic_optimal_bandwidth(
         hernquist_radial_pdf(rc=1.0, r_window=(0.05, 1000.0)),
-        kernel_constants_1d("tsc"),
+        kernel_constants("tsc", 1),
         5000,
         dimension=1,
     )
@@ -325,6 +325,16 @@ def test_experiment_emit_curves(tmp_path):
     h = doc["reports"][0]["selected_h"]
     assert_allclose(np.sum(fhat) * h, 1.0, atol=1e-9)
     assert f"# selected_h: {h:.17g}" in text
+
+
+def test_experiment_emit_curves_without_out_writes_to_working_dir(tmp_path, monkeypatch,
+                                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["experiment", "gauss1d", "--np", "1000", "--seed", "1", "--emit-curves"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["curve_files"] == ["gauss1d_np1000_seed1_curve.dat"]
+    assert (tmp_path / "gauss1d_np1000_seed1_curve.dat").exists()
 
 
 def test_experiment_emit_curves_honours_grid_cap(tmp_path, monkeypatch, capsys):
@@ -413,6 +423,26 @@ def test_density_nonpositive_h_rejected(tmp_path, capsys):
     rc = main(["density", "--input", path, "--h", "0"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_density_grid_max_not_above_grid_min_rejected(tmp_path, capsys):
+    path = _write_sample(tmp_path / "u.txt", sample_gaussian_1d(100, seed=6).points)
+    rc = main(["density", "--input", path, "--h", "0.5",
+               "--grid-min", "1", "--grid-max", "1", "--grid-points", "5"])
+    assert rc == 1
+    assert "need grid_max > grid_min" in capsys.readouterr().err
+
+
+def test_density_auto_not_converged_exit_2_table_written(tmp_path):
+    """One update cannot meet the tolerance: exit 2, and the table is
+    still written at the last iterate."""
+    out = tmp_path / "table.dat"
+    rc = main(["density", "--generator", "gauss1d", "--np", "1000", "--seed", "1",
+               "--auto", "--max-iters", "1", "--out", str(out)])
+    assert rc == 2
+    text = out.read_text()
+    assert "(auto)" in text
+    assert np.loadtxt(out, comments="#", ndmin=2).shape[1] == 3
 
 
 def test_density_needs_exactly_one_source(tmp_path, capsys):

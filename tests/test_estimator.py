@@ -19,22 +19,18 @@ from kdeband import (
     GridTooLarge,
     GridTooSmall,
     NonPositiveBandwidth,
-    build_grid_1d,
-    build_grid_3d,
     estimate_density_1d,
     estimate_density_3d,
     eval_kernel,
     integrate_squared,
-    kernel_constants_1d,
-    kernel_constants_3d,
     laplacian,
     select_bandwidth,
 )
 
-TSC = kernel_constants_1d("tsc")
-NGP = kernel_constants_1d("ngp")
-TSC3 = kernel_constants_3d("tsc")
-NGP3 = kernel_constants_3d("ngp")
+TSC = kernel_constants("tsc", 1)
+NGP = kernel_constants("ngp", 1)
+TSC3 = kernel_constants("tsc", 3)
+NGP3 = kernel_constants("ngp", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ def test_estimate_3d_edge_cases_match_brute_force(family):
     """Queries outside the bounding box and in empty cells, a point at
     exactly the support radius, far outliers at a tiny h, and a 1-point
     sample: the cell list equals the naive sum."""
-    kernel = kernel_constants_3d(family)
+    kernel = kernel_constants(family, 3)
     rng = np.random.default_rng(37)
     h = 0.5
     radius = 0.5 * kernel.width_w * h
@@ -176,7 +172,7 @@ def test_estimate_3d_clipped_windows_keep_every_boundary_point(family):
     directions whose rounded radius lands on, just inside or just outside
     w/2 -- and h/2-lattice samples, give the naive sum, zeros exactly.
     NGP weighs a point at exactly R fully."""
-    kernel = kernel_constants_3d(family)
+    kernel = kernel_constants(family, 3)
     rng = np.random.default_rng(71)
     axes = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -222,7 +218,7 @@ def test_estimate_3d_support_edge_at_any_h_matches_brute_force(family):
     two: each rounded radius lands on, just inside or just outside w/2,
     and each query's estimate is its one point's weight, so the cell list
     and _brute_3d agree exactly, zeros included."""
-    kernel = kernel_constants_3d(family)
+    kernel = kernel_constants(family, 3)
     rng = np.random.default_rng(73)
     lattice = np.array(list(itertools.product(range(4), range(4), range(3))))
     weighted = 0
@@ -245,7 +241,7 @@ def test_estimate_3d_far_queries_visit_no_column():
     holding every occupied cell: about Np^2 pairs here.)"""
     rng = np.random.default_rng(3)
     s = Sample(rng.uniform(0.0, 1e4, (500, 3)))
-    kernel, h = kernel_constants_3d("tsc"), 0.01
+    kernel, h = kernel_constants("tsc", 3), 0.01
     far = []
     for a in range(3):
         for v in (-1e307, -1e300, 1e300, 1e307):
@@ -286,7 +282,7 @@ def test_3d_estimate_in_one_chunk_matches_recorded_bits(family, h, monkeypatch):
     rng = np.random.default_rng(29)
     sample = Sample(rng.standard_normal((20_000, 3)))
     queries = rng.standard_normal((200, 3)) * 1.5
-    got = estimate_density_3d(sample, kernel_constants_3d(family), h, queries)
+    got = estimate_density_3d(sample, kernel_constants(family, 3), h, queries)
     assert hashlib.sha256(got.tobytes()).hexdigest() == ONE_CHUNK_3D_ESTIMATE_SHA256[family, h]
 
 
@@ -363,7 +359,7 @@ def test_estimate_1d_matches_recorded_bits(family, case):
     points at and one ulp either side of every branch top about each
     query, and far queries with empty windows: every estimate keeps its
     recorded bits, and an empty window reads +0.0."""
-    kernel = kernel_constants_1d(family)
+    kernel = kernel_constants(family, 1)
     points, h, queries = _estimate_1d_case(case, kernel.width_w)
     got = estimate_density_1d(Sample(points), kernel, h, queries)
     assert got.shape == queries.shape
@@ -376,7 +372,7 @@ def test_estimate_1d_matches_recorded_bits(family, case):
 @pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
 def test_estimate_1d_of_no_queries_is_empty(family):
     """Zero queries give an empty float array, with or without a window."""
-    kernel = kernel_constants_1d(family)
+    kernel = kernel_constants(family, 1)
     sample = Sample(np.random.default_rng(3).standard_normal(100))
     for queries in ([], np.zeros(0), np.array([1e6])[:0]):
         got = estimate_density_1d(sample, kernel, 0.3, queries)
@@ -401,6 +397,29 @@ def test_estimates_non_negative_and_finite():
     assert np.all(vals >= 0.0) and np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("points", [np.array([]), np.zeros((2, 2, 2))],
+                         ids=["empty", "three-axes"])
+def test_sample_needs_a_non_empty_one_or_two_axis_array(points):
+    with pytest.raises(DomainError, match="non-empty"):
+        Sample(points)
+
+
+def test_grid_needs_values_and_one_origin_coordinate_per_axis():
+    with pytest.raises(DomainError, match="non-empty"):
+        Grid(0.0, 1.0, np.array([]))
+    with pytest.raises(DomainError, match="one coordinate per axis"):
+        Grid(np.zeros(2), 1.0, np.ones((3, 3, 3)))
+
+
+def test_estimate_rejects_queries_of_the_wrong_shape():
+    with pytest.raises(DomainError, match="scalar or 1D"):
+        estimate_density_1d(Sample(np.arange(5.0)), TSC, 0.5, np.zeros((2, 2)))
+    sample3 = Sample(np.zeros((5, 3)))
+    for queries in (np.zeros((4, 2)), np.zeros(2)):
+        with pytest.raises(DomainError, match=r"shape \(M, 3\)"):
+            estimate_density_3d(sample3, kernel_constants("tsc", 3), 0.5, queries)
+
+
 # ---------------------------------------------------------------------------
 # grid deposit: 1D
 # ---------------------------------------------------------------------------
@@ -409,7 +428,7 @@ def test_grid_1d_coverage_and_lattice():
     """Padding rule, exact spacing, and absolute-lattice snapping."""
     s = Sample(np.array([0.0, 0.3, 1.0]))
     h = 0.5
-    grid = build_grid_1d(s, TSC, h)
+    grid = build_grid(s, TSC, h)
     assert grid.spacing == h
     xs = grid.node_coordinates()
     assert xs[0] <= 0.0 - 1.5 * h and xs[-1] >= 1.0 + 1.5 * h
@@ -421,8 +440,8 @@ def test_grid_1d_matches_estimate_at_nodes():
     """Deposit (bincount) and direct evaluation agree on the nodes."""
     rng = np.random.default_rng(21)
     s = Sample(rng.normal(0.0, 1.0, 400))
-    for kernel in (NGP, kernel_constants_1d("cic"), TSC):
-        grid = build_grid_1d(s, kernel, 0.31)
+    for kernel in (NGP, kernel_constants("cic", 1), TSC):
+        grid = build_grid(s, kernel, 0.31)
         direct = estimate_density_1d(s, kernel, 0.31, grid.node_coordinates())
         assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
@@ -436,7 +455,7 @@ def test_grid_1d_mass_conservation():
     """
     rng = np.random.default_rng(2)
     s = Sample(rng.normal(0.0, 1.0, 10_000))
-    grid = build_grid_1d(s, TSC, 0.334)
+    grid = build_grid(s, TSC, 0.334)
     mass = float(np.sum(grid.values) * grid.spacing)
     assert abs(mass - 1.0) < 1e-9
     assert 0.99 <= mass <= 1.01
@@ -445,7 +464,7 @@ def test_grid_1d_mass_conservation():
 def test_grid_1d_too_large():
     s = Sample(np.array([0.0, 100.0]))
     with pytest.raises(GridTooLarge):
-        build_grid_1d(s, TSC, 0.5, grid_cap=10)
+        build_grid(s, TSC, 0.5, grid_cap=10)
 
 
 @pytest.mark.filterwarnings("error")
@@ -468,7 +487,7 @@ def test_grid_3d_coverage():
     rng = np.random.default_rng(31)
     s = Sample(rng.uniform(-1.0, 2.0, (60, 3)))
     h = 0.4
-    grid = build_grid_3d(s, TSC3, h)
+    grid = build_grid(s, TSC3, h)
     assert grid.spacing == h
     half = 1.5 * h
     for a in range(3):
@@ -482,7 +501,7 @@ def test_grid_3d_matches_estimate_at_nodes():
     rng = np.random.default_rng(13)
     s = Sample(rng.normal(0.0, 0.7, (120, 3)))
     h = 0.5
-    grid = build_grid_3d(s, TSC3, h)
+    grid = build_grid(s, TSC3, h)
     axes = [grid.axis_coordinates(a) for a in range(3)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     direct = estimate_density_3d(s, TSC3, h, mesh).reshape(grid.dims)
@@ -498,7 +517,7 @@ def test_grid_3d_mass_conservation():
     """
     rng = np.random.default_rng(4)
     s = Sample(rng.normal(0.0, 1.0, (100_000, 3)))
-    grid = build_grid_3d(s, TSC3, 0.394)
+    grid = build_grid(s, TSC3, 0.394)
     mass = float(np.sum(grid.values) * grid.spacing ** 3)
     assert 0.97 <= mass <= 1.03
 
@@ -507,7 +526,7 @@ def test_grid_3d_too_large():
     rng = np.random.default_rng(1)
     s = Sample(rng.uniform(0.0, 1.0, (20, 3)))
     with pytest.raises(GridTooLarge, match="cells"):
-        build_grid_3d(s, TSC3, 0.01, grid_cap=1000)
+        build_grid(s, TSC3, 0.01, grid_cap=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +535,10 @@ def test_grid_3d_too_large():
 
 def test_ngp_boundary_point_weights_both_nodes():
     """A point exactly on the closed NGP boundary weights both nodes."""
-    g = build_grid_1d(Sample([0.5]), NGP, 1.0)
+    g = build_grid(Sample([0.5]), NGP, 1.0)
     assert g.origin == 0.0 and g.values.tolist() == [1.0, 1.0]
 
-    g3 = build_grid_3d(Sample([[0.5, 0.0, 0.0]]), NGP3, 1.0)
+    g3 = build_grid(Sample([[0.5, 0.0, 0.0]]), NGP3, 1.0)
     assert g3.dims == (2, 3, 3)
     assert_allclose(g3.origin, [0.0, -1.0, -1.0])
     expected = np.zeros((2, 3, 3))
@@ -578,14 +597,14 @@ def test_deposit_needing_in_range_masks_matches_estimate():
     h = 0.5142746441911471
     xs = [-3.59992250933803, -3.3427851872424563, 1.799961254669015,
           2.0570985767645884, 1.5428239325734414]
-    s, kernel = Sample(xs), kernel_constants_1d("cic")
-    grid = build_grid_1d(s, kernel, h)
+    s, kernel = Sample(xs), kernel_constants("cic", 1)
+    grid = build_grid(s, kernel, h)
     direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
     pts = np.column_stack([xs, np.linspace(-0.3, 0.3, 5), np.linspace(0.2, -0.2, 5)])
-    s3, kernel3 = Sample(pts), kernel_constants_3d("cic")
-    grid3 = build_grid_3d(s3, kernel3, h)
+    s3, kernel3 = Sample(pts), kernel_constants("cic", 3)
+    grid3 = build_grid(s3, kernel3, h)
     mesh = np.stack(
         np.meshgrid(*[grid3.axis_coordinates(a) for a in range(3)], indexing="ij"), axis=-1
     ).reshape(-1, 3)
@@ -601,7 +620,7 @@ def _hostile_sample(kind):
     return Sample(1e12 + rng.normal(0.0, 1.0, 2000))
 
 
-# sha256 of build_grid_1d(_hostile_sample(kind), ..., 0.37).values.tobytes(),
+# sha256 of build_grid(_hostile_sample(kind), ..., 0.37).values.tobytes(),
 # recorded before the 1D deposit computed one kernel branch per offset.
 HOSTILE_DEPOSIT_SHA256 = {
     ("cauchy", "ngp"): "ee6b59dee36e9cb0aa7d0cabacf5082f570cb62c2b26914f2462cc01b0845038",
@@ -617,7 +636,7 @@ HOSTILE_DEPOSIT_SHA256 = {
 def test_hostile_deposit_matches_recorded_bits(kind, family):
     """Computing only the branch each offset takes leaves every deposited
     value's bits alone, on heavy tails and far from the origin."""
-    grid = build_grid_1d(_hostile_sample(kind), kernel_constants_1d(family), 0.37)
+    grid = build_grid(_hostile_sample(kind), kernel_constants(family, 1), 0.37)
     digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
     assert digest == HOSTILE_DEPOSIT_SHA256[kind, family]
 
@@ -630,7 +649,7 @@ def _hostile_sample_3d(kind):
     return Sample(np.array([1e12, -3e8, 5.0]) + rng.normal(0.0, 1.0, (2000, 3)))
 
 
-# sha256 of build_grid_3d(_hostile_sample_3d(kind), ..., 0.37).values.tobytes(),
+# sha256 of build_grid(_hostile_sample_3d(kind), ..., 0.37).values.tobytes(),
 # recorded before the 3D deposit bounded each pass's radius.
 HOSTILE_DEPOSIT_3D_SHA256 = {
     ("cauchy", "ngp"): "db4eef80d6e310746425eb4939a2777ccee900f4723cfebb22f5cf1da60c7c8d",
@@ -646,7 +665,7 @@ HOSTILE_DEPOSIT_3D_SHA256 = {
 def test_hostile_deposit_3d_matches_recorded_bits(kind, family):
     """Bounding each 3D pass's radius leaves every deposited value's bits
     alone, on heavy tails and far from the origin."""
-    grid = build_grid_3d(_hostile_sample_3d(kind), kernel_constants_3d(family), 0.37)
+    grid = build_grid(_hostile_sample_3d(kind), kernel_constants(family, 3), 0.37)
     digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
     assert digest == HOSTILE_DEPOSIT_3D_SHA256[kind, family]
 
@@ -811,7 +830,7 @@ def test_deposit_with_a_pass_wholly_off_the_grid_matches_recorded_bits(family):
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
 def test_lattice_domain_boundary(family, dim):
-    """A grid whose farthest node is exactly 2^50 h from zero deposits, on
+    """A grid whose farthest node is exactly 2^48 h from zero deposits, on
     either side of zero, and equals direct evaluation there; one node
     further raises DomainError.  At h = 1 and h = 0.375 the boundary
     node is an exact float."""
@@ -819,12 +838,12 @@ def test_lattice_domain_boundary(family, dim):
     half = 0.5 * kernel.width_w
     for h in (1.0, 0.375):
         for sign in (1.0, -1.0):
-            # the point's farthest node, ceil(x/h + w/2) in units of h, is 2^50
-            x = sign * (2.0 ** 50 - half - 0.5) * h
+            # the point's farthest node, ceil(x/h + w/2) in units of h, is 2^48
+            x = sign * (2.0 ** 48 - half - 0.5) * h
             sample = Sample(np.full((1, dim), x))
             grid = build_grid(sample, kernel, h)
             nodes = np.atleast_1d(grid.origin)[0] / h + np.array([0, grid.dims[0] - 1])
-            assert np.abs(nodes).max() == 2.0 ** 50
+            assert np.abs(nodes).max() == 2.0 ** 48
             assert grid.values.sum() > 0.0
             if dim == 1:
                 direct = estimate_density_1d(sample, kernel, h, grid.node_coordinates())
@@ -1015,7 +1034,7 @@ def test_estimate_1d_peak_memory(family):
     query: 9.32 MB for TSC at h = 0.1345, the 8 MB copy, a 1.29 MB window
     and 36 bytes per query (10.60 MB while each query's offsets and every
     branch's values took new arrays)."""
-    kernel = kernel_constants_1d(family)
+    kernel = kernel_constants(family, 1)
     Np, h = 1_000_000, 0.1345
     sample = Sample(np.random.default_rng(1).standard_normal(Np))
     queries = np.linspace(-5.0, 5.0, 801)
@@ -1104,7 +1123,7 @@ def test_ngp_deposit_keeps_weight_past_rounded_window_start():
     xs = [-4.8437750575852325, -75.07851339257111, -79.92228845015633,
           9.687550115170465, -75.07851339257111]
     s = Sample(xs)
-    grid = build_grid_1d(s, NGP, h)
+    grid = build_grid(s, NGP, h)
     direct = estimate_density_1d(s, NGP, h, grid.node_coordinates())
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
     assert grid.values.max() * s.size_Np * h == 3.0
@@ -1117,14 +1136,14 @@ def test_tsc_deposit_needing_in_range_masks_matches_estimate():
     h = 2.633294024376068
     xs = [-22.38299920719658, 32.91617530470085, -36.866116341264956,
           -19.74970518282051, -40.816057377829054]
-    s, kernel = Sample(xs), kernel_constants_1d("tsc")
-    grid = build_grid_1d(s, kernel, h)
+    s, kernel = Sample(xs), kernel_constants("tsc", 1)
+    grid = build_grid(s, kernel, h)
     direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
     pts = np.column_stack([xs, np.linspace(-0.3, 0.3, 5), np.linspace(0.2, -0.2, 5)])
-    s3, kernel3 = Sample(pts), kernel_constants_3d("tsc")
-    grid3 = build_grid_3d(s3, kernel3, h)
+    s3, kernel3 = Sample(pts), kernel_constants("tsc", 3)
+    grid3 = build_grid(s3, kernel3, h)
     direct3 = estimate_density_3d(s3, kernel3, h, _node_mesh(grid3)).reshape(grid3.dims)
     assert_allclose(grid3.values, direct3, rtol=1e-12, atol=1e-300)
 
@@ -1142,7 +1161,7 @@ def _boundary_sample_and_queries(h):
 def test_estimate_1d_matches_naive_sum_by_branch(kind, family):
     """Branch-resolved sums equal the naive sum over all points, and a
     query no point reaches stays exactly zero."""
-    kernel = kernel_constants_1d(family)
+    kernel = kernel_constants(family, 1)
     if kind.startswith("boundary"):
         h = 0.25 if kind == "boundary" else 0.3
         s, queries = _boundary_sample_and_queries(h)
@@ -1192,8 +1211,8 @@ def test_grid_translation_by_lattice_step():
     s = Sample(rng.normal(0.0, 1.0, 200))
     h = 0.25
     c = 8 * h
-    g0 = build_grid_1d(s, TSC, h)
-    g1 = build_grid_1d(Sample(s.points + c), TSC, h)
+    g0 = build_grid(s, TSC, h)
+    g1 = build_grid(Sample(s.points + c), TSC, h)
     assert_allclose(g1.origin, g0.origin + c, rtol=1e-12)
     assert_allclose(g1.values, g0.values, rtol=1e-12, atol=1e-300)
 
@@ -1221,8 +1240,8 @@ def test_grid_scale_relation():
     rng = np.random.default_rng(29)
     s = Sample(rng.normal(0.0, 1.0, 300))
     c, h = 2.0, 0.3
-    g0 = build_grid_1d(s, TSC, h)
-    g1 = build_grid_1d(Sample(c * s.points), TSC, c * h)
+    g0 = build_grid(s, TSC, h)
+    g1 = build_grid(Sample(c * s.points), TSC, c * h)
     assert g1.n_nodes == g0.n_nodes
     assert_allclose(g1.origin, c * g0.origin, rtol=1e-12, atol=1e-300)
     assert_allclose(g1.values, g0.values / c, rtol=1e-12, atol=1e-300)
@@ -1377,11 +1396,11 @@ def test_non_positive_bandwidth_rejected():
         with pytest.raises(NonPositiveBandwidth):
             estimate_density_1d(s, TSC, h, [0.0])
         with pytest.raises(NonPositiveBandwidth):
-            build_grid_1d(s, TSC, h)
+            build_grid(s, TSC, h)
         with pytest.raises(NonPositiveBandwidth):
             estimate_density_3d(s3, TSC3, h, np.zeros(3))
         with pytest.raises(NonPositiveBandwidth):
-            build_grid_3d(s3, TSC3, h)
+            build_grid(s3, TSC3, h)
 
 
 def test_sample_validation():
@@ -1390,7 +1409,7 @@ def test_sample_validation():
     with pytest.raises(DomainError):
         Sample(np.array([0.0, np.inf]))
     with pytest.raises(DomainError):
-        build_grid_3d(Sample(np.zeros((5, 2))), TSC3, 0.5)
+        build_grid(Sample(np.zeros((5, 2))), TSC3, 0.5)
     with pytest.raises(DomainError):
         Sample(np.array([[0.0, 0.0, np.nan]]))
 

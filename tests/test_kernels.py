@@ -7,9 +7,9 @@ from scipy.integrate import quad
 
 from kdeband import (
     DomainError,
+    Kernel,
     eval_kernel,
-    kernel_constants_1d,
-    kernel_constants_3d,
+    kernel_constants,
 )
 from kdeband.kernels import profile_branches, radial_profile
 
@@ -36,7 +36,7 @@ EXPECTED_3D = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_constants_1d_exact(family):
     """Stored descriptors carry the exact rational constants."""
-    k = kernel_constants_1d(family)
+    k = kernel_constants(family, 1)
     w, rk, mu2 = EXPECTED_1D[family]
     assert k.family == family
     assert k.width_w == w
@@ -47,7 +47,7 @@ def test_constants_1d_exact(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_constants_1d_match_quadrature(family):
     """R(K) and mu2 agree with adaptive quadrature of the evaluation."""
-    k = kernel_constants_1d(family)
+    k = kernel_constants(family, 1)
     half = k.width_w / 2.0
     breaks = [b for b in (-1.0, -0.5, 0.5, 1.0) if abs(b) < half]
     rk, _ = quad(lambda u: eval_kernel(k, u) ** 2, -half, half, points=breaks)
@@ -59,7 +59,7 @@ def test_constants_1d_match_quadrature(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_unit_integral_1d(family):
     """Midpoint rule with 1e6 nodes over the support integrates to 1."""
-    k = kernel_constants_1d(family)
+    k = kernel_constants(family, 1)
     half = k.width_w / 2.0
     n = 1_000_000
     step = (2.0 * half) / n
@@ -74,9 +74,9 @@ def test_unit_integral_1d(family):
 
 def test_eval_1d_examples():
     """Spot values of each piecewise branch."""
-    tsc = kernel_constants_1d("tsc")
-    ngp = kernel_constants_1d("ngp")
-    cic = kernel_constants_1d("cic")
+    tsc = kernel_constants("tsc", 1)
+    ngp = kernel_constants("ngp", 1)
+    cic = kernel_constants("cic", 1)
     assert eval_kernel(tsc, 0.0) == 0.75
     assert eval_kernel(ngp, 0.7) == 0.0
     assert eval_kernel(tsc, 1.0) == 0.125
@@ -85,18 +85,18 @@ def test_eval_1d_examples():
 
 def test_closed_boundaries():
     """Branch boundaries are closed: the first listed branch wins."""
-    ngp = kernel_constants_1d("ngp")
+    ngp = kernel_constants("ngp", 1)
     assert eval_kernel(ngp, 0.5) == 1.0
     assert eval_kernel(ngp, -0.5) == 1.0
     assert eval_kernel(ngp, np.nextafter(0.5, 1.0)) == 0.0
-    cic = kernel_constants_1d("cic")
+    cic = kernel_constants("cic", 1)
     assert eval_kernel(cic, 1.0) == 0.0
     assert eval_kernel(cic, np.nextafter(1.0, 2.0)) == 0.0
 
 
 def test_tsc_branches_join():
     """The TSC parabola pieces agree at their shared boundaries."""
-    tsc = kernel_constants_1d("tsc")
+    tsc = kernel_constants("tsc", 1)
     # both branch formulas give the same value at |u| = 1/2 and 3/2
     assert eval_kernel(tsc, 0.5) == 0.5
     assert abs(0.5 * (1.5 - 0.5) ** 2 - (0.75 - 0.5 ** 2)) < 1e-15
@@ -110,7 +110,7 @@ def test_tsc_branches_join():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_symmetry_bit_exact(family):
     """K(u) == K(-u) exactly for 1e4 random offsets."""
-    k = kernel_constants_1d(family)
+    k = kernel_constants(family, 1)
     rng = np.random.default_rng(42)
     u = rng.uniform(-2.0, 2.0, 10_000)
     assert np.array_equal(eval_kernel(k, u), eval_kernel(k, -u))
@@ -119,7 +119,7 @@ def test_symmetry_bit_exact(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_zero_outside_support(family):
     """K vanishes beyond |u| = w/2 and is non-negative inside."""
-    k = kernel_constants_1d(family)
+    k = kernel_constants(family, 1)
     half = k.width_w / 2.0
     rng = np.random.default_rng(7)
     inside = rng.uniform(-half, half, 1000)
@@ -136,7 +136,7 @@ def test_bounded_radial_profile_is_bit_equal(family, dim):
     the support) where the bounds allow it, and every value keeps the bits
     of the full selection over the branches: at the breakpoints 0.5, 1.0
     and 1.5 themselves, beside them, and for bounds that straddle one."""
-    k = kernel_constants_1d(family) if dim == 1 else kernel_constants_3d(family)
+    k = kernel_constants(family, 1) if dim == 1 else kernel_constants(family, 3)
     marks = np.array([0.0, 0.5, 1.0, 1.5])
     rng = np.random.default_rng(31)
     r = np.sort(np.concatenate([
@@ -168,7 +168,7 @@ def test_radial_profile_clamps_only_where_shape_ends_at_zero(family, dim, monkey
     branch on min(r, top), without the selection over all branches, where
     W is zero at its last top (CIC, TSC).  NGP ends at full height, so it
     keeps the selection.  The bits are the selection's either way."""
-    k = kernel_constants_1d(family) if dim == 1 else kernel_constants_3d(family)
+    k = kernel_constants(family, 1) if dim == 1 else kernel_constants(family, 3)
     top = profile_branches(k)[-1][0]
     r = np.sort(np.concatenate([
         np.linspace(top - 0.25, top + 0.5, 301), [top, np.nextafter(top, 2.0)],
@@ -189,7 +189,7 @@ def test_radial_profile_clamps_only_where_shape_ends_at_zero(family, dim, monkey
 @pytest.mark.parametrize("family", FAMILIES)
 def test_constants_3d_exact(family):
     """Stored 3D descriptors carry the exact constants."""
-    k = kernel_constants_3d(family)
+    k = kernel_constants(family, 3)
     w, norm, rk3, mu2 = EXPECTED_3D[family]
     assert k.family == family + "3"
     assert k.width_w == w
@@ -206,7 +206,7 @@ def test_constants_3d_match_quadrature(family):
     R(K3) = 4 pi A^2 int r^2 W^2 dr, and the per-axis second moment is
     (1/3) 4 pi A int r^4 W dr by isotropy.
     """
-    k = kernel_constants_3d(family)
+    k = kernel_constants(family, 3)
     half = k.width_w / 2.0
     a = k.normalization
 
@@ -235,9 +235,9 @@ def _shape(kernel3, r):
 
 def test_eval_3d_examples():
     """Values at the origin and outside the support."""
-    ngp3 = kernel_constants_3d("ngp")
-    tsc3 = kernel_constants_3d("tsc")
-    cic3 = kernel_constants_3d("cic")
+    ngp3 = kernel_constants("ngp", 3)
+    tsc3 = kernel_constants("tsc", 3)
+    cic3 = kernel_constants("cic", 3)
     assert_allclose(eval_kernel(ngp3, np.zeros(3)), 6.0 / np.pi, rtol=1e-15)
     assert_allclose(eval_kernel(tsc3, np.zeros(3)), 3.0 / (2.0 * np.pi), rtol=1e-15)
     assert eval_kernel(cic3, np.array([1.5, 0.0, 0.0])) == 0.0
@@ -246,7 +246,7 @@ def test_eval_3d_examples():
 
 def test_eval_3d_vectorized_rows():
     """(M, 3) input evaluates each row; matches single-vector calls."""
-    k = kernel_constants_3d("tsc")
+    k = kernel_constants("tsc", 3)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.0, 2.0, (50, 3))
     batch = eval_kernel(k, pts)
@@ -257,7 +257,7 @@ def test_eval_3d_vectorized_rows():
 def test_eval_3d_radial_reduction():
     """The value depends only on |x|: sign flips are bit-exact, and any
     equal-norm pair agrees to machine precision."""
-    k = kernel_constants_3d("cic")
+    k = kernel_constants("cic", 3)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, (200, 3))
     flipped = pts * np.array([-1.0, 1.0, -1.0])
@@ -273,7 +273,7 @@ def test_eval_3d_radial_reduction():
 def test_eval_3d_radial_matches_vector_form():
     """radial_profile(r) equals eval_kernel at (r, 0, 0)."""
     for family in FAMILIES:
-        k = kernel_constants_3d(family)
+        k = kernel_constants(family, 3)
         rs = np.linspace(0.0, 2.0, 41)
         radial = radial_profile(k, rs)
         vecs = np.column_stack([rs, np.zeros_like(rs), np.zeros_like(rs)])
@@ -281,16 +281,22 @@ def test_eval_3d_radial_matches_vector_form():
 
 
 def test_eval_3d_rejects_bad_shape():
-    k = kernel_constants_3d("tsc")
+    k = kernel_constants("tsc", 3)
     with pytest.raises(DomainError):
         eval_kernel(k, np.zeros((4, 2)))
+
+
+def test_eval_kernel_rejects_a_hand_built_unknown_family():
+    boxcar = Kernel("boxcar", 1, 1, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="unknown kernel family 'boxcar'"):
+        eval_kernel(boxcar, 0.3)
 
 
 def test_eval_kernel_result_shapes():
     """A 1D kernel maps any shape elementwise and a scalar to a float; a 3D
     kernel maps a 3-vector to a float and an (M, 3) array to M values, and
     rejects every other shape."""
-    k, k3 = kernel_constants_1d("tsc"), kernel_constants_3d("tsc")
+    k, k3 = kernel_constants("tsc", 1), kernel_constants("tsc", 3)
     for x in (np.zeros(2), np.zeros((2, 3, 3)), 0.5):
         with pytest.raises(DomainError):
             eval_kernel(k3, x)
@@ -317,7 +323,7 @@ def test_eval_kernel_never_warns_and_keeps_profile_bits(family, dim):
     +-1 ulp, in 1D and as 3D vectors and rows, eval_kernel warns of no
     overflow in a branch it discards: it reads 0 beyond the support and,
     elsewhere, the bits of radial_profile at the radius."""
-    k = kernel_constants_1d(family) if dim == 1 else kernel_constants_3d(family)
+    k = kernel_constants(family, 1) if dim == 1 else kernel_constants(family, 3)
     half = 0.5 * k.width_w
     u = _edge_offsets(half)
     if dim == 1:
@@ -342,13 +348,13 @@ def test_eval_kernel_never_warns_and_keeps_profile_bits(family, dim):
 # ---------------------------------------------------------------------------
 
 def test_tokens_case_insensitive():
-    assert kernel_constants_1d("TSC") is kernel_constants_1d("tsc")
-    assert kernel_constants_3d("NGP") is kernel_constants_3d("ngp")
-    assert kernel_constants_3d("cic3") is kernel_constants_3d("cic")
+    assert kernel_constants("TSC", 1) is kernel_constants("tsc", 1)
+    assert kernel_constants("NGP", 3) is kernel_constants("ngp", 3)
+    assert kernel_constants("cic3", 3) is kernel_constants("cic", 3)
 
 
 def test_unknown_family_rejected():
     with pytest.raises(DomainError):
-        kernel_constants_1d("gaussian")
+        kernel_constants("gaussian", 1)
     with pytest.raises(DomainError):
-        kernel_constants_3d("box")
+        kernel_constants("box", 3)

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from kdeband.errors import DomainError
-from kdeband.kernels import kernel_constants_1d, kernel_constants_3d
+from kdeband.kernels import kernel_constants
 from kdeband.reference import (
     AnalyticDensity,
     analytic_optimal_bandwidth,
@@ -177,7 +177,7 @@ def test_gaussian_3d_roughness():
 
 
 def test_analytic_optimal_bandwidth_examples():
-    tsc = kernel_constants_1d("tsc")
+    tsc = kernel_constants("tsc", 1)
     h_gauss = analytic_optimal_bandwidth(gaussian_1d(), tsc, 100_000, dimension=1)
     assert_allclose(h_gauss, 0.21078, atol=1e-4)
     assert_allclose(h_gauss, 0.2107682881168361, rtol=1e-12)
@@ -186,7 +186,7 @@ def test_analytic_optimal_bandwidth_examples():
     assert_allclose(h_tscd, 0.10796, atol=1e-4)
     assert_allclose(h_tscd, 0.10796084730466028, rtol=1e-12)
 
-    ngp3 = kernel_constants_3d("ngp3")
+    ngp3 = kernel_constants("ngp3", 3)
     h_3d = analytic_optimal_bandwidth(gaussian_3d(), ngp3, 10_000, dimension=3)
     expected = (3.0 * (6.0 / np.pi) / (R3_GAUSS * 0.05 ** 2)) ** (1.0 / 7.0) * 10_000 ** (
         -1.0 / 7.0
@@ -197,11 +197,11 @@ def test_analytic_optimal_bandwidth_examples():
 
 def test_analytic_optimal_bandwidth_dimension_checks():
     with pytest.raises(DomainError):
-        analytic_optimal_bandwidth(gaussian_1d(), kernel_constants_3d("tsc3"), 100, dimension=1)
+        analytic_optimal_bandwidth(gaussian_1d(), kernel_constants("tsc3", 3), 100, dimension=1)
     with pytest.raises(DomainError):
-        analytic_optimal_bandwidth(gaussian_3d(), kernel_constants_1d("tsc"), 100, dimension=3)
+        analytic_optimal_bandwidth(gaussian_3d(), kernel_constants("tsc", 1), 100, dimension=3)
     with pytest.raises(DomainError):
-        analytic_optimal_bandwidth(gaussian_1d(), kernel_constants_1d("tsc"), 100, dimension=2)
+        analytic_optimal_bandwidth(gaussian_1d(), kernel_constants("tsc", 1), 100, dimension=2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ from kdeband import (
     NonPositiveBandwidth,
     Sample,
     corrected_roughness,
-    corrected_roughness_1d,
     eval_kernel,
-    kernel_constants_1d,
-    kernel_constants_3d,
+    kernel_constants,
 )
 
-TSC = kernel_constants_1d("tsc")
-TSC3 = kernel_constants_3d("tsc")
+TSC = kernel_constants("tsc", 1)
+TSC3 = kernel_constants("tsc", 3)
 
 R1_GAUSS = 3.0 / (8.0 * np.sqrt(np.pi))
 R3_GAUSS = 15.0 / (32.0 * np.pi ** 1.5)
@@ -47,7 +45,7 @@ def _gauss_sample_3d(Np, seed):
 def test_correction_term_1d_arithmetic():
     """w=3, h=0.2, Np=1e5 -> 6/(3 * 0.2^5 * 1e5) = 0.0625."""
     s = _gauss_sample(100_000, 1)
-    res = corrected_roughness_1d(s, TSC, 0.2)
+    res = corrected_roughness(s, TSC, 0.2)
     assert res.correction == 6.0 / (3.0 * 0.2 ** 5 * 100_000)
     assert_allclose(res.correction, 0.0625, rtol=1e-12)
 
@@ -66,7 +64,7 @@ def test_corrected_equals_raw_minus_correction():
     """The three fields satisfy corrected = raw - correction exactly."""
     s = _gauss_sample(5_000, 3)
     for h in (0.15, 0.3, 0.6):
-        res = corrected_roughness_1d(s, TSC, h)
+        res = corrected_roughness(s, TSC, h)
         assert res.corrected == res.raw - res.correction
         assert res.correction >= 0.0 and res.raw >= 0.0
     s3 = _gauss_sample_3d(5_000, 3)
@@ -77,8 +75,8 @@ def test_corrected_equals_raw_minus_correction():
 def test_correction_scale_law():
     """Doubling h scales the correction by exactly 2^-5 (1D), 2^-7 (3D)."""
     s = _gauss_sample(2_000, 5)
-    c1 = corrected_roughness_1d(s, TSC, 0.3).correction
-    c2 = corrected_roughness_1d(s, TSC, 0.6).correction
+    c1 = corrected_roughness(s, TSC, 0.3).correction
+    c2 = corrected_roughness(s, TSC, 0.6).correction
     assert c2 == c1 / 32.0
     s3 = _gauss_sample_3d(2_000, 5)
     d1 = corrected_roughness(s3, TSC3, 0.5).correction
@@ -93,7 +91,7 @@ def test_correction_scale_law():
 def test_tiny_h_flags_negative_1d():
     """At extreme small h the noise term dominates; no exception raised."""
     s = _gauss_sample(1_000, 11)
-    res = corrected_roughness_1d(s, TSC, 1e-4, grid_cap=10_000_000)
+    res = corrected_roughness(s, TSC, 1e-4, grid_cap=10_000_000)
     assert res.corrected < 0.0
 
 
@@ -190,7 +188,7 @@ def test_seed_averaged_corrected_roughness_matches_oracle():
     """
     h, Np, n_seeds = 0.21, 100_000, 50
     vals = np.array([
-        corrected_roughness_1d(_gauss_sample(Np, seed), TSC, h).corrected
+        corrected_roughness(_gauss_sample(Np, seed), TSC, h).corrected
         for seed in range(1, n_seeds + 1)
     ])
     mean = vals.mean()
@@ -216,7 +214,7 @@ def test_bias_reduction_toward_truth():
     h, Np, n_seeds = 0.3340452250230561, 10_000, 50
     raw, corr = [], []
     for seed in range(1, n_seeds + 1):
-        res = corrected_roughness_1d(_gauss_sample(Np, seed), TSC, h)
+        res = corrected_roughness(_gauss_sample(Np, seed), TSC, h)
         raw.append(res.raw)
         corr.append(res.corrected)
     raw_gap = abs(np.mean(raw) - R1_GAUSS)
@@ -235,7 +233,7 @@ def test_consistency_trend_across_decades():
     for Np in (1_000, 10_000, 100_000):
         h = 0.2107682881168361 * (100_000 / Np) ** 0.2
         errs = [
-            abs(corrected_roughness_1d(_gauss_sample(Np, s), TSC, h).corrected
+            abs(corrected_roughness(_gauss_sample(Np, s), TSC, h).corrected
                 - R1_GAUSS) / R1_GAUSS
             for s in range(1, n_seeds + 1)
         ]
@@ -263,7 +261,7 @@ def test_roughness_3d_near_optimum():
 def test_nonpositive_bandwidth_rejected():
     s = _gauss_sample(100, 1)
     with pytest.raises(NonPositiveBandwidth):
-        corrected_roughness_1d(s, TSC, 0.0)
+        corrected_roughness(s, TSC, 0.0)
     s3 = _gauss_sample_3d(100, 1)
     with pytest.raises(NonPositiveBandwidth):
         corrected_roughness(s3, TSC3, -1.0)
@@ -272,7 +270,7 @@ def test_nonpositive_bandwidth_rejected():
 def test_grid_cap_propagates():
     s = _gauss_sample(1_000, 1)
     with pytest.raises(GridTooLarge):
-        corrected_roughness_1d(s, TSC, 0.001, grid_cap=100)
+        corrected_roughness(s, TSC, 0.001, grid_cap=100)
 
 
 @pytest.mark.filterwarnings("error")

@@ -16,7 +16,7 @@ from scipy import stats
 
 from kdeband.errors import DomainError
 from kdeband.estimator import Sample
-from kdeband.kernels import eval_kernel, kernel_constants_1d
+from kdeband.kernels import eval_kernel, kernel_constants
 from kdeband.samplers import (
     RNG_NAME,
     TRIMODAL_MEANS,
@@ -150,7 +150,7 @@ def test_tsc_cdf_oracle_anchors():
     )
     # cross-check against a direct quadrature of the kernel shape
     grid = np.linspace(-1.5, 1.5, 30_001)
-    dens = eval_kernel(kernel_constants_1d("tsc"), grid)
+    dens = eval_kernel(kernel_constants("tsc", 1), grid)
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
     idx = np.searchsorted(grid, [-1.0, -0.25, 0.3, 1.2])
     assert_allclose(_tsc_cdf(grid[idx]), cum[idx], atol=1e-8)
@@ -173,7 +173,7 @@ def test_tsc_rejection_acceptance_rate():
     m = 100_000
     y = rng.uniform(-1.5, 1.5, m)
     u = rng.uniform(0.0, 0.75, m)
-    frac = np.mean(u <= eval_kernel(kernel_constants_1d("tsc"), y))
+    frac = np.mean(u <= eval_kernel(kernel_constants("tsc", 1), y))
     assert abs(frac - 4.0 / 9.0) / (4.0 / 9.0) < 0.02
 
 

@@ -23,9 +23,9 @@ from kdeband.errors import (
     NonPositiveRoughness,
 )
 from kdeband.estimator import Sample
-from kdeband.kernels import Kernel, kernel_constants_1d, kernel_constants_3d
+from kdeband.kernels import Kernel, kernel_constants
 from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
-from kdeband.roughness import corrected_roughness, corrected_roughness_1d
+from kdeband.roughness import corrected_roughness
 from kdeband.samplers import sample_gaussian_1d, sample_gaussian_3d
 from kdeband.selector import (
     BandwidthTrace,
@@ -33,9 +33,7 @@ from kdeband.selector import (
     SelectorConfig,
     amise,
     optimal_bandwidth,
-    optimal_bandwidth_1d,
-    select_bandwidth_1d,
-    select_bandwidth_3d,
+    select_bandwidth,
 )
 
 R1_GAUSS = 3.0 / (8.0 * np.sqrt(np.pi))  # integral of (phi'')^2
@@ -59,30 +57,30 @@ H_TSC3_GAUSS_1E5 = 0.39439776574503543
 
 def test_optimal_bandwidth_1d_gaussian_tsc():
     """TSC on the standard normal curvature at Np=1e5 gives h ~ 0.21078."""
-    h = optimal_bandwidth_1d(R1_GAUSS, kernel_constants_1d("tsc"), 100_000)
+    h = optimal_bandwidth(R1_GAUSS, kernel_constants("tsc", 1), 100_000)
     assert_allclose(h, 0.21078, atol=1e-4)
     assert_allclose(h, H_TSC_GAUSS_1E5, rtol=1e-12)
 
 
 def test_optimal_bandwidth_1d_flat_roughness():
     """A known curvature roughness of 6 at Np=1e5 gives h ~ 0.10796 for TSC."""
-    h = optimal_bandwidth_1d(6.0, kernel_constants_1d("tsc"), 100_000)
+    h = optimal_bandwidth(6.0, kernel_constants("tsc", 1), 100_000)
     assert_allclose(h, 0.10796, atol=1e-4)
     assert_allclose(h, H_TSC_FLAT6_1E5, rtol=1e-12)
 
 
 def test_optimal_bandwidth_1d_np_scaling():
     """h scales as Np^(-1/5): multiplying Np by 32 halves the bandwidth."""
-    kern = kernel_constants_1d("tsc")
-    h1 = optimal_bandwidth_1d(R1_GAUSS, kern, 100_000)
-    h2 = optimal_bandwidth_1d(R1_GAUSS, kern, 32 * 100_000)
+    kern = kernel_constants("tsc", 1)
+    h1 = optimal_bandwidth(R1_GAUSS, kern, 100_000)
+    h2 = optimal_bandwidth(R1_GAUSS, kern, 32 * 100_000)
     assert_allclose(h2, h1 / 2.0, rtol=1e-15)
 
 
 def test_optimal_bandwidth_3d_gaussian_ngp3():
     """NGP3 on the 3D standard normal at Np=1e4, checked against an
     in-test evaluation of the same closed form with exact constants."""
-    kern = kernel_constants_3d("ngp3")
+    kern = kernel_constants("ngp3", 3)
     h = optimal_bandwidth(R3_GAUSS, kern, 10_000)
     expected = (3.0 * (6.0 / np.pi) / (R3_GAUSS * (1.0 / 20.0) ** 2)) ** (1.0 / 7.0) * 10_000 ** (
         -1.0 / 7.0
@@ -93,14 +91,14 @@ def test_optimal_bandwidth_3d_gaussian_ngp3():
 
 def test_optimal_bandwidth_3d_np_scaling():
     """h scales as Np^(-1/7): multiplying Np by 128 halves the bandwidth."""
-    kern = kernel_constants_3d("tsc3")
+    kern = kernel_constants("tsc3", 3)
     h1 = optimal_bandwidth(R3_GAUSS, kern, 10_000)
     h2 = optimal_bandwidth(R3_GAUSS, kern, 128 * 10_000)
     assert_allclose(h2, h1 / 2.0, rtol=1e-15)
 
 
 def test_optimal_bandwidth_3d_tsc3_frozen_values():
-    kern = kernel_constants_3d("tsc3")
+    kern = kernel_constants("tsc3", 3)
     assert_allclose(optimal_bandwidth(R3_GAUSS, kern, 100_000), H_TSC3_GAUSS_1E5, rtol=1e-12)
     assert_allclose(optimal_bandwidth(R3_GAUSS, kern, 10_000), H_TSC3_GAUSS_1E4, rtol=1e-12)
 
@@ -108,40 +106,40 @@ def test_optimal_bandwidth_3d_tsc3_frozen_values():
 def test_optimal_bandwidth_matches_reference_helper():
     """The reference-module convenience wrapper agrees with the direct formula."""
     dens = gaussian_1d()
-    h_direct = optimal_bandwidth_1d(
-        dens.roughness(), kernel_constants_1d("tsc"), 100_000
+    h_direct = optimal_bandwidth(
+        dens.roughness(), kernel_constants("tsc", 1), 100_000
     )
-    h_wrapped = analytic_optimal_bandwidth(dens, kernel_constants_1d("tsc"), 100_000, dimension=1)
+    h_wrapped = analytic_optimal_bandwidth(dens, kernel_constants("tsc", 1), 100_000, dimension=1)
     assert h_wrapped == h_direct
 
 
 def test_optimal_bandwidth_rejects_nonpositive_roughness():
     with pytest.raises(NonPositiveRoughness):
-        optimal_bandwidth_1d(0.0, kernel_constants_1d("tsc"), 1000)
+        optimal_bandwidth(0.0, kernel_constants("tsc", 1), 1000)
     with pytest.raises(NonPositiveRoughness):
-        optimal_bandwidth_1d(-1.0, kernel_constants_1d("cic"), 1000)
+        optimal_bandwidth(-1.0, kernel_constants("cic", 1), 1000)
     with pytest.raises(NonPositiveRoughness):
-        optimal_bandwidth(0.0, kernel_constants_3d("tsc3"), 1000)
+        optimal_bandwidth(0.0, kernel_constants("tsc3", 3), 1000)
     with pytest.raises(NonPositiveRoughness):
-        optimal_bandwidth(-0.5, kernel_constants_3d("ngp3"), 1000)
+        optimal_bandwidth(-0.5, kernel_constants("ngp3", 3), 1000)
     with pytest.raises(NonPositiveRoughness):
-        optimal_bandwidth(np.inf, kernel_constants_1d("tsc"), 100)
+        optimal_bandwidth(np.inf, kernel_constants("tsc", 1), 100)
     with pytest.raises(DomainError, match="out of range"):
-        optimal_bandwidth(1e-320, kernel_constants_1d("tsc"), 100)
+        optimal_bandwidth(1e-320, kernel_constants("tsc", 1), 100)
 
 
 def test_optimal_bandwidth_rejects_bad_np():
     with pytest.raises(DomainError):
-        optimal_bandwidth_1d(1.0, kernel_constants_1d("tsc"), 0)
+        optimal_bandwidth(1.0, kernel_constants("tsc", 1), 0)
     with pytest.raises(DomainError):
-        optimal_bandwidth(1.0, kernel_constants_3d("tsc3"), -5)
+        optimal_bandwidth(1.0, kernel_constants("tsc3", 3), -5)
     for Np in (np.inf, np.nan, 2.7):
         with pytest.raises(DomainError):
-            optimal_bandwidth(1.0, kernel_constants_1d("tsc"), Np)
+            optimal_bandwidth(1.0, kernel_constants("tsc", 1), Np)
         with pytest.raises(DomainError):
-            analytic_optimal_bandwidth(gaussian_1d(), kernel_constants_1d("tsc"), Np, 1)
-    assert optimal_bandwidth(1.0, kernel_constants_1d("tsc"), 1e5) == optimal_bandwidth(
-        1.0, kernel_constants_1d("tsc"), 100_000)
+            analytic_optimal_bandwidth(gaussian_1d(), kernel_constants("tsc", 1), Np, 1)
+    assert optimal_bandwidth(1.0, kernel_constants("tsc", 1), 1e5) == optimal_bandwidth(
+        1.0, kernel_constants("tsc", 1), 100_000)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +163,8 @@ def test_amise_minimized_at_closed_form_optimum():
     for _ in range(20):
         rough = float(10.0 ** rng.uniform(-2, 2))
         Np = int(rng.integers(100, 10_000_000))
-        kern = kernel_constants_1d(("ngp", "cic", "tsc")[int(rng.integers(0, 3))])
-        h_opt = optimal_bandwidth_1d(rough, kern, Np)
+        kern = kernel_constants(("ngp", "cic", "tsc")[int(rng.integers(0, 3))], 1)
+        h_opt = optimal_bandwidth(rough, kern, Np)
         grid = np.geomspace(h_opt / 4.0, 4.0 * h_opt, 101)
         values = np.array([amise(h, kern, rough, Np) for h in grid])
         i_min = int(np.argmin(values))
@@ -175,7 +173,7 @@ def test_amise_minimized_at_closed_form_optimum():
 
 
 def test_amise_validation():
-    kern = kernel_constants_1d("tsc")
+    kern = kernel_constants("tsc", 1)
     with pytest.raises(NonPositiveBandwidth):
         amise(0.0, kern, 1.0, 100)
     with pytest.raises(NonPositiveRoughness):
@@ -188,7 +186,7 @@ def test_amise_validation():
         with pytest.raises(DomainError):
             amise(0.1, kern, 1.0, Np)
     with pytest.raises(DomainError, match="out of range"):
-        amise(1e-110, kernel_constants_3d("tsc3"), 1.0, 100)
+        amise(1e-110, kernel_constants("tsc3", 3), 1.0, 100)
     with pytest.raises(DomainError, match="out of range"):
         amise(1e100, kern, 1.0, 100)
 
@@ -210,7 +208,7 @@ def test_select_gaussian_1d_example():
     """A 1e5-point standard normal sample selects a bandwidth within 5 percent
     of the closed-form optimum, converging in at most 20 plug-in updates."""
     sample = sample_gaussian_1d(100_000, seed=1)
-    trace = select_bandwidth_1d(sample, kernel_constants_1d("tsc"))
+    trace = select_bandwidth(sample, kernel_constants("tsc", 1))
     assert trace.converged
     assert trace.final_h == trace.iterations[-2].h
     rel_err = abs(trace.final_h - H_TSC_GAUSS_1E5) / H_TSC_GAUSS_1E5
@@ -223,16 +221,16 @@ def test_trace_fixed_point_invariants():
     """Every plug-in record's output bandwidth is exactly the closed-form
     optimum of its measured corrected roughness, and the final step's
     relative change is within the configured tolerance."""
-    kern = kernel_constants_1d("tsc")
+    kern = kernel_constants("tsc", 1)
     sample = sample_gaussian_1d(20_000, seed=3)
     config = SelectorConfig()
-    trace = select_bandwidth_1d(sample, kern, config)
+    trace = select_bandwidth(sample, kern, config)
     assert trace.converged
     Np = sample.size_Np
     for rec in trace.iterations:
         if not rec.backoff_applied:
             assert rec.corrected_roughness > 0.0
-            assert rec.h == optimal_bandwidth_1d(rec.corrected_roughness, kern, Np)
+            assert rec.h == optimal_bandwidth(rec.corrected_roughness, kern, Np)
             assert rec.raw_roughness > rec.corrected_roughness
     # reconstruct the final relative change from the last two bandwidths
     hs = [rec.h for rec in trace.iterations]
@@ -249,7 +247,7 @@ def test_backoff_path_doubles_bandwidth():
     h0 = c0 * std * Np^(-1/5)."""
     config = SelectorConfig(initial_scale_c0=1e-3)
     sample = sample_gaussian_1d(1000, seed=11)
-    trace = select_bandwidth_1d(sample, kernel_constants_1d("tsc"), config)
+    trace = select_bandwidth(sample, kernel_constants("tsc", 1), config)
     assert trace.converged
     assert trace.iterations[0].backoff_applied
     h0 = config.initial_scale_c0 * sample.std * sample.size_Np ** -0.2
@@ -265,7 +263,7 @@ def test_backoff_path_doubles_bandwidth():
         h_in = rec.h
     assert n_backoffs >= 3
     # once recovered, the answer matches an unperturbed run
-    plain = select_bandwidth_1d(sample, kernel_constants_1d("tsc"))
+    plain = select_bandwidth(sample, kernel_constants("tsc", 1))
     assert_allclose(trace.final_h, plain.final_h, rtol=1e-3)
 
 
@@ -275,7 +273,7 @@ def test_backoff_exhausted():
     config = SelectorConfig(initial_scale_c0=1e-3, max_backoffs=1)
     sample = sample_gaussian_1d(1000, seed=11)
     with pytest.raises(BackoffExhausted):
-        select_bandwidth_1d(sample, kernel_constants_1d("tsc"), config)
+        select_bandwidth(sample, kernel_constants("tsc", 1), config)
 
 
 def test_not_converged_reports_false():
@@ -283,7 +281,7 @@ def test_not_converged_reports_false():
     best bandwidth so far with converged=False rather than raising."""
     config = SelectorConfig(max_iterations=1)
     sample = sample_gaussian_1d(5000, seed=4)
-    trace = select_bandwidth_1d(sample, kernel_constants_1d("tsc"), config)
+    trace = select_bandwidth(sample, kernel_constants("tsc", 1), config)
     assert not trace.converged
     assert sum(1 for r in trace.iterations if not r.backoff_applied) == 1
     assert trace.final_h == trace.iterations[-1].h
@@ -293,34 +291,34 @@ def test_not_converged_reports_false():
 def test_select_scale_equivariance():
     """Rescaling the data by 10 rescales the selected bandwidth by 10."""
     values = sample_gaussian_1d(20_000, seed=6).points
-    kern = kernel_constants_1d("tsc")
-    h_base = select_bandwidth_1d(Sample(values), kern).final_h
-    h_scaled = select_bandwidth_1d(Sample(10.0 * values), kern).final_h
+    kern = kernel_constants("tsc", 1)
+    h_base = select_bandwidth(Sample(values), kern).final_h
+    h_scaled = select_bandwidth(Sample(10.0 * values), kern).final_h
     assert_allclose(h_scaled, 10.0 * h_base, rtol=1e-6)
 
 
 def test_select_determinism():
     """The same sample and configuration reproduce the trace bit for bit."""
     values = sample_gaussian_1d(10_000, seed=9).points
-    kern = kernel_constants_1d("cic")
-    t1 = select_bandwidth_1d(Sample(values), kern)
-    t2 = select_bandwidth_1d(Sample(values.copy()), kern)
+    kern = kernel_constants("cic", 1)
+    t1 = select_bandwidth(Sample(values), kern)
+    t2 = select_bandwidth(Sample(values.copy()), kern)
     assert t1.final_h == t2.final_h
     assert t1.converged == t2.converged
     assert t1.iterations == t2.iterations
 
 
 def test_degenerate_samples_rejected():
-    kern = kernel_constants_1d("tsc")
+    kern = kernel_constants("tsc", 1)
     with pytest.raises(DegenerateSample):
-        select_bandwidth_1d(Sample(np.full(100, 3.5)), kern)
+        select_bandwidth(Sample(np.full(100, 3.5)), kern)
     with pytest.raises(DegenerateSample):
-        select_bandwidth_1d(Sample(np.array([1.0])), kern)
-    kern3 = kernel_constants_3d("tsc3")
+        select_bandwidth(Sample(np.array([1.0])), kern)
+    kern3 = kernel_constants("tsc3", 3)
     with pytest.raises(DegenerateSample):
-        select_bandwidth_3d(Sample(np.full((50, 3), 2.0)), kern3)
+        select_bandwidth(Sample(np.full((50, 3), 2.0)), kern3)
     with pytest.raises(DegenerateSample):
-        select_bandwidth_3d(Sample(np.zeros((1, 3))), kern3)
+        select_bandwidth(Sample(np.zeros((1, 3))), kern3)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +330,9 @@ def test_select_gaussian_3d_example():
     """A 1e4-point 3D standard normal sample with TSC3 lands within 5 percent
     of the closed-form optimum and satisfies the plug-in fixed-point
     relation exactly."""
-    kern = kernel_constants_3d("tsc3")
+    kern = kernel_constants("tsc3", 3)
     sample = sample_gaussian_3d(10_000, seed=2)
-    trace = select_bandwidth_3d(sample, kern)
+    trace = select_bandwidth(sample, kern)
     assert trace.converged
     rel_err = abs(trace.final_h - H_TSC3_GAUSS_1E4) / H_TSC3_GAUSS_1E4
     assert rel_err < 0.05
@@ -350,10 +348,10 @@ def test_ngp3_less_accurate_than_tsc3():
     errs = {"ngp3": [], "tsc3": []}
     targets = {"ngp3": H_NGP3_GAUSS_1E3, "tsc3": H_TSC3_GAUSS_1E3}
     for family in ("ngp3", "tsc3"):
-        kern = kernel_constants_3d(family)
+        kern = kernel_constants(family, 3)
         for seed in (1, 2, 3):
             sample = sample_gaussian_3d(1000, seed=seed)
-            trace = select_bandwidth_3d(sample, kern)
+            trace = select_bandwidth(sample, kern)
             errs[family].append(abs(trace.final_h - targets[family]) / targets[family])
     assert np.mean(errs["ngp3"]) > np.mean(errs["tsc3"])
 
@@ -366,19 +364,19 @@ def test_converged_final_h_was_measured():
     roughness, where the unmeasured last iterate could land far off."""
     config = SelectorConfig()
     cases = [
-        (sample_gaussian_3d(1000, seed=seed), kernel_constants_3d("ngp3"))
+        (sample_gaussian_3d(1000, seed=seed), kernel_constants("ngp3", 3))
         for seed in (2, 3, 4)
     ]
-    cases.append((sample_gaussian_1d(10_000, seed=1), kernel_constants_1d("tsc")))
+    cases.append((sample_gaussian_1d(10_000, seed=1), kernel_constants("tsc", 1)))
     for sample, kern in cases:
         if sample.dim == 3:
-            trace = select_bandwidth_3d(sample, kern, config)
+            trace = select_bandwidth(sample, kern, config)
             res = corrected_roughness(sample, kern, trace.final_h)
             h_next = optimal_bandwidth(res.corrected, kern, sample.size_Np)
         else:
-            trace = select_bandwidth_1d(sample, kern, config)
-            res = corrected_roughness_1d(sample, kern, trace.final_h)
-            h_next = optimal_bandwidth_1d(res.corrected, kern, sample.size_Np)
+            trace = select_bandwidth(sample, kern, config)
+            res = corrected_roughness(sample, kern, trace.final_h)
+            h_next = optimal_bandwidth(res.corrected, kern, sample.size_Np)
         assert trace.converged
         last = trace.iterations[-1]
         assert not last.backoff_applied
@@ -406,9 +404,9 @@ def test_select_3d_rotation_stability():
     assert_allclose(rotation @ rotation.T, np.eye(3), atol=1e-14)
 
     points = sample_gaussian_3d(10_000, seed=5).points
-    kern = kernel_constants_3d("tsc3")
-    h_base = select_bandwidth_3d(Sample(points), kern).final_h
-    h_rot = select_bandwidth_3d(Sample(points @ rotation.T), kern).final_h
+    kern = kernel_constants("tsc3", 3)
+    h_base = select_bandwidth(Sample(points), kern).final_h
+    h_rot = select_bandwidth(Sample(points @ rotation.T), kern).final_h
     assert abs(h_rot - h_base) / h_base < 0.02
 
 
@@ -436,6 +434,17 @@ def test_selector_config_validation():
         SelectorConfig(backoff_factor=np.inf)
     with pytest.raises(DomainError):
         SelectorConfig(max_backoffs=0)
+
+
+@pytest.mark.parametrize("field", ["max_iterations", "max_backoffs"])
+def test_config_update_caps_are_positive_integers(field):
+    """A fractional or infinite cap is not a cap: 1.5 used to run 2
+    updates and inf none at all.  Integral floats are stored as ints."""
+    for value in (1.5, np.inf, 0):
+        with pytest.raises(DomainError, match=field):
+            SelectorConfig(**{field: value})
+    capped = getattr(SelectorConfig(**{field: 3.0}), field)
+    assert capped == 3 and type(capped) is int
 
 
 def test_trace_records_are_frozen():
@@ -471,7 +480,7 @@ def test_degenerate_3d_geometry_rejected(fixed_columns):
     for axis, value in fixed_columns.items():
         points[:, axis] = value
     with pytest.raises(DegenerateSample):
-        select_bandwidth_3d(Sample(points), kernel_constants_3d("tsc3"))
+        select_bandwidth(Sample(points), kernel_constants("tsc3", 3))
 
 
 _S3 = Sample(np.random.default_rng(0).standard_normal((100, 3)))
@@ -480,10 +489,10 @@ _S3 = Sample(np.random.default_rng(0).standard_normal((100, 3)))
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: select_bandwidth_3d(_S3, kernel_constants_1d("tsc")),
-        lambda: kdeband.estimate_density_3d(_S3, kernel_constants_1d("tsc"), 0.5, np.zeros(3)),
-        lambda: optimal_bandwidth_1d(R1_GAUSS, kernel_constants_3d("tsc3"), 1000),
-        lambda: select_bandwidth_1d(_S3, kernel_constants_1d("tsc")),
+        lambda: kdeband.select_bandwidth_3d(_S3, kernel_constants("tsc", 1)),
+        lambda: kdeband.estimate_density_3d(_S3, kernel_constants("tsc", 1), 0.5, np.zeros(3)),
+        lambda: kdeband.optimal_bandwidth_1d(R1_GAUSS, kernel_constants("tsc3", 3), 1000),
+        lambda: kdeband.select_bandwidth_1d(_S3, kernel_constants("tsc", 1)),
     ],
     ids=["select_3d-kernel_1d", "estimate_3d-kernel_1d", "optimal_1d-kernel_3d",
          "select_1d-sample_3d"],
@@ -529,9 +538,9 @@ def test_selection_matches_recorded_bits(law, Np, seed, family, final_h, n_recor
                                          corrected):
     sample = _golden_sample(law, Np, seed)
     if law == "gauss3d":
-        trace = select_bandwidth_3d(sample, kernel_constants_3d(family))
+        trace = select_bandwidth(sample, kernel_constants(family, 3))
     else:
-        trace = select_bandwidth_1d(sample, kernel_constants_1d(family))
+        trace = select_bandwidth(sample, kernel_constants(family, 1))
     assert trace.converged
     assert trace.final_h.hex() == final_h
     assert len(trace.iterations) == n_records
@@ -546,43 +555,56 @@ def test_selection_keeps_recorded_bits_in_small_chunks(monkeypatch):
     test_selection_matches_recorded_bits(*GOLDEN[3])
 
 
-@pytest.mark.parametrize(
-    "name, generic, d",
-    [
-        ("build_grid_1d", "build_grid", 1),
-        ("build_grid_3d", "build_grid", 3),
-        ("corrected_roughness_1d", "corrected_roughness", 1),
-        ("optimal_bandwidth_1d", "optimal_bandwidth", 1),
-        ("select_bandwidth_1d", "select_bandwidth", 1),
-        ("select_bandwidth_3d", "select_bandwidth", 3),
-        ("kernel_constants_1d", "kernel_constants", 1),
-        ("kernel_constants_3d", "kernel_constants", 3),
-    ],
-)
-def test_dimension_named_function_is_the_generic_one(name, generic, d):
-    """Each _1d/_3d function is its generic function with d fixed, so no
-    second implementation can come back under the old name.
+# The eight dimension-named names the benchmark in perfbench/ resolves on
+# the package, each with its generic function and its d.  They go, with
+# the test below, once the benchmark calls the generic names.
+_FIXED_DIM = [
+    ("kernel_constants_1d", "kernel_constants", 1),
+    ("kernel_constants_3d", "kernel_constants", 3),
+    ("build_grid_1d", "build_grid", 1),
+    ("build_grid_3d", "build_grid", 3),
+    ("corrected_roughness_1d", "corrected_roughness", 1),
+    ("optimal_bandwidth_1d", "optimal_bandwidth", 1),
+    ("select_bandwidth_1d", "select_bandwidth", 1),
+    ("select_bandwidth_3d", "select_bandwidth", 3),
+]
 
-    These eight are the only such names left: the benchmark in perfbench/
-    resolves each of them by name (kernel_constants_{d}d, build_grid_{d}d
-    and select_bandwidth_{d}d per workload, and the 1D roughness, update
-    and selection in its fixed-point check).  They can go, with their rows
-    here and the ``dim`` keyword of the four generic functions, once the
-    benchmark calls the generic names.
-    """
-    fn = getattr(kdeband, name)
-    assert fn.func is getattr(kdeband, generic)
-    assert fn.args == () and fn.keywords == {"dim": d}
+
+def _bits(result):
+    if isinstance(result, kdeband.Grid):
+        return result.values.tobytes(), np.asarray(result.origin).tobytes(), result.spacing
+    return result
+
+
+@pytest.mark.parametrize("name, generic, d", _FIXED_DIM)
+def test_dimension_named_function_is_the_generic_one(name, generic, d):
+    """Each name resolves on the package but is not public, and gives the
+    generic function's bits on a small d-dimensional input.  The six that
+    take a kernel raise DomainError naming both dimensions for a kernel of
+    the other d; kernel_constants_1d rejects a 3D family."""
+    assert name not in kdeband.__all__
+    fixed, fn = getattr(kdeband, name), getattr(kdeband, generic)
+    if generic == "kernel_constants":
+        assert fixed("TSC") == fn("tsc", d) and fixed("TSC").dim == d
+        if d == 1:
+            with pytest.raises(DomainError, match="for d = 1"):
+                fixed("tsc3")
+        return
+    other = 4 - d  # 1 <-> 3
+    kernel, wrong = kernel_constants("tsc", d), kernel_constants("tsc", other)
+    points = np.random.default_rng(5).standard_normal(500 if d == 1 else (500, d))
+    first = 3.0 if generic == "optimal_bandwidth" else Sample(points)
+    rest = {"build_grid": (0.5,), "corrected_roughness": (0.5,), "optimal_bandwidth": (500,),
+            "select_bandwidth": ()}[generic]
+    assert _bits(fixed(first, kernel, *rest)) == _bits(fn(first, kernel, *rest))
+    with pytest.raises(DomainError, match=rf"expected {d}-D, kernel is {other}-D"):
+        fixed(first, wrong, *rest)
 
 
 def test_dimension_named_public_names_are_pinned():
     """Every public name that carries a dimension, and why it does; a new
     one must be added here with its reason, or made generic instead."""
     allowed = {
-        # the eight aliases the benchmark in perfbench/ resolves by name
-        "kernel_constants_1d", "kernel_constants_3d", "build_grid_1d", "build_grid_3d",
-        "select_bandwidth_1d", "select_bandwidth_3d", "corrected_roughness_1d",
-        "optimal_bandwidth_1d",
         # direct evaluation at query points is one algorithm per dimension
         "estimate_density_1d", "estimate_density_3d",
         # the normal sampler draws (Np,) or (Np, 3), one study each
@@ -604,8 +626,8 @@ def test_dimension_named_public_names_are_pinned():
 def _property_case(d):
     """A seeded Gaussian sample and the TSC kernel in d dimensions."""
     if d == 1:
-        return sample_gaussian_1d(10_000, seed=61).points, kernel_constants_1d("tsc")
-    return sample_gaussian_3d(5_000, seed=61).points, kernel_constants_3d("tsc")
+        return sample_gaussian_1d(10_000, seed=61).points, kernel_constants("tsc", 1)
+    return sample_gaussian_3d(5_000, seed=61).points, kernel_constants("tsc", 3)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -712,7 +734,7 @@ def test_select_past_the_lattice_domain_raises():
     100 updates to an unconverged h = 5.27e-4."""
     points = 1e12 + 1e-3 * np.random.default_rng(0).standard_normal(1000)
     with pytest.raises(DomainError, match="offset is out of range"):
-        kdeband.select_bandwidth(kdeband.Sample(points), kernel_constants_1d("tsc"))
+        kdeband.select_bandwidth(kdeband.Sample(points), kernel_constants("tsc", 1))
 
 
 HOSTILE_LAWS = {
@@ -729,7 +751,7 @@ def test_hostile_samples_converge_or_raise_named_error(law, d):
     """Heavy tails, skew, ties and a 3-valued sample end in a converged
     selection or in a KdebandError subclass that names the cause, never in
     a numpy exception or an unconverged trace."""
-    kernel = kernel_constants_1d("tsc") if d == 1 else kernel_constants_3d("tsc")
+    kernel = kernel_constants("tsc", 1) if d == 1 else kernel_constants("tsc", 3)
     shape = 20_000 if d == 1 else (5_000, 3)
     for seed in range(3):
         points = HOSTILE_LAWS[law](np.random.default_rng(seed), shape)
