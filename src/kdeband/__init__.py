@@ -7,9 +7,9 @@ roughness measurement against the closed-form optimal-bandwidth formula.
 One implementation serves every dimension d, taken from the sample's
 shape (Np, d): one set of types (``Sample``, ``Grid``, ``Kernel``) and
 one function per step of the selection (``build_grid``,
-``corrected_roughness``, ``optimal_bandwidth``, ``select_bandwidth``),
-each of which reads d from its inputs.  Only the direct evaluations are
-one function per dimension (``estimate_density_1d``/``_3d``).
+``corrected_roughness``, ``optimal_bandwidth``, ``select_bandwidth``)
+and for direct evaluation (``estimate_density``), each of which reads d
+from its inputs.
 
 Typical use::
 
@@ -42,7 +42,7 @@ __all__ = ["__version__"] + [
 ]
 
 
-# Not public: the benchmark in perfbench/ resolves these eight names on the
+# Not public: the benchmark in perfbench/ resolves these ten names on the
 # package, so they stay, outside __all__, until it calls the generic ones.
 # kernel_constants takes d itself; the others take the kernel second.
 def _in_dim(fn, d):
@@ -61,3 +61,5 @@ corrected_roughness_1d = _in_dim(roughness.corrected_roughness, 1)
 optimal_bandwidth_1d = _in_dim(selector.optimal_bandwidth, 1)
 select_bandwidth_1d = _in_dim(selector.select_bandwidth, 1)
 select_bandwidth_3d = _in_dim(selector.select_bandwidth, 3)
+estimate_density_1d = _in_dim(estimator.estimate_density, 1)
+estimate_density_3d = _in_dim(estimator.estimate_density, 3)

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import KdebandError
-from .estimator import Sample, _check_count, build_grid, estimate_density_1d
+from .estimator import Sample, _check_count, build_grid, estimate_density
 from .kernels import KERNEL_FAMILIES, kernel_constants
 from .reference import (
     _hernquist_window_norm,
@@ -153,7 +153,7 @@ def _lattice(args, sample, kernel, h):
     """The node coordinates and values of the sample's deposit grid at
     spacing h, under ``--grid-cap``."""
     grid = build_grid(sample, kernel, h, grid_cap=args.grid_cap)
-    return grid.node_coordinates(), grid.values
+    return grid.axis_coordinates(0), grid.values
 
 
 def _hernquist_params(args) -> HernquistParams:
@@ -390,7 +390,7 @@ def cmd_density(args) -> int:
         if not args.grid_max > args.grid_min or args.grid_points < 2:
             raise KdebandError("need grid_max > grid_min and at least 2 grid points")
         xs = np.linspace(args.grid_min, args.grid_max, args.grid_points)
-        fhat = estimate_density_1d(sample, kernel, h, xs)
+        fhat = estimate_density(sample, kernel, h, xs)
     else:
         xs, fhat = _lattice(args, sample, kernel, h)
         if args.generator == "hernquist":

@@ -3,7 +3,8 @@
 Every error raised deliberately by kdeband derives from :class:`KdebandError`,
 so callers (notably the command line driver) can distinguish usage and data
 problems from genuine bugs.  ``_out_of_range`` turns floating-point over- and
-underflow in a computation into one of them.
+underflow in a computation into one of them, and ``_positive_real`` states
+the one rule for an argument that must be a positive finite real.
 """
 
 from contextlib import contextmanager
@@ -81,4 +82,16 @@ def _normal(x) -> float:
     x = float(x)
     if not np.finfo(float).tiny <= abs(x) < np.inf:
         raise FloatingPointError(f"{x!r} is not a normal float")
+    return x
+
+
+def _positive_real(value, name: str, error: type = DomainError) -> float:
+    """``value`` as a float; ``error`` (DomainError unless given) naming
+    ``name`` unless it is a positive finite real."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):  # not a number: a string, None, ...
+        x = np.nan
+    if not 0.0 < x < np.inf:
+        raise error(f"{name} must be a positive finite real, got {value!r}")
     return x

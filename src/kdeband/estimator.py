@@ -24,10 +24,11 @@ identical node positions.  Both paths accept the same scale domain of
 (h, Np, d), which ``_check_scale`` tests before any arithmetic, and a
 grid's nodes must lie within 2^48 h of zero: outside, DomainError.
 
-Every type and function here serves any d, and ``build_grid`` takes d
-from the sample and the kernel, which must agree.  Only the direct
-evaluations are one per dimension (``estimate_density_1d`` and
-``estimate_density_3d``).
+Every type and function here serves any d, and ``build_grid`` and
+``estimate_density`` take d from the sample and the kernel, which must
+agree.  Direct evaluation checks its inputs and scales its result once
+for every d; only its kernel sums are one routine per dimension, so it
+serves d = 1 and d = 3.
 """
 
 from __future__ import annotations
@@ -44,14 +45,21 @@ from .errors import (
     GridTooSmall,
     NonPositiveBandwidth,
     _out_of_range,
+    _positive_real,
 )
-from .kernels import Kernel, _profile_in_place, common_dim, profile_branches, radial_profile
+from .kernels import (
+    Kernel,
+    _as_rows,
+    _profile_in_place,
+    common_dim,
+    profile_branches,
+    radial_profile,
+)
 
 __all__ = [
     "Sample",
     "Grid",
-    "estimate_density_1d",
-    "estimate_density_3d",
+    "estimate_density",
     "build_grid",
     "laplacian",
     "integrate_squared",
@@ -71,21 +79,10 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_finite(queries: np.ndarray) -> None:
-    if not np.all(np.isfinite(queries)):
-        raise DomainError("query_points must all be finite")
-
-
-def _check_bandwidth(h: float) -> float:
-    h = float(h)
-    if not (np.isfinite(h) and h > 0.0):
-        raise NonPositiveBandwidth(f"bandwidth must be a positive finite real, got {h!r}")
-    return h
-
-
 def _check_count(value, name: str = "Np") -> int:
     """A count as an int; DomainError naming it unless it is an integer >= 1."""
-    count = int(value) if np.isfinite(value) else 0
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    count = int(value) if number and np.isfinite(value) else 0
     if count < 1 or count != value:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return count
@@ -220,7 +217,7 @@ class Grid:
         return grid
 
     def __post_init__(self, copy: bool = True):
-        spacing = _check_bandwidth(self.spacing)
+        spacing = _positive_real(self.spacing, "grid spacing", NonPositiveBandwidth)
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim < 1 or vals.size < 1:
             raise DomainError("Grid values must be a non-empty array")
@@ -250,27 +247,53 @@ class Grid:
         return tuple(int(n) for n in self.values.shape)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
+        """Node positions along ``axis``, one of 0, ..., d - 1; any other
+        axis raises DomainError."""
+        if axis not in range(self.dim):
+            raise DomainError(f"a {self.dim}-D grid has no axis {axis!r}")
         return np.atleast_1d(self.origin)[axis] + self.spacing * np.arange(
             self.values.shape[axis]
         )
-
-    def node_coordinates(self) -> np.ndarray:
-        """Node positions of a 1D grid."""
-        common_dim(1, grid=self.dim)
-        return self.axis_coordinates(0)
 
 
 # ---------------------------------------------------------------------------
 # Direct evaluation at query points
 # ---------------------------------------------------------------------------
 
-# Candidate (query, point) pairs estimate_density_3d expands at once; a
+# Candidate (query, point) pairs the 3D kernel sums expand at once; a
 # chunk's arrays (about 0.5 MB each) stay in cache.
 _PAIR_CHUNK = 1 << 16
 
 
-def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
-    """Evaluate f_hat at arbitrary 1D query points.
+def estimate_density(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
+    """Evaluate f_hat at arbitrary query points, one value per query.
+
+    d is taken from the sample and the kernel, which must agree, and must
+    be 1 or 3, else DomainError.  In 1D ``query_points`` is a scalar or a
+    1D array; in 3D one 3-vector (a one-row array) or an (M, 3) array.
+    (h, Np, d) must lie in the scale domain of _check_scale, and every
+    query must be finite.  The kernel sums at the queries (_kernel_sums_1d
+    and _kernel_sums_3d) are scaled once, by 1 / (Np h^d).
+    """
+    h = _positive_real(h, "bandwidth", NonPositiveBandwidth)
+    d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
+    if d not in (1, 3):
+        raise DomainError(f"direct evaluation serves d = 1 and d = 3, not d = {d}")
+    _check_scale(h, sample.size_Np, d)
+    queries = np.atleast_1d(np.asarray(query_points, dtype=float))
+    if d == 3:
+        queries = _as_rows(queries, d, "query_points")
+    elif queries.ndim != 1:
+        raise DomainError("query_points must be scalar or 1D")
+    if not np.all(np.isfinite(queries)):
+        raise DomainError("query_points must all be finite")
+    out = (_kernel_sums_1d if d == 1 else _kernel_sums_3d)(sample, kernel, h, queries)
+    out /= sample.size_Np * h ** d
+    return out
+
+
+def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarray) -> np.ndarray:
+    """The kernel sums sum_i K((query - x_i) / h) at 1D queries.
 
     Uses a sorted copy of the sample and a search window of half-width
     w*h/2 per query, so points on the support boundary contribute
@@ -289,13 +312,6 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
     is: see kernels._profile_in_place), so it commutes with every
     rounding of numpy's pairwise sums, and both give the same bits.
     """
-    h = _check_bandwidth(h)
-    common_dim(1, sample=sample.dim, kernel=kernel.dim)
-    _check_scale(h, sample.size_Np, 1)
-    queries = np.atleast_1d(np.asarray(query_points, dtype=float))
-    if queries.ndim != 1:
-        raise DomainError("query_points must be scalar or 1D")
-    _check_finite(queries)
     pts = np.sort(sample.points)
     half = 0.5 * kernel.width_w * h
     # A point up to a few roundings outside [query - half, query + half]
@@ -325,7 +341,6 @@ def estimate_density_1d(sample: Sample, kernel: Kernel, h: float, query_points) 
             total += factor * (evaluate(r[a:inner_left]).sum() + evaluate(r[inner_right:b]).sum())
             inner_left, inner_right = a, b
         out[q] = total
-    out /= sample.size_Np * h
     return out
 
 
@@ -345,8 +360,9 @@ def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) -> np.ndarray:
-    """Evaluate f_hat at arbitrary 3D query points via a cell list.
+def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarray) -> np.ndarray:
+    """The kernel sums sum_i K((query - x_i) / h) at the rows of an (M, 3)
+    array of queries, via a cell list.
 
     The sample is sorted once by cubic cells of edge R/2, where R = w*h/2
     is the kernel's support radius, into one contiguous coordinate array
@@ -374,15 +390,6 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
     r <= w/2 is visited, one at exactly R included, and that test alone
     decides which points are weighted, by the kernel's closed branches.
     """
-    h = _check_bandwidth(h)
-    common_dim(3, sample=sample.dim, kernel=kernel.dim)
-    _check_scale(h, sample.size_Np, 3)
-    queries = np.asarray(query_points, dtype=float)
-    if queries.ndim == 1 and queries.shape == (3,):
-        queries = queries[None, :]
-    if queries.ndim != 2 or queries.shape[1] != 3:
-        raise DomainError("query_points must have shape (M, 3)")
-    _check_finite(queries)
     pts = sample.points
     support = 0.5 * kernel.width_w
     radius = support * h
@@ -472,7 +479,7 @@ def estimate_density_3d(sample: Sample, kernel: Kernel, h: float, query_points) 
             owner[inside], weights=_profile_in_place(kernel, r[inside]), minlength=out.size
         )
         i = j
-    return out / (sample.size_Np * h ** 3)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +503,7 @@ def build_grid(
     Along each axis the grid covers [min - w h/2, max + w h/2], with the
     sample's per-axis extrema Sample.min and Sample.max, and its origin is
     snapped down to the absolute lattice {k h}.  Tabulated values agree
-    with estimate_density_1d / estimate_density_3d at the node positions.
+    with estimate_density at the node positions.
     The returned grid holds the deposit's own array, frozen, not a copy.
     ``grid_cap`` bounds the node count (default DEFAULT_GRID_CAP_1D in 1D,
     DEFAULT_GRID_CAP_3D otherwise); a span whose node count overflows
@@ -555,7 +562,7 @@ def build_grid(
     are the distinct nodes the points take, so that a pass sums at most Np
     values, not n.
     """
-    h = _check_bandwidth(h)
+    h = _positive_real(h, "bandwidth", NonPositiveBandwidth)
     d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
     Np = sample.size_Np
     _check_scale(h, Np, d)

@@ -24,10 +24,12 @@ place, and ``factor`` is the branch's exact power-of-two constant (1/2 on
 TSC's outer branch, else 1).  Callers that own their radii evaluate in
 them and apply a factor where it costs least: times the normalization,
 as one multiply (``_profile_in_place``), or times a sum of a branch's
-values (``estimate_density_1d``).  Both keep the bits of multiplying each
-value in turn: a power of two scales a normal float exactly, and no
-branch value is subnormal.  ``radial_profile`` is the same evaluation on
-a copy, which leaves the caller's radii as they are.
+values (the 1D kernel sums behind ``estimate_density``).  Both keep the
+bits of multiplying each value in turn: a power of two scales a normal
+float exactly, and no branch value is subnormal.  ``radial_profile`` is
+the same evaluation on a copy, which leaves the caller's radii as they
+are.  In d > 1, ``_as_rows`` reads one d-vector or an (M, d) array of
+points, for this module, the direct evaluation and the reference laws.
 """
 
 from __future__ import annotations
@@ -79,10 +81,8 @@ class Kernel:
 
 def common_dim(expected: int | None, **dims: int) -> int:
     """The one dimension shared by the named inputs and, unless None, by
-    ``expected``: the d a direct evaluation serves only
-    (``estimate_density_1d``/``_3d``, ``Grid.node_coordinates``), the d
-    a reference law was asked for, or the d of one of the package's
-    private dimension-named names.
+    ``expected``: the d a reference law was asked for, or the d of one of
+    the package's private dimension-named names.
 
     Raises DomainError naming every dimension when they differ.
     """
@@ -237,14 +237,24 @@ def _scaled(values: np.ndarray, c: float) -> np.ndarray:
     return values
 
 
+def _as_rows(x: np.ndarray, d: int, name: str) -> np.ndarray:
+    """The points of a float array x in d > 1 dimensions as an (M, d)
+    array of rows: a single d-vector is taken as one row.  Any other shape
+    raises DomainError naming ``name``."""
+    rows = x[None, :] if x.shape == (d,) else x
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise DomainError(f"{name} must have shape (M, {d}) or ({d},)")
+    return rows
+
+
 def eval_kernel(kernel: Kernel, x):
     """K(x) = normalization * W(r) at dimensionless offsets x = (y - x_i) / h.
 
     In 1D, x has any shape and r = |x| elementwise.  In d > 1, x is one
     d-vector (a float results) or an (M, d) array (M values), and r is the
     root of each row's sum of squares; a single vector is taken as a
-    one-row array, so it has its row's bits.  Other shapes raise
-    DomainError.  Nothing warns: a sum of squares that overflows is
+    one-row array (``_as_rows``), so it has its row's bits.  Other shapes
+    raise DomainError.  Nothing warns: a sum of squares that overflows is
     r = inf, and each r past the last top is clamped to the next float,
     where W is still zero, so no branch the selection discards sees a
     huge radius.  Every value has the bits of radial_profile(kernel, r).
@@ -254,9 +264,7 @@ def eval_kernel(kernel: Kernel, x):
     if d == 1:
         r = np.abs(x, out=np.empty(x.shape))  # an array even where x is 0-d
     else:
-        rows = x[None, :] if x.shape == (d,) else x
-        if rows.ndim != 2 or rows.shape[1] != d:
-            raise DomainError(f"x must be a {d}-vector or an (M, {d}) array")
+        rows = _as_rows(x, d, "x")
         r = np.einsum("ij,ij->i", rows, rows)  # inf where a sum overflows, without a warning
         r = np.sqrt(r, out=r).reshape(x.shape[:-1])
     top = profile_branches(kernel)[-1][0]

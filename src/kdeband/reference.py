@@ -34,8 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _normal, _out_of_range
-from .kernels import Kernel, common_dim, eval_kernel, kernel_constants
+from .errors import DomainError, _normal, _out_of_range, _positive_real
+from .kernels import Kernel, _as_rows, common_dim, eval_kernel, kernel_constants
 from .samplers import (
     TRIMODAL_MEANS,
     TRIMODAL_SIGMAS,
@@ -78,8 +78,7 @@ class AnalyticDensity:
     def __post_init__(self):
         if self.identifier not in _LAWS:
             raise DomainError(f"unknown density {self.identifier!r}")
-        if not (np.isfinite(self.rc) and self.rc > 0.0):
-            raise DomainError(f"rc must be a positive finite real, got {self.rc!r}")
+        object.__setattr__(self, "rc", _positive_real(self.rc, "rc"))
         if self.r_window is not None:
             lo, hi = self.r_window
             if not (0.0 <= lo < hi and np.isfinite(hi)):
@@ -134,12 +133,8 @@ def eval_density(density: AnalyticDensity, x):
     if law.dim == 1:
         out = law.pdf(density, x)
         return out if out.ndim else float(out)
-    single = x.shape == (law.dim,)
-    points = x[None, :] if single else x
-    if points.ndim != 2 or points.shape[1] != law.dim:
-        raise DomainError(f"points must have shape (M, {law.dim}) or ({law.dim},)")
-    out = law.pdf(density, points)
-    return float(out[0]) if single else out
+    out = law.pdf(density, _as_rows(x, law.dim, "points"))
+    return float(out[0]) if x.shape == (law.dim,) else out
 
 
 def _normal_pdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
@@ -264,7 +259,6 @@ def profile_from_radial_pdf(pdf_values, r, total_mass_MT: float):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("profile_from_radial_pdf needs r > 0")
-    if not total_mass_MT > 0.0:
-        raise DomainError("total_mass_MT must be positive")
+    total_mass_MT = _positive_real(total_mass_MT, "total_mass_MT")
     out = total_mass_MT * np.asarray(pdf_values, dtype=float) / (4.0 * np.pi * r ** 2)
     return out if out.ndim else float(out)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _positive_real
 from .estimator import Sample, _check_count
 from .kernels import eval_kernel, kernel_constants
 
@@ -65,9 +65,7 @@ class HernquistParams:
 
     def __post_init__(self):
         for name in ("total_mass_MT", "scale_length_rc"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+            object.__setattr__(self, name, _positive_real(getattr(self, name), name))
         if self.truncation_min_r_over_rc < 0.0:
             raise DomainError("truncation_min_r_over_rc must be non-negative")
         if not self.truncation_min_r_over_rc < self.truncation_max_r_over_rc < np.inf:
@@ -87,9 +85,10 @@ def _hernquist_mass_fraction(r, rc):
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """``numpy.random.default_rng(seed)`` for a seed >= 0; a negative seed
-    raises DomainError, where numpy would raise a bare ValueError."""
-    if seed < 0:
+    """``numpy.random.default_rng(seed)`` for an integer seed >= 0; any
+    other seed raises DomainError, where numpy would raise a bare
+    ValueError or TypeError."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 

@@ -43,11 +43,13 @@ from .errors import (
     BackoffExhausted,
     DegenerateSample,
     DomainError,
+    NonPositiveBandwidth,
     NonPositiveRoughness,
     _normal,
     _out_of_range,
+    _positive_real,
 )
-from .estimator import Sample, _check_bandwidth, _check_count
+from .estimator import Sample, _check_count
 from .kernels import Kernel, common_dim
 from .roughness import corrected_roughness
 
@@ -92,8 +94,8 @@ class SelectorConfig:
             raise DomainError("rel_tolerance must lie in (0, 1)")
         for name in ("max_iterations", "max_backoffs"):
             object.__setattr__(self, name, _check_count(getattr(self, name), name))
-        if not 0.0 < self.initial_scale_c0 < np.inf:
-            raise DomainError("initial_scale_c0 must be a positive finite real")
+        object.__setattr__(
+            self, "initial_scale_c0", _positive_real(self.initial_scale_c0, "initial_scale_c0"))
         if not 1.0 < self.backoff_factor < np.inf:
             raise DomainError("backoff_factor must be a finite real above 1")
 
@@ -131,22 +133,13 @@ class BandwidthTrace:
     final_h: float
 
 
-def _check_roughness(roughness: float) -> float:
-    roughness = float(roughness)
-    if not 0.0 < roughness < np.inf:
-        raise NonPositiveRoughness(
-            f"curvature roughness must be a positive finite real, got {roughness!r}"
-        )
-    return roughness
-
-
 def optimal_bandwidth(roughness: float, kernel: Kernel, Np: int) -> float:
     """Closed-form AMISE-optimal bandwidth for a known curvature roughness
     R_d, in the kernel's dimension d.  A roughness so small or large that
     the bandwidth leaves the normal floats raises DomainError."""
     d = kernel.dim
     Np = _check_count(Np)
-    roughness = _check_roughness(roughness)
+    roughness = _positive_real(roughness, "curvature roughness", NonPositiveRoughness)
     mu2 = kernel.second_moment_mu2
     p = 1.0 / (4 + d)
     with _out_of_range("roughness scale", "the optimal bandwidth"):
@@ -163,8 +156,8 @@ def amise(h: float, kernel: Kernel, roughness: float, Np: int) -> float:
     """
     d = kernel.dim
     Np = _check_count(Np)
-    h = _check_bandwidth(h)
-    roughness = _check_roughness(roughness)
+    h = _positive_real(h, "bandwidth", NonPositiveBandwidth)
+    roughness = _positive_real(roughness, "curvature roughness", NonPositiveRoughness)
     with _out_of_range("bandwidth or roughness scale", "the AMISE"):
         variance = kernel.roughness_RK / (h ** d * Np)
         bias = h ** 4 * roughness * (kernel.second_moment_mu2 / 2.0) ** 2

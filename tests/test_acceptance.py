@@ -31,7 +31,7 @@ from kdeband.estimator import (
     Grid,
     Sample,
     build_grid,
-    estimate_density_3d,
+    estimate_density,
     laplacian,
 )
 from kdeband.kernels import (
@@ -418,7 +418,7 @@ def test_acceptance_08_numerical_spot_checks(capsys):
     kern3 = kernel_constants("tsc3", 3)
     targets = rng.standard_normal((40, 3))
     h3 = 0.8
-    fast = estimate_density_3d(sample3, kern3, h3, targets)
+    fast = estimate_density(sample3, kern3, h3, targets)
     diff = (targets[:, None, :] - pts[None, :, :]) / h3
     brute = np.array(
         [np.sum(radial_profile(kern3, np.linalg.norm(d, axis=1))) for d in diff]

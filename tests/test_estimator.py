@@ -16,11 +16,11 @@ from kdeband import (
     build_grid,
     kernel_constants,
     Grid,
+    Kernel,
     GridTooLarge,
     GridTooSmall,
     NonPositiveBandwidth,
-    estimate_density_1d,
-    estimate_density_3d,
+    estimate_density,
     eval_kernel,
     integrate_squared,
     laplacian,
@@ -40,26 +40,26 @@ NGP3 = kernel_constants("ngp", 3)
 def test_estimate_1d_examples():
     """Single-point sums reduce to scaled kernel values."""
     s = Sample(np.array([0.0]))
-    assert estimate_density_1d(s, TSC, 1.0, [0.0])[0] == 0.75
-    assert estimate_density_1d(s, TSC, 2.0, [0.0])[0] == 0.375
+    assert estimate_density(s, TSC, 1.0, [0.0])[0] == 0.75
+    assert estimate_density(s, TSC, 2.0, [0.0])[0] == 0.375
     # both points sit exactly on the closed NGP support boundary
     s2 = Sample(np.array([-0.5, 0.5]))
-    assert estimate_density_1d(s2, NGP, 1.0, [0.0])[0] == 1.0
+    assert estimate_density(s2, NGP, 1.0, [0.0])[0] == 1.0
 
 
 def test_estimate_3d_examples():
     """Single-point 3D sums and the finite-support zero."""
     s = Sample(np.zeros((1, 3)))
     assert_allclose(
-        estimate_density_3d(s, TSC3, 1.0, np.zeros(3)), 3.0 / (2.0 * np.pi),
+        estimate_density(s, TSC3, 1.0, np.zeros(3)), 3.0 / (2.0 * np.pi),
         rtol=1e-15,
     )
     assert_allclose(
-        estimate_density_3d(s, NGP3, 2.0, np.zeros(3)), 3.0 / (4.0 * np.pi),
+        estimate_density(s, NGP3, 2.0, np.zeros(3)), 3.0 / (4.0 * np.pi),
         rtol=1e-15,
     )
     far = np.array([[10.0, 0.0, 0.0], [0.0, -9.0, 3.0]])
-    assert np.all(estimate_density_3d(s, TSC3, 1.0, far) == 0.0)
+    assert np.all(estimate_density(s, TSC3, 1.0, far) == 0.0)
 
 
 def test_estimate_1d_matches_direct_sum():
@@ -68,7 +68,7 @@ def test_estimate_1d_matches_direct_sum():
     s = Sample(rng.normal(0.0, 1.0, 150))
     queries = rng.uniform(-3.0, 3.0, 40)
     h = 0.37
-    got = estimate_density_1d(s, TSC, h, queries)
+    got = estimate_density(s, TSC, h, queries)
     naive = np.array(
         [np.sum(eval_kernel(TSC, (q - s.points) / h)) for q in queries]
     ) / (s.size_Np * h)
@@ -81,7 +81,7 @@ def test_estimate_3d_matches_brute_force():
     s = Sample(rng.normal(0.0, 1.0, (200, 3)))
     queries = rng.uniform(-2.0, 2.0, (50, 3))
     h = 0.8
-    got = estimate_density_3d(s, TSC3, h, queries)
+    got = estimate_density(s, TSC3, h, queries)
     naive = np.empty(queries.shape[0])
     for i, q in enumerate(queries):
         naive[i] = np.sum(eval_kernel(TSC3, (q - s.points) / h))
@@ -128,7 +128,7 @@ def test_estimate_3d_edge_cases_match_brute_force(family):
     pts = np.concatenate([pts, on_edge + [radius, 0.0, 0.0], on_edge - [0.0, 0.0, radius]])
     s = Sample(pts)
     queries = np.concatenate([outside, gap, on_edge, rng.uniform(-2.5, 2.5, (30, 3))])
-    got = estimate_density_3d(s, kernel, h, queries)
+    got = estimate_density(s, kernel, h, queries)
     assert_allclose(got, _brute_3d(s, kernel, h, queries), rtol=1e-12, atol=1e-300)
     assert np.all(got[len(outside):len(outside) + len(gap)] == 0.0)
     if family == "ngp":
@@ -141,17 +141,17 @@ def test_estimate_3d_edge_cases_match_brute_force(family):
     far = np.array([[3e6, -3e6, 3e6], [-3e6, 3e6, -3e6]])
     wide = Sample(np.concatenate([core, far, far + 2e-4]))
     q = np.concatenate([rng.normal(0.0, 2e-3, (20, 3)), far + 1e-4, far - 1e-2])
-    got = estimate_density_3d(wide, kernel, 1e-3, q)
+    got = estimate_density(wide, kernel, 1e-3, q)
     assert_allclose(got, _brute_3d(wide, kernel, 1e-3, q), rtol=1e-12, atol=1e-300)
     assert np.all(got[20:22] > 0.0)
 
     one = Sample(np.array([[0.3, -0.2, 0.1]]))
     q = np.concatenate([rng.uniform(-1.0, 1.0, (20, 3)), [[0.3 + radius, -0.2, 0.1]]])
     assert_allclose(
-        estimate_density_3d(one, kernel, h, q), _brute_3d(one, kernel, h, q),
+        estimate_density(one, kernel, h, q), _brute_3d(one, kernel, h, q),
         rtol=1e-12, atol=1e-300,
     )
-    empty = estimate_density_3d(s, kernel, h, np.zeros((0, 3)))
+    empty = estimate_density(s, kernel, h, np.zeros((0, 3)))
     assert empty.shape == (0,) and empty.dtype == float
 
 
@@ -177,7 +177,7 @@ def test_estimate_3d_clipped_windows_keep_every_boundary_point(family):
     axes = np.vstack([np.eye(3), -np.eye(3)])
 
     def check(s, h, queries, reference):
-        got = estimate_density_3d(s, kernel, h, queries)
+        got = estimate_density(s, kernel, h, queries)
         want = reference(s, kernel, h, queries)
         assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert np.array_equal(got == 0.0, want == 0.0)
@@ -227,7 +227,7 @@ def test_estimate_3d_support_edge_at_any_h_matches_brute_force(family):
         for offset in (0.0, 1024.0):
             queries = 4 * radius * lattice + rng.integers(-8, 9, (48, 3)) * (h / 8) + offset
             s = Sample(queries + radius * _SEVENTHS)
-            got = estimate_density_3d(s, kernel, h, queries)
+            got = estimate_density(s, kernel, h, queries)
             assert_array_equal(got, _brute_3d(s, kernel, h, queries))
             weighted += np.count_nonzero(got)
     assert 0 < weighted < 16 * 48  # points on both sides of the edge
@@ -250,15 +250,15 @@ def test_estimate_3d_far_queries_visit_no_column():
             far.append(q)
     far = np.array(far + [[-1e307, -1e307, 5e3], [1e307, 1e307, 1e307], [-1e307] * 3])
     near = s.points[:8] + 0.004
-    got = estimate_density_3d(s, kernel, h, np.concatenate([far, near]))
+    got = estimate_density(s, kernel, h, np.concatenate([far, near]))
     assert np.all(got[: len(far)] == 0.0)
-    assert_array_equal(got[len(far):], estimate_density_3d(s, kernel, h, near))
+    assert_array_equal(got[len(far):], estimate_density(s, kernel, h, near))
     assert np.all(got[len(far):] > 0.0)
-    empty = _traced_peak(estimate_density_3d, s, kernel, h, np.zeros((0, 3)))
-    assert _traced_peak(estimate_density_3d, s, kernel, h, far) <= empty + 4096
+    empty = _traced_peak(estimate_density, s, kernel, h, np.zeros((0, 3)))
+    assert _traced_peak(estimate_density, s, kernel, h, far) <= empty + 4096
 
 
-# sha256 of estimate_density_3d(...).tobytes() in one chunk of pairs, for
+# sha256 of estimate_density(...).tobytes() in one chunk of pairs, for
 # 2e4 default_rng(29) standard-normal points and 200 queries (the next
 # draws, times 1.5).  Recorded once the cells' points were sorted stably,
 # the same as with every query visiting the whole cube of five cells per
@@ -282,7 +282,7 @@ def test_3d_estimate_in_one_chunk_matches_recorded_bits(family, h, monkeypatch):
     rng = np.random.default_rng(29)
     sample = Sample(rng.standard_normal((20_000, 3)))
     queries = rng.standard_normal((200, 3)) * 1.5
-    got = estimate_density_3d(sample, kernel_constants(family, 3), h, queries)
+    got = estimate_density(sample, kernel_constants(family, 3), h, queries)
     assert hashlib.sha256(got.tobytes()).hexdigest() == ONE_CHUNK_3D_ESTIMATE_SHA256[family, h]
 
 
@@ -301,7 +301,7 @@ def test_3d_cell_order_is_the_stable_sort(monkeypatch):
     monkeypatch.setattr(estimator, "_stable_argsort", recorded)
     rng = np.random.default_rng(43)
     sample = Sample(rng.integers(-4, 5, (6000, 3)) * 0.25)
-    estimate_density_3d(sample, TSC3, 0.5, rng.uniform(-1.0, 1.0, (20, 3)))
+    estimate_density(sample, TSC3, 0.5, rng.uniform(-1.0, 1.0, (20, 3)))
     (key, order), = seen
     assert np.unique(key).size < key.size // 20
     assert_array_equal(order, np.argsort(key, kind="stable"))
@@ -331,7 +331,7 @@ def _estimate_1d_case(case, w):
     return rng.uniform(-3.0, 3.0, 2000), h, np.concatenate([far, rng.uniform(-3.0, 3.0, 20)])
 
 
-# sha256 of estimate_density_1d(...).tobytes() for each case of
+# sha256 of estimate_density(...).tobytes() for each case of
 # _estimate_1d_case, recorded while each kernel branch was evaluated as a
 # chain of new temporaries, one term at a time.
 ESTIMATE_1D_SHA256 = {
@@ -361,7 +361,7 @@ def test_estimate_1d_matches_recorded_bits(family, case):
     recorded bits, and an empty window reads +0.0."""
     kernel = kernel_constants(family, 1)
     points, h, queries = _estimate_1d_case(case, kernel.width_w)
-    got = estimate_density_1d(Sample(points), kernel, h, queries)
+    got = estimate_density(Sample(points), kernel, h, queries)
     assert got.shape == queries.shape
     assert hashlib.sha256(got.tobytes()).hexdigest() == ESTIMATE_1D_SHA256[family, case]
     if case == "far":
@@ -375,7 +375,7 @@ def test_estimate_1d_of_no_queries_is_empty(family):
     kernel = kernel_constants(family, 1)
     sample = Sample(np.random.default_rng(3).standard_normal(100))
     for queries in ([], np.zeros(0), np.array([1e6])[:0]):
-        got = estimate_density_1d(sample, kernel, 0.3, queries)
+        got = estimate_density(sample, kernel, 0.3, queries)
         assert got.shape == (0,) and got.dtype == np.float64
 
 
@@ -385,15 +385,15 @@ def test_non_finite_queries_rejected():
     s3 = Sample(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match="finite"):
-            estimate_density_1d(s, TSC, 0.5, [bad, 0.0])
+            estimate_density(s, TSC, 0.5, [bad, 0.0])
         with pytest.raises(DomainError, match="finite"):
-            estimate_density_3d(s3, TSC3, 0.5, [[0.0, bad, 0.0], [0.0, 0.0, 0.0]])
+            estimate_density(s3, TSC3, 0.5, [[0.0, bad, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_estimates_non_negative_and_finite():
     rng = np.random.default_rng(17)
     s = Sample(rng.normal(0.0, 2.0, 500))
-    vals = estimate_density_1d(s, TSC, 0.4, np.linspace(-8, 8, 200))
+    vals = estimate_density(s, TSC, 0.4, np.linspace(-8, 8, 200))
     assert np.all(vals >= 0.0) and np.all(np.isfinite(vals))
 
 
@@ -413,11 +413,11 @@ def test_grid_needs_values_and_one_origin_coordinate_per_axis():
 
 def test_estimate_rejects_queries_of_the_wrong_shape():
     with pytest.raises(DomainError, match="scalar or 1D"):
-        estimate_density_1d(Sample(np.arange(5.0)), TSC, 0.5, np.zeros((2, 2)))
+        estimate_density(Sample(np.arange(5.0)), TSC, 0.5, np.zeros((2, 2)))
     sample3 = Sample(np.zeros((5, 3)))
     for queries in (np.zeros((4, 2)), np.zeros(2)):
         with pytest.raises(DomainError, match=r"shape \(M, 3\)"):
-            estimate_density_3d(sample3, kernel_constants("tsc", 3), 0.5, queries)
+            estimate_density(sample3, kernel_constants("tsc", 3), 0.5, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,7 @@ def test_grid_1d_coverage_and_lattice():
     h = 0.5
     grid = build_grid(s, TSC, h)
     assert grid.spacing == h
-    xs = grid.node_coordinates()
+    xs = grid.axis_coordinates(0)
     assert xs[0] <= 0.0 - 1.5 * h and xs[-1] >= 1.0 + 1.5 * h
     # origin is an exact multiple of h
     assert_allclose(grid.origin / h, round(grid.origin / h), atol=1e-12)
@@ -442,7 +442,7 @@ def test_grid_1d_matches_estimate_at_nodes():
     s = Sample(rng.normal(0.0, 1.0, 400))
     for kernel in (NGP, kernel_constants("cic", 1), TSC):
         grid = build_grid(s, kernel, 0.31)
-        direct = estimate_density_1d(s, kernel, 0.31, grid.node_coordinates())
+        direct = estimate_density(s, kernel, 0.31, grid.axis_coordinates(0))
         assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
 
@@ -504,7 +504,7 @@ def test_grid_3d_matches_estimate_at_nodes():
     grid = build_grid(s, TSC3, h)
     axes = [grid.axis_coordinates(a) for a in range(3)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    direct = estimate_density_3d(s, TSC3, h, mesh).reshape(grid.dims)
+    direct = estimate_density(s, TSC3, h, mesh).reshape(grid.dims)
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
 
@@ -562,10 +562,10 @@ def test_grid_matches_estimate_on_lattice_samples(family, dim):
     grid = build_grid(s, kernel, h)
     axes = [grid.axis_coordinates(a) for a in range(dim)]
     if dim == 1:
-        direct = estimate_density_1d(s, kernel, h, axes[0])
+        direct = estimate_density(s, kernel, h, axes[0])
     else:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        direct = estimate_density_3d(s, kernel, h, mesh).reshape(grid.dims)
+        direct = estimate_density(s, kernel, h, mesh).reshape(grid.dims)
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
 
@@ -599,7 +599,7 @@ def test_deposit_needing_in_range_masks_matches_estimate():
           2.0570985767645884, 1.5428239325734414]
     s, kernel = Sample(xs), kernel_constants("cic", 1)
     grid = build_grid(s, kernel, h)
-    direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
+    direct = estimate_density(s, kernel, h, grid.axis_coordinates(0))
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
     pts = np.column_stack([xs, np.linspace(-0.3, 0.3, 5), np.linspace(0.2, -0.2, 5)])
@@ -608,7 +608,7 @@ def test_deposit_needing_in_range_masks_matches_estimate():
     mesh = np.stack(
         np.meshgrid(*[grid3.axis_coordinates(a) for a in range(3)], indexing="ij"), axis=-1
     ).reshape(-1, 3)
-    direct3 = estimate_density_3d(s3, kernel3, h, mesh).reshape(grid3.dims)
+    direct3 = estimate_density(s3, kernel3, h, mesh).reshape(grid3.dims)
     assert_allclose(grid3.values, direct3, rtol=1e-12, atol=1e-300)
 
 
@@ -747,7 +747,7 @@ def test_3d_deposit_bits_do_not_depend_on_chunk_size(family, monkeypatch):
         assert len(chunks) == -(-sample.size_Np // chunk)
         digests.add(hashlib.sha256(grid.values.tobytes()).hexdigest())
     assert len(digests) == 1
-    direct = estimate_density_3d(sample, kernel, h, _node_mesh(grid)).reshape(grid.dims)
+    direct = estimate_density(sample, kernel, h, _node_mesh(grid)).reshape(grid.dims)
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
 
@@ -846,7 +846,7 @@ def test_lattice_domain_boundary(family, dim):
             assert np.abs(nodes).max() == 2.0 ** 48
             assert grid.values.sum() > 0.0
             if dim == 1:
-                direct = estimate_density_1d(sample, kernel, h, grid.node_coordinates())
+                direct = estimate_density(sample, kernel, h, grid.axis_coordinates(0))
                 assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
             with pytest.raises(DomainError, match="offset is out of range"):
                 build_grid(Sample(np.full((1, dim), x + sign * h)), kernel, h)
@@ -1043,7 +1043,7 @@ def test_estimate_1d_peak_memory(family):
     window = np.max(np.searchsorted(pts, queries + half, side="right")
                     - np.searchsorted(pts, queries - half, side="left"))
     del pts
-    peak = _traced_peak(estimate_density_1d, sample, kernel, h, queries)
+    peak = _traced_peak(estimate_density, sample, kernel, h, queries)
     assert peak <= 8 * (Np + window) + 64 * queries.size
 
 
@@ -1110,9 +1110,9 @@ def test_deposit_matches_estimate_on_lattice_fuzz(family, dim):
         s = Sample(rng.integers(-40, 41, (5, dim)) * (h / 2))
         grid = build_grid(s, kernel, h)
         if dim == 1:
-            direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
+            direct = estimate_density(s, kernel, h, grid.axis_coordinates(0))
         else:
-            direct = estimate_density_3d(s, kernel, h, _node_mesh(grid)).reshape(grid.dims)
+            direct = estimate_density(s, kernel, h, _node_mesh(grid)).reshape(grid.dims)
         assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300, err_msg=repr(h))
 
 
@@ -1124,7 +1124,7 @@ def test_ngp_deposit_keeps_weight_past_rounded_window_start():
           9.687550115170465, -75.07851339257111]
     s = Sample(xs)
     grid = build_grid(s, NGP, h)
-    direct = estimate_density_1d(s, NGP, h, grid.node_coordinates())
+    direct = estimate_density(s, NGP, h, grid.axis_coordinates(0))
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
     assert grid.values.max() * s.size_Np * h == 3.0
 
@@ -1138,13 +1138,13 @@ def test_tsc_deposit_needing_in_range_masks_matches_estimate():
           -19.74970518282051, -40.816057377829054]
     s, kernel = Sample(xs), kernel_constants("tsc", 1)
     grid = build_grid(s, kernel, h)
-    direct = estimate_density_1d(s, kernel, h, grid.node_coordinates())
+    direct = estimate_density(s, kernel, h, grid.axis_coordinates(0))
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
     pts = np.column_stack([xs, np.linspace(-0.3, 0.3, 5), np.linspace(0.2, -0.2, 5)])
     s3, kernel3 = Sample(pts), kernel_constants("tsc", 3)
     grid3 = build_grid(s3, kernel3, h)
-    direct3 = estimate_density_3d(s3, kernel3, h, _node_mesh(grid3)).reshape(grid3.dims)
+    direct3 = estimate_density(s3, kernel3, h, _node_mesh(grid3)).reshape(grid3.dims)
     assert_allclose(grid3.values, direct3, rtol=1e-12, atol=1e-300)
 
 
@@ -1174,7 +1174,7 @@ def test_estimate_1d_matches_naive_sum_by_branch(kind, family):
             centre + np.linspace(-span, span, 401), s.points[:40],
             s.points[:20] + 0.5 * h, s.points[:20] - 1.5 * h,
         ])
-    got = estimate_density_1d(s, kernel, h, queries)
+    got = estimate_density(s, kernel, h, queries)
     naive = np.array(
         [np.sum(eval_kernel(kernel, (q - s.points) / h)) for q in queries]
     ) / (s.size_Np * h)
@@ -1193,15 +1193,15 @@ def test_translation_equivariance():
     pts = rng.normal(0.0, 1.0, 300)
     queries = rng.uniform(-2.0, 2.0, 25)
     h, c = 0.42, 7.25
-    base = estimate_density_1d(Sample(pts), TSC, h, queries)
-    moved = estimate_density_1d(Sample(pts + c), TSC, h, queries + c)
+    base = estimate_density(Sample(pts), TSC, h, queries)
+    moved = estimate_density(Sample(pts + c), TSC, h, queries + c)
     assert_allclose(moved, base, rtol=1e-12)
 
     pts3 = rng.normal(0.0, 1.0, (200, 3))
     q3 = rng.uniform(-1.5, 1.5, (20, 3))
     shift = np.array([3.5, -1.25, 0.75])
-    base3 = estimate_density_3d(Sample(pts3), TSC3, h, q3)
-    moved3 = estimate_density_3d(Sample(pts3 + shift), TSC3, h, q3 + shift)
+    base3 = estimate_density(Sample(pts3), TSC3, h, q3)
+    moved3 = estimate_density(Sample(pts3 + shift), TSC3, h, q3 + shift)
     assert_allclose(moved3, base3, rtol=1e-12)
 
 
@@ -1223,14 +1223,14 @@ def test_scale_relation():
     c, h = 3.0, 0.5
     pts = rng.normal(0.0, 1.0, 250)
     queries = rng.uniform(-2.0, 2.0, 30)
-    base = estimate_density_1d(Sample(pts), TSC, h, queries)
-    scaled = estimate_density_1d(Sample(c * pts), TSC, c * h, c * queries)
+    base = estimate_density(Sample(pts), TSC, h, queries)
+    scaled = estimate_density(Sample(c * pts), TSC, c * h, c * queries)
     assert_allclose(scaled, base / c, rtol=1e-12)
 
     pts3 = rng.normal(0.0, 1.0, (150, 3))
     q3 = rng.uniform(-1.0, 1.0, (20, 3))
-    base3 = estimate_density_3d(Sample(pts3), TSC3, h, q3)
-    scaled3 = estimate_density_3d(Sample(c * pts3), TSC3, c * h, c * q3)
+    base3 = estimate_density(Sample(pts3), TSC3, h, q3)
+    scaled3 = estimate_density(Sample(c * pts3), TSC3, c * h, c * q3)
     assert_allclose(scaled3, base3 / c ** 3, rtol=1e-12)
 
 
@@ -1394,18 +1394,48 @@ def test_non_positive_bandwidth_rejected():
     s3 = Sample(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
     for h in (0.0, -0.5, float("nan")):
         with pytest.raises(NonPositiveBandwidth):
-            estimate_density_1d(s, TSC, h, [0.0])
+            estimate_density(s, TSC, h, [0.0])
         with pytest.raises(NonPositiveBandwidth):
             build_grid(s, TSC, h)
         with pytest.raises(NonPositiveBandwidth):
-            estimate_density_3d(s3, TSC3, h, np.zeros(3))
+            estimate_density(s3, TSC3, h, np.zeros(3))
         with pytest.raises(NonPositiveBandwidth):
             build_grid(s3, TSC3, h)
 
 
+def test_non_numeric_bandwidth_rejected():
+    """A bandwidth that is not a number raises NonPositiveBandwidth, not a
+    bare ValueError from float()."""
+    s = Sample(np.array([0.0, 1.0]))
+    for h in ("wide", None):
+        with pytest.raises(NonPositiveBandwidth, match="bandwidth"):
+            estimate_density(s, TSC, h, [0.0])
+        with pytest.raises(NonPositiveBandwidth, match="bandwidth"):
+            build_grid(s, TSC, h)
+
+
+def test_estimate_rejects_a_dimension_other_than_1_or_3():
+    """A hand-built 2D kernel and sample agree on d, but direct evaluation
+    has kernel sums for d = 1 and 3 only: DomainError, not an IndexError
+    from the 3D cell list."""
+    kernel2 = Kernel("tsc", 2, 3, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="d = 1 and d = 3, not d = 2"):
+        estimate_density(Sample(np.zeros((5, 2))), kernel2, 0.5, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("dim, axis", [(1, 1), (1, -1), (3, 3), (3, -1)])
+def test_axis_coordinates_rejects_an_axis_outside_the_grid(dim, axis):
+    """Only the axes 0..d-1 have coordinates; any other axis is a domain
+    error, not numpy's IndexError or its count from the end."""
+    grid = Grid(np.zeros(dim) if dim > 1 else 0.0, 0.5, np.ones((2,) * dim))
+    with pytest.raises(DomainError, match="axis"):
+        grid.axis_coordinates(axis)
+    assert_array_equal(grid.axis_coordinates(dim - 1), [0.0, 0.5])
+
+
 def test_sample_validation():
     with pytest.raises(DomainError):
-        estimate_density_1d(Sample(np.zeros((3, 2))), TSC, 0.5, 0.0)
+        estimate_density(Sample(np.zeros((3, 2))), TSC, 0.5, 0.0)
     with pytest.raises(DomainError):
         Sample(np.array([0.0, np.inf]))
     with pytest.raises(DomainError):

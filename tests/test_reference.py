@@ -299,6 +299,13 @@ def test_profile_from_radial_pdf():
         profile_from_radial_pdf(0.1, 1.0, 0.0)
 
 
+def test_profile_from_radial_pdf_rejects_an_infinite_mass():
+    """An infinite total mass is not a positive finite real: it used to
+    give an infinite profile."""
+    with pytest.raises(DomainError, match="total_mass_MT"):
+        profile_from_radial_pdf([1.0], [1.0], np.inf)
+
+
 def test_profile_round_trip():
     """Converting the untruncated radial pdf through 4 pi r^2 recovers the
     mass-density profile exactly, for any total mass."""

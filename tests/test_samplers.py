@@ -313,6 +313,16 @@ def test_negative_seed_raises_domain_error(draw):
     assert draw(0).size_Np == 10
 
 
+@pytest.mark.parametrize("seed", [1.5, "a", 2.0, None])
+def test_non_integer_seed_raises_domain_error(seed):
+    """Only an integer seed >= 0 pins a sample; any other is a domain error
+    naming the seed, not numpy's bare TypeError."""
+    with pytest.raises(DomainError, match="seed"):
+        sample_gaussian_1d(5, seed)
+    assert sample_gaussian_1d(5, np.int64(3)).points.tobytes() == \
+        sample_gaussian_1d(5, 3).points.tobytes()
+
+
 def test_rng_name_identifies_generator_and_numpy():
     assert RNG_NAME.startswith("numpy.random.Generator(PCG64)")
     assert np.__version__ in RNG_NAME

@@ -447,6 +447,22 @@ def test_config_update_caps_are_positive_integers(field):
     assert capped == 3 and type(capped) is int
 
 
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: SelectorConfig(max_iterations="x"), "max_iterations"),
+        (lambda: optimal_bandwidth(1.0, kernel_constants("tsc", 1), "100"), "Np"),
+        (lambda: sample_gaussian_1d("5", 0), "Np"),
+    ],
+    ids=["config", "optimal_bandwidth", "sampler"],
+)
+def test_non_numeric_count_raises_domain_error(call, field):
+    """A count that is not a number at all is a domain error naming it,
+    not numpy's bare TypeError."""
+    with pytest.raises(DomainError, match=field):
+        call()
+
+
 def test_trace_records_are_frozen():
     rec = IterationRecord(h=0.1, raw_roughness=1.0, corrected_roughness=0.9, backoff_applied=False)
     trace = BandwidthTrace(iterations=(rec,), converged=True, final_h=0.1)
@@ -555,7 +571,7 @@ def test_selection_keeps_recorded_bits_in_small_chunks(monkeypatch):
     test_selection_matches_recorded_bits(*GOLDEN[3])
 
 
-# The eight dimension-named names the benchmark in perfbench/ resolves on
+# The ten dimension-named names the benchmark in perfbench/ resolves on
 # the package, each with its generic function and its d.  They go, with
 # the test below, once the benchmark calls the generic names.
 _FIXED_DIM = [
@@ -567,10 +583,14 @@ _FIXED_DIM = [
     ("optimal_bandwidth_1d", "optimal_bandwidth", 1),
     ("select_bandwidth_1d", "select_bandwidth", 1),
     ("select_bandwidth_3d", "select_bandwidth", 3),
+    ("estimate_density_1d", "estimate_density", 1),
+    ("estimate_density_3d", "estimate_density", 3),
 ]
 
 
 def _bits(result):
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
     if isinstance(result, kdeband.Grid):
         return result.values.tobytes(), np.asarray(result.origin).tobytes(), result.spacing
     return result
@@ -579,7 +599,7 @@ def _bits(result):
 @pytest.mark.parametrize("name, generic, d", _FIXED_DIM)
 def test_dimension_named_function_is_the_generic_one(name, generic, d):
     """Each name resolves on the package but is not public, and gives the
-    generic function's bits on a small d-dimensional input.  The six that
+    generic function's bits on a small d-dimensional input.  The eight that
     take a kernel raise DomainError naming both dimensions for a kernel of
     the other d; kernel_constants_1d rejects a 3D family."""
     assert name not in kdeband.__all__
@@ -595,7 +615,7 @@ def test_dimension_named_function_is_the_generic_one(name, generic, d):
     points = np.random.default_rng(5).standard_normal(500 if d == 1 else (500, d))
     first = 3.0 if generic == "optimal_bandwidth" else Sample(points)
     rest = {"build_grid": (0.5,), "corrected_roughness": (0.5,), "optimal_bandwidth": (500,),
-            "select_bandwidth": ()}[generic]
+            "select_bandwidth": (), "estimate_density": (0.5, points[:50])}[generic]
     assert _bits(fixed(first, kernel, *rest)) == _bits(fn(first, kernel, *rest))
     with pytest.raises(DomainError, match=rf"expected {d}-D, kernel is {other}-D"):
         fixed(first, wrong, *rest)
@@ -605,8 +625,6 @@ def test_dimension_named_public_names_are_pinned():
     """Every public name that carries a dimension, and why it does; a new
     one must be added here with its reason, or made generic instead."""
     allowed = {
-        # direct evaluation at query points is one algorithm per dimension
-        "estimate_density_1d", "estimate_density_3d",
         # the normal sampler draws (Np,) or (Np, 3), one study each
         "sample_gaussian_1d", "sample_gaussian_3d",
         # each reference law exists in one dimension only
@@ -704,7 +722,7 @@ def test_grid_and_direct_evaluation_at_power_of_two_scales_are_exact_or_raise(fa
     points = rng.standard_normal(2_000 if d == 1 else (2_000, 3))
     queries = rng.standard_normal(50 if d == 1 else (50, 3))
     kernel = kdeband.kernel_constants(family, d)
-    estimate = kdeband.estimate_density_1d if d == 1 else kdeband.estimate_density_3d
+    estimate = kdeband.estimate_density
     h = 0.375
     grid = kdeband.build_grid(Sample(points), kernel, h)
     direct = estimate(Sample(points), kernel, h, queries)
