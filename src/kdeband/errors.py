@@ -3,8 +3,11 @@
 Every error raised deliberately by kdeband derives from :class:`KdebandError`,
 so callers (notably the command line driver) can distinguish usage and data
 problems from genuine bugs.  ``_out_of_range`` turns floating-point over- and
-underflow in a computation into one of them, and ``_positive_real`` states
-the one rule for an argument that must be a positive finite real.
+underflow in a computation into one of them.  ``_bounded_real`` states the
+one rule for an argument that must be a real in an interval
+(``_positive_real`` is its case (0, inf)), and ``_float_array`` the one for
+an array of reals: a value that is not a number fails each rule as a
+number out of range does.
 """
 
 from contextlib import contextmanager
@@ -88,10 +91,31 @@ def _normal(x) -> float:
 def _positive_real(value, name: str, error: type = DomainError) -> float:
     """``value`` as a float; ``error`` (DomainError unless given) naming
     ``name`` unless it is a positive finite real."""
+    return _bounded_real(value, name, 0.0, error=error)
+
+
+def _bounded_real(
+    value, name: str, low: float, high: float = np.inf, closed: bool = False,
+    error: type = DomainError,
+) -> float:
+    """``value`` as a float; ``error`` (DomainError unless given) naming
+    ``name`` unless it is a real with low < value < high, or
+    low <= value < high where ``closed``."""
     try:
         x = float(value)
     except (TypeError, ValueError):  # not a number: a string, None, ...
         x = np.nan
-    if not 0.0 < x < np.inf:
-        raise error(f"{name} must be a positive finite real, got {value!r}")
+    if not ((low <= x) if closed else (low < x)) or not x < high:
+        interval = f"{'[' if closed else '('}{low:g}, {high:g})"
+        raise error(f"{name} must be a real in {interval}, got {value!r}")
     return x
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array (np.asarray); DomainError naming
+    ``name`` where numpy cannot convert them (a string that is not a
+    number, a ragged list)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an array of real numbers") from exc

@@ -44,6 +44,7 @@ from .errors import (
     GridTooLarge,
     GridTooSmall,
     NonPositiveBandwidth,
+    _float_array,
     _out_of_range,
     _positive_real,
 )
@@ -130,7 +131,7 @@ class Sample:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _float_array(self.points, "Sample points")
         if pts.ndim == 2 and pts.shape[1] == 1:
             pts = pts[:, 0]
         if pts.ndim not in (1, 2) or pts.size < 1:
@@ -218,10 +219,10 @@ class Grid:
 
     def __post_init__(self, copy: bool = True):
         spacing = _positive_real(self.spacing, "grid spacing", NonPositiveBandwidth)
-        vals = np.asarray(self.values, dtype=float)
+        vals = _float_array(self.values, "Grid values")
         if vals.ndim < 1 or vals.size < 1:
             raise DomainError("Grid values must be a non-empty array")
-        org = np.asarray(self.origin, dtype=float)
+        org = _float_array(self.origin, "Grid origin")
         if org.ndim > 1 or org.size != vals.ndim:
             raise DomainError("Grid origin must hold one coordinate per axis")
         if not (np.all(np.isfinite(org)) and np.all(np.isfinite(vals))):
@@ -280,7 +281,7 @@ def estimate_density(sample: Sample, kernel: Kernel, h: float, query_points) -> 
     if d not in (1, 3):
         raise DomainError(f"direct evaluation serves d = 1 and d = 3, not d = {d}")
     _check_scale(h, sample.size_Np, d)
-    queries = np.atleast_1d(np.asarray(query_points, dtype=float))
+    queries = np.atleast_1d(_float_array(query_points, "query_points"))
     if d == 3:
         queries = _as_rows(queries, d, "query_points")
     elif queries.ndim != 1:
@@ -377,6 +378,10 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     pairs, and summed per query with a bincount: cost scales with the
     candidate pairs, about 2.4 per pair inside the support sphere (3.7
     over the whole cube of five cells per axis), not with queries x Np.
+    A chunk keeps its pairs with r <= w/2 by index, in their order, and
+    weights them with the bounds (0, w/2): CIC and NGP compute their one
+    branch, and TSC picks its branch per radius without testing the
+    support again.
 
     Cells are numbered by their rank among the occupied cells of each axis,
     so no key or table grows with the bounding box.  A point's cell is the
@@ -465,7 +470,8 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
         j = max(int(np.searchsorted(ends, ends[i] - count[i] + _PAIR_CHUNK, side="right")), i + 1)
         n = count[i:j]
         owner = np.repeat(q[i:j], n)
-        idx = np.arange(int(n.sum())) + np.repeat(begin[i:j] - (np.cumsum(n) - n), n)
+        idx = np.repeat(begin[i:j] - (np.cumsum(n) - n), n)
+        idx += np.arange(idx.size)
         r = None
         for coord, target in zip(coords, targets):
             dist = coord.take(idx)
@@ -474,10 +480,9 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
             r = dist if r is None else np.add(r, dist, out=r)
         r = np.sqrt(r, out=r)
         r /= h
-        inside = r <= support
-        out += np.bincount(
-            owner[inside], weights=_profile_in_place(kernel, r[inside]), minlength=out.size
-        )
+        inside = np.flatnonzero(r <= support)
+        weights = _profile_in_place(kernel, r.take(inside), (0.0, support))
+        out += np.bincount(owner.take(inside), weights=weights, minlength=out.size)
         i = j
     return out
 

@@ -26,10 +26,14 @@ them and apply a factor where it costs least: times the normalization,
 as one multiply (``_profile_in_place``), or times a sum of a branch's
 values (the 1D kernel sums behind ``estimate_density``).  Both keep the
 bits of multiplying each value in turn: a power of two scales a normal
-float exactly, and no branch value is subnormal.  ``radial_profile`` is
-the same evaluation on a copy, which leaves the caller's radii as they
-are.  In d > 1, ``_as_rows`` reads one d-vector or an (M, d) array of
-points, for this module, the direct evaluation and the reference laws.
+float exactly, and no branch value is subnormal.  Where radii span more
+than one branch, each lower branch takes its radii by index and the last
+is computed in place on all of them (``_select_per_radius``), with the
+bits of a selection over every branch computed on every radius.
+``radial_profile`` is the same evaluation on a copy, which leaves the
+caller's radii as they are.  In d > 1, ``_as_rows`` reads one d-vector
+or an (M, d) array of points, for this module, the direct evaluation and
+the reference laws.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _float_array
 
 __all__ = [
     "Kernel",
@@ -183,17 +187,18 @@ def radial_profile(
     that branch is computed, and beyond the last top only zeros.  If lo is
     inside the last branch and hi beyond its top, and W is zero at that top
     (CIC, TSC; not NGP), the last branch is computed on min(r, top), which
-    gives W(top) = +0.0 beyond the top.  Each value is bit for bit the one
-    the full selection over all branches gives; a scalar r with the bounds
-    (r, r) thus takes one branch and no selection.
+    gives W(top) = +0.0 beyond the top.  Otherwise the branch of each
+    radius is picked per radius (_select_per_radius), and where hi is at or
+    below the last top no radius is tested against it.  Each value is bit
+    for bit the one the per-radius pick gives without bounds; a scalar r
+    with the bounds (r, r) thus takes one branch and no pick.
     """
     return _profile_in_place(kernel, np.array(r, dtype=float), bounds)
 
 
 def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=None) -> np.ndarray:
     """radial_profile(kernel, r, bounds), computed in the caller's array
-    of radii r, which it overwrites: the values are returned in r itself
-    where one branch (or zeros) covers the bounds, else in a new array.
+    of radii r, which it overwrites with the values and returns.
 
     A branch's factor and the kernel's normalization n are applied as one
     multiply by c = factor * n.  Both factors are exact powers of two and
@@ -201,34 +206,53 @@ def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=None) -> np.ndarray:
     number as fl(n * fl(factor * p)), the value of multiplying them in one
     at a time: factor * p is exact too, since no branch's value p is
     subnormal (a TSC outer value (3/2 - r)^2 is 0 or at least 2^-106, as
-    3/2 - r is a multiple of 2^-53).  Where the branches are selected per
-    radius, each is scaled before the selection; the selection's zero
-    beyond the last top is +0.0, as n * 0.0 is.
+    3/2 - r is a multiple of 2^-53).  The zero beyond the last top is
+    +0.0, as n * 0.0 is.
     """
     family = _family(kernel)
     branches = _BRANCHES[family]
     scale = kernel.normalization
-    if bounds is not None:
-        lo, hi = bounds
-        floors = _FLOORS[family]
-        for (top, evaluate, factor), previous in zip(branches, floors):
-            if previous < lo and hi <= top:
-                return _scaled(evaluate(r), factor * scale)
-        top, evaluate, factor = branches[-1]
-        if lo > top:
-            r.fill(0.0)
-            return r
-        if lo > floors[-1] and _ZERO_AT_TOP[family]:
-            # W(top) is +0.0, the selection's value beyond the top.
-            return _scaled(evaluate(np.minimum(r, top, out=r)), factor * scale)
-    conds = [r <= top for top, _, _ in branches]
-    # Every branch but the last is computed in a copy; the last takes r.
-    last = len(branches) - 1
-    choices = [
-        _scaled(evaluate(r if i == last else r.copy()), factor * scale)
-        for i, (_, evaluate, factor) in enumerate(branches)
-    ]
-    return np.select(conds, choices, default=0.0)
+    if bounds is None:
+        return _select_per_radius(branches, scale, r, True)
+    lo, hi = bounds
+    floors = _FLOORS[family]
+    for (top, evaluate, factor), previous in zip(branches, floors):
+        if previous < lo and hi <= top:
+            return _scaled(evaluate(r), factor * scale)
+    top, evaluate, factor = branches[-1]
+    if lo > top:
+        r.fill(0.0)
+        return r
+    if lo > floors[-1] and _ZERO_AT_TOP[family]:
+        # W(top) is +0.0, the value beyond the top.
+        return _scaled(evaluate(np.minimum(r, top, out=r)), factor * scale)
+    return _select_per_radius(branches, scale, r, not hi <= top)
+
+
+def _select_per_radius(branches, scale: float, r: np.ndarray, past_top: bool) -> np.ndarray:
+    """The scaled shape at each radius of r, each by the first closed
+    branch that holds it and +0.0 beyond the last top, in r itself.
+
+    Each branch but the last takes the radii at or below its top by index,
+    and is computed on those alone; the last is computed in r on every
+    radius.  Then +0.0 is written where r is not at or below the last top
+    (beyond it, or NaN), unless ``past_top`` is false (no radius lies
+    there), and each lower branch's values at its indices, the lowest
+    branch last, so that the first branch holding a radius gives its
+    value.  Indices are flat (take, put), so a 0-d r works as a 1-d one.
+    """
+    *lower, (top, evaluate, factor) = branches
+    picks = []
+    for branch_top, branch_evaluate, branch_factor in lower:
+        at = np.flatnonzero(r <= branch_top)
+        picks.append((at, _scaled(branch_evaluate(r.take(at)), branch_factor * scale)))
+    beyond = np.flatnonzero(~(r <= top)) if past_top else None
+    _scaled(evaluate(r), factor * scale)
+    if beyond is not None:
+        r.put(beyond, 0.0)
+    for at, values in reversed(picks):
+        r.put(at, values)
+    return r
 
 
 def _scaled(values: np.ndarray, c: float) -> np.ndarray:
@@ -256,10 +280,11 @@ def eval_kernel(kernel: Kernel, x):
     one-row array (``_as_rows``), so it has its row's bits.  Other shapes
     raise DomainError.  Nothing warns: a sum of squares that overflows is
     r = inf, and each r past the last top is clamped to the next float,
-    where W is still zero, so no branch the selection discards sees a
-    huge radius.  Every value has the bits of radial_profile(kernel, r).
+    where W is still zero, so the last branch, which is computed on every
+    radius, sees no huge one.  Every value has the bits of
+    radial_profile(kernel, r).
     """
-    x = np.asarray(x, dtype=float)
+    x = _float_array(x, "x")
     d = kernel.dim
     if d == 1:
         r = np.abs(x, out=np.empty(x.shape))  # an array even where x is 0-d

@@ -34,7 +34,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _normal, _out_of_range, _positive_real
+from .errors import (
+    DomainError,
+    _bounded_real,
+    _float_array,
+    _normal,
+    _out_of_range,
+    _positive_real,
+)
 from .kernels import Kernel, _as_rows, common_dim, eval_kernel, kernel_constants
 from .samplers import (
     TRIMODAL_MEANS,
@@ -81,9 +88,9 @@ class AnalyticDensity:
         object.__setattr__(self, "rc", _positive_real(self.rc, "rc"))
         if self.r_window is not None:
             lo, hi = self.r_window
-            if not (0.0 <= lo < hi and np.isfinite(hi)):
-                raise DomainError("r_window must satisfy 0 <= r_min < r_max < inf")
-            object.__setattr__(self, "r_window", (float(lo), float(hi)))
+            lo = _bounded_real(lo, "r_window's r_min", 0.0, closed=True)
+            hi = _bounded_real(hi, "r_window's r_max", lo)
+            object.__setattr__(self, "r_window", (lo, hi))
 
     @property
     def dim(self) -> int:
@@ -129,7 +136,7 @@ def eval_density(density: AnalyticDensity, x):
     DomainError rather than silently returning 0.
     """
     law = _LAWS[density.identifier]
-    x = np.asarray(x, dtype=float)
+    x = _float_array(x, "x")
     if law.dim == 1:
         out = law.pdf(density, x)
         return out if out.ndim else float(out)
@@ -246,7 +253,7 @@ def analytic_optimal_bandwidth(
 
 def hernquist_profile(r, params: HernquistParams):
     """Mass density rho(r) = MT r_c / (2 pi r (r + r_c)^3) of the sphere."""
-    r = np.asarray(r, dtype=float)
+    r = _float_array(r, "r")
     if np.any(r <= 0.0):
         raise DomainError("hernquist_profile needs r > 0")
     rc = params.scale_length_rc
@@ -256,9 +263,9 @@ def hernquist_profile(r, params: HernquistParams):
 
 def profile_from_radial_pdf(pdf_values, r, total_mass_MT: float):
     """Convert a radial pdf p(r) into a mass density rho(r) = MT p / (4 pi r^2)."""
-    r = np.asarray(r, dtype=float)
+    r = _float_array(r, "r")
     if np.any(r <= 0.0):
         raise DomainError("profile_from_radial_pdf needs r > 0")
     total_mass_MT = _positive_real(total_mass_MT, "total_mass_MT")
-    out = total_mass_MT * np.asarray(pdf_values, dtype=float) / (4.0 * np.pi * r ** 2)
+    out = total_mass_MT * _float_array(pdf_values, "pdf_values") / (4.0 * np.pi * r ** 2)
     return out if out.ndim else float(out)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _positive_real
+from .errors import DomainError, _bounded_real, _positive_real
 from .estimator import Sample, _check_count
 from .kernels import eval_kernel, kernel_constants
 
@@ -66,11 +66,11 @@ class HernquistParams:
     def __post_init__(self):
         for name in ("total_mass_MT", "scale_length_rc"):
             object.__setattr__(self, name, _positive_real(getattr(self, name), name))
-        if self.truncation_min_r_over_rc < 0.0:
-            raise DomainError("truncation_min_r_over_rc must be non-negative")
-        if not self.truncation_min_r_over_rc < self.truncation_max_r_over_rc < np.inf:
-            raise DomainError(
-                "need truncation_min_r_over_rc < truncation_max_r_over_rc < inf")
+        low = _bounded_real(self.truncation_min_r_over_rc, "truncation_min_r_over_rc", 0.0,
+                            closed=True)
+        high = _bounded_real(self.truncation_max_r_over_rc, "truncation_max_r_over_rc", low)
+        object.__setattr__(self, "truncation_min_r_over_rc", low)
+        object.__setattr__(self, "truncation_max_r_over_rc", high)
 
     @property
     def r_window(self) -> tuple[float, float]:

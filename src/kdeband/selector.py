@@ -42,9 +42,9 @@ import numpy as np
 from .errors import (
     BackoffExhausted,
     DegenerateSample,
-    DomainError,
     NonPositiveBandwidth,
     NonPositiveRoughness,
+    _bounded_real,
     _normal,
     _out_of_range,
     _positive_real,
@@ -90,14 +90,14 @@ class SelectorConfig:
     max_backoffs: int = 60
 
     def __post_init__(self):
-        if not 0.0 < self.rel_tolerance < 1.0:
-            raise DomainError("rel_tolerance must lie in (0, 1)")
+        object.__setattr__(
+            self, "rel_tolerance", _bounded_real(self.rel_tolerance, "rel_tolerance", 0.0, 1.0))
         for name in ("max_iterations", "max_backoffs"):
             object.__setattr__(self, name, _check_count(getattr(self, name), name))
         object.__setattr__(
             self, "initial_scale_c0", _positive_real(self.initial_scale_c0, "initial_scale_c0"))
-        if not 1.0 < self.backoff_factor < np.inf:
-            raise DomainError("backoff_factor must be a finite real above 1")
+        object.__setattr__(
+            self, "backoff_factor", _bounded_real(self.backoff_factor, "backoff_factor", 1.0))
 
 
 @dataclass(frozen=True)

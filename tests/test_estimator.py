@@ -286,6 +286,52 @@ def test_3d_estimate_in_one_chunk_matches_recorded_bits(family, h, monkeypatch):
     assert hashlib.sha256(got.tobytes()).hexdigest() == ONE_CHUNK_3D_ESTIMATE_SHA256[family, h]
 
 
+def _multi_chunk_3d_case(case):
+    """(sample, queries) of one recorded multi-chunk 3D evaluation case:
+    2e4 default_rng(29) standard-normal points and 2000 queries (the next
+    draws, times 1.5), or the clipped Cauchy hostile sample queried at its
+    own points."""
+    if case == "gauss":
+        rng = np.random.default_rng(29)
+        sample = Sample(rng.standard_normal((20_000, 3)))
+        return sample, rng.standard_normal((2000, 3)) * 1.5
+    sample = _hostile_sample_3d("cauchy")
+    return sample, sample.points
+
+
+# sha256 of estimate_density(...).tobytes() at the default _PAIR_CHUNK, for
+# each case of _multi_chunk_3d_case, whose pairs span 5 to 14 chunks: a
+# query's sum may be split between chunks and added to its estimate in
+# parts.  Recorded while each chunk compacted its inside pairs with a
+# boolean mask and selected the kernel's branches with np.select.
+MULTI_CHUNK_3D_ESTIMATE_SHA256 = {
+    ("gauss", "ngp", 0.8): "c96931c963240fc6372f4d3e15ad055970823025b4ab4a326fd3957f5e2fafce",
+    ("gauss", "cic", 0.5): "f07e8b2e9f318230b9ce84f838b5cc096d950ea56cf7cf5f8ce049758d5de2dd",
+    ("gauss", "tsc", 0.4): "338b6e6c83a77a2a88bc9e6549ac94e48eaab22324c0e90f9e87b0f73f11f998",
+    ("cauchy", "ngp", 3.0): "3f0cef3c5a6f6559ce9fdc83a69f07169c876578f494e8fae5da5600e93f69bb",
+    ("cauchy", "cic", 1.5): "610911024e45715223f8f170a47935cca77c381b899b9858aa2518b3881b4aaf",
+    ("cauchy", "tsc", 1.0): "b84b419b107e196595b5f953f5106e9c4f006d67bae9ac23e2e85fc05abb80dc",
+}
+
+
+@pytest.mark.parametrize("case, family, h", sorted(MULTI_CHUNK_3D_ESTIMATE_SHA256))
+def test_3d_estimate_in_many_chunks_matches_recorded_bits(case, family, h, monkeypatch):
+    """The chunks of pairs, the order of the pairs in each and the order
+    in which chunks add to the estimates keep their recorded bits."""
+    chunks = []
+    profile = estimator._profile_in_place
+
+    def counted(kernel, r, bounds=None):
+        chunks.append(r.size)
+        return profile(kernel, r, bounds)
+
+    monkeypatch.setattr(estimator, "_profile_in_place", counted)
+    sample, queries = _multi_chunk_3d_case(case)
+    got = estimate_density(sample, kernel_constants(family, 3), h, queries)
+    assert len(chunks) >= 3
+    assert hashlib.sha256(got.tobytes()).hexdigest() == MULTI_CHUNK_3D_ESTIMATE_SHA256[case, family, h]
+
+
 def test_3d_cell_order_is_the_stable_sort(monkeypatch):
     """The cell list orders the points of each cell as the stable sort
     does, on a lattice sample where most cells hold many points, and
@@ -418,6 +464,23 @@ def test_estimate_rejects_queries_of_the_wrong_shape():
     for queries in (np.zeros((4, 2)), np.zeros(2)):
         with pytest.raises(DomainError, match=r"shape \(M, 3\)"):
             estimate_density(sample3, kernel_constants("tsc", 3), 0.5, queries)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: Sample(["a"]), "Sample points"),
+        (lambda: Sample([[0.0, 1.0], [2.0]]), "Sample points"),
+        (lambda: estimate_density(Sample(np.arange(5.0)), TSC, 0.5, ["a"]), "query_points"),
+        (lambda: Grid(0.0, 1.0, ["a", "b"]), "Grid values"),
+    ],
+    ids=["sample", "ragged-sample", "queries", "grid"],
+)
+def test_non_numeric_arrays_raise_domain_error(call, name):
+    """An array that numpy cannot read as floats is a domain error naming
+    the argument, not numpy's bare ValueError."""
+    with pytest.raises(DomainError, match=name):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Kernel shapes and constants against independent quadrature oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from kdeband import (
     eval_kernel,
     kernel_constants,
 )
+from kdeband import kernels
 from kdeband.kernels import profile_branches, radial_profile
 
 FAMILIES = ("ngp", "cic", "tsc")
@@ -175,11 +178,69 @@ def test_radial_profile_clamps_only_where_shape_ends_at_zero(family, dim, monkey
     ]))
     full = radial_profile(k, r)
     selects = []
-    select = np.select
-    monkeypatch.setattr(np, "select", lambda *a, **kw: selects.append(1) or select(*a, **kw))
+    select = kernels._select_per_radius
+    monkeypatch.setattr(kernels, "_select_per_radius", lambda *a: selects.append(1) or select(*a))
     got = radial_profile(k, r, (r[0], r[-1]))
     assert got.tobytes() == full.tobytes()
     assert bool(selects) == (family == "ngp")
+
+
+def _select_reference(k, r):
+    """normalization * W(r) by np.select over every branch, each computed
+    on every radius and scaled before the selection, +0.0 past the last."""
+    r = np.asarray(r, dtype=float)
+    branches = profile_branches(k)
+    conds = [r <= top for top, _, _ in branches]
+    choices = [evaluate(r.copy()) * (factor * k.normalization) for _, evaluate, factor in branches]
+    return np.select(conds, choices, default=0.0)
+
+
+def _bits_equal(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_profile_and_eval_kernel_match_a_reference_select(family, dim):
+    """radial_profile, with and without bounds, and eval_kernel give the
+    bits of np.select over the branches: on seeded radii across every top,
+    at each top and the floats either side of it, at +-0.0, NaN and inf,
+    and on empty and 0-d input."""
+    k = kernel_constants(family, dim)
+    tops = np.array([0.5, 1.0, 1.5])  # every branch top of every family
+    rng = np.random.default_rng(59)
+    r = np.concatenate([
+        rng.uniform(0.0, 2.0, 3000), tops, np.nextafter(tops, 0.0), np.nextafter(tops, 2.0),
+        [0.0, -0.0, np.inf, np.nan],
+    ])
+    rng.shuffle(r)
+    assert _bits_equal(radial_profile(k, r), _select_reference(k, r))
+    rows = np.stack([r, r[::-1]])
+    assert _bits_equal(radial_profile(k, rows), _select_reference(k, rows))
+    for x in (0.5, -0.0, np.inf, np.nan, np.nextafter(tops[0], 2.0)):
+        assert _bits_equal(radial_profile(k, x), _select_reference(k, x)), x
+        if not np.isnan(x):
+            assert _bits_equal(radial_profile(k, x, (x, x)), _select_reference(k, x)), x
+    assert _bits_equal(radial_profile(k, np.empty(0)), _select_reference(k, np.empty(0)))
+    assert _bits_equal(radial_profile(k, np.empty(0), (0.0, 2.0)), np.empty(0))
+
+    # With bounds: every window between the marks, tops and neighbours,
+    # given as itself and as the least and greatest radius it holds.
+    bounded = r[~np.isnan(r)]
+    marks = np.unique(np.concatenate([[0.0, 0.3, 2.0, np.inf], tops, np.nextafter(tops, 0.0),
+                                      np.nextafter(tops, 2.0)]))
+    for lo, hi in itertools.combinations_with_replacement(marks, 2):
+        held = bounded[(bounded >= lo) & (bounded <= hi)]
+        want = _select_reference(k, held)
+        for bounds in [(lo, hi)] + ([(held.min(), held.max())] if held.size else []):
+            assert _bits_equal(radial_profile(k, held, bounds), want), (lo, hi, bounds)
+
+    # eval_kernel at offsets of these radii: |x| in 1D, (x, 0, 0) in 3D.
+    signed = r * np.where(rng.random(r.size) < 0.5, -1.0, 1.0)
+    x = signed if dim == 1 else np.stack([signed, np.zeros_like(r), np.zeros_like(r)], axis=1)
+    assert _bits_equal(eval_kernel(k, x), _select_reference(k, np.abs(signed)))
+    one = 0.25 if dim == 1 else np.array([0.25, 0.0, 0.0])
+    assert eval_kernel(k, one) == float(_select_reference(k, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +351,14 @@ def test_eval_kernel_rejects_a_hand_built_unknown_family():
     boxcar = Kernel("boxcar", 1, 1, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError, match="unknown kernel family 'boxcar'"):
         eval_kernel(boxcar, 0.3)
+
+
+def test_eval_kernel_rejects_non_numeric_offsets():
+    """Offsets that are not numbers are a domain error naming x, not
+    numpy's bare ValueError."""
+    for dim in (1, 3):
+        with pytest.raises(DomainError, match="x must be"):
+            eval_kernel(kernel_constants("tsc", dim), "a")
 
 
 def test_eval_kernel_result_shapes():

@@ -306,6 +306,22 @@ def test_profile_from_radial_pdf_rejects_an_infinite_mass():
         profile_from_radial_pdf([1.0], [1.0], np.inf)
 
 
+def test_non_numeric_window_raises_domain_error():
+    """A window bound that is not a number is a domain error naming the
+    window, not the bare TypeError of comparing it with a float."""
+    with pytest.raises(DomainError, match="r_window"):
+        hernquist_radial_pdf(r_window=("a", "b"))
+    with pytest.raises(DomainError, match="r_window"):
+        hernquist_radial_pdf(r_window=(0.5, "b"))
+
+
+def test_non_numeric_radii_raise_domain_error():
+    """Radii that are not numbers are a domain error naming them, not
+    numpy's bare ValueError."""
+    with pytest.raises(DomainError, match="r must be"):
+        hernquist_profile("a", HernquistParams())
+
+
 def test_profile_round_trip():
     """Converting the untruncated radial pdf through 4 pi r^2 recovers the
     mass-density profile exactly, for any total mass."""

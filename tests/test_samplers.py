@@ -273,6 +273,14 @@ def test_hernquist_params_validation():
         HernquistParams(truncation_min_r_over_rc=np.nan)
 
 
+@pytest.mark.parametrize("field", ["truncation_min_r_over_rc", "truncation_max_r_over_rc"])
+def test_non_numeric_truncation_radius_raises_domain_error(field):
+    """A truncation radius that is not a number is a domain error naming
+    it, not the bare TypeError of comparing it with a float."""
+    with pytest.raises(DomainError, match=field):
+        HernquistParams(**{field: "x"})
+
+
 def test_sample_count_validation():
     with pytest.raises(DomainError):
         sample_gaussian_1d(0, seed=0)

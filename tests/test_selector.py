@@ -463,6 +463,14 @@ def test_non_numeric_count_raises_domain_error(call, field):
         call()
 
 
+@pytest.mark.parametrize("field, value", [("rel_tolerance", "x"), ("backoff_factor", None)])
+def test_non_numeric_config_real_raises_domain_error(field, value):
+    """A bounded real that is not a number is a domain error naming it,
+    not the bare TypeError of comparing it with a float."""
+    with pytest.raises(DomainError, match=field):
+        SelectorConfig(**{field: value})
+
+
 def test_trace_records_are_frozen():
     rec = IterationRecord(h=0.1, raw_roughness=1.0, corrected_roughness=0.9, backoff_applied=False)
     trace = BandwidthTrace(iterations=(rec,), converged=True, final_h=0.1)
