@@ -32,9 +32,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import KdebandError
-from .estimator import Sample, _check_count, build_grid, estimate_density
-from .kernels import KERNEL_FAMILIES, kernel_constants
+from .errors import KdebandError, _check_count
+from .estimator import Sample, build_grid, estimate_density
+from .kernels import kernel_constants
 from .reference import (
     _hernquist_window_norm,
     analytic_optimal_bandwidth,
@@ -293,7 +293,7 @@ def cmd_experiment(args) -> int:
 
     reports, aggregate, curves = [], [], []
     for Np in np_values:
-        analytic_h = analytic_optimal_bandwidth(density, kernel, Np, dim)
+        analytic_h = analytic_optimal_bandwidth(density, kernel, Np)
         group = []
         for seed in seeds:
             sample = study.draw(Np, seed, hq_params)
@@ -338,8 +338,8 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_select(args) -> int:
-    sample = _load_sample_file(args.input, args.dim)
     kernel = kernel_constants(args.kernel, args.dim)
+    sample = _load_sample_file(args.input, args.dim)
     trace, wall_ms = _select(args, sample, kernel)
     report = _report(
         f"select-{args.dim}d", args.kernel, sample.size_Np, -1, trace, None, wall_ms
@@ -356,6 +356,7 @@ def cmd_density(args) -> int:
     if (args.input is None) == (args.generator is None):
         raise KdebandError("density needs exactly one of --input or --generator")
     hq_params = _hernquist_params(args)
+    kernel = kernel_constants(args.kernel, 1)
     density = None
     if args.generator is not None:
         study = _STUDIES[args.generator]
@@ -365,7 +366,6 @@ def cmd_density(args) -> int:
     else:
         sample = _load_sample_file(args.input, 1)
         source = args.input
-    kernel = kernel_constants(args.kernel, 1)
 
     exit_code = 0
     if args.h is not None:
@@ -450,12 +450,9 @@ def cmd_sample(args) -> int:
 
 def _add_selector_flags(p) -> None:
     defaults = SelectorConfig()
-    p.add_argument("--kernel", type=str.lower,
-                   choices=list(KERNEL_FAMILIES) + [f + "3" for f in KERNEL_FAMILIES],
-                   default="tsc",
-                   help="assignment kernel family; the explicit 3D spellings "
-                        "(ngp3/cic3/tsc3) are accepted with --dim 3 "
-                        "(default tsc)")
+    p.add_argument("--kernel", type=str.lower, default="tsc",
+                   help="assignment kernel family: ngp, cic or tsc, or for 3D samples "
+                        "also ngp3, cic3 or tsc3 (default tsc)")
     p.add_argument("--tol", type=float, default=defaults.rel_tolerance,
                    help="relative convergence tolerance on h (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=defaults.max_iterations,

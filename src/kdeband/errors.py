@@ -5,9 +5,9 @@ so callers (notably the command line driver) can distinguish usage and data
 problems from genuine bugs.  ``_out_of_range`` turns floating-point over- and
 underflow in a computation into one of them.  ``_bounded_real`` states the
 one rule for an argument that must be a real in an interval
-(``_positive_real`` is its case (0, inf)), and ``_float_array`` the one for
-an array of reals: a value that is not a number fails each rule as a
-number out of range does.
+(``_positive_real`` is its case (0, inf)), ``_check_count`` the one for a
+count, and ``_float_array`` the one for an array of reals: a value that
+is not a number fails each rule as a number out of range does.
 """
 
 from contextlib import contextmanager
@@ -109,6 +109,15 @@ def _bounded_real(
         interval = f"{'[' if closed else '('}{low:g}, {high:g})"
         raise error(f"{name} must be a real in {interval}, got {value!r}")
     return x
+
+
+def _check_count(value, name: str = "Np") -> int:
+    """A count as an int; DomainError naming it unless it is an integer >= 1."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    count = int(value) if number and np.isfinite(value) else 0
+    if count < 1 or count != value:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return count
 
 
 def _float_array(values, name: str) -> np.ndarray:

@@ -20,9 +20,10 @@ characterised in closed form.
 
 Grids are anchored to the absolute lattice {k*h : k integer} rather than
 to the sample minimum, so two samples with the same support tabulate onto
-identical node positions.  Both paths accept the same scale domain of
-(h, Np, d), which ``_check_scale`` tests before any arithmetic, and a
-grid's nodes must lie within 2^48 h of zero: outside, DomainError.
+identical node positions.  Both paths read h and d through
+``_check_scale``, which tests their one scale domain of (h, Np, d) before
+any arithmetic, and a grid's nodes must lie within 2^48 h of zero:
+outside, DomainError.
 
 Every type and function here serves any d, and ``build_grid`` and
 ``estimate_density`` take d from the sample and the kernel, which must
@@ -44,6 +45,7 @@ from .errors import (
     GridTooLarge,
     GridTooSmall,
     NonPositiveBandwidth,
+    _check_count,
     _float_array,
     _out_of_range,
     _positive_real,
@@ -74,24 +76,18 @@ DEFAULT_GRID_CAP_1D = 10_000_000
 DEFAULT_GRID_CAP_3D = 100_000_000
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
 
-def _check_count(value, name: str = "Np") -> int:
-    """A count as an int; DomainError naming it unless it is an integer >= 1."""
-    number = isinstance(value, (int, float, np.integer, np.floating))
-    count = int(value) if number and np.isfinite(value) else 0
-    if count < 1 or count != value:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return count
-
-
-def _check_scale(h: float, Np: int, d: int) -> None:
-    """DomainError unless (h, Np, d) lies in the scale domain of the grid
-    deposit and of direct evaluation:
+def _check_scale(sample: Sample, kernel: Kernel, h) -> tuple[float, int]:
+    """The bandwidth h as a float and the dimension d, which the sample
+    and the kernel must share (else DomainError), for the grid deposit and
+    direct evaluation alike.  h must be a positive finite real (else
+    NonPositiveBandwidth), and (h, Np, d) must lie in their scale domain
+    (else DomainError):
 
         2^-400 <= h <= 2^400,   h^d >= 2^-1000,   Np h^d <= 2^960,
 
@@ -109,12 +105,16 @@ def _check_scale(h: float, Np: int, d: int) -> None:
     estimate, below 2 / h^d, finite.  A value whose kernel sum is below
     2^-62 times that of a point at the centre may round to a subnormal.
     """
+    h = _positive_real(h, "bandwidth", NonPositiveBandwidth)
+    d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
+    Np = sample.size_Np
     log_h = math.log2(h)
     if not (-400 <= log_h <= 400 and d * log_h >= -1000 and math.log2(Np) + d * log_h <= 960):
         raise DomainError(
             f"bandwidth scale is out of range: h = {h:g} with Np = {Np} in {d}D needs "
             "2^-400 <= h <= 2^400, h^d >= 2^-1000 and Np h^d <= 2^960"
         )
+    return h, d
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,9 @@ def estimate_density(sample: Sample, kernel: Kernel, h: float, query_points) -> 
     query must be finite.  The kernel sums at the queries (_kernel_sums_1d
     and _kernel_sums_3d) are scaled once, by 1 / (Np h^d).
     """
-    h = _positive_real(h, "bandwidth", NonPositiveBandwidth)
-    d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
+    h, d = _check_scale(sample, kernel, h)
     if d not in (1, 3):
         raise DomainError(f"direct evaluation serves d = 1 and d = 3, not d = {d}")
-    _check_scale(h, sample.size_Np, d)
     queries = np.atleast_1d(_float_array(query_points, "query_points"))
     if d == 3:
         queries = _as_rows(queries, d, "query_points")
@@ -510,11 +508,11 @@ def build_grid(
     snapped down to the absolute lattice {k h}.  Tabulated values agree
     with estimate_density at the node positions.
     The returned grid holds the deposit's own array, frozen, not a copy.
-    ``grid_cap`` bounds the node count (default DEFAULT_GRID_CAP_1D in 1D,
-    DEFAULT_GRID_CAP_3D otherwise); a span whose node count overflows
-    raises GridTooLarge too.  (h, Np, d) must lie in the scale domain of
-    _check_scale, and no node of the grid may lie more than 2^48 h from
-    zero, else DomainError.
+    ``grid_cap``, a count (an integer >= 1, else DomainError), bounds the
+    node count (default DEFAULT_GRID_CAP_1D in 1D, DEFAULT_GRID_CAP_3D
+    otherwise); a span whose node count overflows raises GridTooLarge too.
+    (h, Np, d) must lie in the scale domain of _check_scale, and no node
+    of the grid may lie more than 2^48 h from zero, else DomainError.
 
     The second rule lets every offset's node go unchecked.  Inside it,
     each distance ((j0 + o) h + origin) - x is within about
@@ -567,12 +565,10 @@ def build_grid(
     are the distinct nodes the points take, so that a pass sums at most Np
     values, not n.
     """
-    h = _positive_real(h, "bandwidth", NonPositiveBandwidth)
-    d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
+    h, d = _check_scale(sample, kernel, h)
     Np = sample.size_Np
-    _check_scale(h, Np, d)
     cap = DEFAULT_GRID_CAP_1D if d == 1 else DEFAULT_GRID_CAP_3D
-    cap = cap if grid_cap is None else int(grid_cap)
+    cap = cap if grid_cap is None else _check_count(grid_cap, "grid_cap")
     pts = sample.points.reshape(Np, d)
     w = kernel.width_w
     half = 0.5 * w * h
@@ -684,13 +680,13 @@ def _chunk_axes(points, origin, dims, first, half, w, h, kernel, distinct):
     # _check_scale); more axes sum their squares.
     part = np.abs if len(j0) == 1 else np.square
     axes = [
-        _axis_offsets(x, j, origin[a], dims[a], half, w, h, kernel, part)
+        _axis_offsets(x, j, origin[a], dims[a], w, h, kernel, part)
         for a, (x, j) in enumerate(zip(columns, j0))
     ]
     return slots, occupied, [axes[0]] + [list(offsets) for offsets in axes[1:]]
 
 
-def _axis_offsets(x, j0, origin, n, half, w, h, kernel, part):
+def _axis_offsets(x, j0, origin, n, w, h, kernel, part):
     """Yield, for each offset o in -1..w along one axis that can carry
     weight for the points x of one chunk: o, part(dist) of the distance
     dist from each point to its node o steps from

@@ -173,7 +173,7 @@ def profile_branches(kernel: Kernel) -> tuple:
 
 
 def radial_profile(
-    kernel: Kernel, r: np.ndarray, bounds: tuple[float, float] | None = None
+    kernel: Kernel, r: np.ndarray, bounds: tuple[float, float] = (-np.inf, np.inf)
 ) -> np.ndarray:
     """normalization * W(r) at radii r >= 0 (in bandwidth units), unchecked.
 
@@ -182,21 +182,22 @@ def radial_profile(
     left as it is: the values are computed in a copy of it (see
     _profile_in_place, which a caller that owns its radii uses instead).
 
-    ``bounds``, when given, is a pair (lo, hi) with lo <= r <= hi for
-    every r.  If one branch's interval (previous top, top] holds both, only
-    that branch is computed, and beyond the last top only zeros.  If lo is
-    inside the last branch and hi beyond its top, and W is zero at that top
-    (CIC, TSC; not NGP), the last branch is computed on min(r, top), which
-    gives W(top) = +0.0 beyond the top.  Otherwise the branch of each
+    ``bounds`` is a pair (lo, hi) with lo <= r <= hi for every r; the
+    default (-inf, inf) bounds nothing.  If one branch's interval
+    (previous top, top] holds both, only that branch is computed, and
+    beyond the last top only zeros.  If lo is inside the last branch and
+    hi beyond its top, and W is zero at that top (CIC, TSC; not NGP), the
+    last branch is computed on min(r, top), which gives W(top) = +0.0
+    beyond the top.  Otherwise the branch of each
     radius is picked per radius (_select_per_radius), and where hi is at or
     below the last top no radius is tested against it.  Each value is bit
-    for bit the one the per-radius pick gives without bounds; a scalar r
-    with the bounds (r, r) thus takes one branch and no pick.
+    for bit the one the per-radius pick gives under the default bounds; a
+    scalar r with the bounds (r, r) thus takes one branch and no pick.
     """
     return _profile_in_place(kernel, np.array(r, dtype=float), bounds)
 
 
-def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=None) -> np.ndarray:
+def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=(-np.inf, np.inf)) -> np.ndarray:
     """radial_profile(kernel, r, bounds), computed in the caller's array
     of radii r, which it overwrites with the values and returns.
 
@@ -212,8 +213,6 @@ def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=None) -> np.ndarray:
     family = _family(kernel)
     branches = _BRANCHES[family]
     scale = kernel.normalization
-    if bounds is None:
-        return _select_per_radius(branches, scale, r, True)
     lo, hi = bounds
     floors = _FLOORS[family]
     for (top, evaluate, factor), previous in zip(branches, floors):

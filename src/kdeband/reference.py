@@ -87,7 +87,10 @@ class AnalyticDensity:
             raise DomainError(f"unknown density {self.identifier!r}")
         object.__setattr__(self, "rc", _positive_real(self.rc, "rc"))
         if self.r_window is not None:
-            lo, hi = self.r_window
+            window = _float_array(self.r_window, "r_window")
+            if window.shape != (2,):
+                raise DomainError(f"r_window must be a pair (r_min, r_max), not {window.shape}")
+            lo, hi = window.tolist()
             lo = _bounded_real(lo, "r_window's r_min", 0.0, closed=True)
             hi = _bounded_real(hi, "r_window's r_max", lo)
             object.__setattr__(self, "r_window", (lo, hi))
@@ -241,11 +244,12 @@ _LAWS = {
 
 
 def analytic_optimal_bandwidth(
-    density: AnalyticDensity, kernel: Kernel, Np: int, dimension: int
+    density: AnalyticDensity, kernel: Kernel, Np: int, dimension: int | None = None
 ) -> float:
     """Exact AMISE-optimal bandwidth for a reference law and kernel.
 
-    ``density`` and ``kernel`` must both have dimension ``dimension``.
+    ``density`` and ``kernel`` must share one dimension d, and must have
+    dimension ``dimension`` where it is given; else DomainError.
     """
     common_dim(dimension, density=density.dim, kernel=kernel.dim)
     return optimal_bandwidth(density.roughness(), kernel, Np)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _bounded_real, _positive_real
-from .estimator import Sample, _check_count
+from .errors import DomainError, _bounded_real, _check_count, _positive_real
+from .estimator import Sample
 from .kernels import eval_kernel, kernel_constants
 
 __all__ = [

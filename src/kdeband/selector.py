@@ -45,11 +45,12 @@ from .errors import (
     NonPositiveBandwidth,
     NonPositiveRoughness,
     _bounded_real,
+    _check_count,
     _normal,
     _out_of_range,
     _positive_real,
 )
-from .estimator import Sample, _check_count
+from .estimator import Sample
 from .kernels import Kernel, common_dim
 from .roughness import corrected_roughness
 

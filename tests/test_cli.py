@@ -157,6 +157,44 @@ def test_select_missing_file(tmp_path, capsys):
     assert "cannot read sample file" in err
 
 
+def test_select_non_count_grid_cap_exit_1(tmp_path, capsys):
+    """--grid-cap is a count: 0 is a named error and exit 1."""
+    path = _write_sample(tmp_path / "g.txt", sample_gaussian_1d(1000, seed=1).points)
+    rc = main(["select", "--input", path, "--dim", "1", "--grid-cap", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "grid_cap" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--dim", "1"],
+        ["density", "--h", "0.3"],
+    ],
+    ids=["select", "density"],
+)
+def test_unknown_kernel_fails_before_the_sample_is_read(tmp_path, capsys, argv):
+    """The kernel token is read by the library's kernel rule before any
+    sample is read: an unknown token is reported, not the missing file."""
+    rc = main(argv + ["--kernel", "boxcar", "--input", str(tmp_path / "nope.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "unknown kernel family" in err
+    assert "cannot read sample file" not in err
+
+
+@pytest.mark.parametrize("command", ["select", "experiment", "density"])
+def test_help_names_every_kernel_token(capsys, command):
+    """The usage line lists no kernel tokens, so the --kernel help names
+    all six."""
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for token in ("ngp", "cic", "tsc", "ngp3", "cic3", "tsc3"):
+        assert re.search(rf"\b{token}\b", out), token
+
+
 def test_select_out_of_range_scale_exit_1(tmp_path, capsys):
     """A 3D sample scaled by 1e40 underflows the selection's squared
     Laplacian: a named error and exit 1, not a traceback."""

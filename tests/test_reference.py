@@ -204,6 +204,15 @@ def test_analytic_optimal_bandwidth_dimension_checks():
         analytic_optimal_bandwidth(gaussian_1d(), kernel_constants("tsc", 1), 100, dimension=2)
 
 
+def test_analytic_optimal_bandwidth_takes_d_from_its_inputs():
+    """Without a dimension, d is the one the law and the kernel share."""
+    tsc3 = kernel_constants("tsc3", 3)
+    assert analytic_optimal_bandwidth(gaussian_3d(), tsc3, 10_000) == (
+        analytic_optimal_bandwidth(gaussian_3d(), tsc3, 10_000, dimension=3))
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        analytic_optimal_bandwidth(gaussian_1d(), tsc3, 100)
+
+
 # ---------------------------------------------------------------------------
 # pdf evaluation
 # ---------------------------------------------------------------------------
@@ -313,6 +322,15 @@ def test_non_numeric_window_raises_domain_error():
         hernquist_radial_pdf(r_window=("a", "b"))
     with pytest.raises(DomainError, match="r_window"):
         hernquist_radial_pdf(r_window=(0.5, "b"))
+
+
+@pytest.mark.parametrize("window", [5.0, (1.0,), (1.0, 2.0, 3.0)],
+                         ids=["scalar", "one-bound", "three-bounds"])
+def test_window_that_is_not_a_pair_raises_domain_error(window):
+    """A window is a pair (r_min, r_max): any other shape is a domain error
+    naming the window, not the bare error of unpacking it."""
+    with pytest.raises(DomainError, match="r_window"):
+        hernquist_radial_pdf(r_window=window)
 
 
 def test_non_numeric_radii_raise_domain_error():

@@ -17,10 +17,12 @@ from kdeband import (
     DomainError,
     GridTooLarge,
     NonPositiveBandwidth,
+    build_grid,
     Sample,
     corrected_roughness,
     eval_kernel,
     kernel_constants,
+    select_bandwidth,
 )
 
 TSC = kernel_constants("tsc", 1)
@@ -271,6 +273,35 @@ def test_grid_cap_propagates():
     s = _gauss_sample(1_000, 1)
     with pytest.raises(GridTooLarge):
         corrected_roughness(s, TSC, 0.001, grid_cap=100)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cap", ["x", np.nan, np.inf, 2.5, 0, -3],
+                         ids=["string", "nan", "inf", "fraction", "zero", "negative"])
+@pytest.mark.parametrize("step", ["build_grid", "corrected_roughness", "select_bandwidth"])
+def test_grid_cap_that_is_not_a_count_raises_domain_error(step, cap):
+    """A grid cap is a count, read by the one count rule: anything but an
+    integer >= 1 raises DomainError naming grid_cap, in the deposit and in
+    each step that hands the cap on to it, with no warning."""
+    s = _gauss_sample(1_000, 1)
+    calls = {
+        "build_grid": lambda: build_grid(s, TSC, 0.3, grid_cap=cap),
+        "corrected_roughness": lambda: corrected_roughness(s, TSC, 0.3, grid_cap=cap),
+        "select_bandwidth": lambda: select_bandwidth(s, TSC, grid_cap=cap),
+    }
+    with pytest.raises(DomainError, match="grid_cap"):
+        calls[step]()
+
+
+def test_grid_cap_as_integral_float_or_numpy_integer():
+    """An integral float or a numpy integer is the same cap as the int."""
+    s = _gauss_sample(1_000, 1)
+    want = build_grid(s, TSC, 0.3, grid_cap=100).values
+    for cap in (100.0, np.int64(100)):
+        assert build_grid(s, TSC, 0.3, grid_cap=cap).values.tobytes() == want.tobytes()
+    for cap in (10.0, np.int32(10)):
+        with pytest.raises(GridTooLarge, match="above the cap of 10$"):
+            build_grid(s, TSC, 0.3, grid_cap=cap)
 
 
 @pytest.mark.filterwarnings("error")
