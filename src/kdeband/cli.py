@@ -9,8 +9,11 @@ sample      draw a synthetic sample and write it to a text file
 
 One helper runs every selection and one builds every deposit-grid table,
 both under ``--grid-cap`` (so it also bounds ``--emit-curves`` grids).
-Flag defaults come from ``SelectorConfig`` and ``HernquistParams``, and
-``--np`` takes exact positive integers only (``1e5`` is accepted).
+Flag defaults come from ``SelectorConfig`` and ``HernquistParams``.  The
+count flags ``--np``, ``--max-iters`` and ``--grid-cap`` take exact
+positive integers only (``1e5`` is accepted), read by the library's count
+rule, and ``--dim`` is read by ``kernel_constants``, which knows which d
+have kernels.
 
 Exit codes: 0 on success, 1 on any usage or data error, 2 when a
 selection run finished without converging (outputs are still written).
@@ -455,11 +458,11 @@ def _add_selector_flags(p) -> None:
                         "also ngp3, cic3 or tsc3 (default tsc)")
     p.add_argument("--tol", type=float, default=defaults.rel_tolerance,
                    help="relative convergence tolerance on h (default %(default)s)")
-    p.add_argument("--max-iters", type=int, default=defaults.max_iterations,
+    p.add_argument("--max-iters", type=float, default=defaults.max_iterations,
                    help="cap on bandwidth updates (default %(default)s)")
     p.add_argument("--c0", type=float, default=defaults.initial_scale_c0,
                    help="initial bandwidth scale c0 (default %(default)s)")
-    p.add_argument("--grid-cap", type=int, default=None,
+    p.add_argument("--grid-cap", type=float, default=None,
                    help="override the node/cell cap on deposit grids")
 
 
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("select", help="select a bandwidth for a sample file")
     p_sel.add_argument("--input", required=True, help="numeric sample file")
-    p_sel.add_argument("--dim", type=int, choices=[1, 3], required=True)
+    p_sel.add_argument("--dim", type=int, required=True, help="sample dimension: 1 or 3")
     _add_selector_flags(p_sel)
     p_sel.add_argument("--out", default=None, help="write the JSON report here")
     p_sel.set_defaults(func=cmd_select)

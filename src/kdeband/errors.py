@@ -3,11 +3,24 @@
 Every error raised deliberately by kdeband derives from :class:`KdebandError`,
 so callers (notably the command line driver) can distinguish usage and data
 problems from genuine bugs.  ``_out_of_range`` turns floating-point over- and
-underflow in a computation into one of them.  ``_bounded_real`` states the
-one rule for an argument that must be a real in an interval
-(``_positive_real`` is its case (0, inf)), ``_check_count`` the one for a
-count, and ``_float_array`` the one for an array of reals: a value that
-is not a number fails each rule as a number out of range does.
+underflow in a computation into one of them.
+
+Each kind of argument is read by one rule here, which returns it as the
+type the package computes with, or raises DomainError naming it:
+
+* ``_bounded_real``: a real in an interval, (low, high) or [low, high)
+  (``_positive_real`` is its case (0, inf), with an error of the caller's
+  choice), returned as a float;
+* ``_check_count``: a count, an integer >= 1, given as an int or an
+  integral float (Python or numpy), returned as an int;
+* ``_check_index``: an index, an int or numpy integer >= 0 and below an
+  optional stop (a seed, an axis, a dimension), returned as an int;
+* ``_float_array``: an array of reals, every one finite in its finite
+  case, returned as a float array.
+
+A value that is not a number (a string, None) fails each rule as a number
+out of range does, and so does a bool: True is no count, index or real,
+though Python counts it as the int 1.
 """
 
 from contextlib import contextmanager
@@ -102,7 +115,7 @@ def _bounded_real(
     ``name`` unless it is a real with low < value < high, or
     low <= value < high where ``closed``."""
     try:
-        x = float(value)
+        x = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):  # not a number: a string, None, ...
         x = np.nan
     if not ((low <= x) if closed else (low < x)) or not x < high:
@@ -114,17 +127,31 @@ def _bounded_real(
 def _check_count(value, name: str = "Np") -> int:
     """A count as an int; DomainError naming it unless it is an integer >= 1."""
     number = isinstance(value, (int, float, np.integer, np.floating))
-    count = int(value) if number and np.isfinite(value) else 0
+    count = int(value) if number and np.isfinite(value) and not isinstance(value, bool) else 0
     if count < 1 or count != value:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return count
 
 
-def _float_array(values, name: str) -> np.ndarray:
+def _check_index(value, name: str, stop: float = np.inf) -> int:
+    """An index as an int; DomainError naming it unless it is an int or
+    numpy integer with 0 <= value < stop."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and 0 <= value < stop):
+        below = "" if stop == np.inf else f" below {stop}"
+        raise DomainError(f"{name} must be a non-negative integer{below}, got {value!r}")
+    return int(value)
+
+
+def _float_array(values, name: str, finite: bool = False) -> np.ndarray:
     """``values`` as a float array (np.asarray); DomainError naming
     ``name`` where numpy cannot convert them (a string that is not a
-    number, a ragged list)."""
+    number, a ragged list), or, if ``finite``, where one is NaN or
+    infinite."""
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be an array of real numbers") from exc
+    if finite and not np.all(np.isfinite(array)):
+        raise DomainError(f"{name} must all be finite")
+    return array

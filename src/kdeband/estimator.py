@@ -46,6 +46,7 @@ from .errors import (
     GridTooSmall,
     NonPositiveBandwidth,
     _check_count,
+    _check_index,
     _float_array,
     _out_of_range,
     _positive_real,
@@ -131,13 +132,11 @@ class Sample:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _float_array(self.points, "Sample points")
+        pts = _float_array(self.points, "Sample points", finite=True)
         if pts.ndim == 2 and pts.shape[1] == 1:
             pts = pts[:, 0]
         if pts.ndim not in (1, 2) or pts.size < 1:
             raise DomainError("Sample needs a non-empty (Np,) or (Np, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("Sample points must all be finite")
         object.__setattr__(self, "points", _frozen_array(pts))
 
     @property
@@ -219,14 +218,12 @@ class Grid:
 
     def __post_init__(self, copy: bool = True):
         spacing = _positive_real(self.spacing, "grid spacing", NonPositiveBandwidth)
-        vals = _float_array(self.values, "Grid values")
+        vals = _float_array(self.values, "Grid values", finite=True)
         if vals.ndim < 1 or vals.size < 1:
             raise DomainError("Grid values must be a non-empty array")
-        org = _float_array(self.origin, "Grid origin")
+        org = _float_array(self.origin, "Grid origin", finite=True)
         if org.ndim > 1 or org.size != vals.ndim:
             raise DomainError("Grid origin must hold one coordinate per axis")
-        if not (np.all(np.isfinite(org)) and np.all(np.isfinite(vals))):
-            raise DomainError("Grid origin and values must all be finite")
         org = float(org.reshape(())) if vals.ndim == 1 else _frozen_array(org)
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "spacing", spacing)
@@ -248,10 +245,9 @@ class Grid:
         return tuple(int(n) for n in self.values.shape)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
-        """Node positions along ``axis``, one of 0, ..., d - 1; any other
-        axis raises DomainError."""
-        if axis not in range(self.dim):
-            raise DomainError(f"a {self.dim}-D grid has no axis {axis!r}")
+        """Node positions along ``axis``, an index below d (0, ..., d - 1);
+        any other axis raises DomainError."""
+        axis = _check_index(axis, "axis", self.dim)
         return np.atleast_1d(self.origin)[axis] + self.spacing * np.arange(
             self.values.shape[axis]
         )
@@ -279,13 +275,11 @@ def estimate_density(sample: Sample, kernel: Kernel, h: float, query_points) -> 
     h, d = _check_scale(sample, kernel, h)
     if d not in (1, 3):
         raise DomainError(f"direct evaluation serves d = 1 and d = 3, not d = {d}")
-    queries = np.atleast_1d(_float_array(query_points, "query_points"))
+    queries = np.atleast_1d(_float_array(query_points, "query_points", finite=True))
     if d == 3:
         queries = _as_rows(queries, d, "query_points")
     elif queries.ndim != 1:
         raise DomainError("query_points must be scalar or 1D")
-    if not np.all(np.isfinite(queries)):
-        raise DomainError("query_points must all be finite")
     out = (_kernel_sums_1d if d == 1 else _kernel_sums_3d)(sample, kernel, h, queries)
     out /= sample.size_Np * h ** d
     return out
@@ -542,19 +536,20 @@ def build_grid(
 
     The points are taken in chunks of ``_POINT_CHUNK``, so the deposit's
     point-sized arrays are a chunk's, whatever Np.  Each pass sums its
-    weights into an accumulator of its own, at each point's slot (see
-    _chunk_axes), which every pass of a chunk shares: the first chunk to
-    run the pass starts its sums with a bincount, later chunks continue
-    them with np.add.at, term by term in point order.  A pass's offsets
-    only decide which node a slot stands for, so they are applied once,
-    as a shift, when the pass goes into the grid (_add_pass).  Once no
-    later chunk can add to them, the accumulators go into the grid in pass
-    order, offsets in lexicographic order with -1 first.  Every node thus
-    sums the same terms in the same order as one pass over the whole
-    sample would, and the grid adds the passes in the same order: a chunk
-    skips only passes that would have added +0.0 for its points, and its
-    branch bounds, however loose, are still bounds (see
-    kernels.radial_profile).
+    weights into an accumulator of its own, at each point's slot, which
+    every pass of a chunk shares: the flat index of the point's node at
+    offset 0, a node of the grid (see _chunk_axes), so an accumulator has
+    one slot per node.  The first chunk to run the pass starts its sums
+    with a bincount, later chunks continue them with np.add.at, term by
+    term in point order.  A pass's offsets only decide which node a slot
+    stands for, so they are applied once, as a shift, when the pass goes
+    into the grid (_add_pass).  Once no later chunk can add to them, the
+    accumulators go into the grid in pass order, offsets in lexicographic
+    order with -1 first.  Every node thus sums the same terms in the same
+    order as one pass over the whole sample would, and the grid adds the
+    passes in the same order: a chunk skips only passes that would have
+    added +0.0 for its points, and its branch bounds, however loose, are
+    still bounds (see kernels.radial_profile).
 
     The accumulators take up to (w+1)^d n values, so the sample is chunked
     only where that is less than 2d(w+1) Np, two point-sized arrays per
@@ -591,28 +586,17 @@ def build_grid(
             f"2^{math.log2(farthest):.2f} h from zero, above 2^48 h, where node positions "
             "round by more than h/32"
         )
-    # Each axis's node index at offset 0, j0 = ceil((x - w h/2 - origin) / h),
-    # never falls as x grows: the sample's extrema give its range.
-    first, last = (np.ceil((v - half - origin) / h) for v in (low, top))
     strides = [math.prod(dims[a + 1:]) for a in range(d)]
-    lowest = sum(int(j) * stride for j, stride in zip(first, strides))
-
-    def shift(key):
-        # Slot p stands for node p + lowest at offset 0 (see _chunk_axes),
-        # and at the pass's offsets for that node shifted by this.
-        return lowest + sum(o * stride for o, stride in zip(key, strides))
-
     one_chunk = (w + 1) ** (d - 1) * n >= 2 * d * Np
     chunk = Np if one_chunk else _POINT_CHUNK
     distinct = one_chunk and n > Np  # a pass sums at most Np values, not n
-    slots_size = sum(int(j - f) * stride for j, f, stride in zip(last, first, strides)) + 1
     acc = np.zeros(n, dtype=float)
     held = {}  # each pass's sums over the chunks so far, by its offsets
     for start in range(0, Np, chunk):
         final = start + chunk >= Np
-        slots, occupied, axes = _chunk_axes(pts[start:start + chunk], origin, dims, first,
+        slots, occupied, axes = _chunk_axes(pts[start:start + chunk], origin, dims,
                                             half, w, h, kernel, distinct)
-        size = slots_size if occupied is None else occupied.size
+        size = n if occupied is None else occupied.size
         for key, weights in _passes(kernel, h, axes):
             if key in held:
                 np.add.at(held[key], slots, weights)
@@ -621,22 +605,25 @@ def build_grid(
             del weights  # not to be held while the next pass is computed
             if final:  # no later chunk runs this pass or one before it
                 for done in sorted(k for k in held if k <= key):
-                    _add_pass(acc, held.pop(done), shift(done), occupied)
+                    _add_pass(acc, held.pop(done), done, strides, occupied)
     for key in sorted(held):
-        _add_pass(acc, held.pop(key), shift(key), occupied)
+        _add_pass(acc, held.pop(key), key, strides, occupied)
     acc /= Np * h ** d
     return Grid._adopt(origin, h, acc.reshape(dims))
 
 
-def _add_pass(acc, sums, shift, occupied):
-    """Add one pass's sums into the flat grid ``acc``: slot p's sum to node
-    p + shift, or, where ``occupied`` holds the chunk's distinct slots in
-    ascending order (see _chunk_axes), to occupied[p] + shift.
-    A slot that lands outside the grid holds only points whose node at
-    this pass is off the grid, whose weights are +0.0 (see build_grid),
-    and is dropped; the empty-range guard keeps a pass that lands wholly
-    off the grid from adding anything.
+def _add_pass(acc, sums, offsets, strides, occupied):
+    """Add the sums of the pass at ``offsets`` into the flat grid ``acc``.
+
+    Slot p stands for node p at offset 0 (see _chunk_axes), and at the
+    pass's offsets for node p + shift, with shift = sum_a o_a stride_a; or,
+    where ``occupied`` holds the chunk's distinct node indices in ascending
+    order, for node occupied[p] + shift.  A slot that lands outside the
+    grid holds only points whose node at this pass is off the grid, whose
+    weights are +0.0 (see build_grid), and is dropped; the empty-range
+    guard keeps a pass that lands wholly off the grid from adding anything.
     """
+    shift = sum(o * stride for o, stride in zip(offsets, strides))
     if occupied is None:
         lo, hi = max(shift, 0), min(acc.size, sums.size + shift)
         if lo < hi:
@@ -646,16 +633,18 @@ def _add_pass(acc, sums, shift, occupied):
         acc[occupied[lo:hi] + shift] += sums[lo:hi]
 
 
-def _chunk_axes(points, origin, dims, first, half, w, h, kernel, distinct):
+def _chunk_axes(points, origin, dims, half, w, h, kernel, distinct):
     """Each point's slot, the slots occupied, and per axis the offsets (see
     _axis_offsets) of the points of one chunk.
 
-    A point's node at offset 0 on every axis has the flat index
-    sum_a j0_a stride_a, with j0 = ceil((x - w h/2 - origin) / h) on each
-    axis.  Its slot is that index less the lowest one a point of the
-    sample can take, sum_a first_a stride_a, and ``occupied`` is None.
+    A point's slot is the flat index sum_a j0_a stride_a of its node at
+    offset 0 on every axis, with j0 = ceil((x - w h/2 - origin) / h) on
+    each axis, and ``occupied`` is None.  That node lies on the grid: the
+    origin is snapped down from min - w h/2, so every j0 is >= 0 (at worst
+    -0.0, where the snap rounds up by less than a node), and the grid
+    reaches w h/2 past the maximum, so j0 is below the axis's node count.
     Where ``distinct``, the point's slot is instead its rank among the
-    chunk's distinct such slots, which ``occupied`` holds in ascending
+    chunk's distinct node indices, which ``occupied`` holds in ascending
     order.  Every pass of the chunk sums its weights at these slots.
 
     Each axis holds one array of its points' j0, as floats, which its
@@ -665,14 +654,11 @@ def _chunk_axes(points, origin, dims, first, half, w, h, kernel, distinct):
     """
     columns = points.T
     j0 = [np.ceil((x - half - origin[a]) / h) for a, x in enumerate(columns)]
-    # Exact: every value is an integer of magnitude below 2^53.
-    flat = j0[0] - first[0]
+    # Exact: every j0 is an integer, and every partial index is below n.
+    slots = j0[0].astype(np.int64)
     for a in range(1, len(j0)):
-        flat *= dims[a]
-        flat += j0[a]
-        flat -= first[a]
-    slots = flat.astype(np.int64)
-    del flat
+        slots *= dims[a]
+        slots += j0[a].astype(np.int64)
     occupied = None
     if distinct:
         occupied, slots = np.unique(slots, return_inverse=True)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _float_array
+from .errors import DomainError, _check_index, _float_array
 
 __all__ = [
     "Kernel",
@@ -113,19 +113,27 @@ _CONSTANTS = {
         Kernel("tsc3", 3, 3, 2.0 / np.pi, 43.0 / (70.0 * np.pi), 13.0 / 60.0),
     )
 }
+_DIMS = sorted({d for _, d in _CONSTANTS})  # the dimensions that have kernels
 
 
 def kernel_constants(family: str, dim: int) -> Kernel:
     """Return the kernel descriptor for a (case-insensitive) family token
-    in d = ``dim``.  A 3D family may be spelled 'tsc' or 'tsc3'."""
-    token = str(family).lower()
+    in d = ``dim``.  A 3D family may be spelled 'tsc' or 'tsc3'.
+
+    ``dim`` is an index (an integer >= 0, not a bool).  In a d that has
+    no kernels, DomainError names the dimension; a token with no kernel
+    in a d that has them is an unknown family there (DomainError).
+    """
+    token, dim = str(family).lower(), _check_index(dim, "dim")
     kernel = _CONSTANTS.get((token, dim)) or _CONSTANTS.get((f"{token}{dim}", dim))
-    if kernel is None:
-        raise DomainError(
-            f"unknown kernel family {family!r} for d = {dim!r}; "
-            f"expected one of {KERNEL_FAMILIES}"
-        )
-    return kernel
+    if kernel is not None:
+        return kernel
+    if dim not in _DIMS:
+        listed = " and ".join(map(str, _DIMS))
+        raise DomainError(f"no {family!r} kernel in d = {dim}; kernels exist for d = {listed}")
+    raise DomainError(
+        f"unknown kernel family {family!r} for d = {dim}; expected one of {KERNEL_FAMILIES}"
+    )
 
 
 def _ones(r):

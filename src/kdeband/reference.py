@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     DomainError,
     _bounded_real,
+    _check_index,
     _float_array,
     _normal,
     _out_of_range,
@@ -249,8 +250,11 @@ def analytic_optimal_bandwidth(
     """Exact AMISE-optimal bandwidth for a reference law and kernel.
 
     ``density`` and ``kernel`` must share one dimension d, and must have
-    dimension ``dimension`` where it is given; else DomainError.
+    dimension ``dimension`` where it is given, an index (an integer >= 0,
+    not a bool); else DomainError.
     """
+    if dimension is not None:
+        dimension = _check_index(dimension, "dimension")
     common_dim(dimension, density=density.dim, kernel=kernel.dim)
     return optimal_bandwidth(density.roughness(), kernel, Np)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _bounded_real, _check_count, _positive_real
+from .errors import _bounded_real, _check_count, _check_index, _positive_real
 from .estimator import Sample
 from .kernels import eval_kernel, kernel_constants
 
@@ -85,12 +85,10 @@ def _hernquist_mass_fraction(r, rc):
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """``numpy.random.default_rng(seed)`` for an integer seed >= 0; any
-    other seed raises DomainError, where numpy would raise a bare
-    ValueError or TypeError."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    """``numpy.random.default_rng(seed)`` for a seed that is an index (an
+    integer >= 0, not a bool); any other seed raises DomainError, where
+    numpy would raise a bare ValueError or TypeError, or take True as 1."""
+    return np.random.default_rng(_check_index(seed, "seed"))
 
 
 def sample_gaussian_1d(Np: int, seed: int) -> Sample:

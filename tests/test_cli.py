@@ -725,3 +725,44 @@ def test_cli_outputs_match_recorded_digests(tmp_path, monkeypatch, argv, digests
         if path.name != _PIN_INPUT
     }
     assert written == digests
+
+
+def test_select_count_flags_accept_scientific_notation(tmp_path, capsys):
+    """--grid-cap and --max-iters are read by the library's count rule, as
+    --np is: 1e7 is the cap 10000000 and 1e2 the cap 100, with the same
+    report."""
+    path = _write_sample(tmp_path / "g.txt", sample_gaussian_1d(5000, seed=3).points)
+    reports = []
+    for cap, iters in (("10000000", "100"), ("1e7", "1e2")):
+        rc = main(["select", "--input", path, "--dim", "1", "--grid-cap", cap,
+                   "--max-iters", iters])
+        assert rc == 0
+        reports.append(_strip_wall_times(json.loads(capsys.readouterr().out)))
+    assert reports[0] == reports[1]
+
+
+def test_select_non_integer_max_iters_names_the_field(tmp_path, capsys):
+    """--max-iters 2.5 is refused by SelectorConfig's count rule, naming
+    max_iterations, not by argparse's int parser."""
+    path = _write_sample(tmp_path / "g.txt", sample_gaussian_1d(1000, seed=1).points)
+    rc = main(["select", "--input", path, "--dim", "1", "--max-iters", "2.5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "max_iterations must be a positive integer, got 2.5" in captured.err
+
+
+@pytest.mark.parametrize("dim", ["2", "0"])
+def test_select_dimension_without_kernels_names_the_dimension(tmp_path, capsys, dim):
+    """--dim is read by kernel_constants, not by a copy of which d have
+    kernels: a d without them is named, before the sample is read."""
+    rc = main(["select", "--input", str(tmp_path / "nope.txt"), "--dim", dim])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"no 'tsc' kernel in d = {dim}; kernels exist for d = 1 and 3" in err
+    assert "cannot read sample file" not in err
+
+
+def test_select_help_gives_the_dimensions(capsys):
+    assert main(["select", "--help"]) == 0
+    assert "1 or 3" in capsys.readouterr().out
