@@ -10,10 +10,12 @@ sample      draw a synthetic sample and write it to a text file
 One helper runs every selection and one builds every deposit-grid table,
 both under ``--grid-cap`` (so it also bounds ``--emit-curves`` grids).
 Flag defaults come from ``SelectorConfig`` and ``HernquistParams``.  The
-count flags ``--np``, ``--max-iters`` and ``--grid-cap`` take exact
-positive integers only (``1e5`` is accepted), read by the library's count
-rule, and ``--dim`` is read by ``kernel_constants``, which knows which d
-have kernels.
+count flags ``--np``, ``--max-iters``, ``--grid-cap`` and ``--grid-points``
+take exact positive integers only (``1e5`` is accepted), read by the
+library's count rule, seeds exact non-negative integers (``1e1`` too), read
+by its index rule, and ``--dim`` is read by ``kernel_constants``, which
+knows which d have kernels.  A command reads its kernel, selector and grid
+flags before it reads or draws a sample, so a bad flag is named first.
 
 Exit codes: 0 on success, 1 on any usage or data error, 2 when a
 selection run finished without converging (outputs are still written).
@@ -35,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import KdebandError, _check_count
+from .errors import KdebandError, _check_count, _check_index
 from .estimator import Sample, build_grid, estimate_density
 from .kernels import kernel_constants
 from .reference import (
@@ -121,41 +123,68 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _number(text: str):
+    """The number a flag's text spells, for the library's integer rules:
+    an int where it is one (exactly, and in scientific notation too, 1e5),
+    else a float, or the text itself where it is no number."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return int(value) if value.is_integer() else value
+
+
 def _parse_count(text: str) -> int:
     """Parse an exact positive integer count, accepting scientific notation
     like 1e5."""
     try:
-        return _check_count(float(text))
+        return _check_count(_number(text))
     except KdebandError:
         raise argparse.ArgumentTypeError(f"not a positive integer count: {text!r}") from None
+
+
+def _parse_seed(text: str) -> int:
+    """Parse a seed, an exact non-negative integer, accepting scientific
+    notation like 1e1; a usage error gives the index rule's message."""
+    try:
+        return _check_index(_number(text), "seed")
+    except KdebandError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_count_list(text: str) -> list[int]:
     return [_parse_count(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_seed_list(text: str) -> list[int]:
+    return [_parse_seed(part) for part in text.split(",") if part.strip()]
 
 
-def _selector_config(args) -> SelectorConfig:
-    return SelectorConfig(rel_tolerance=args.tol, max_iterations=args.max_iters,
-                          initial_scale_c0=args.c0)
+def _selection_flags(args) -> tuple[SelectorConfig, int | None]:
+    """The selector flags as a SelectorConfig and ``--grid-cap`` as a count
+    (None: the default cap), read by the library's rules.  A command reads
+    them before it reads or draws a sample, so a bad flag is named first."""
+    config = SelectorConfig(rel_tolerance=args.tol, max_iterations=args.max_iters,
+                            initial_scale_c0=args.c0)
+    return config, None if args.grid_cap is None else _check_count(args.grid_cap, "grid_cap")
 
 
-def _select(args, sample, kernel) -> tuple[BandwidthTrace, float]:
+def _select(sample, kernel, config, grid_cap) -> tuple[BandwidthTrace, float]:
     """Select the sample's bandwidth under the selector flags and
     ``--grid-cap``: the trace and the selection's wall time in ms."""
-    config = _selector_config(args)
     t0 = time.perf_counter()
-    trace = select_bandwidth(sample, kernel, config, grid_cap=args.grid_cap)
+    trace = select_bandwidth(sample, kernel, config, grid_cap=grid_cap)
     return trace, (time.perf_counter() - t0) * 1e3
 
 
-def _lattice(args, sample, kernel, h):
+def _lattice(sample, kernel, h, grid_cap):
     """The node coordinates and values of the sample's deposit grid at
     spacing h, under ``--grid-cap``."""
-    grid = build_grid(sample, kernel, h, grid_cap=args.grid_cap)
+    grid = build_grid(sample, kernel, h, grid_cap=grid_cap)
     return grid.axis_coordinates(0), grid.values
 
 
@@ -249,7 +278,7 @@ def _curve_path(out: str | None, name: str, Np: int, seed: int) -> str:
     return f"{base}_np{Np}_seed{seed}_curve.dat"
 
 
-def _curve_table(args, kernel, sample, h, seed, hq_params, density) -> str:
+def _curve_table(args, grid_cap, kernel, sample, h, seed, hq_params, density) -> str:
     """Tabulate (x, estimate, analytic) on the deposit grid at h, or for
     the hernquist study the mass-density profile (r, rho_hat, rho_analytic).
 
@@ -259,7 +288,7 @@ def _curve_table(args, kernel, sample, h, seed, hq_params, density) -> str:
     total mass.  Grid nodes at r <= 0 (lattice padding below the inner
     truncation radius) are dropped because the profile is undefined there.
     """
-    xs, fhat = _lattice(args, sample, kernel, h)
+    xs, fhat = _lattice(sample, kernel, h, grid_cap)
     header = [
         f"# experiment: {args.name}",
         f"# kernel: {kernel.family}",
@@ -289,7 +318,7 @@ def cmd_experiment(args) -> int:
     dim = study.dim
     np_values = sorted(set(args.np or study.np))
     seeds = sorted(set(args.seed or _DEFAULT_SEEDS))
-    config = asdict(_selector_config(args))
+    config, grid_cap = _selection_flags(args)
     hq_params = _hernquist_params(args)
     density = study.law(hq_params)
     kernel = kernel_constants(args.kernel, dim)
@@ -300,10 +329,10 @@ def cmd_experiment(args) -> int:
         group = []
         for seed in seeds:
             sample = study.draw(Np, seed, hq_params)
-            trace, wall_ms = _select(args, sample, kernel)
+            trace, wall_ms = _select(sample, kernel, config, grid_cap)
             group.append(_report(name, args.kernel, Np, seed, trace, analytic_h, wall_ms))
             if args.emit_curves and dim == 1:
-                table = _curve_table(args, kernel, sample, trace.final_h, seed,
+                table = _curve_table(args, grid_cap, kernel, sample, trace.final_h, seed,
                                      hq_params, density)
                 path = _curve_path(args.out, name, Np, seed)
                 curves.append(path)
@@ -323,7 +352,7 @@ def cmd_experiment(args) -> int:
         "dimension": dim,
         "np_values": np_values,
         "seeds": seeds,
-        "config": config,
+        "config": asdict(config),
         "rng_name": RNG_NAME,
         "reports": reports,
         "aggregate": aggregate,
@@ -342,8 +371,9 @@ def cmd_experiment(args) -> int:
 
 def cmd_select(args) -> int:
     kernel = kernel_constants(args.kernel, args.dim)
+    config, grid_cap = _selection_flags(args)
     sample = _load_sample_file(args.input, args.dim)
-    trace, wall_ms = _select(args, sample, kernel)
+    trace, wall_ms = _select(sample, kernel, config, grid_cap)
     report = _report(
         f"select-{args.dim}d", args.kernel, sample.size_Np, -1, trace, None, wall_ms
     )
@@ -360,6 +390,15 @@ def cmd_density(args) -> int:
         raise KdebandError("density needs exactly one of --input or --generator")
     hq_params = _hernquist_params(args)
     kernel = kernel_constants(args.kernel, 1)
+    config, grid_cap = _selection_flags(args)
+    explicit_grid = (args.grid_min, args.grid_max, args.grid_points)
+    if explicit_grid != (None, None, None):
+        if None in explicit_grid:
+            raise KdebandError(
+                "--grid-min, --grid-max and --grid-points must be given together"
+            )
+        if not args.grid_max > args.grid_min or args.grid_points < 2:
+            raise KdebandError("need grid_max > grid_min and at least 2 grid points")
     density = None
     if args.generator is not None:
         study = _STUDIES[args.generator]
@@ -374,7 +413,7 @@ def cmd_density(args) -> int:
     if args.h is not None:
         h, h_note = args.h, "fixed"
     else:
-        trace, _ = _select(args, sample, kernel)
+        trace, _ = _select(sample, kernel, config, grid_cap)
         h, h_note = trace.final_h, "auto"
         if not trace.converged:
             exit_code = 2
@@ -385,17 +424,11 @@ def cmd_density(args) -> int:
         f"# Np: {sample.size_Np}",
         f"# h: {_fmt(h)} ({h_note})",
     ]
-    if args.grid_min is not None or args.grid_max is not None or args.grid_points is not None:
-        if None in (args.grid_min, args.grid_max, args.grid_points):
-            raise KdebandError(
-                "--grid-min, --grid-max and --grid-points must be given together"
-            )
-        if not args.grid_max > args.grid_min or args.grid_points < 2:
-            raise KdebandError("need grid_max > grid_min and at least 2 grid points")
+    if args.grid_points is not None:
         xs = np.linspace(args.grid_min, args.grid_max, args.grid_points)
         fhat = estimate_density(sample, kernel, h, xs)
     else:
-        xs, fhat = _lattice(args, sample, kernel, h)
+        xs, fhat = _lattice(sample, kernel, h, grid_cap)
         if args.generator == "hernquist":
             # Lattice padding can reach below r=0 where the radial law is
             # undefined; drop those nodes from the table.
@@ -496,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=sorted(_STUDIES))
     p_exp.add_argument("--np", type=_parse_count_list, default=None,
                        help="comma-separated point counts (default: study decades)")
-    p_exp.add_argument("--seed", type=_parse_int_list, default=None,
+    p_exp.add_argument("--seed", type=_parse_seed_list, default=None,
                        help="comma-separated seeds (default: 1,2,3,4,5)")
     _add_selector_flags(p_exp)
     _add_hernquist_flags(p_exp)
@@ -514,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, help="draw the sample instead of reading a file")
     p_den.add_argument("--np", type=_parse_count, default=10_000,
                        help="points to draw with --generator (default 1e4)")
-    p_den.add_argument("--seed", type=int, default=1,
+    p_den.add_argument("--seed", type=_parse_seed, default=1,
                        help="seed for --generator (default 1)")
     group = p_den.add_mutually_exclusive_group(required=True)
     group.add_argument("--h", type=float, default=None, help="fixed bandwidth")
@@ -524,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hernquist_flags(p_den)
     p_den.add_argument("--grid-min", type=float, default=None)
     p_den.add_argument("--grid-max", type=float, default=None)
-    p_den.add_argument("--grid-points", type=int, default=None)
+    p_den.add_argument("--grid-points", type=_parse_count, default=None)
     p_den.add_argument("--out", default=None, help="write the table here")
     p_den.set_defaults(func=cmd_density)
 
@@ -532,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sam.add_argument("--generator", required=True,
                        choices=sorted(_STUDIES))
     p_sam.add_argument("--np", type=_parse_count, required=True)
-    p_sam.add_argument("--seed", type=int, required=True)
+    p_sam.add_argument("--seed", type=_parse_seed, required=True)
     _add_hernquist_flags(p_sam)
     p_sam.add_argument("--out", default=None, help="write the sample here")
     p_sam.set_defaults(func=cmd_sample)

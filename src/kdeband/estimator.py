@@ -353,6 +353,27 @@ def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True), bit for bit, for a
+    non-empty array of non-negative integers, or of floats holding them.
+
+    Where the largest value is below values.size, an occupancy table ranks
+    them without a sort: a presence array one longer than that value, its
+    cumsum (each value's rank, plus one) and its flatnonzero (the distinct
+    values), so the table is never longer than values.  Otherwise
+    np.unique sorts them, so no table grows with the largest value.
+    """
+    top = values.max()
+    if not top < values.size:
+        return np.unique(values, return_inverse=True)
+    slots = values.astype(np.intp, copy=False)
+    present = np.zeros(int(top) + 1, dtype=bool)
+    present[slots] = True
+    rank = np.cumsum(present, dtype=np.intp)
+    rank -= 1
+    return np.flatnonzero(present).astype(values.dtype), rank.take(slots)
+
+
 def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarray) -> np.ndarray:
     """The kernel sums sum_i K((query - x_i) / h) at the rows of an (M, 3)
     array of queries, via a cell list.
@@ -376,7 +397,11 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     support again.
 
     Cells are numbered by their rank among the occupied cells of each axis,
-    so no key or table grows with the bounding box.  A point's cell is the
+    so no key grows with the bounding box.  Each axis's cells and the
+    occupied (x, y) columns are ranked by an occupancy table where it is
+    no longer than the sample, and by a sort otherwise (see _ranks), so no
+    table outgrows the sample either; on a compact sample the stable sort
+    of the cell keys is the one sort of Np values.  A point's cell is the
     floor of its coordinate in cell units, (x - ref) / edge.  A query's
     windows are taken in the same units, its coordinate t there clamped to
     within R + 2 cells of the sample's cells (a query farther out sees no
@@ -399,11 +424,11 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     # sample at small h.
     occupied, rank = [], []
     for a in range(3):
-        cells, inverse = np.unique(np.floor((pts[:, a] - ref[a]) / edge), return_inverse=True)
+        cells, inverse = _ranks(np.floor((pts[:, a] - ref[a]) / edge))
         occupied.append(cells)
         rank.append(inverse)
     rows = occupied[1].size  # a column's number is rank_x * rows + rank_y
-    columns, column = np.unique(rank[0] * rows + rank[1], return_inverse=True)
+    columns, column = _ranks(rank[0] * rows + rank[1])
     nz = occupied[2].size
     key = column * nz + rank[2]  # below Np**2: no int64 overflow
     order = _stable_argsort(key, columns.size * nz)
@@ -535,7 +560,8 @@ def build_grid(
     edge.
 
     The points are taken in chunks of ``_POINT_CHUNK``, so the deposit's
-    point-sized arrays are a chunk's, whatever Np.  Each pass sums its
+    point-sized arrays are a chunk's, whatever Np, a contiguous copy of its
+    coordinates among them (see _chunk_axes).  Each pass sums its
     weights into an accumulator of its own, at each point's slot, which
     every pass of a chunk shares: the flat index of the point's node at
     offset 0, a node of the grid (see _chunk_axes), so an accumulator has
@@ -594,8 +620,10 @@ def build_grid(
     held = {}  # each pass's sums over the chunks so far, by its offsets
     for start in range(0, Np, chunk):
         final = start + chunk >= Np
-        slots, occupied, axes = _chunk_axes(pts[start:start + chunk], origin, dims,
-                                            half, w, h, kernel, distinct)
+        columns = pts[start:start + chunk].T
+        if chunk < Np:  # a column of an (Np, d) array strides over d values
+            columns = np.ascontiguousarray(columns)
+        slots, occupied, axes = _chunk_axes(columns, origin, dims, half, w, h, kernel, distinct)
         size = n if occupied is None else occupied.size
         for key, weights in _passes(kernel, h, axes):
             if key in held:
@@ -633,9 +661,17 @@ def _add_pass(acc, sums, offsets, strides, occupied):
         acc[occupied[lo:hi] + shift] += sums[lo:hi]
 
 
-def _chunk_axes(points, origin, dims, half, w, h, kernel, distinct):
+def _chunk_axes(columns, origin, dims, half, w, h, kernel, distinct):
     """Each point's slot, the slots occupied, and per axis the offsets (see
-    _axis_offsets) of the points of one chunk.
+    _axis_offsets) of the points of one chunk, given as one coordinate
+    array per axis (a (d, chunk) array).
+
+    Where the sample is cut into chunks, build_grid copies each chunk's
+    columns to contiguous memory once, since j0 and every offset of an
+    axis read its column: in place, a column of an (Np, d) array strides
+    over d values.  A chunk that is the whole sample reads the sample's
+    columns in place, so the one-chunk deposit holds no copy of the
+    sample; a 1D sample's one column is contiguous either way.
 
     A point's slot is the flat index sum_a j0_a stride_a of its node at
     offset 0 on every axis, with j0 = ceil((x - w h/2 - origin) / h) on
@@ -652,7 +688,6 @@ def _chunk_axes(points, origin, dims, half, w, h, kernel, distinct):
     they are streamed and one at a time is held; the inner axes' offsets
     serve every combination of the axes before them, so they are kept.
     """
-    columns = points.T
     j0 = [np.ceil((x - half - origin[a]) / h) for a, x in enumerate(columns)]
     # Exact: every j0 is an integer, and every partial index is below n.
     slots = j0[0].astype(np.int64)

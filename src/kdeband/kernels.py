@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_index, _float_array
+from .errors import DomainError, _check_count, _check_index, _float_array
 
 __all__ = [
     "Kernel",
@@ -64,9 +64,10 @@ class Kernel:
         Kernel token: ``"ngp"``, ``"cic"``, ``"tsc"`` in 1D, the same
         with the suffix ``3`` in 3D.
     dim : int
-        The dimension d.
+        The dimension d, an index (an integer >= 0, not a bool).
     width_w : int
-        Support width in bandwidth units: K(x) = 0 for |x| > w/2.
+        Support width in bandwidth units, a count (an integer >= 1):
+        K(x) = 0 for |x| > w/2.
     normalization : float
         Makes K integrate to 1 over R^d (1 in 1D; 6/pi, 3/pi, 2/pi in 3D).
     roughness_RK : float
@@ -81,6 +82,12 @@ class Kernel:
     normalization: float
     roughness_RK: float
     second_moment_mu2: float
+
+    def __post_init__(self):
+        # common_dim compares dimensions by value, and True == 1: unread, a
+        # bool d would pass for 1D.
+        object.__setattr__(self, "dim", _check_index(self.dim, "dim"))
+        object.__setattr__(self, "width_w", _check_count(self.width_w, "width_w"))
 
 
 def common_dim(expected: int | None, **dims: int) -> int:

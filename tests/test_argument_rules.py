@@ -1,8 +1,9 @@
 """The argument rules of kdeband.errors, seen through the public API.
 
-A count (``Np``, ``max_iterations``, ``max_backoffs``, ``grid_cap``) is an
-integer >= 1, given as an int or an integral float.  An index (a seed, an
-axis, a dimension) is an int or numpy integer >= 0.  A real is a number in
+A count (``Np``, ``max_iterations``, ``max_backoffs``, ``grid_cap``, a
+kernel's ``width_w``) is an integer >= 1, given as an int or an integral
+float.  An index (a seed, an axis, a dimension) is an int or numpy integer
+>= 0.  A real is a number in
 its interval.  A bool is none of them, though Python counts True as 1.
 
 The contract fuzz at the end feeds every integer parameter of the public
@@ -55,7 +56,7 @@ SAMPLERS = {
     sample_hernquist_radii: lambda Np, seed: sample_hernquist_radii(Np, HernquistParams(), seed),
 }
 
-COUNT_PARAMETERS = {"Np", "grid_cap", "max_iterations", "max_backoffs"}
+COUNT_PARAMETERS = {"Np", "grid_cap", "max_iterations", "max_backoffs", "width_w"}
 INDEX_PARAMETERS = {"seed", "dim", "dimension", "axis"}
 
 # One row per public callable and integer parameter (the axis has one per
@@ -74,6 +75,7 @@ FUZZ_ROWS = [
      lambda v: analytic_optimal_bandwidth(gaussian_3d(), TSC3, 10, dimension=v)),
     ("kernel_constants", "dim", lambda v: kernel_constants("cic", v)),
     ("Kernel", "dim", lambda v: Kernel("tsc", v, 3, 1.0, 0.55, 0.25)),
+    ("Kernel", "width_w", lambda v: Kernel("tsc", 1, v, 1.0, 0.55, 0.25)),
     ("Grid.axis_coordinates", "axis", lambda v: GRID1.axis_coordinates(v)),
     ("Grid.axis_coordinates", "axis", lambda v: GRID3.axis_coordinates(v)),
     ("build_grid", "grid_cap", lambda v: build_grid(S3, TSC3, 0.9, grid_cap=v)),
@@ -99,16 +101,15 @@ REALS = {
 BOOLS = pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
 
 
-# A hand-built Kernel is a descriptor, read where it is used, so its dim
-# has a fuzz row but no rule of its own.
 @BOOLS
-@pytest.mark.parametrize("name, param, call", _params(r for r in FUZZ_ROWS if r[0] != "Kernel"))
+@pytest.mark.parametrize("name, param, call", _params(FUZZ_ROWS))
 def test_a_bool_is_no_count_and_no_index(name, param, call, value):
     """True is no count: sample_gaussian_1d(True, 1) drew one point, and a
     grid_cap of True was a cap of 1.  Nor is it an index: as a seed it drew
     seed 1's sample, a 3D grid's axis True raised a bare broadcast
     ValueError, and as kernel_constants' dim (np.True_ too) it gave the 1D
-    kernel."""
+    kernel.  A hand-built Kernel with dim True ran on a 1D sample, since
+    {1, True} is one dimension."""
     rule = "a positive integer" if param in COUNT_PARAMETERS else "a non-negative integer"
     with pytest.raises(DomainError, match=f"{param} must be {rule}"):
         call(value)

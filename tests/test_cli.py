@@ -766,3 +766,86 @@ def test_select_dimension_without_kernels_names_the_dimension(tmp_path, capsys, 
 def test_select_help_gives_the_dimensions(capsys):
     assert main(["select", "--help"]) == 0
     assert "1 or 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["select", "--dim", "1"], ["density", "--auto"]],
+                         ids=["select", "density"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iters", "2.5", "max_iterations must be a positive integer, got 2.5"),
+    ("--grid-cap", "2.5", "grid_cap must be a positive integer, got 2.5"),
+    ("--grid-cap", "0", "grid_cap must be a positive integer, got 0.0"),
+], ids=["max-iters", "grid-cap", "grid-cap-0"])
+def test_selection_flags_are_read_before_the_sample(tmp_path, capsys, command, flag, value,
+                                                     message):
+    """The selector config and --grid-cap go through the library's rules
+    before the sample file is read: a bad value is named, not the missing
+    file."""
+    rc = main(command + ["--input", str(tmp_path / "nope.txt"), flag, value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err
+    assert "cannot read sample file" not in err
+
+
+def test_density_grid_flags_are_read_before_the_sample(tmp_path, capsys):
+    rc = main(["density", "--input", str(tmp_path / "nope.txt"), "--h", "0.5",
+               "--grid-min", "-1", "--grid-max", "1", "--grid-points", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "at least 2 grid points" in err
+    assert "cannot read sample file" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--generator", "gauss1d", "--np", "1e1"],
+    ["density", "--generator", "gauss1d", "--np", "200", "--h", "0.5"],
+], ids=["sample", "density"])
+def test_seed_in_scientific_notation_writes_the_int_seed_bytes(tmp_path, argv):
+    """--seed is read by the library's index rule, as --np is by the count
+    rule: 1e1 is the seed 10 ("invalid int value" before)."""
+    written = []
+    for seed in ("10", "1e1"):
+        out = tmp_path / f"out{seed}"
+        assert main(argv + ["--seed", seed, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_experiment_seed_list_in_scientific_notation(tmp_path):
+    docs = []
+    for seeds in ("10,2", "1e1,2.0"):
+        out = tmp_path / "exp.json"
+        assert main(["experiment", "gauss1d", "--np", "1000", "--seed", seeds,
+                     "--out", str(out)]) == 0
+        docs.append(_strip_wall_times(json.loads(out.read_text())))
+    assert docs[0]["seeds"] == [2, 10]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--generator", "gauss1d", "--np", "10"],
+    ["experiment", "gauss1d", "--np", "1000"],
+], ids=["sample", "experiment"])
+@pytest.mark.parametrize("seed", ["1.5", "abc", "true", "nan"])
+def test_seed_that_is_no_index_is_a_usage_error(capsys, argv, seed):
+    rc = main(argv + ["--seed", seed])
+    assert rc == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_grid_points_are_read_by_the_count_rule(tmp_path, capsys):
+    """--grid-points 1e1 is the count 10; 2.5 is no count; 1 is a count
+    the table's own check refuses."""
+    path = _write_sample(tmp_path / "u.txt", sample_gaussian_1d(1000, seed=6).points)
+    argv = ["density", "--input", path, "--h", "0.5", "--grid-min", "-1", "--grid-max", "1"]
+    tables = []
+    for points in ("10", "1e1"):
+        out = tmp_path / f"table{points}.dat"
+        assert main(argv + ["--grid-points", points, "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert np.loadtxt(tmp_path / "table10.dat", comments="#", usecols=0).shape == (10,)
+    assert main(argv + ["--grid-points", "2.5"]) == 1
+    assert "not a positive integer count: '2.5'" in capsys.readouterr().err
+    assert main(argv + ["--grid-points", "1"]) == 1
+    assert "at least 2 grid points" in capsys.readouterr().err

@@ -354,6 +354,74 @@ def test_3d_cell_order_is_the_stable_sort(monkeypatch):
     assert_array_equal(stable_argsort(key, 2 ** 62), np.argsort(key, kind="stable"))
 
 
+def _spy_on_unique(monkeypatch):
+    """A list that gains one item per np.unique call."""
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(1) or
+                        unique(*args, **kwargs))
+    return calls, unique
+
+
+@pytest.mark.parametrize("dtype", [np.int64, float], ids=["ints", "floats"])
+def test_ranks_match_unique_on_the_table_and_the_sort_path(dtype, monkeypatch):
+    """_ranks gives np.unique's distinct values and inverse, bit for bit
+    and in their dtypes, whether the occupancy table ranks them or the
+    sort does: seeded values, one value, and a largest value one below
+    the table's bound (values.size) and at it."""
+    rng = np.random.default_rng(61)
+    cases = [rng.integers(0, 50, 3000), rng.integers(0, 3000, 3000),
+             rng.integers(0, 10 ** 9, 3000), np.array([0]), np.array([7]),
+             np.array([4, 1, 4, 0, 3]), np.array([5, 1, 5, 0, 3]),
+             np.r_[rng.integers(0, 100, 999), 999], np.r_[rng.integers(0, 100, 999), 1000]]
+    calls, unique = _spy_on_unique(monkeypatch)
+    paths = set()
+    for values in cases:
+        values = values.astype(dtype)
+        calls.clear()
+        got = estimator._ranks(values)
+        want = unique(values, return_inverse=True)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        sorted_ = not values.max() < values.size
+        assert calls == [1] * sorted_
+        paths.add(sorted_)
+    assert paths == {False, True}
+
+
+# sha256 of estimate_density(...).tobytes() for 2e4 default_rng(31)
+# standard-normal points and one more at (1e7, 0, 0), queried at its own
+# points: the x axis spans millions of cells, so its cells are ranked by
+# the sort, not by an occupancy table.  Recorded while every axis and the
+# columns were ranked by np.unique.
+WIDE_3D_ESTIMATE_SHA256 = {
+    ("ngp", 0.8): "1b575189379161435f24a63c36c6f46210c51c5e6a8fc88f89209b397bc2050f",
+    ("cic", 0.5): "995479c7c113de7bd20154bd424f620c5018d4d1b3c0f6c9113cc6fc707cfdea",
+    ("tsc", 0.4): "0c44cb328e97f68062587a1eb552658035375a894eff6c6f4b9a7f6888fa6058",
+}
+
+
+@pytest.mark.parametrize("family, h", sorted(WIDE_3D_ESTIMATE_SHA256))
+def test_3d_estimate_of_a_wide_sample_matches_recorded_bits(family, h, monkeypatch):
+    rng = np.random.default_rng(31)
+    sample = Sample(np.vstack([rng.standard_normal((20_000, 3)), [[1e7, 0.0, 0.0]]]))
+    calls, _ = _spy_on_unique(monkeypatch)
+    got = estimate_density(sample, kernel_constants(family, 3), h, sample.points)
+    assert calls, "the x axis is ranked by the sort"
+    assert hashlib.sha256(got.tobytes()).hexdigest() == WIDE_3D_ESTIMATE_SHA256[family, h]
+
+
+def test_3d_cell_build_of_a_gaussian_sorts_no_ranks(monkeypatch):
+    """The cells of each axis and the occupied columns of a 2e5-point
+    Gaussian are ranked by occupancy tables: np.unique never runs, and
+    the stable sort of the cell keys is the one sort left."""
+    sample = Sample(np.random.default_rng(1).standard_normal((200_000, 3)))
+    calls, _ = _spy_on_unique(monkeypatch)
+    estimate_density(sample, TSC3, 0.354, np.zeros((1, 3)))
+    assert calls == []
+
+
 def _estimate_1d_case(case, w):
     """(sample points, h, queries) of one recorded 1D evaluation case."""
     rng = np.random.default_rng(71)
@@ -1108,6 +1176,24 @@ def test_estimate_1d_peak_memory(family):
     del pts
     peak = _traced_peak(estimate_density, sample, kernel, h, queries)
     assert peak <= 8 * (Np + window) + 64 * queries.size
+
+
+# Traced peak of estimate_density on 2e5 default_rng(1) standard-normal 3D
+# points at 500 default_rng(2) normal queries and h = 0.354, in bytes,
+# rounded up to 10 kB, as read while the cell build ranked every axis and
+# the columns with np.unique: about 9.1 point-sized arrays (14.14-14.19 MB
+# with occupancy tables).
+ESTIMATE_3D_PEAK_BYTES = {"ngp": 14_650_000, "cic": 14_620_000, "tsc": 14_620_000}
+
+
+@pytest.mark.parametrize("family", sorted(ESTIMATE_3D_PEAK_BYTES))
+def test_estimate_3d_peak_memory(family):
+    """The cell list's sorted coordinates, its keys and the chunks of
+    pairs: no table or array may raise the peak above the sort's."""
+    sample = Sample(np.random.default_rng(1).standard_normal((200_000, 3)))
+    queries = np.random.default_rng(2).standard_normal((500, 3))
+    peak = _traced_peak(estimate_density, sample, kernel_constants(family, 3), 0.354, queries)
+    assert peak <= ESTIMATE_3D_PEAK_BYTES[family]
 
 
 def test_deposit_peak_memory_does_not_grow_with_Np():
