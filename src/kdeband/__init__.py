@@ -11,6 +11,10 @@ one function per step of the selection (``build_grid``,
 and for direct evaluation (``estimate_density``), each of which reads d
 from its inputs.
 
+The validation studies stay out of the package namespace: their
+synthetic laws and samplers are the submodules ``kdeband.reference`` and
+``kdeband.samplers``, each with its own ``__all__``.
+
 Typical use::
 
     from kdeband import Sample, kernel_constants, select_bandwidth
@@ -23,21 +27,21 @@ Typical use::
 
 from functools import partial
 
-# Each module's __all__ lists its public names; the package re-exports them.
+# Each method module's __all__ lists its public names; the package
+# re-exports them.  The study modules are imported, not re-exported, so
+# kdeband.reference and kdeband.samplers resolve after `import kdeband`.
 from . import errors, estimator, kernels, reference, roughness, samplers, selector
 from .errors import *  # noqa: F403
 from .estimator import *  # noqa: F403
 from .kernels import *  # noqa: F403
-from .reference import *  # noqa: F403
 from .roughness import *  # noqa: F403
-from .samplers import *  # noqa: F403
 from .selector import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = ["__version__"] + [
     name
-    for module in (errors, kernels, estimator, roughness, selector, samplers, reference)
+    for module in (errors, kernels, estimator, roughness, selector)
     for name in module.__all__
 ]
 

@@ -16,6 +16,8 @@ library's count rule, seeds exact non-negative integers (``1e1`` too), read
 by its index rule, and ``--dim`` is read by ``kernel_constants``, which
 knows which d have kernels.  A command reads its kernel, selector and grid
 flags before it reads or draws a sample, so a bad flag is named first.
+The studies (``experiment``, ``density --generator``, ``sample``) are the
+rows of ``kdeband.reference``'s study table, by name.
 
 Exit codes: 0 on success, 1 on any usage or data error, 2 when a
 selection run finished without converging (outputs are still written).
@@ -33,7 +35,6 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,76 +42,22 @@ from .errors import KdebandError, _check_count, _check_index
 from .estimator import Sample, build_grid, estimate_density
 from .kernels import kernel_constants
 from .reference import (
+    _LAWS,
+    HERNQUIST_EXTERNAL_REFERENCE,
+    AnalyticDensity,
     _hernquist_window_norm,
     analytic_optimal_bandwidth,
     eval_density,
-    gaussian_1d,
-    gaussian_3d,
     hernquist_profile,
     hernquist_radial_pdf,
     profile_from_radial_pdf,
-    trimodal_1d,
-    tsc_density_1d,
 )
-from .samplers import (
-    RNG_NAME,
-    HernquistParams,
-    sample_gaussian_1d,
-    sample_gaussian_3d,
-    sample_hernquist_radii,
-    sample_trimodal,
-    sample_tsc_density,
-)
+from .samplers import RNG_NAME, HernquistParams
 from .selector import BandwidthTrace, SelectorConfig, select_bandwidth
 
 __all__ = ["main", "build_parser"]
 
-# Previously published comparison values for the truncated-sphere study at
-# Np = 1.05e6 (analytic vs data-driven bandwidth).  The scale and window
-# conventions behind them were not fully specified, so they are recorded
-# in the hernquist experiment document for qualitative comparison only,
-# never used as a pass/fail oracle.
-HERNQUIST_EXTERNAL_REFERENCE = {
-    "analytic_h": 0.1712,
-    "data_based_h": 0.1678,
-    "relative_error_percent": -1.9,
-    "note": (
-        "published comparison values for a truncated-sphere sample of "
-        "1.05e6 radii; conventions not fully specified, qualitative only"
-    ),
-}
-
-_DECADES_1D = [1_000, 10_000, 100_000, 1_000_000]
-_DECADES_3D = [1_000, 10_000, 100_000]
 _DEFAULT_SEEDS = [1, 2, 3, 4, 5]
-
-
-class _Study(NamedTuple):
-    """A named synthetic law: its d, its sampler ``draw(Np, seed,
-    hernquist_params)``, its reference law ``law(hernquist_params)`` and
-    the default point counts of its experiment.  Tables of (x, estimate,
-    analytic), from ``density`` or ``experiment --emit-curves``, are 1D."""
-
-    dim: int
-    draw: Callable
-    law: Callable
-    np: list[int]
-
-
-_STUDIES = {
-    "gauss1d": _Study(1, lambda Np, seed, hq: sample_gaussian_1d(Np, seed),
-                      lambda hq: gaussian_1d(), _DECADES_1D),
-    "tscdens1d": _Study(1, lambda Np, seed, hq: sample_tsc_density(Np, seed),
-                        lambda hq: tsc_density_1d(), _DECADES_1D),
-    "trimodal": _Study(1, lambda Np, seed, hq: sample_trimodal(Np, seed),
-                       lambda hq: trimodal_1d(), _DECADES_1D),
-    "gauss3d": _Study(3, lambda Np, seed, hq: sample_gaussian_3d(Np, seed),
-                      lambda hq: gaussian_3d(), _DECADES_3D),
-    "hernquist": _Study(1, lambda Np, seed, hq: sample_hernquist_radii(Np, hq, seed),
-                        lambda hq: hernquist_radial_pdf(rc=hq.scale_length_rc,
-                                                        r_window=hq.r_window),
-                        [1_050_000]),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,6 +141,14 @@ def _hernquist_params(args) -> HernquistParams:
                            truncation_max_r_over_rc=args.r_max_over_rc)
 
 
+def _law(name: str, hq_params: HernquistParams) -> AnalyticDensity:
+    """The named study's reference law; the Hernquist law takes its scale
+    and window from the Hernquist flags."""
+    if name == "hernquist":
+        return hernquist_radial_pdf(rc=hq_params.scale_length_rc, r_window=hq_params.r_window)
+    return AnalyticDensity(name)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -217,8 +172,9 @@ def _table(header: list[str], names: str, *columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_sample_file(path: str, dim: int):
-    """Read a whitespace-separated numeric sample file ('#' comments)."""
+def _load_sample_file(path: str, dim: int, purpose: str):
+    """Read a whitespace-separated numeric sample file ('#' comments) of
+    ``dim`` columns; ``purpose`` says why in the error for any other."""
     try:
         with warnings.catch_warnings():
             # An empty file is reported as a clean "no data rows" error
@@ -233,7 +189,7 @@ def _load_sample_file(path: str, dim: int):
         raise KdebandError(f"{path!r}: no data rows")
     if data.shape[1] != dim:
         raise KdebandError(
-            f"{path!r}: expected {dim} column(s) for --dim {dim}, found {data.shape[1]}"
+            f"{path!r}: expected {dim} column(s) for {purpose}, found {data.shape[1]}"
         )
     return Sample(data)
 
@@ -314,13 +270,13 @@ def _curve_table(args, grid_cap, kernel, sample, h, seed, hq_params, density) ->
 
 def cmd_experiment(args) -> int:
     name = args.name
-    study = _STUDIES[name]
+    study = _LAWS[name]
     dim = study.dim
     np_values = sorted(set(args.np or study.np))
     seeds = sorted(set(args.seed or _DEFAULT_SEEDS))
     config, grid_cap = _selection_flags(args)
     hq_params = _hernquist_params(args)
-    density = study.law(hq_params)
+    density = _law(name, hq_params)
     kernel = kernel_constants(args.kernel, dim)
 
     reports, aggregate, curves = [], [], []
@@ -372,7 +328,7 @@ def cmd_experiment(args) -> int:
 def cmd_select(args) -> int:
     kernel = kernel_constants(args.kernel, args.dim)
     config, grid_cap = _selection_flags(args)
-    sample = _load_sample_file(args.input, args.dim)
+    sample = _load_sample_file(args.input, args.dim, f"--dim {args.dim}")
     trace, wall_ms = _select(sample, kernel, config, grid_cap)
     report = _report(
         f"select-{args.dim}d", args.kernel, sample.size_Np, -1, trace, None, wall_ms
@@ -397,16 +353,18 @@ def cmd_density(args) -> int:
             raise KdebandError(
                 "--grid-min, --grid-max and --grid-points must be given together"
             )
+        if not np.isfinite(args.grid_max - args.grid_min):
+            # np.linspace would warn and fill the grid with inf or nan.
+            raise KdebandError("--grid-min, --grid-max and their span must be finite")
         if not args.grid_max > args.grid_min or args.grid_points < 2:
             raise KdebandError("need grid_max > grid_min and at least 2 grid points")
     density = None
     if args.generator is not None:
-        study = _STUDIES[args.generator]
-        sample = study.draw(args.np, args.seed, hq_params)
-        density = study.law(hq_params)
+        sample = _LAWS[args.generator].draw(args.np, args.seed, hq_params)
+        density = _law(args.generator, hq_params)
         source = f"{args.generator} Np={args.np} seed={args.seed}"
     else:
-        sample = _load_sample_file(args.input, 1)
+        sample = _load_sample_file(args.input, 1, "a 1D density table")
         source = args.input
 
     exit_code = 0
@@ -454,7 +412,7 @@ _SAMPLE_BLOCK = 1 << 14
 
 def cmd_sample(args) -> int:
     hq_params = _hernquist_params(args)
-    sample = _STUDIES[args.generator].draw(args.np, args.seed, hq_params)
+    sample = _LAWS[args.generator].draw(args.np, args.seed, hq_params)
     lines = [
         f"# generator: {args.generator}",
         f"# Np: {args.np}",
@@ -491,11 +449,11 @@ def _add_selector_flags(p) -> None:
                         "also ngp3, cic3 or tsc3 (default tsc)")
     p.add_argument("--tol", type=float, default=defaults.rel_tolerance,
                    help="relative convergence tolerance on h (default %(default)s)")
-    p.add_argument("--max-iters", type=float, default=defaults.max_iterations,
+    p.add_argument("--max-iters", type=_number, default=defaults.max_iterations,
                    help="cap on bandwidth updates (default %(default)s)")
     p.add_argument("--c0", type=float, default=defaults.initial_scale_c0,
                    help="initial bandwidth scale c0 (default %(default)s)")
-    p.add_argument("--grid-cap", type=float, default=None,
+    p.add_argument("--grid-cap", type=_number, default=None,
                    help="override the node/cell cap on deposit grids")
 
 
@@ -526,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.set_defaults(func=cmd_select)
 
     p_exp = sub.add_parser("experiment", help="run a named validation study")
-    p_exp.add_argument("name", choices=sorted(_STUDIES))
+    p_exp.add_argument("name", choices=sorted(_LAWS))
     p_exp.add_argument("--np", type=_parse_count_list, default=None,
                        help="comma-separated point counts (default: study decades)")
     p_exp.add_argument("--seed", type=_parse_seed_list, default=None,
@@ -542,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("density", help="tabulate a 1D density estimate")
     p_den.add_argument("--input", default=None, help="numeric 1D sample file")
     p_den.add_argument("--generator",
-                       choices=sorted(name for name, study in _STUDIES.items()
-                                      if study.dim == 1),
+                       choices=sorted(name for name, law in _LAWS.items() if law.dim == 1),
                        default=None, help="draw the sample instead of reading a file")
     p_den.add_argument("--np", type=_parse_count, default=10_000,
                        help="points to draw with --generator (default 1e4)")
@@ -563,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sam = sub.add_parser("sample", help="draw a synthetic sample")
     p_sam.add_argument("--generator", required=True,
-                       choices=sorted(_STUDIES))
+                       choices=sorted(_LAWS))
     p_sam.add_argument("--np", type=_parse_count, required=True)
     p_sam.add_argument("--seed", type=_parse_seed, required=True)
     _add_hernquist_flags(p_sam)

@@ -1,4 +1,4 @@
-"""Closed-form reference laws: pdfs, curvature roughnesses, optimal bandwidths.
+"""The validation studies: closed-form reference laws and the study table.
 
 These are the analytic counterparts of the data-driven machinery.  Each
 synthetic law in :mod:`kdeband.samplers` is one :class:`AnalyticDensity`
@@ -9,8 +9,11 @@ its exact curvature roughness
 
 is ``density.roughness()``, and the exact AMISE-optimal bandwidth that
 selection is trying to recover is :func:`analytic_optimal_bandwidth`.
-One table, ``_LAWS``, lists every law with its d, pdf and R_d.  Everything
-here is closed form; no sampling and no grids.
+One table, ``_LAWS``, is the study table: keyed by study name
+(``gauss1d``, ``tscdens1d``, ``trimodal``, ``gauss3d``, ``hernquist``,
+which are also the CLI's names), each row holds the law's d, its sampler,
+its pdf, its R_d and its experiment's default point counts.  The laws are
+closed form; only the samplers draw.
 
 Closed forms used:
 
@@ -50,6 +53,11 @@ from .samplers import (
     TRIMODAL_WEIGHTS,
     HernquistParams,
     _hernquist_mass_fraction,
+    sample_gaussian_1d,
+    sample_gaussian_3d,
+    sample_hernquist_radii,
+    sample_trimodal,
+    sample_tsc_density,
 )
 from .selector import optimal_bandwidth
 
@@ -64,6 +72,7 @@ __all__ = [
     "analytic_optimal_bandwidth",
     "hernquist_profile",
     "profile_from_radial_pdf",
+    "HERNQUIST_EXTERNAL_REFERENCE",
 ]
 
 
@@ -71,12 +80,12 @@ __all__ = [
 class AnalyticDensity:
     """A reference law with closed-form pdf and curvature roughness R_d.
 
-    ``identifier`` names one of the laws listed in ``_LAWS``, which also
-    fixes the law's dimension ``dim``: ``"gaussian"``, ``"tsc_density"``,
-    ``"trimodal"`` and ``"hernquist_radial_pdf"`` in 1D, ``"gaussian3"``
-    in 3D.  The remaining fields only apply to the Hernquist law: ``rc``
-    is the scale length and ``r_window`` an optional finite (r_min, r_max)
-    truncation in absolute units; ``None`` means untruncated.
+    ``identifier`` names one of the studies listed in ``_LAWS``, which
+    also fixes the law's dimension ``dim``: ``"gauss1d"``, ``"tscdens1d"``,
+    ``"trimodal"`` and ``"hernquist"`` in 1D, ``"gauss3d"`` in 3D.  The
+    remaining fields only apply to the Hernquist law: ``rc`` is the scale
+    length and ``r_window`` an optional finite (r_min, r_max) truncation
+    in absolute units; ``None`` means untruncated.
     """
 
     identifier: str
@@ -109,11 +118,11 @@ class AnalyticDensity:
 
 
 def gaussian_1d() -> AnalyticDensity:
-    return AnalyticDensity("gaussian")
+    return AnalyticDensity("gauss1d")
 
 
 def tsc_density_1d() -> AnalyticDensity:
-    return AnalyticDensity("tsc_density")
+    return AnalyticDensity("tscdens1d")
 
 
 def trimodal_1d() -> AnalyticDensity:
@@ -123,11 +132,11 @@ def trimodal_1d() -> AnalyticDensity:
 def hernquist_radial_pdf(
     rc: float = 1.0, r_window: tuple[float, float] | None = None
 ) -> AnalyticDensity:
-    return AnalyticDensity("hernquist_radial_pdf", rc=rc, r_window=r_window)
+    return AnalyticDensity("hernquist", rc=rc, r_window=r_window)
 
 
 def gaussian_3d() -> AnalyticDensity:
-    return AnalyticDensity("gaussian3")
+    return AnalyticDensity("gauss3d")
 
 
 def eval_density(density: AnalyticDensity, x):
@@ -220,27 +229,54 @@ def _hernquist_roughness(density) -> float:
     return 144.0 * (hi_term - _hernquist_g(lo_s)) / (z * z * rc ** 5)
 
 
+# Published comparison values for the truncated-sphere study at Np = 1.05e6
+# (analytic vs data-driven bandwidth).  The scale and window conventions
+# behind them were not fully specified, so the hernquist experiment
+# document records them for qualitative comparison only, never as a
+# pass/fail oracle.
+HERNQUIST_EXTERNAL_REFERENCE = {
+    "analytic_h": 0.1712,
+    "data_based_h": 0.1678,
+    "relative_error_percent": -1.9,
+    "note": (
+        "published comparison values for a truncated-sphere sample of "
+        "1.05e6 radii; conventions not fully specified, qualitative only"
+    ),
+}
+
+
 def _gaussian3_pdf(density, points):
     r2 = np.einsum("ij,ij->i", points, points)
     return np.exp(-0.5 * r2) / (2.0 * np.pi) ** 1.5
 
 
 class _Law(NamedTuple):
-    """A law's dimension, its pdf ``pdf(density, x)`` and its R_d
-    ``roughness(density)``."""
+    """A study: its law's dimension, its sampler ``draw(Np, seed, hq)``
+    (``hq`` the HernquistParams, read by the Hernquist sampler alone), its
+    pdf ``pdf(density, x)``, its R_d ``roughness(density)`` and its
+    experiment's default point counts."""
 
     dim: int
+    draw: Callable
     pdf: Callable
     roughness: Callable
+    np: tuple[int, ...]
 
+
+_DECADES_1D = (1_000, 10_000, 100_000, 1_000_000)
 
 _LAWS = {
-    "gaussian": _Law(1, lambda density, x: _normal_pdf(x, 0.0, 1.0),
-                     lambda density: 3.0 / (8.0 * np.sqrt(np.pi))),
-    "tsc_density": _Law(1, _tsc_density_pdf, lambda density: 6.0),
-    "trimodal": _Law(1, _trimodal_pdf, _trimodal_roughness),
-    "hernquist_radial_pdf": _Law(1, _hernquist_pdf, _hernquist_roughness),
-    "gaussian3": _Law(3, _gaussian3_pdf, lambda density: 15.0 / (32.0 * np.pi ** 1.5)),
+    "gauss1d": _Law(1, lambda Np, seed, hq: sample_gaussian_1d(Np, seed),
+                    lambda density, x: _normal_pdf(x, 0.0, 1.0),
+                    lambda density: 3.0 / (8.0 * np.sqrt(np.pi)), _DECADES_1D),
+    "tscdens1d": _Law(1, lambda Np, seed, hq: sample_tsc_density(Np, seed),
+                      _tsc_density_pdf, lambda density: 6.0, _DECADES_1D),
+    "trimodal": _Law(1, lambda Np, seed, hq: sample_trimodal(Np, seed),
+                     _trimodal_pdf, _trimodal_roughness, _DECADES_1D),
+    "hernquist": _Law(1, lambda Np, seed, hq: sample_hernquist_radii(Np, hq, seed),
+                      _hernquist_pdf, _hernquist_roughness, (1_050_000,)),
+    "gauss3d": _Law(3, lambda Np, seed, hq: sample_gaussian_3d(Np, seed), _gaussian3_pdf,
+                    lambda density: 15.0 / (32.0 * np.pi ** 1.5), (1_000, 10_000, 100_000)),
 }
 
 

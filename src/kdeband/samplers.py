@@ -15,6 +15,9 @@ Available laws:
 * a three-component normal mixture with well separated scales,
 * radii of a truncated Hernquist sphere, drawn by inverting the enclosed
   mass fraction M(<r)/MT = (r/(r+r_c))^2.
+
+The study table in :mod:`kdeband.reference` pairs each sampler with its
+reference law under the study's name.
 """
 
 from __future__ import annotations

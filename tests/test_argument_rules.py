@@ -21,25 +21,25 @@ import pytest
 
 import kdeband
 from kdeband import (
-    HernquistParams,
     Kernel,
     SelectorConfig,
     amise,
-    analytic_optimal_bandwidth,
     build_grid,
     corrected_roughness,
-    gaussian_1d,
-    gaussian_3d,
     kernel_constants,
     optimal_bandwidth,
+    select_bandwidth,
+)
+from kdeband.errors import DomainError, KdebandError, NonPositiveBandwidth
+from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
+from kdeband.samplers import (
+    HernquistParams,
     sample_gaussian_1d,
     sample_gaussian_3d,
     sample_hernquist_radii,
     sample_trimodal,
     sample_tsc_density,
-    select_bandwidth,
 )
-from kdeband.errors import DomainError, KdebandError, NonPositiveBandwidth
 
 TSC, TSC3 = kernel_constants("tsc", 1), kernel_constants("tsc", 3)
 S1 = sample_gaussian_1d(60, 1)
@@ -227,10 +227,12 @@ def _fuzz_values():
 def _public_integer_parameters():
     """(qualified name, parameter) for every count or index parameter of
     a public callable, by name: each function and class of
-    kdeband.__all__ (its constructor) and each public method of a class."""
+    kdeband.__all__ and of the study modules' __all__ (its constructor)
+    and each public method of a class."""
     found = set()
-    for name in kdeband.__all__:
-        obj = getattr(kdeband, name)
+    modules = (kdeband, kdeband.samplers, kdeband.reference)
+    for module, name in [(module, name) for module in modules for name in module.__all__]:
+        obj = getattr(module, name)
         if not callable(obj) or (inspect.isclass(obj) and issubclass(obj, BaseException)):
             continue
         callables = [obj]

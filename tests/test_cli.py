@@ -9,15 +9,17 @@ without converging (outputs still written).
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import kdeband.estimator
-from kdeband.cli import HERNQUIST_EXTERNAL_REFERENCE, main
+from kdeband.cli import main
 from kdeband.kernels import kernel_constants
 from kdeband.reference import (
+    HERNQUIST_EXTERNAL_REFERENCE,
     analytic_optimal_bandwidth,
     eval_density,
     gaussian_1d,
@@ -773,7 +775,7 @@ def test_select_help_gives_the_dimensions(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-iters", "2.5", "max_iterations must be a positive integer, got 2.5"),
     ("--grid-cap", "2.5", "grid_cap must be a positive integer, got 2.5"),
-    ("--grid-cap", "0", "grid_cap must be a positive integer, got 0.0"),
+    ("--grid-cap", "0", "grid_cap must be a positive integer, got 0"),
 ], ids=["max-iters", "grid-cap", "grid-cap-0"])
 def test_selection_flags_are_read_before_the_sample(tmp_path, capsys, command, flag, value,
                                                      message):
@@ -849,3 +851,40 @@ def test_grid_points_are_read_by_the_count_rule(tmp_path, capsys):
     assert "not a positive integer count: '2.5'" in capsys.readouterr().err
     assert main(argv + ["--grid-points", "1"]) == 1
     assert "at least 2 grid points" in capsys.readouterr().err
+
+
+def test_experiment_records_the_max_iters_typed(tmp_path):
+    """--max-iters is read as the integer typed: 2^53 + 1 was read as a
+    float first and recorded as 2^53."""
+    out = tmp_path / "exp.json"
+    assert main(["experiment", "gauss1d", "--np", "1000", "--seed", "1",
+                 "--max-iters", "9007199254740993", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["max_iterations"] == 9007199254740993
+    assert '"max_iterations": 9007199254740993,' in out.read_text()
+
+
+@pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("-inf", "inf"), ("0", "nan")],
+                         ids=["span-overflows", "infinite", "nan"])
+def test_density_grid_bounds_must_be_finite(capsys, low, high):
+    """Bounds whose span is no finite float are named, with no numpy
+    warning from np.linspace first."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["density", "--generator", "gauss1d", "--np", "200", "--h", "0.5",
+                   f"--grid-min={low}", f"--grid-max={high}", "--grid-points", "5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "kdeband: error: --grid-min, --grid-max and their span must be finite\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["select", "--dim", "1"], "expected 1 column(s) for --dim 1, found 3"),
+    (["density", "--h", "0.5"], "expected 1 column(s) for a 1D density table, found 3"),
+], ids=["select", "density"])
+def test_sample_file_columns_are_named_by_the_command(tmp_path, capsys, argv, message):
+    """Only select, which has --dim, names it when a file has the wrong
+    number of columns."""
+    path = _write_sample(tmp_path / "g3.txt", sample_gaussian_3d(100, seed=0).points)
+    assert main(argv + ["--input", path]) == 1
+    assert capsys.readouterr().err == f"kdeband: error: {path!r}: {message}\n"

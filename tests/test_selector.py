@@ -26,7 +26,13 @@ from kdeband.estimator import Sample
 from kdeband.kernels import Kernel, kernel_constants
 from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
 from kdeband.roughness import corrected_roughness
-from kdeband.samplers import sample_gaussian_1d, sample_gaussian_3d
+from kdeband.samplers import (
+    HernquistParams,
+    sample_gaussian_1d,
+    sample_gaussian_3d,
+    sample_hernquist_radii,
+    sample_trimodal,
+)
 from kdeband.selector import (
     BandwidthTrace,
     IterationRecord,
@@ -530,9 +536,9 @@ def _golden_sample(law, Np, seed):
     if law == "gauss3d":
         return sample_gaussian_3d(Np, seed)
     if law == "hernquist":
-        return kdeband.sample_hernquist_radii(Np, kdeband.HernquistParams(), seed)
+        return sample_hernquist_radii(Np, HernquistParams(), seed)
     if law == "trimodal":
-        return kdeband.sample_trimodal(Np, seed)
+        return sample_trimodal(Np, seed)
     return sample_gaussian_1d(Np, seed)
 
 
@@ -633,15 +639,30 @@ def test_dimension_named_public_names_are_pinned():
     """Every public name that carries a dimension, and why it does; a new
     one must be added here with its reason, or made generic instead."""
     allowed = {
-        # the normal sampler draws (Np,) or (Np, 3), one study each
-        "sample_gaussian_1d", "sample_gaussian_3d",
-        # each reference law exists in one dimension only
-        "gaussian_1d", "tsc_density_1d", "trimodal_1d", "gaussian_3d",
         # the grid size caps differ per dimension (nodes vs cells)
         "DEFAULT_GRID_CAP_1D", "DEFAULT_GRID_CAP_3D",
     }
     named = {n for n in kdeband.__all__ if re.search(r"_1d|_3d|1D|3D", n)}
     assert named == allowed
+
+
+def test_package_namespace_is_the_method():
+    """kdeband.__all__ holds the method alone: the errors, the kernels,
+    Sample and Grid, the deposit, stencil and quadrature, the roughness,
+    the selector and estimate_density.  The validation studies are the
+    submodules kdeband.samplers and kdeband.reference."""
+    assert sorted(kdeband.__all__) == sorted([
+        "__version__",
+        "KdebandError", "NonPositiveBandwidth", "NonPositiveRoughness", "GridTooLarge",
+        "GridTooSmall", "DegenerateSample", "BackoffExhausted", "DomainError",
+        "Kernel", "kernel_constants", "eval_kernel", "KERNEL_FAMILIES",
+        "Sample", "Grid", "build_grid", "laplacian", "integrate_squared",
+        "DEFAULT_GRID_CAP_1D", "DEFAULT_GRID_CAP_3D", "estimate_density",
+        "RoughnessResult", "corrected_roughness",
+        "SelectorConfig", "IterationRecord", "BandwidthTrace", "optimal_bandwidth", "amise",
+        "select_bandwidth",
+    ])
+    assert not set(kdeband.__all__) & set(kdeband.samplers.__all__ + kdeband.reference.__all__)
 
 
 
