@@ -202,7 +202,8 @@ def _hernquist_pdf(density, x):
     if np.any(x < 0.0):
         raise DomainError("radial density needs r >= 0")
     rc = density.rc
-    out = 2.0 * rc * x / (x + rc) ** 3
+    # p(0) = 0 for every rc, though (0 + rc)^3 underflows to 0 for rc ~ 1e-300.
+    out = 2.0 * rc * x / np.where(x > 0.0, (x + rc) ** 3, 1.0)
     if density.r_window is not None:
         lo, hi = density.r_window
         inside = (x >= lo) & (x <= hi)

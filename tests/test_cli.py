@@ -390,6 +390,17 @@ def test_experiment_emit_curves_honours_grid_cap(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "exp_np1000_seed1_curve.dat").exists()
 
 
+def test_density_of_a_tiny_hernquist_scale_length_warns_nothing(tmp_path, capsys):
+    """--rc 1e-300: the law's pdf at r = 0 reads 0 rather than 0/0, and the
+    command exits 0 with nothing on stderr (warnings are errors here)."""
+    out = tmp_path / "hq.dat"
+    assert main(["density", "--generator", "hernquist", "--np", "500", "--h", "0.5",
+                 "--rc", "1e-300", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    x, _, analytic = np.loadtxt(out).T
+    assert x[0] == 0.0 and analytic[0] == 0.0
+
+
 def test_experiment_unknown_name_exit_1(capsys):
     rc = main(["experiment", "nosuchstudy"])
     assert rc == 1

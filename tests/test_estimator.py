@@ -354,6 +354,28 @@ def test_3d_cell_order_is_the_stable_sort(monkeypatch):
     assert_array_equal(stable_argsort(key, 2 ** 62), np.argsort(key, kind="stable"))
 
 
+@pytest.mark.parametrize("bound", [1, 1 << 16, (1 << 16) + 1])
+def test_stable_argsort_is_the_stable_sort_either_side_of_16_bits(bound):
+    """Keys below 2^16 are sorted as uint16, and wider ones as distinct
+    int64 keys: either way the permutation is the stable sort's."""
+    key = np.random.default_rng(67).integers(0, bound, 50_000)
+    key[:2] = bound - 1
+    assert_array_equal(estimator._stable_argsort(key, bound), np.argsort(key, kind="stable"))
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_support_cutoff_is_the_largest_square_inside_the_support(family):
+    """At h across the scale domain, 2^-400 to 2^400, the radius
+    sqrt(T) / h of the cutoff T is at most w/2, as numpy computes it, and
+    the radius of the next float above T is past w/2."""
+    support = 0.5 * kernel_constants(family, 3).width_w
+    exponents = np.random.default_rng(71).uniform(-400.0, 400.0, 400)
+    for h in [2.0 ** -400, 1.0, 0.1, 2.0 ** 400] + [float(2.0 ** e) for e in exponents]:
+        cut = estimator._support_cutoff_sq(h, support)
+        r = np.sqrt(np.array([cut, np.nextafter(cut, np.inf)])) / h
+        assert r[0] <= support < r[1], h
+
+
 def _spy_on_unique(monkeypatch):
     """A list that gains one item per np.unique call."""
     calls = []
@@ -660,6 +682,21 @@ def test_grid_3d_too_large():
         build_grid(s, TSC3, 0.01, grid_cap=1000)
 
 
+def test_grid_too_large_shows_nodes_per_axis_only_in_3d():
+    """A 1D grid's node count is given once; a 3D grid's as its nodes per
+    axis and their product."""
+    with pytest.raises(GridTooLarge) as one:
+        build_grid(Sample([0.0, 1e9]), TSC, 1.0)
+    assert str(one.value) == (
+        "1D grid would need 1000000005 cells at h=1, above the cap of 10000000"
+    )
+    with pytest.raises(GridTooLarge) as three:
+        build_grid(Sample([[0.0, 0.0, 0.0], [1e3, 2e3, 3e3]]), TSC3, 1.0)
+    assert str(three.value) == (
+        "3D grid would need 1005x2005x3005 = 6055150125 cells at h=1, above the cap of 100000000"
+    )
+
+
 # ---------------------------------------------------------------------------
 # grid deposit: skipped offsets
 # ---------------------------------------------------------------------------
@@ -882,6 +919,56 @@ def test_3d_deposit_bits_do_not_depend_on_chunk_size(family, monkeypatch):
     assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("family, h", [("ngp", 0.8), ("cic", 0.5), ("tsc", 0.4)])
+def test_3d_bits_do_not_depend_on_the_support_cutoff(family, h, monkeypatch):
+    """Pairs past the support add +0.0 to sums that are >= +0.0, so the
+    cutoff that drops them before the root moves no bit.  With it turned
+    off (T = inf: every pair is kept and weighted under bounds that reach
+    past the support), a continuous Gaussian's 3D deposit in chunks of 1,
+    7 and the default size, and its recorded estimate over many chunks of
+    pairs, keep their bits.  In chunks of one point, a culled pass of the
+    first chunk keeps no point, so its sums start from an empty bincount,
+    which numpy returns as int64; with the cutoff off, none is empty."""
+    kernel = kernel_constants(family, 3)
+    # Seed 76's first point lies past the support of every node at h = 3,
+    # even NGP's sphere of radius 1/2 about its nearest node.
+    sample = Sample(np.random.default_rng(76).standard_normal((1000, 3)))
+    starts, seen, empty = [], [], []
+    chunk_axes = estimator._chunk_axes
+
+    def recorded_chunk(*args):
+        starts.append(len(seen))
+        return chunk_axes(*args)
+
+    def deposits():
+        digests = []
+        for chunk in (1, 7, estimator._POINT_CHUNK):
+            with monkeypatch.context() as sized:
+                sized.setattr(estimator, "_POINT_CHUNK", chunk)
+                sized.setattr(estimator, "_chunk_axes", recorded_chunk)
+                sized.setattr(estimator, "np", _ScatterSpy(seen))
+                starts.clear()
+                seen.clear()
+                grid = build_grid(sample, kernel, 3.0)
+                assert len(starts) == -(-sample.size_Np // chunk)
+                if chunk == 1:
+                    empty.append(any(at.size == 0 for at in seen[:starts[1]]))
+            digests.append(hashlib.sha256(grid.values.tobytes()).hexdigest())
+        return digests
+
+    def estimate():
+        points, queries = _multi_chunk_3d_case("gauss")
+        got = estimate_density(points, kernel, h, queries)
+        return hashlib.sha256(got.tobytes()).hexdigest()
+
+    with_cut = deposits(), estimate()
+    monkeypatch.setattr(estimator, "_support_cutoff_sq", lambda h, support: np.inf)
+    assert (deposits(), estimate()) == with_cut
+    assert empty == [True, False]
+    assert len(set(with_cut[0])) == 1
+    assert with_cut[1] == MULTI_CHUNK_3D_ESTIMATE_SHA256["gauss", family, h]
+
+
 # sha256 of build_grid(Sample(np.full((15, dim), 1e12)), ..., h).values.tobytes(),
 # recorded before the deposit dropped its in-range masks.  At h = 0.0145
 # and 0.1, |x| / h is 2^45.97 and 2^43.19.
@@ -1083,8 +1170,10 @@ def test_deposit_builds_w_offsets_per_axis_and_one_index_per_chunk(family, dim, 
     0..w-1 of each axis.  An offset other than 0 is built only once it is
     kept, and offset 0 always is, so each chunk builds exactly w offsets
     per axis: never offset -1 or w, which carry no weight.  Every pass of
-    a chunk sums at the one slot array the chunk made: no pass makes an
-    index array of its own."""
+    a chunk sums at the one slot array the chunk made, and no pass makes
+    an index array of its own, except the passes the support cutoff
+    culls: exactly TSC3's 8 corner passes, each of which sums at the
+    chunk's slots of the points it keeps, in point order."""
     kernel = kernel_constants(family, dim)
     w = kernel.width_w
     Np = 100_000
@@ -1111,8 +1200,16 @@ def test_deposit_builds_w_offsets_per_axis_and_one_index_per_chunk(family, dim, 
     assert len(slots) == n_chunks
     assert kept == [list(range(w))] * (dim * n_chunks)
     assert len(seen) == w ** dim * n_chunks
+    corners = [family == "tsc" and dim == 3 and 1 not in key
+               for key in itertools.product(range(w), repeat=dim)]
     for c, index in enumerate(slots):
-        assert all(s is index for s in seen[c * w ** dim:(c + 1) * w ** dim])
+        for corner, at in zip(corners, seen[c * w ** dim:(c + 1) * w ** dim]):
+            if not corner:
+                assert at is index
+            else:  # some of the chunk's slots, in point order: a subsequence
+                chunk_slots = iter(index.tolist())
+                assert 0 < at.size < index.size
+                assert all(slot in chunk_slots for slot in at.tolist())
 
 
 def _traced_peak(call, *args, **kwargs):

@@ -254,6 +254,14 @@ def test_eval_density_hernquist():
     assert eval_density(trunc, 20.0) == 0.0  # above the window
 
 
+def test_hernquist_pdf_at_zero_of_a_tiny_scale_length():
+    """With rc = 1e-300, (0 + rc)^3 underflows to 0: the pdf at r = 0 still
+    reads 0, not 0/0, and warns nothing (warnings are errors here)."""
+    dens = hernquist_radial_pdf(rc=1e-300)
+    assert eval_density(dens, 0.0) == 0.0
+    assert eval_density(dens, np.array([0.0, 1.0])).tolist() == [0.0, 2e-300]
+
+
 def test_eval_density_vectorization():
     xs = np.linspace(-2, 2, 7)
     out = eval_density(gaussian_1d(), xs)
