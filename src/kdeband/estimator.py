@@ -57,7 +57,6 @@ from .kernels import (
     _profile_in_place,
     common_dim,
     profile_branches,
-    radial_profile,
 )
 
 __all__ = [
@@ -586,12 +585,15 @@ def build_grid(
 
     Each point's weight goes to the nodes within its closed support
     window, one pass per combination of per-axis node offsets (see
-    _axis_offsets and _passes).  Offsets at which the kernel is zero for
-    every point are skipped, which leaves every value bit for bit as it
-    would be with every offset computed: TSC runs 3^d passes, CIC 2^d and
-    NGP one, plus one more offset on an axis where some point lies exactly
-    on the closed boundary of NGP's support or rounds onto a support's
-    edge.
+    _axis_offsets and _passes).  One threshold decides what may carry
+    weight: T = _support_cutoff_sq(h, w/2), the largest squared distance
+    whose radius is within the support.  An offset whose nearest bound on
+    an axis lies past T for every point is skipped, and a culled pass
+    keeps only its points within T; either leaves every value bit for bit
+    as it would be with every offset computed.  TSC runs 3^d passes, CIC
+    2^d and NGP one, plus one more offset on an axis where some point lies
+    exactly on the closed boundary of the support or rounds onto its edge;
+    for CIC and TSC such a pass adds +0.0.
 
     The points are taken in chunks of ``_POINT_CHUNK``, so the deposit's
     point-sized arrays are a chunk's, whatever Np, a contiguous copy of
@@ -601,11 +603,11 @@ def build_grid(
     offset 0, a node of the grid (see _chunk_axes), so an accumulator has
     one slot per node.  A pass the support cutoff culls (see _passes: in
     TSC3 the 8 corner passes) sums only the points it keeps, at their
-    slots, taken from the shared array in point order.  The first chunk to
-    run the pass starts its sums with a bincount, made a float array even
-    where it keeps no point (numpy's bincount of no index is int64), and
-    later chunks continue them with np.add.at, term by term in point
-    order.  A pass's offsets only decide which node a slot stands for, so
+    slots, taken from the shared array in point order.  Every chunk sums
+    by one rule: np.add.at into the pass's accumulator, zeros when the
+    pass first runs, term by term in point order, so a sum starts at +0.0
+    and every accumulator is a float array, even one that no point has
+    reached.  A pass's offsets only decide which node a slot stands for, so
     they are applied once, as a shift, when the pass goes into the grid
     (_add_pass).  Once no later chunk can add to them, the accumulators go
     into the grid in pass order, offsets in lexicographic order with -1
@@ -654,7 +656,7 @@ def build_grid(
     one_chunk = (w + 1) ** (d - 1) * n >= 2 * d * Np
     chunk = Np if one_chunk else _POINT_CHUNK
     distinct = one_chunk and n > Np  # a pass sums at most Np values, not n
-    cut = _support_cutoff_sq(h, 0.5 * w) if d > 1 else None
+    cut = _support_cutoff_sq(h, 0.5 * w)
     acc = np.zeros(n, dtype=float)
     held = {}  # each pass's sums over the chunks so far, by its offsets
     for start in range(0, Np, chunk):
@@ -662,15 +664,13 @@ def build_grid(
         columns = pts[start:start + chunk].T
         if chunk < Np:  # a column of an (Np, d) array strides over d values
             columns = np.ascontiguousarray(columns)
-        slots, occupied, axes = _chunk_axes(columns, origin, dims, half, w, h, kernel, distinct)
+        slots, occupied, axes = _chunk_axes(columns, origin, dims, half, w, h, cut, distinct)
         size = n if occupied is None else occupied.size
         for key, weights, keep in _passes(kernel, h, cut, axes):
             index = slots if keep is None else slots.take(keep)
-            if key in held:
-                np.add.at(held[key], index, weights)
-            else:  # a bincount of no slots is an int64 array
-                sums = np.bincount(index, weights=weights, minlength=size)
-                held[key] = sums.astype(float, copy=False)
+            if key not in held:
+                held[key] = np.zeros(size)
+            np.add.at(held[key], index, weights)
             del weights, index  # not to be held while the next pass is computed
             if final:  # no later chunk runs this pass or one before it
                 for done in sorted(k for k in held if k <= key):
@@ -702,7 +702,7 @@ def _add_pass(acc, sums, offsets, strides, occupied):
         acc[occupied[lo:hi] + shift] += sums[lo:hi]
 
 
-def _chunk_axes(columns, origin, dims, half, w, h, kernel, distinct):
+def _chunk_axes(columns, origin, dims, half, w, h, cut, distinct):
     """Each point's slot, the slots occupied, and per axis the offsets (see
     _axis_offsets) of the points of one chunk, given as one coordinate
     array per axis (a (d, chunk) array).
@@ -722,7 +722,9 @@ def _chunk_axes(columns, origin, dims, half, w, h, kernel, distinct):
     reaches w h/2 past the maximum, so j0 is below the axis's node count.
     Where ``distinct``, the point's slot is instead its rank among the
     chunk's distinct node indices, which ``occupied`` holds in ascending
-    order.  Every pass of the chunk sums its weights at these slots.
+    order (see _ranks).  Every pass of the chunk sums its weights at these
+    slots.  ``cut`` is T of _support_cutoff_sq, which decides each axis's
+    offsets (see _axis_offsets).
 
     Each axis holds one array of its points' j0, as floats, which its
     offsets reuse.  The outermost axis's offsets are used once each, so
@@ -737,18 +739,18 @@ def _chunk_axes(columns, origin, dims, half, w, h, kernel, distinct):
         slots += j0[a].astype(np.int64)
     occupied = None
     if distinct:
-        occupied, slots = np.unique(slots, return_inverse=True)
+        occupied, slots = _ranks(slots)
     # One axis's radius is |dist| / h, the bits of sqrt(dist**2) / h (see
     # _check_scale); more axes sum their squares.
     part = np.abs if len(j0) == 1 else np.square
     axes = [
-        _axis_offsets(x, j, origin[a], dims[a], w, h, kernel, part)
+        _axis_offsets(x, j, origin[a], dims[a], w, h, cut, part)
         for a, (x, j) in enumerate(zip(columns, j0))
     ]
     return slots, occupied, [axes[0]] + [list(offsets) for offsets in axes[1:]]
 
 
-def _axis_offsets(x, j0, origin, n, w, h, kernel, part):
+def _axis_offsets(x, j0, origin, n, w, h, cut, part):
     """Yield, for each offset o in -1..w along one axis that can carry
     weight for the points x of one chunk: o, part(dist) of the distance
     dist from each point to its node o steps from
@@ -780,17 +782,18 @@ def _axis_offsets(x, j0, origin, n, w, h, kernel, part):
     times 2^-52 (|origin| + n h) in all, where n >= w + 1.  So offset o's
     distances lie within lowest + o h - slack and highest + o h + slack,
     with slack = 2^-40 (|origin| + n h), hundreds of times those
-    roundings.  An offset is skipped when the kernel is zero at the radius
-    of the nearest such bound, ``radial_profile(kernel, sqrt(near**2) / h)
-    == 0``.  The deposit's radius sqrt(sum of dist**2) / h is never below
-    that on any axis, and the profile never increases with r, so a skipped
-    pass would have added +0.0 for every point of the chunk: the grid is
-    bit-identical with or without it.  On continuous data the point
-    nearest a support edge sits far more than the slack inside it (about
-    h / 2^15 in a chunk of 2^15 points), so TSC keeps 3 of its offsets,
-    CIC 2 and NGP 1; on a lattice a point on the closed boundary keeps one
-    more.  A kept offset's pass may then carry only +0.0, which leaves
-    every bit alone too.
+    roundings.  An offset is kept where the nearest such bound is within
+    the support, near**2 <= ``cut``, the T of _support_cutoff_sq: exactly
+    where its radius sqrt(near**2) / h is at most w/2.  The deposit's
+    radius sqrt(sum of dist**2) / h is never below that on any axis, so a
+    skipped offset's passes would have added +0.0 for every point of the
+    chunk: the grid is bit-identical with or without them.  On continuous
+    data the point nearest a support edge sits far more than the slack
+    inside it (about h / 2^15 in a chunk of 2^15 points), so TSC keeps 3
+    of its offsets, CIC 2 and NGP 1.  On a lattice, a chunk whose nearest
+    point lies on the closed boundary, at radius w/2 exactly, keeps one
+    more: NGP weights that point, and for CIC and TSC, whose shape is +0.0
+    at w/2, the offset's passes add +0.0, which leaves every bit alone too.
     """
     slack = 2.0 ** -40 * (abs(origin) + n * h)
 
@@ -811,8 +814,7 @@ def _axis_offsets(x, j0, origin, n, w, h, kernel, part):
         lo, hi = lowest + o * h - widen, highest + o * h + widen
         near, far = max(lo, -hi, 0.0), max(-lo, hi)
         near_sq = near * near
-        r = math.sqrt(near_sq) / h
-        if radial_profile(kernel, r, (r, r)) != 0.0:
+        if near_sq <= cut:
             dist = offset(o) if o else zero
             yield o, part(dist, out=dist), near_sq, far * far
             del dist
@@ -842,9 +844,12 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
     In d > 1 a pass whose bounds say most of it is zero, where
     lo >= w/4 and hi > w/2, is culled before the root: it keeps, by index
     in point order, the points whose summed square is at most ``cut``, the
-    T of _support_cutoff_sq, which are exactly those with r <= w/2, and
-    computes r and the weights for them alone, under the bounds
-    (lo, sqrt(T) / h).  Each point it drops would have added +0.0.  In
+    T of _support_cutoff_sq by which _axis_offsets kept the offsets, which
+    are exactly those with r <= w/2, and computes r and the weights for
+    them alone, under the bounds (lo, sqrt(T) / h).  A pass of an offset
+    kept on a lattice with its nearest point at r = w/2 exactly is +0.0
+    throughout for CIC and TSC.  Each point it drops would have added
+    +0.0.  In
     TSC3 on continuous data these are the 8 corner passes, lo about
     sqrt(3)/2: 83 % zeros in a chunk of 32768 Gaussian points at
     h = 0.355.  The 12 edge passes, lo about sqrt(2)/2 and 49 % zeros,

@@ -31,7 +31,10 @@ than one branch, each lower branch takes its radii by index and the last
 is computed in place on all of them (``_select_per_radius``), with the
 bits of a selection over every branch computed on every radius.
 ``radial_profile`` is the same evaluation on a copy, which leaves the
-caller's radii as they are.  In d > 1, ``_as_rows`` reads one d-vector
+caller's radii as they are; no library path calls it (the grid deposit
+tests its offsets against the squared support cutoff instead), and it
+stays as the copying evaluator that the kernel tests and the brute-force
+references compare against.  In d > 1, ``_as_rows`` reads one d-vector
 or an (M, d) array of points, for this module, the direct evaluation and
 the reference laws.
 """

@@ -202,8 +202,16 @@ def _hernquist_pdf(density, x):
     if np.any(x < 0.0):
         raise DomainError("radial density needs r >= 0")
     rc = density.rc
-    # p(0) = 0 for every rc, though (0 + rc)^3 underflows to 0 for rc ~ 1e-300.
-    out = 2.0 * rc * x / np.where(x > 0.0, (x + rc) ** 3, 1.0)
+    # The plain quotient where its numerator and denominator are normal
+    # floats.  Elsewhere either may have overflowed or underflowed (at x = 0,
+    # or rc ~ 1e-300, or rc ~ 1e300), and 2 (x/a)(rc/a)/a with a = x + rc,
+    # whose factors lie in [0, 1], stays finite: p(0) = 0 for every rc.
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(over="ignore", under="ignore"):
+        a = x + rc
+        num, den = 2.0 * rc * x, a ** 3
+        plain = (num >= tiny) & (num <= huge) & (den >= tiny) & (den <= huge)
+        out = np.where(plain, num / np.where(plain, den, 1.0), 2.0 * (x / a) * (rc / a) / a)
     if density.r_window is not None:
         lo, hi = density.r_window
         inside = (x >= lo) & (x <= hi)

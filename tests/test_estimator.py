@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -927,8 +928,8 @@ def test_3d_bits_do_not_depend_on_the_support_cutoff(family, h, monkeypatch):
     past the support), a continuous Gaussian's 3D deposit in chunks of 1,
     7 and the default size, and its recorded estimate over many chunks of
     pairs, keep their bits.  In chunks of one point, a culled pass of the
-    first chunk keeps no point, so its sums start from an empty bincount,
-    which numpy returns as int64; with the cutoff off, none is empty."""
+    first chunk keeps no point, so it adds nothing to its zeros; with the
+    cutoff off, none is empty."""
     kernel = kernel_constants(family, 3)
     # Seed 76's first point lies past the support of every node at h = 3,
     # even NGP's sphere of radius 1/2 about its nearest node.
@@ -1079,14 +1080,10 @@ def test_deposit_of_spread_far_points_past_the_lattice_domain_raises():
 
 
 def _every_offset_kept(monkeypatch):
-    """Turn the deposit's zero-weight skip off: its scalar test of the
-    kernel at an offset's nearest bound always reads non-zero, so every
-    offset -1..w of every axis is built and its pass run."""
-    profile = estimator.radial_profile
-    monkeypatch.setattr(
-        estimator, "radial_profile",
-        lambda kernel, r, bounds=None: 1.0 if np.ndim(r) == 0 else profile(kernel, r, bounds),
-    )
+    """Turn the deposit's zero-weight skip off: the support cutoff T it
+    tests an offset's nearest bound against is inf, so every offset -1..w
+    of every axis is built and its pass run, and no pass is culled."""
+    monkeypatch.setattr(estimator, "_support_cutoff_sq", lambda h, support: np.inf)
 
 
 def _fuzz_deposit_sample(kind, rng, dim, h, w):
@@ -1210,6 +1207,115 @@ def test_deposit_builds_w_offsets_per_axis_and_one_index_per_chunk(family, dim, 
                 chunk_slots = iter(index.tolist())
                 assert 0 < at.size < index.size
                 assert all(slot in chunk_slots for slot in at.tolist())
+
+
+class _CallSpy(_ScatterSpy):
+    """_ScatterSpy that also records, per call that sums, its name and the
+    dtype of the array np.add.at sums into."""
+
+    def __init__(self, seen, calls):
+        super().__init__(seen)
+        self.calls = calls
+
+    def bincount(self, index, *args, **kwargs):
+        self.calls.append(("bincount", None))
+        return super().bincount(index, *args, **kwargs)
+
+    def at(self, target, index, values):
+        self.calls.append(("add.at", target.dtype))
+        super().at(target, index, values)
+
+
+# (kernel, sample, h, chunk, whether the one chunk sums by distinct nodes):
+# chunks of one point, where TSC3's first chunk has a culled pass that
+# keeps no point; a 1D Gaussian in chunks of 2^15; one 3D chunk whose
+# passes sum by the distinct nodes its points take.
+ONE_RULE_DEPOSITS = {
+    "tsc3-chunk-1": (TSC3, lambda: np.random.default_rng(76).standard_normal((1000, 3)),
+                     3.0, 1, False),
+    "tsc-chunked": (TSC, lambda: np.random.default_rng(13).standard_normal(100_000),
+                    0.1, None, False),
+    "cic3-distinct": (kernel_constants("cic", 3),
+                      lambda: np.random.default_rng(5).uniform(-5.0, 5.0, (150, 3)),
+                      0.25, None, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_RULE_DEPOSITS))
+def test_deposit_sums_every_pass_of_every_chunk_with_add_at(case, monkeypatch):
+    """Every chunk sums each of its passes by one rule, np.add.at into the
+    pass's float accumulator, and the deposit never calls np.bincount:
+    one np.add.at per pass and chunk, a culled pass that keeps no point
+    included, each into a float64 array."""
+    kernel, points, h, chunk, distinct = ONE_RULE_DEPOSITS[case]
+    sample = Sample(points())
+    kept, seen, calls, occupied = [], [], [], []
+    axis_offsets, chunk_axes = estimator._axis_offsets, estimator._chunk_axes
+
+    def counted_offsets(*args):
+        kept.append(0)
+        for item in axis_offsets(*args):
+            kept[-1] += 1
+            yield item
+
+    def recorded_chunk(*args):
+        chunk_slots = chunk_axes(*args)
+        occupied.append(chunk_slots[1] is not None)
+        return chunk_slots
+
+    if chunk is not None:
+        monkeypatch.setattr(estimator, "_POINT_CHUNK", chunk)
+    monkeypatch.setattr(estimator, "_axis_offsets", counted_offsets)
+    monkeypatch.setattr(estimator, "_chunk_axes", recorded_chunk)
+    monkeypatch.setattr(estimator, "np", _CallSpy(seen, calls))
+    build_grid(sample, kernel, h)
+    d = kernel.dim
+    assert len(kept) == d * len(occupied)
+    passes = sum(math.prod(kept[c:c + d]) for c in range(0, len(kept), d))
+    assert calls == [("add.at", np.dtype(float))] * passes
+    assert occupied == [distinct] * len(occupied)
+    assert any(at.size == 0 for at in seen) == (case == "tsc3-chunk-1")
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", ["cic", "tsc"])
+def test_points_on_the_support_edge_keep_the_offsets_within_the_cutoff(family, dim, monkeypatch):
+    """Every point lies exactly w h/2 from its offset-0 node on every axis,
+    on the closed edge of the support, where CIC and TSC are +0.0.  Each
+    axis keeps exactly the offsets whose nearest squared distance is at
+    most T = _support_cutoff_sq(h, w/2): 0..w, offset 0 among them,
+    although the kernel is zero at its radius.  Its passes add +0.0, and
+    the grid has the bits of the deposit with every offset kept."""
+    kernel, h = kernel_constants(family, dim), 0.5
+    w = kernel.width_w
+    # x - w h/2 lies on the lattice {k h}: it is x's offset-0 node.
+    lattice = np.random.default_rng(23).integers(-6, 7, 400 if dim == 1 else (400, dim))
+    sample = Sample(lattice * h + 0.5 * w * h)
+    near_sq = []  # per axis, each offset it yields and its near**2
+    axis_offsets = estimator._axis_offsets
+
+    def recorded_offsets(*args):
+        near_sq.append({})
+        for item in axis_offsets(*args):
+            near_sq[-1][item[0]] = item[2]
+            yield item
+
+    monkeypatch.setattr(estimator, "_axis_offsets", recorded_offsets)
+    got = build_grid(sample, kernel, h).values
+    kept = near_sq[:]
+    near_sq.clear()
+    with monkeypatch.context() as every:
+        _every_offset_kept(every)
+        want = build_grid(sample, kernel, h).values
+    assert got.tobytes() == want.tobytes()
+    cut = estimator._support_cutoff_sq(h, 0.5 * w)
+    assert len(kept) == len(near_sq) == dim  # one chunk
+    for axis_kept, axis_all in zip(kept, near_sq):
+        assert sorted(axis_all) == list(range(-1, w + 1))
+        assert axis_kept == {o: s for o, s in axis_all.items() if s <= cut}
+        assert sorted(axis_kept) == list(range(w + 1))
+        assert axis_all[0] == (0.5 * w * h) ** 2
+        assert radial_profile(kernel, math.sqrt(axis_all[0]) / h) == 0.0
 
 
 def _traced_peak(call, *args, **kwargs):

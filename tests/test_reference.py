@@ -6,6 +6,9 @@ the curvature roughnesses), so the frozen constants used elsewhere in
 the suite are anchored to first principles here.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -260,6 +263,20 @@ def test_hernquist_pdf_at_zero_of_a_tiny_scale_length():
     dens = hernquist_radial_pdf(rc=1e-300)
     assert eval_density(dens, 0.0) == 0.0
     assert eval_density(dens, np.array([0.0, 1.0])).tolist() == [0.0, 2e-300]
+
+
+@pytest.mark.parametrize("rc, x", [(1e-300, 1e-300), (1e-300, 1e-200), (1e300, 1e10),
+                                   (1e300, 1e300)])
+def test_hernquist_pdf_where_its_quotient_leaves_the_floats(rc, x):
+    """2 rc x and (x + rc)^3 both underflow (rc = 1e-300) or both overflow
+    (rc = 1e300), yet the pdf is finite, warns nothing (warnings are
+    errors here), and is within a few ulps of the exact 2 rc x / (x + rc)^3:
+    2.5e299, about 2e100, 0.0 (2e-590 rounds to it) and 2.5e-301."""
+    exact = 2 * Fraction(rc) * Fraction(x) / (Fraction(x) + Fraction(rc)) ** 3
+    want = float(exact)
+    got = eval_density(hernquist_radial_pdf(rc=rc), x)
+    assert abs(got - want) <= 4 * math.ulp(want)
+    assert eval_density(hernquist_radial_pdf(rc=rc), np.array([x]))[0] == got
 
 
 def test_eval_density_vectorization():
