@@ -9,6 +9,10 @@ sample      draw a synthetic sample and write it to a text file
 
 One helper runs every selection and one builds every deposit-grid table,
 both under ``--grid-cap`` (so it also bounds ``--emit-curves`` grids).
+One row formatter, ``_rows``, writes every numeric row of the ``density``
+tables, the ``--emit-curves`` files and ``sample``'s files: each value as
+``%.17g`` (the bytes of ``format(v, ".17g")``), a missing analytic column
+as the literal ``NA``.
 Flag defaults come from ``SelectorConfig`` and ``HernquistParams``.  The
 count flags ``--np``, ``--max-iters``, ``--grid-cap`` and ``--grid-points``
 take exact positive integers only (``1e5`` is accepted), read by the
@@ -158,18 +162,32 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _fmt(value: float) -> str:
+    """A header value in full precision, as every table row writes it."""
     return f"{value:.17g}"
 
 
+# Rows _rows formats at once: one block's Python floats and text stay a
+# few MB.
+_ROW_BLOCK = 1 << 14
+
+
+def _rows(*columns) -> str:
+    """One line per row of the columns (1D arrays of one length), each
+    value as ``%.17g`` and a column given as None as the literal NA.
+
+    One %-format per block of rows, over Python floats: the bytes of
+    ``_fmt`` per value at a fraction of its cost on large tables.
+    """
+    row = " ".join("NA" if column is None else "%.17g" for column in columns) + "\n"
+    values = np.column_stack([column for column in columns if column is not None])
+    blocks = (values[i:i + _ROW_BLOCK] for i in range(0, len(values), _ROW_BLOCK))
+    return "".join((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+
+
 def _table(header: list[str], names: str, *columns) -> str:
-    """The header lines, a '# columns:' line, then one row per node with
-    each column's value in full precision; a column given as None reads NA."""
-    cells = [
-        ["NA"] * len(columns[0]) if column is None else [_fmt(v) for v in column]
-        for column in columns
-    ]
-    lines = [*header, f"# columns: {names}", *(" ".join(row) for row in zip(*cells))]
-    return "\n".join(lines) + "\n"
+    """The header lines, a '# columns:' line, then the columns' rows
+    (``_rows``)."""
+    return "\n".join([*header, f"# columns: {names}"]) + "\n" + _rows(*columns)
 
 
 def _load_sample_file(path: str, dim: int, purpose: str):
@@ -405,11 +423,6 @@ def cmd_density(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-# Rows `kdeband sample` formats at once: one block's Python floats and
-# text stay a few MB.
-_SAMPLE_BLOCK = 1 << 14
-
-
 def cmd_sample(args) -> int:
     hq_params = _hernquist_params(args)
     sample = _LAWS[args.generator].draw(args.np, args.seed, hq_params)
@@ -426,15 +439,8 @@ def cmd_sample(args) -> int:
             f"# truncation_r_over_rc: [{hq_params.truncation_min_r_over_rc:g}, "
             f"{hq_params.truncation_max_r_over_rc:g}]",
         ]
-    # One %-format per block of rows, over Python floats: the same bytes as
-    # _fmt per value, at a fraction of the cost on large samples.
-    row = " ".join(["%.17g"] * sample.dim) + "\n"
     points = sample.points.reshape(sample.size_Np, sample.dim)
-    blocks = [
-        (row * len(block)) % tuple(block.ravel().tolist())
-        for block in (points[i:i + _SAMPLE_BLOCK] for i in range(0, len(points), _SAMPLE_BLOCK))
-    ]
-    _write_text(args.out, "\n".join(lines) + "\n" + "".join(blocks))
+    _write_text(args.out, "\n".join(lines) + "\n" + _rows(*points.T))
     return 0
 
 

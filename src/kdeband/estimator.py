@@ -315,10 +315,11 @@ def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     w*h/2 per query, so points on the support boundary contribute
     according to the kernel's own closed branches.  Within a window the
     offsets u = (x - query)/h ascend, so the points on each branch of the
-    kernel form two contiguous slices, found by bisection at the branch
-    tops with the closed comparisons the kernel itself makes: every point
-    takes the branch it would take in the kernel, and only that branch's
-    expression is computed for it.
+    kernel form two contiguous slices (one on the innermost branch), found
+    by one bisection per query at every branch edge with the closed
+    comparisons the kernel itself makes: every point takes the branch it
+    would take in the kernel, and only that branch's expression is
+    computed for it.
 
     The offsets of every query are computed in one buffer, sized to the
     largest window, and each branch overwrites its two slices of it with
@@ -339,6 +340,9 @@ def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     hi = np.searchsorted(pts, queries + reach, side="right")
     branches = profile_branches(kernel)
     tops = np.array([top for top, _, _ in branches])
+    # Every branch edge in one bisection per query: -top from the left,
+    # and u <= top as u < nextafter(top, inf).
+    edges = np.concatenate((-tops[::-1], np.nextafter(tops, np.inf)))
     out = np.empty(queries.size, dtype=float)
     buf = np.empty((hi - lo).max(initial=0))
     for q, (start, stop, query) in enumerate(zip(lo, hi, queries)):
@@ -346,16 +350,15 @@ def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
         u /= h
         # u ascends and |u| has the bits of |(query - x) / h|, so the points
         # with -top <= u <= top are those with |u| <= top: one contiguous
-        # slice per top, and each branch's points are that slice less the
-        # one before it, a piece on either side.
-        left = np.searchsorted(u, -tops, side="left")
-        right = np.searchsorted(u, tops, side="right")
+        # slice per top, innermost first, and each outer branch's points
+        # are its slice less the one before it, a piece on either side.
+        cut = np.searchsorted(u, edges)
+        left, right = cut[tops.size - 1::-1], cut[tops.size:]
         r = np.abs(u, out=u)
-        total = 0.0
-        inner_left = inner_right = left[0]
-        for (_, evaluate, factor), a, b in zip(branches, left, right):
-            total += factor * (evaluate(r[a:inner_left]).sum() + evaluate(r[inner_right:b]).sum())
-            inner_left, inner_right = a, b
+        (_, evaluate, factor), *outer = branches
+        total = factor * evaluate(r[left[0]:right[0]]).sum()
+        for (_, evaluate, factor), a, b, a0, b0 in zip(outer, left[1:], right[1:], left, right):
+            total += factor * (evaluate(r[a:a0]).sum() + evaluate(r[b0:b]).sum())
         out[q] = total
     return out
 

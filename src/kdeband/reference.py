@@ -158,8 +158,12 @@ def eval_density(density: AnalyticDensity, x):
 
 
 def _normal_pdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    z = (x - mu) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
+    """The normal pdf.  From about |z| = 1.9e154, -0.5 * z * z overflows to
+    -inf, and exp(-inf) is the +0.0 the pdf underflows to anyway, so the
+    overflow is not reported."""
+    with np.errstate(over="ignore"):
+        z = (x - mu) / sigma
+        return np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
 
 
 def _tsc_density_pdf(density, x):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kdeband.cli
 import kdeband.estimator
 from kdeband.cli import main
 from kdeband.kernels import kernel_constants
@@ -899,3 +900,66 @@ def test_sample_file_columns_are_named_by_the_command(tmp_path, capsys, argv, me
     path = _write_sample(tmp_path / "g3.txt", sample_gaussian_3d(100, seed=0).points)
     assert main(argv + ["--input", path]) == 1
     assert capsys.readouterr().err == f"kdeband: error: {path!r}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# the row formatter
+# ---------------------------------------------------------------------------
+
+
+def _fuzz_values(rng, n):
+    """Finite floats of every kind a table row can hold: scales 2^-1074 to
+    2^1000 of either sign, subnormals, signed zeros, integers and values
+    next to the %.17g notation switches at 1e-5, 1e16 and 1e17."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -3.0,
+                        2.0 ** 53, 1e-5, 9.9999999999999991e-06, 1e-4, 1e16, 1e17,
+                        9.9999999999999984e16, 123456789012345678.0, 2.0 ** 1000,
+                        -(2.0 ** -1000), np.finfo(float).max])
+    scaled = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 1001, n).astype(float))
+    integers = rng.integers(-10 ** 18, 10 ** 18, n).astype(float)
+    values = np.concatenate([special, scaled, integers])
+    return rng.permutation(np.resize(values, n))
+
+
+_BLOCK_PLUS = (1 << 14) + 3  # rows: more than one of _rows's blocks
+
+
+@pytest.mark.parametrize("seed, n, k, na", [
+    (0, 1, 1, None), (1, 1, 1, 0), (2, 1, 2, 2), (3, 2, 3, 0), (4, 2, 3, 2),
+    (5, _BLOCK_PLUS, 2, 1), (6, _BLOCK_PLUS, 3, 3), (7, _BLOCK_PLUS, 1, None),
+])
+def test_rows_write_each_value_as_format_17g(seed, n, k, na):
+    """The block formatter writes the bytes of format(v, '.17g') per value
+    and NA for a None column, wherever it sits, for one row and for more
+    rows than one block: n rows of k numeric columns, a None inserted at
+    position na."""
+    assert _BLOCK_PLUS > kdeband.cli._ROW_BLOCK
+    rng = np.random.default_rng(seed)
+    columns = [_fuzz_values(rng, n) for _ in range(k)]
+    if na is not None:
+        columns.insert(na, None)
+    want = "".join(
+        " ".join("NA" if column is None else format(float(column[i]), ".17g")
+                 for column in columns) + "\n"
+        for i in range(n))
+    assert kdeband.cli._rows(*columns) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--generator", "gauss1d", "--np", "500", "--h", "0.5"],
+    ["sample", "--generator", "gauss3d", "--np", "50", "--seed", "1"],
+], ids=["density", "sample"])
+def test_tables_and_samples_format_through_the_row_formatter(capsys, monkeypatch, argv):
+    """Every numeric row the CLI writes comes from the one row formatter."""
+    calls = []
+    rows = kdeband.cli._rows
+
+    def spy(*columns):
+        calls.append(len(columns))
+        return rows(*columns)
+
+    monkeypatch.setattr(kdeband.cli, "_rows", spy)
+    assert main(argv) == 0
+    assert calls == [3]
+    body = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(body) == 50 if argv[0] == "sample" else len(body) > 0

@@ -507,6 +507,34 @@ def test_estimate_1d_matches_recorded_bits(family, case):
 
 
 @pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_estimate_1d_bisects_once_per_query(family, monkeypatch):
+    """Each query finds every branch edge in one np.searchsorted call (two
+    more bound every query's window), evaluates its innermost branch once,
+    as one slice, and each outer branch once per side."""
+    kernel = kernel_constants(family, 1)
+    sample = Sample(np.random.default_rng(4).standard_normal(500))
+    queries = np.linspace(-3.0, 3.0, 7)
+    want = estimate_density(sample, kernel, 0.4, queries)
+    searches, evaluations = [], []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *args, **kw: searches.append(1) or searchsorted(*args, **kw))
+    branches = estimator.profile_branches(kernel)
+
+    def counted(index, evaluate):
+        return lambda r: evaluations.append(index) or evaluate(r)
+
+    monkeypatch.setattr(estimator, "profile_branches", lambda kernel: [
+        (top, counted(index, evaluate), factor)
+        for index, (top, evaluate, factor) in enumerate(branches)])
+    got = estimate_density(sample, kernel, 0.4, queries)
+    assert got.tobytes() == want.tobytes()
+    assert len(searches) == 2 + queries.size
+    per_query = [0] + [index for index in range(1, len(branches)) for _ in (0, 1)]
+    assert sorted(evaluations) == sorted(per_query * queries.size)
+
+
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
 def test_estimate_1d_of_no_queries_is_empty(family):
     """Zero queries give an empty float array, with or without a window."""
     kernel = kernel_constants(family, 1)

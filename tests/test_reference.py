@@ -279,6 +279,17 @@ def test_hernquist_pdf_where_its_quotient_leaves_the_floats(rc, x):
     assert eval_density(hernquist_radial_pdf(rc=rc), np.array([x]))[0] == got
 
 
+@pytest.mark.parametrize("density", [gaussian_1d(), trimodal_1d()], ids=["gauss1d", "trimodal"])
+@pytest.mark.parametrize("x", [2e154, 1e200, 1e300, -1e300])
+def test_normal_pdf_far_out_is_zero_without_a_warning(density, x):
+    """From about |x| = 1.9e154 (less for trimodal's sigma = 0.5 component)
+    -0.5 * z * z overflows; the pdf is the +0.0 it underflows to, and warns
+    nothing (warnings are errors here), as a scalar and as an array."""
+    got = eval_density(density, x)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    assert eval_density(density, np.array([x, 0.0]))[0] == 0.0
+
+
 def test_eval_density_vectorization():
     xs = np.linspace(-2, 2, 7)
     out = eval_density(gaussian_1d(), xs)
