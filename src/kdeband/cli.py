@@ -12,7 +12,11 @@ both under ``--grid-cap`` (so it also bounds ``--emit-curves`` grids).
 One row formatter, ``_rows``, writes every numeric row of the ``density``
 tables, the ``--emit-curves`` files and ``sample``'s files: each value as
 ``%.17g`` (the bytes of ``format(v, ".17g")``), a missing analytic column
-as the literal ``NA``.
+as the literal ``NA``.  One writer, ``_write``, writes every file and
+every stdout document: its header lines, then its rows a block at a time,
+so a command's memory is bounded by its sample and columns plus one block
+of rows, never a whole file's text.  A stdout reader that goes away early
+(``| head``) ends the write quietly and leaves the exit code as it was.
 Flag defaults come from ``SelectorConfig`` and ``HernquistParams``.  The
 count flags ``--np``, ``--max-iters``, ``--grid-cap`` and ``--grid-points``
 take exact positive integers only (``1e5`` is accepted), read by the
@@ -34,7 +38,9 @@ selection time of the run that produced the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 import warnings
@@ -153,21 +159,13 @@ def _law(name: str, hq_params: HernquistParams) -> AnalyticDensity:
     return AnalyticDensity(name)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _fmt(value: float) -> str:
     """A header value in full precision, as every table row writes it."""
     return f"{value:.17g}"
 
 
-# Rows _rows formats at once: one block's Python floats and text stay a
-# few MB.
+# Rows _write formats at once: one block's Python floats and text stay a
+# few MB, so a file's memory is its columns plus one block.
 _ROW_BLOCK = 1 << 14
 
 
@@ -175,19 +173,34 @@ def _rows(*columns) -> str:
     """One line per row of the columns (1D arrays of one length), each
     value as ``%.17g`` and a column given as None as the literal NA.
 
-    One %-format per block of rows, over Python floats: the bytes of
-    ``_fmt`` per value at a fraction of its cost on large tables.
+    One %-format over the rows' Python floats: the bytes of ``_fmt`` per
+    value at a fraction of its cost on large tables.
     """
     row = " ".join("NA" if column is None else "%.17g" for column in columns) + "\n"
     values = np.column_stack([column for column in columns if column is not None])
-    blocks = (values[i:i + _ROW_BLOCK] for i in range(0, len(values), _ROW_BLOCK))
-    return "".join((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    return (row * len(values)) % tuple(values.ravel().tolist())
 
 
-def _table(header: list[str], names: str, *columns) -> str:
-    """The header lines, a '# columns:' line, then the columns' rows
-    (``_rows``)."""
-    return "\n".join([*header, f"# columns: {names}"]) + "\n" + _rows(*columns)
+def _write(path: str | None, header_lines: list[str], *columns) -> None:
+    """Write the header lines, then the columns' rows (``_rows``; the first
+    column is numeric) one ``_ROW_BLOCK`` of rows at a time, to the file at
+    path or to stdout.
+
+    When stdout's reader has gone (``head``), the write stops quietly: fd 1
+    then points at the null device, so the interpreter's final flush cannot
+    raise either.  A file that cannot be written raises its OSError.
+    """
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as fh:
+        try:
+            fh.writelines(line + "\n" for line in header_lines)
+            for i in range(0, len(columns[0]) if columns else 0, _ROW_BLOCK):
+                fh.write(_rows(*(c if c is None else c[i:i + _ROW_BLOCK] for c in columns)))
+            fh.flush()
+        except BrokenPipeError:
+            if path is not None:
+                raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_sample_file(path: str, dim: int, purpose: str):
@@ -236,10 +249,6 @@ def _report(experiment_id: str, kernel_token: str, Np: int, seed: int,
     }
 
 
-def _json_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # experiment machinery
 # ---------------------------------------------------------------------------
@@ -252,9 +261,10 @@ def _curve_path(out: str | None, name: str, Np: int, seed: int) -> str:
     return f"{base}_np{Np}_seed{seed}_curve.dat"
 
 
-def _curve_table(args, grid_cap, kernel, sample, h, seed, hq_params, density) -> str:
-    """Tabulate (x, estimate, analytic) on the deposit grid at h, or for
-    the hernquist study the mass-density profile (r, rho_hat, rho_analytic).
+def _curve_table(args, grid_cap, kernel, sample, h, seed, hq_params, density) -> tuple:
+    """The header lines and columns (``_write``'s arguments) of
+    (x, estimate, analytic) on the deposit grid at h, or for the hernquist
+    study of the mass-density profile (r, rho_hat, rho_analytic).
 
     The estimate tabulates the truncated radial pdf; each particle then
     carries a mass MT * Z / Np with Z the mass fraction inside the
@@ -270,8 +280,8 @@ def _curve_table(args, grid_cap, kernel, sample, h, seed, hq_params, density) ->
         f"# selected_h: {_fmt(h)}",
     ]
     if args.name != "hernquist":
-        return _table([*header, f"# seed: {seed}"], "x f_hat f_analytic",
-                      xs, fhat, eval_density(density, xs))
+        return ([*header, f"# seed: {seed}", "# columns: x f_hat f_analytic"],
+                xs, fhat, eval_density(density, xs))
     keep = xs > 0.0
     rs = xs[keep]
     mass_in_window = hq_params.total_mass_MT * _hernquist_window_norm(density)
@@ -280,10 +290,10 @@ def _curve_table(args, grid_cap, kernel, sample, h, seed, hq_params, density) ->
         f"# scale_length_rc: {hq_params.scale_length_rc:g}",
         f"# truncation_r: [{r_lo:g}, {r_hi:g}]",
         f"# mass_in_window: {_fmt(mass_in_window)}",
+        "# columns: r rho_hat rho_analytic",
     ]
-    return _table(header, "r rho_hat rho_analytic", rs,
-                  profile_from_radial_pdf(fhat[keep], rs, mass_in_window),
-                  hernquist_profile(rs, hq_params))
+    return (header, rs, profile_from_radial_pdf(fhat[keep], rs, mass_in_window),
+            hernquist_profile(rs, hq_params))
 
 
 def cmd_experiment(args) -> int:
@@ -306,11 +316,10 @@ def cmd_experiment(args) -> int:
             trace, wall_ms = _select(sample, kernel, config, grid_cap)
             group.append(_report(name, args.kernel, Np, seed, trace, analytic_h, wall_ms))
             if args.emit_curves and dim == 1:
-                table = _curve_table(args, grid_cap, kernel, sample, trace.final_h, seed,
-                                     hq_params, density)
                 path = _curve_path(args.out, name, Np, seed)
                 curves.append(path)
-                _write_text(path, table)
+                _write(path, *_curve_table(args, grid_cap, kernel, sample, trace.final_h,
+                                           seed, hq_params, density))
         reports += group
         aggregate.append({
             "Np": Np,
@@ -335,7 +344,7 @@ def cmd_experiment(args) -> int:
         doc["external_reference"] = dict(HERNQUIST_EXTERNAL_REFERENCE)
     if curves:
         doc["curve_files"] = curves
-    _write_text(args.out, _json_document(doc))
+    _write(args.out, [json.dumps(doc, indent=2)])
     return 0 if all(r["converged"] for r in reports) else 2
 
 
@@ -351,7 +360,7 @@ def cmd_select(args) -> int:
     report = _report(
         f"select-{args.dim}d", args.kernel, sample.size_Np, -1, trace, None, wall_ms
     )
-    _write_text(args.out, _json_document(report))
+    _write(args.out, [json.dumps(report, indent=2)])
     return 0 if trace.converged else 2
 
 
@@ -410,12 +419,9 @@ def cmd_density(args) -> int:
             # undefined; drop those nodes from the table.
             keep = xs >= 0.0
             xs, fhat = xs[keep], fhat[keep]
-    if density is None:
-        names, analytic = "x f_hat f_analytic(NA)", None
-    else:
-        names, analytic = "x f_hat f_analytic", eval_density(density, xs)
-    table = _table(header, names, xs, fhat, analytic)
-    _write_text(args.out, table)
+    analytic = None if density is None else eval_density(density, xs)
+    names = "x f_hat f_analytic" + ("(NA)" if analytic is None else "")
+    _write(args.out, [*header, f"# columns: {names}"], xs, fhat, analytic)
     return exit_code
 
 
@@ -439,8 +445,7 @@ def cmd_sample(args) -> int:
             f"# truncation_r_over_rc: [{hq_params.truncation_min_r_over_rc:g}, "
             f"{hq_params.truncation_max_r_over_rc:g}]",
         ]
-    points = sample.points.reshape(sample.size_Np, sample.dim)
-    _write_text(args.out, "\n".join(lines) + "\n" + _rows(*points.T))
+    _write(args.out, lines, *sample.points.reshape(sample.size_Np, sample.dim).T)
     return 0
 
 

@@ -4,12 +4,18 @@ All invocations go through ``kdeband.cli.main(argv)`` in process, so exit
 codes, stdout/stderr, and written files are all observable.  Exit code
 conventions: 0 success, 1 usage or data error, 2 selection finished
 without converging (outputs still written).
+The closed-pipe tests alone run the command in a subprocess.
 """
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -963,3 +969,100 @@ def test_tables_and_samples_format_through_the_row_formatter(capsys, monkeypatch
     assert calls == [3]
     body = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert len(body) == 50 if argv[0] == "sample" else len(body) > 0
+
+
+# ---------------------------------------------------------------------------
+# the streaming writer
+# ---------------------------------------------------------------------------
+
+# Traced bytes of one block of rows in flight, per value: the Python float
+# (24 B), its list and tuple slots (16 B), its text and row template (about
+# 25 B) and the block's column_stack copy (8 B).  One block of three columns
+# measured 3.24 MB, 69 B per value; the bound rounds that up to 100 B.
+_BLOCK_BYTES_PER_VALUE = 100
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak of main(argv), which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_file_memory_is_the_draw_plus_one_block(tmp_path):
+    """kdeband sample writes its file a block of rows at a time: the peak
+    is the draw's (the normals and the sample's copy of them, twice the
+    sample's bytes) plus one block of rows, not the file's text (about
+    12 MB here, held twice when it was built whole)."""
+    n, dim = 200_000, 3
+    peak = _traced_peak(["sample", "--generator", "gauss3d", "--np", str(n), "--seed", "1",
+                         "--out", str(tmp_path / "s.txt")])
+    assert peak < 2 * n * dim * 8 + _BLOCK_BYTES_PER_VALUE * dim * kdeband.cli._ROW_BLOCK
+
+
+def test_density_table_memory_is_its_columns_plus_one_block(tmp_path, monkeypatch):
+    """A --grid-points table over four blocks long: the peak is its three
+    columns plus one block of rows.  The estimate is evaluated before
+    tracing (its per-query loop is slow under tracemalloc) and handed to the
+    command as the table's f_hat column."""
+    n = 4 * kdeband.cli._ROW_BLOCK + 3
+    fhat = kdeband.estimator.estimate_density(sample_gaussian_1d(1000, seed=1),
+                                              kernel_constants("tsc", 1), 0.01,
+                                              np.linspace(-5.0, 5.0, n))
+    monkeypatch.setattr(kdeband.cli, "estimate_density", lambda *args: fhat.copy())
+    peak = _traced_peak(["density", "--generator", "gauss1d", "--np", "1000", "--h", "0.01",
+                         "--grid-min=-5", "--grid-max", "5", "--grid-points", str(n),
+                         "--out", str(tmp_path / "d.dat")])
+    assert peak < 3 * n * 8 + _BLOCK_BYTES_PER_VALUE * 3 * kdeband.cli._ROW_BLOCK
+
+
+def test_stdout_and_out_file_get_the_same_bytes_across_blocks(tmp_path, capsys):
+    """A sample two blocks and three rows long writes the same bytes to
+    stdout and through --out: those recorded (masked as the byte pins are)
+    before the writer streamed its blocks."""
+    argv = ["sample", "--generator", "gauss3d", "--np", "16387", "--seed", "1"]
+    assert 16387 > kdeband.cli._ROW_BLOCK
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert main(argv + ["--out", str(tmp_path / "s.txt")]) == 0
+    assert (tmp_path / "s.txt").read_bytes() == stdout
+    assert _masked_digest(stdout) == (
+        "e270f7977676f6365fb0070dbef645b318b6998ff3ca72fe657964789dec82ef")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--generator", "gauss1d", "--np", "200000", "--seed", "1"],
+    ["density", "--generator", "gauss1d", "--np", "20000", "--h", "0.01",
+     "--grid-min=-5", "--grid-max", "5", "--grid-points", "40000"],
+], ids=["sample", "density"])
+def test_closed_stdout_pipe_is_harmless(argv):
+    """A reader that closes stdout after one line (``| head -1``) leaves the
+    command's exit code 0 and its stderr empty: megabytes of rows are left
+    unwritten, so the write meets the closed pipe."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "kdeband.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"# ")
+    assert err == b""
+
+
+def test_out_file_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    """--out into a missing directory names the OSError and exits 1."""
+    path = tmp_path / "missing" / "s.txt"
+    argv = ["sample", "--generator", "gauss1d", "--np", "10", "--seed", "1", "--out", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kdeband: error: [Errno 2]") and str(path) in err
