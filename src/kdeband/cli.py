@@ -49,7 +49,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import KdebandError, _check_count, _check_index
-from .estimator import Sample, build_grid, estimate_density
+from .estimator import Sample, _adopt, build_grid, estimate_density
 from .kernels import kernel_constants
 from .reference import (
     _LAWS,
@@ -222,7 +222,7 @@ def _load_sample_file(path: str, dim: int, purpose: str):
         raise KdebandError(
             f"{path!r}: expected {dim} column(s) for {purpose}, found {data.shape[1]}"
         )
-    return Sample(data)
+    return _adopt(Sample, points=data)
 
 
 def _report(experiment_id: str, kernel_token: str, Np: int, seed: int,

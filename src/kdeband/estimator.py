@@ -76,10 +76,24 @@ DEFAULT_GRID_CAP_1D = 10_000_000
 DEFAULT_GRID_CAP_3D = 100_000_000
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen_array(values, copy: bool = True) -> np.ndarray:
+    """``values`` as a read-only float array: a new one, or with ``copy``
+    false the array itself wherever it already is one."""
+    arr = np.array(values, dtype=float, copy=copy or None)
     arr.setflags(write=False)
     return arr
+
+
+def _adopt(cls, **fields):
+    """A ``Sample`` or ``Grid`` of ``fields``, whose arrays nothing else
+    refers to: checked as the constructor checks them, then frozen in
+    place rather than copied.  Every sample and grid the library makes is
+    built here; the constructors copy what a caller passes."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj.__post_init__(copy=False)
+    return obj
 
 
 def _check_scale(sample: Sample, kernel: Kernel, h) -> tuple[float, int]:
@@ -146,21 +160,24 @@ class Sample:
     """An immutable sample of Np finite points in d dimensions.
 
     ``points`` has shape (Np,) when d = 1 and (Np, d) otherwise; an
-    (Np, 1) array is stored as (Np,).  ``min`` and ``max`` are reduced on
-    first use and kept (read-only when d > 1): a selection reads them at
-    every deposit.  ``std`` is computed on each use; a selection reads it
-    once.
+    (Np, 1) array is stored as (Np,).  ``points`` is read-only: a sample
+    holds a copy of the array a caller passes, and the samples the library
+    makes (the samplers, the CLI's file load) freeze their own new array
+    in place instead (``_adopt``).  ``min``, ``max`` and ``std`` are each
+    reduced on first use and kept (``min`` and ``max`` read-only when
+    d > 1): a selection reads the extrema at every deposit and std once,
+    and one sample may serve many selections.
     """
 
     points: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         pts = _float_array(self.points, "Sample points", finite=True)
         if pts.ndim == 2 and pts.shape[1] == 1:
             pts = pts[:, 0]
         if pts.ndim not in (1, 2) or pts.size < 1:
             raise DomainError("Sample needs a non-empty (Np,) or (Np, d) array")
-        object.__setattr__(self, "points", _frozen_array(pts))
+        object.__setattr__(self, "points", _frozen_array(pts, copy))
 
     @property
     def dim(self) -> int:
@@ -187,10 +204,10 @@ class Sample:
         """Per-axis maximum (a scalar when d = 1), reduced once per sample."""
         return self._per_axis(np.max)
 
-    @property
+    @cached_property
     def std(self) -> float:
         """Mean of the per-axis standard deviations, with the bits of
-        ``np.mean(np.std(points, axis=0))``.
+        ``np.mean(np.std(points, axis=0))``, reduced once per sample.
 
         numpy sums a contiguous axis pairwise: where each axis is one (1D,
         or an F-ordered (Np, d) array), this is np.std of each column.
@@ -222,22 +239,12 @@ class Grid:
     The spacing must be a positive finite real (else NonPositiveBandwidth),
     and the origin and values finite.  The grid holds a read-only copy of
     the values a caller passes; the grids the library builds (build_grid,
-    laplacian) freeze their own new array in place instead.
+    laplacian) freeze their own new array in place instead (``_adopt``).
     """
 
     origin: float | np.ndarray
     spacing: float
     values: np.ndarray
-
-    @classmethod
-    def _adopt(cls, origin, spacing: float, values: np.ndarray) -> Grid:
-        """A grid of ``values``, an array that nothing else refers to, made
-        read-only rather than copied: checked as the constructor checks."""
-        grid = object.__new__(cls)
-        for name, value in (("origin", origin), ("spacing", spacing), ("values", values)):
-            object.__setattr__(grid, name, value)
-        grid.__post_init__(copy=False)
-        return grid
 
     def __post_init__(self, copy: bool = True):
         spacing = _positive_real(self.spacing, "grid spacing", NonPositiveBandwidth)
@@ -250,10 +257,7 @@ class Grid:
         org = float(org.reshape(())) if vals.ndim == 1 else _frozen_array(org)
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "spacing", spacing)
-        if copy:
-            vals = _frozen_array(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_array(vals, copy))
 
     @property
     def dim(self) -> int:
@@ -681,7 +685,7 @@ def build_grid(
     for key in sorted(held):
         _add_pass(acc, held.pop(key), key, strides, occupied)
     acc /= Np * h ** d
-    return Grid._adopt(origin, h, acc.reshape(dims))
+    return _adopt(Grid, origin=origin, spacing=h, values=acc.reshape(dims))
 
 
 def _add_pass(acc, sums, offsets, strides, occupied):
@@ -918,7 +922,7 @@ def laplacian(grid: Grid) -> Grid:
     with _out_of_range("grid scale", "the Laplacian stencil"):
         lap -= 2.0 * d * v[inner]
         lap /= grid.spacing ** 2
-    return Grid._adopt(grid.origin + grid.spacing, grid.spacing, lap)
+    return _adopt(Grid, origin=grid.origin + grid.spacing, spacing=grid.spacing, values=lap)
 
 
 def integrate_squared(grid: Grid) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _bounded_real, _check_count, _check_index, _positive_real
-from .estimator import Sample
+from .estimator import Sample, _adopt
 from .kernels import eval_kernel, kernel_constants
 
 __all__ = [
@@ -98,14 +98,14 @@ def sample_gaussian_1d(Np: int, seed: int) -> Sample:
     """Np standard normal draws."""
     Np = _check_count(Np)
     rng = _generator(seed)
-    return Sample(rng.standard_normal(Np))
+    return _adopt(Sample, points=rng.standard_normal(Np))
 
 
 def sample_gaussian_3d(Np: int, seed: int) -> Sample:
     """Np isotropic standard normal draws in 3D."""
     Np = _check_count(Np)
     rng = _generator(seed)
-    return Sample(rng.standard_normal((Np, 3)))
+    return _adopt(Sample, points=rng.standard_normal((Np, 3)))
 
 
 def sample_tsc_density(Np: int, seed: int) -> Sample:
@@ -129,7 +129,7 @@ def sample_tsc_density(Np: int, seed: int) -> Sample:
         take = min(Np - filled, acc.size)
         out[filled : filled + take] = acc[:take]
         filled += take
-    return Sample(out)
+    return _adopt(Sample, points=out)
 
 
 def sample_trimodal(Np: int, seed: int) -> Sample:
@@ -139,7 +139,7 @@ def sample_trimodal(Np: int, seed: int) -> Sample:
     labels = rng.integers(0, 3, Np)
     mus = np.asarray(TRIMODAL_MEANS)[labels]
     sigs = np.asarray(TRIMODAL_SIGMAS)[labels]
-    return Sample(mus + sigs * rng.standard_normal(Np))
+    return _adopt(Sample, points=mus + sigs * rng.standard_normal(Np))
 
 
 def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sample:
@@ -155,4 +155,4 @@ def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sampl
     rng = _generator(seed)
     q = rng.uniform(f_lo, f_hi, Np)
     s = np.sqrt(q)
-    return Sample(rc * s / (1.0 - s))
+    return _adopt(Sample, points=rc * s / (1.0 - s))

@@ -994,13 +994,42 @@ def _traced_peak(argv) -> int:
 
 def test_sample_file_memory_is_the_draw_plus_one_block(tmp_path):
     """kdeband sample writes its file a block of rows at a time: the peak
-    is the draw's (the normals and the sample's copy of them, twice the
-    sample's bytes) plus one block of rows, not the file's text (about
-    12 MB here, held twice when it was built whole)."""
+    is the draw's (the normals, which the sample freezes in place; twice
+    the sample's bytes while it copied them) plus one block of rows, not
+    the file's text (about 12 MB here, held twice when it was built
+    whole)."""
     n, dim = 200_000, 3
     peak = _traced_peak(["sample", "--generator", "gauss3d", "--np", str(n), "--seed", "1",
                          "--out", str(tmp_path / "s.txt")])
     assert peak < 2 * n * dim * 8 + _BLOCK_BYTES_PER_VALUE * dim * kdeband.cli._ROW_BLOCK
+
+
+def test_sample_file_load_keeps_one_array_of_the_sample(tmp_path):
+    """The loaded rows become the sample's points, frozen in place: the
+    traced peak of loading a 5e5-line 1D file is 1.28 times the sample's
+    bytes (2.02 while the sample copied the rows)."""
+    path = str(tmp_path / "g.txt")
+    assert main(["sample", "--generator", "gauss1d", "--np", "500000", "--seed", "1",
+                 "--out", path]) == 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample = kdeband.cli._load_sample_file(path, 1, "--dim 1")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sample.size_Np == 500_000
+    assert peak <= 1.35 * sample.points.nbytes
+
+
+def test_loaded_sample_points_are_read_only(tmp_path):
+    """A file's sample is read-only in 1D (a view of the one loaded
+    column) and in 3D."""
+    for dim, values in ((1, np.arange(5.0)), (3, np.arange(15.0).reshape(5, 3))):
+        path = _write_sample(tmp_path / f"s{dim}.txt", values)
+        sample = kdeband.cli._load_sample_file(path, dim, f"--dim {dim}")
+        assert sample.points.shape == values.shape
+        assert not sample.points.flags.writeable
 
 
 def test_density_table_memory_is_its_columns_plus_one_block(tmp_path, monkeypatch):

@@ -1471,6 +1471,41 @@ def test_library_grids_are_read_only_and_caller_arrays_are_copied():
             g.values[(0,) * g.dim] = 1.0
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
+def test_every_built_grid_and_laplacian_is_read_only(family, dim):
+    """build_grid and laplacian freeze the arrays they make, in every
+    dimension and for every kernel."""
+    points = np.random.default_rng(5).standard_normal(200 if dim == 1 else (200, dim))
+    built = build_grid(Sample(points), kernel_constants(family, dim), 0.5)
+    for g in (built, laplacian(built)):
+        assert not g.values.flags.writeable
+        assert dim == 1 or not g.origin.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(1000,), (1000, 1), (1000, 3)])
+def test_sample_copies_a_caller_array(shape):
+    """Sample(a) holds its own copy: writing to a afterwards moves none of
+    points, min, max or std."""
+    a = np.random.default_rng(29).standard_normal(shape)
+    want = Sample(a.copy())
+    s = Sample(a)
+    assert a.flags.writeable and not np.shares_memory(s.points, a)
+    a[...] = 7.0
+    assert np.array_equal(s.points, want.points)
+    for got, expected in ((s.min, want.min), (s.max, want.max), (s.std, want.std)):
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_grid_copies_a_caller_origin_and_values():
+    """Grid(...) holds its own copies of a caller's origin and values."""
+    origin, values = np.zeros(3), np.ones((4, 4, 4))
+    grid = Grid(origin=origin, spacing=0.5, values=values)
+    origin[0], values[0, 0, 0] = 9.0, 9.0
+    assert np.array_equal(grid.origin, np.zeros(3))
+    assert np.array_equal(grid.values, np.ones((4, 4, 4)))
+
+
 def _node_mesh(grid):
     axes = [grid.axis_coordinates(a) for a in range(grid.dim)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)

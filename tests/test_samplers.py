@@ -9,6 +9,8 @@ chi-square statistic compared to the 99.9% quantile of chi2(49), and for
 the inverse-transform sampler also with a Kolmogorov-Smirnov statistic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from scipy import stats
 from kdeband.errors import DomainError
 from kdeband.estimator import Sample
 from kdeband.kernels import eval_kernel, kernel_constants
+from kdeband.reference import _LAWS
 from kdeband.samplers import (
     RNG_NAME,
     TRIMODAL_MEANS,
@@ -106,9 +109,25 @@ def test_sampler_return_types():
         sample_hernquist_radii(10, HernquistParams(), seed=0),
     ):
         assert isinstance(sample, Sample) and sample.dim == 1
+        assert not sample.points.flags.writeable
     sample3 = sample_gaussian_3d(10, seed=0)
     assert isinstance(sample3, Sample) and sample3.dim == 3
     assert sample3.points.shape == (10, 3)
+    assert not sample3.points.flags.writeable
+
+
+def test_draw_keeps_one_array_of_the_sample():
+    """A sampler freezes the array it draws rather than copying it: the
+    traced peak of a (2e5, 3) normal draw is 1.28 times the sample's bytes
+    (2.16 while the sample copied the draw)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample = _LAWS["gauss3d"].draw(200_000, 1, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * sample.points.nbytes
 
 
 # ---------------------------------------------------------------------------
