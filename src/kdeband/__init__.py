@@ -12,8 +12,8 @@ and for direct evaluation (``estimate_density``), each of which reads d
 from its inputs.
 
 The validation studies stay out of the package namespace: their
-synthetic laws and samplers are the submodules ``kdeband.reference`` and
-``kdeband.samplers``, each with its own ``__all__``.
+samplers and synthetic laws are the submodule ``kdeband.reference``, with
+its own ``__all__``.
 
 Typical use::
 
@@ -28,9 +28,9 @@ Typical use::
 from functools import partial
 
 # Each method module's __all__ lists its public names; the package
-# re-exports them.  The study modules are imported, not re-exported, so
-# kdeband.reference and kdeband.samplers resolve after `import kdeband`.
-from . import errors, estimator, kernels, reference, roughness, samplers, selector
+# re-exports them.  The study module is imported, not re-exported, so
+# kdeband.reference resolves after `import kdeband`.
+from . import errors, estimator, kernels, reference, roughness, selector
 from .errors import *  # noqa: F403
 from .estimator import *  # noqa: F403
 from .kernels import *  # noqa: F403
@@ -46,9 +46,13 @@ __all__ = ["__version__"] + [
 ]
 
 
-# Not public: the benchmark in perfbench/ resolves these ten names on the
-# package, so they stay, outside __all__, until it calls the generic ones.
-# kernel_constants takes d itself; the others take the kernel second.
+# Not public: the benchmark in perfbench/ resolves these names on the
+# package, so they stay, outside __all__, until it calls the generic ones
+# and reads its samplers from kdeband.reference.  kernel_constants takes d
+# itself; the others take the kernel second.
+samplers = reference
+
+
 def _in_dim(fn, d):
     def call(first, kernel, *args, **kwargs):
         kernels.common_dim(d, kernel=kernel.dim)

@@ -54,7 +54,9 @@ from .kernels import kernel_constants
 from .reference import (
     _LAWS,
     HERNQUIST_EXTERNAL_REFERENCE,
+    RNG_NAME,
     AnalyticDensity,
+    HernquistParams,
     _hernquist_window_norm,
     analytic_optimal_bandwidth,
     eval_density,
@@ -62,7 +64,6 @@ from .reference import (
     hernquist_radial_pdf,
     profile_from_radial_pdf,
 )
-from .samplers import RNG_NAME, HernquistParams
 from .selector import BandwidthTrace, SelectorConfig, select_bandwidth
 
 __all__ = ["main", "build_parser"]

@@ -18,9 +18,12 @@ type the package computes with, or raises DomainError naming it:
 * ``_float_array``: an array of reals, every one finite in its finite
   case, returned as a float array.
 
-A value that is not a number (a string, None) fails each rule as a number
+A value that is not a number (None, a list) fails each rule as a number
 out of range does, and so does a bool: True is no count, index or real,
-though Python counts it as the int 1.
+though Python counts it as the int 1.  Text and complex numbers fail them
+too, though float() parses "0.3" and casts numpy's complex 0.5+1j to 0.5,
+and ``_float_array`` refuses arrays of either (numpy dtype kinds U, S and
+c).
 """
 
 from contextlib import contextmanager
@@ -101,6 +104,11 @@ def _normal(x) -> float:
     return x
 
 
+# Python types that float() takes but that hold no real: a bool, text, and a
+# complex number, whose imaginary part it drops.
+_NOT_REAL = (bool, str, bytes, bytearray, complex)
+
+
 def _positive_real(value, name: str, error: type = DomainError) -> float:
     """``value`` as a float; ``error`` (DomainError unless given) naming
     ``name`` unless it is a positive finite real."""
@@ -114,9 +122,10 @@ def _bounded_real(
     """``value`` as a float; ``error`` (DomainError unless given) naming
     ``name`` unless it is a real with low < value < high, or
     low <= value < high where ``closed``."""
+    kind = getattr(getattr(value, "dtype", None), "kind", "O")  # numpy's; "O" for the rest
     try:
-        x = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):  # not a number: a string, None, ...
+        x = np.nan if isinstance(value, _NOT_REAL) or kind in "bUSc" else float(value)
+    except (TypeError, ValueError):  # not a number: None, a list, ...
         x = np.nan
     if not ((low <= x) if closed else (low < x)) or not x < high:
         interval = f"{'[' if closed else '('}{low:g}, {high:g})"
@@ -145,11 +154,15 @@ def _check_index(value, name: str, stop: float = np.inf) -> int:
 
 def _float_array(values, name: str, finite: bool = False) -> np.ndarray:
     """``values`` as a float array (np.asarray); DomainError naming
-    ``name`` where numpy cannot convert them (a string that is not a
-    number, a ragged list), or, if ``finite``, where one is NaN or
+    ``name`` where they are text or complex numbers, which numpy would
+    parse or cast dropping the imaginary part, where numpy cannot convert
+    them (a ragged list), or, if ``finite``, where one is NaN or
     infinite."""
     try:
-        array = np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype.kind in "USc":  # text or complex: parsed, or a part dropped
+            raise TypeError(f"an array of dtype {array.dtype}")
+        array = array.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be an array of real numbers") from exc
     if finite and not np.all(np.isfinite(array)):

@@ -155,6 +155,29 @@ def _support_cutoff_sq(h: float, support: float) -> float:
     return s
 
 
+def _contiguous_std(x):
+    """np.std(x) of a contiguous 1D array, bit for bit, without an array
+    the size of x.
+
+    np.add.reduce sums a contiguous array pairwise: above 128 values it
+    splits n at n/2 rounded down to a multiple of 8 (n // 16 * 8) and adds
+    the halves' sums.  The squared deviations are split the same way, down
+    to blocks of at most 2^15 values (256 kB), and each block is made and
+    reduced whole, so the same terms add in the same order: numpy's bits.
+    """
+    n = x.shape[0]
+    mean = np.add.reduce(x) / n
+
+    def squares(part):
+        if part.size > 1 << 15:
+            half = part.size // 16 * 8
+            return squares(part[:half]) + squares(part[half:])
+        dev = part - mean
+        return np.add.reduce(np.multiply(dev, dev, out=dev))
+
+    return np.sqrt(squares(x) / n)
+
+
 @dataclass(frozen=True)
 class Sample:
     """An immutable sample of Np finite points in d dimensions.
@@ -210,15 +233,17 @@ class Sample:
         ``np.mean(np.std(points, axis=0))``, reduced once per sample.
 
         numpy sums a contiguous axis pairwise: where each axis is one (1D,
-        or an F-ordered (Np, d) array), this is np.std of each column.
-        Along axis 0 of a C-ordered (Np, d) array numpy sums row after row,
-        so there each column's sums are the last terms of a cumsum, which
+        or an F-ordered (Np, d) array), this is np.std of each column,
+        whose squared deviations are made and summed a block at a time
+        (see _contiguous_std), so no temporary outgrows a block.  Along
+        axis 0 of a C-ordered (Np, d) array numpy sums row after row, so
+        there each column's sums are the last terms of a cumsum, which
         adds in that order, and the column's deviations reuse the cumsum's
-        buffer.  Either way one column-sized array is live at a time.
+        buffer: one column-sized array is live at a time.
         """
         pts = self.points
         if pts.T.flags.c_contiguous:
-            return float(np.mean(self._per_axis(np.std)))
+            return float(np.mean(self._per_axis(_contiguous_std)))
         n = pts.shape[0]
         buf = np.empty(n)
         stds = np.empty(pts.shape[1])
@@ -628,10 +653,10 @@ def build_grid(
     only where that is less than 2d(w+1) Np, two point-sized arrays per
     axis and offset: a round bound on what the whole sample in one chunk
     holds (6 to 16 such arrays, measured).  Otherwise the sample is one
-    chunk and each pass goes into the grid as soon as it is summed; where
-    the grid also has more nodes than the sample has points, the slots
-    are the distinct nodes the points take, so that a pass sums at most Np
-    values, not n.
+    chunk, each pass goes into the grid as soon as it is summed, and the
+    slots are the distinct nodes the points take, so that a pass sums at
+    most min(Np, n) values.  So the deposit has two slot modes: a chunked
+    deposit's slots are nodes, a one-chunk deposit's the occupied nodes.
     """
     h, d = _check_scale(sample, kernel, h)
     Np = sample.size_Np
@@ -662,7 +687,6 @@ def build_grid(
     strides = [math.prod(dims[a + 1:]) for a in range(d)]
     one_chunk = (w + 1) ** (d - 1) * n >= 2 * d * Np
     chunk = Np if one_chunk else _POINT_CHUNK
-    distinct = one_chunk and n > Np  # a pass sums at most Np values, not n
     cut = _support_cutoff_sq(h, 0.5 * w)
     acc = np.zeros(n, dtype=float)
     held = {}  # each pass's sums over the chunks so far, by its offsets
@@ -671,7 +695,7 @@ def build_grid(
         columns = pts[start:start + chunk].T
         if chunk < Np:  # a column of an (Np, d) array strides over d values
             columns = np.ascontiguousarray(columns)
-        slots, occupied, axes = _chunk_axes(columns, origin, dims, half, w, h, cut, distinct)
+        slots, occupied, axes = _chunk_axes(columns, origin, dims, half, w, h, cut, one_chunk)
         size = n if occupied is None else occupied.size
         for key, weights, keep in _passes(kernel, h, cut, axes):
             index = slots if keep is None else slots.take(keep)

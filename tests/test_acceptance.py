@@ -48,7 +48,7 @@ from kdeband.reference import (
     tsc_density_1d,
 )
 from kdeband.roughness import corrected_roughness
-from kdeband.samplers import (
+from kdeband.reference import (
     HernquistParams,
     sample_gaussian_1d,
     sample_gaussian_3d,

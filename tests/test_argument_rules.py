@@ -21,7 +21,9 @@ import pytest
 
 import kdeband
 from kdeband import (
+    Grid,
     Kernel,
+    Sample,
     SelectorConfig,
     amise,
     build_grid,
@@ -32,7 +34,7 @@ from kdeband import (
 )
 from kdeband.errors import DomainError, KdebandError, NonPositiveBandwidth
 from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
-from kdeband.samplers import (
+from kdeband.reference import (
     HernquistParams,
     sample_gaussian_1d,
     sample_gaussian_3d,
@@ -96,6 +98,10 @@ REALS = {
     "amise-h": (NonPositiveBandwidth, "bandwidth", lambda v: amise(v, TSC, 1.0, 100)),
     "c0": (DomainError, "initial_scale_c0", lambda v: SelectorConfig(initial_scale_c0=v)),
     "MT": (DomainError, "total_mass_MT", lambda v: HernquistParams(total_mass_MT=v)),
+    "rc": (DomainError, "scale_length_rc", lambda v: HernquistParams(scale_length_rc=v)),
+    "tolerance": (DomainError, "rel_tolerance", lambda v: SelectorConfig(rel_tolerance=v)),
+    "spacing": (NonPositiveBandwidth, "grid spacing",
+                lambda v: Grid(origin=0.0, spacing=v, values=[1.0, 2.0, 3.0])),
 }
 
 BOOLS = pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
@@ -123,6 +129,47 @@ def test_a_bool_is_no_real(case, value):
     error, name, call = REALS[case]
     with pytest.raises(error, match=f"{name} must be a real"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [
+    "0.3", b"0.3", bytearray(b"0.3"), np.str_("0.3"), np.array("0.3"), np.complex128(0.5),
+    np.complex64(0.5),
+], ids=["str", "bytes", "bytearray", "np.str_", "str-array", "complex128", "complex64"])
+@pytest.mark.parametrize("case", REALS)
+def test_text_or_a_complex_is_no_real(case, value):
+    """build_grid(s, k, "0.3") ran at h = 0.3 and SelectorConfig took
+    rel_tolerance="0.01", since float() parses text; np.complex128(0.5)
+    was h = 0.5 with only a ComplexWarning."""
+    error, name, call = REALS[case]
+    with pytest.raises(error, match=f"{name} must be a real"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("Sample points", lambda: Sample(["1.5", "2"])),
+    ("Sample points", lambda: Sample(np.array([b"1.5", b"2"]))),
+    ("Sample points", lambda: Sample(np.array([1 + 1j, 2]))),
+    ("Sample points", lambda: Sample(np.array([[1.5, 2.0], [3.0, 4.5]], dtype=np.complex64))),
+    ("Grid origin", lambda: Grid(origin="0", spacing=0.5, values=[1.0, 2.0, 3.0])),
+    ("Grid values", lambda: Grid(origin=0.0, spacing=0.5, values=["1", "2", "3"])),
+    ("query_points", lambda: kdeband.estimate_density(S1, TSC, 0.5, ["0.1", "0.2"])),
+    ("r_window", lambda: kdeband.reference.hernquist_radial_pdf(r_window=("0.1", "2"))),
+], ids=["str-list", "bytes-array", "complex-array", "complex64-rows", "str-origin",
+        "str-values", "str-queries", "str-window"])
+def test_text_or_complex_is_no_array_of_reals(name, call):
+    """Sample(["1.5", "2"]) parsed its text, and Sample(np.array([1+1j, 2]))
+    dropped the imaginary part with only a ComplexWarning."""
+    with pytest.raises(DomainError, match=f"{name} must be an array of real numbers"):
+        call()
+
+
+@pytest.mark.parametrize("value", [2, 0.5, np.float32(0.5), np.int64(2), np.uint8(2),
+                                   np.array(0.5), np.array(2)],
+                         ids=["int", "float", "float32", "int64", "uint8", "0d-float", "0d-int"])
+def test_every_real_number_is_still_a_real(value):
+    assert build_grid(S1, TSC, value).spacing == float(value)
+    assert HernquistParams(scale_length_rc=value).scale_length_rc == float(value)
+    assert Sample([value, 2 * value]).points.tolist() == [float(value), 2.0 * float(value)]
 
 
 @pytest.mark.parametrize("dim", [1, 3])

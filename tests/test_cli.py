@@ -32,7 +32,7 @@ from kdeband.reference import (
     gaussian_1d,
     hernquist_radial_pdf,
 )
-from kdeband.samplers import RNG_NAME, sample_gaussian_1d, sample_gaussian_3d
+from kdeband.reference import RNG_NAME, sample_gaussian_1d, sample_gaussian_3d
 
 REPORT_FIELDS = [
     "experiment_id",

@@ -1944,6 +1944,27 @@ def test_sample_std_peak_memory():
         assert _traced_peak(lambda: sample.std) / (8 * Np) <= 1.05
 
 
+def test_sample_std_of_a_contiguous_axis_holds_one_block():
+    """Sample.std of a 1e6-point 1D sample sums its squared deviations a
+    block at a time: its traced peak stays under a tenth of the sample's
+    bytes (np.std's one deviation per point read about one)."""
+    points = np.random.default_rng(2).standard_normal(1_000_000)
+    sample = Sample(points)
+    assert _traced_peak(lambda: sample.std) <= 0.1 * points.nbytes
+
+
+@pytest.mark.parametrize("n", [3 * 2 ** 15 + 5, 2 ** 20 + 3])
+def test_sample_std_across_blocks_has_numpys_bits(n):
+    """Sizes that split several times above a block, in 1D and in F order,
+    at 2^k scales and 1e12 offsets, keep the bits of np.std."""
+    rng = np.random.default_rng(n)
+    for k, offset in ((-30, 0.0), (0, 1e12), (30, -1e12)):
+        oned = rng.standard_normal(n) * 2.0 ** k + offset
+        fortran = np.asfortranarray(rng.standard_normal((n, 3)) * 2.0 ** k + offset)
+        for points in (oned, fortran):
+            assert Sample(points).std == float(np.mean(np.std(points, axis=0))), (n, k)
+
+
 def test_samples_are_immutable():
     s = Sample(np.array([0.0, 1.0]))
     with pytest.raises((ValueError, RuntimeError)):

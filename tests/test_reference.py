@@ -28,7 +28,7 @@ from kdeband.reference import (
     trimodal_1d,
     tsc_density_1d,
 )
-from kdeband.samplers import (
+from kdeband.reference import (
     TRIMODAL_MEANS,
     TRIMODAL_SIGMAS,
     TRIMODAL_WEIGHTS,

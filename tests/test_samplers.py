@@ -20,7 +20,7 @@ from kdeband.errors import DomainError
 from kdeband.estimator import Sample
 from kdeband.kernels import eval_kernel, kernel_constants
 from kdeband.reference import _LAWS
-from kdeband.samplers import (
+from kdeband.reference import (
     RNG_NAME,
     TRIMODAL_MEANS,
     TRIMODAL_SIGMAS,

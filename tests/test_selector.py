@@ -26,7 +26,7 @@ from kdeband.estimator import Sample
 from kdeband.kernels import Kernel, kernel_constants
 from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
 from kdeband.roughness import corrected_roughness
-from kdeband.samplers import (
+from kdeband.reference import (
     HernquistParams,
     sample_gaussian_1d,
     sample_gaussian_3d,
