@@ -9,7 +9,12 @@ shape (Np, d): one set of types (``Sample``, ``Grid``, ``Kernel``) and
 one function per step of the selection (``build_grid``,
 ``corrected_roughness``, ``optimal_bandwidth``, ``select_bandwidth``)
 and for direct evaluation (``estimate_density``), each of which reads d
-from its inputs.
+from its inputs.  ``kdeband.selector`` holds the plug-in method (the
+corrected roughness, h_opt, the AMISE and the iteration),
+``kdeband.estimator`` the KDE machinery it runs on (samples, grids, the
+deposit, the stencil, the quadrature and direct evaluation), and
+``kdeband.kernels`` and ``kdeband.errors`` the kernels and the argument
+rules.
 
 The validation studies stay out of the package namespace: their
 samplers and synthetic laws are the submodule ``kdeband.reference``, with
@@ -30,18 +35,17 @@ from functools import partial
 # Each method module's __all__ lists its public names; the package
 # re-exports them.  The study module is imported, not re-exported, so
 # kdeband.reference resolves after `import kdeband`.
-from . import errors, estimator, kernels, reference, roughness, selector
+from . import errors, estimator, kernels, reference, selector
 from .errors import *  # noqa: F403
 from .estimator import *  # noqa: F403
 from .kernels import *  # noqa: F403
-from .roughness import *  # noqa: F403
 from .selector import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = ["__version__"] + [
     name
-    for module in (errors, kernels, estimator, roughness, selector)
+    for module in (errors, kernels, estimator, selector)
     for name in module.__all__
 ]
 
@@ -65,7 +69,7 @@ kernel_constants_1d = partial(kernels.kernel_constants, dim=1)
 kernel_constants_3d = partial(kernels.kernel_constants, dim=3)
 build_grid_1d = _in_dim(estimator.build_grid, 1)
 build_grid_3d = _in_dim(estimator.build_grid, 3)
-corrected_roughness_1d = _in_dim(roughness.corrected_roughness, 1)
+corrected_roughness_1d = _in_dim(selector.corrected_roughness, 1)
 optimal_bandwidth_1d = _in_dim(selector.optimal_bandwidth, 1)
 select_bandwidth_1d = _in_dim(selector.select_bandwidth, 1)
 select_bandwidth_3d = _in_dim(selector.select_bandwidth, 3)

@@ -11,8 +11,8 @@ type the package computes with, or raises DomainError naming it:
 * ``_bounded_real``: a real in an interval, (low, high) or [low, high)
   (``_positive_real`` is its case (0, inf), with an error of the caller's
   choice), returned as a float;
-* ``_check_count``: a count, an integer >= 1, given as an int or an
-  integral float (Python or numpy), returned as an int;
+* ``_check_count``: a count, an integer >= 1 of any size, given as an
+  int or an integral float (Python or numpy), returned as an int;
 * ``_check_index``: an index, an int or numpy integer >= 0 and below an
   optional stop (a seed, an axis, a dimension), returned as an int;
 * ``_float_array``: an array of reals, every one finite in its finite
@@ -21,9 +21,9 @@ type the package computes with, or raises DomainError naming it:
 A value that is not a number (None, a list) fails each rule as a number
 out of range does, and so does a bool: True is no count, index or real,
 though Python counts it as the int 1.  Text and complex numbers fail them
-too, though float() parses "0.3" and casts numpy's complex 0.5+1j to 0.5,
-and ``_float_array`` refuses arrays of either (numpy dtype kinds U, S and
-c).
+too, though float() parses "0.3" and casts numpy's complex 0.5+1j to 0.5.
+``_float_array`` refuses an array of any of the three (numpy dtype kinds
+b, U, S and c), and an object array holding one.
 """
 
 from contextlib import contextmanager
@@ -109,6 +109,13 @@ def _normal(x) -> float:
 _NOT_REAL = (bool, str, bytes, bytearray, complex)
 
 
+def _no_real(value) -> bool:
+    """Whether ``value`` is a bool, text or a complex number, Python's or
+    numpy's (a scalar, or an array of dtype kind b, U, S or c)."""
+    kind = getattr(getattr(value, "dtype", None), "kind", "O")  # numpy's; "O" for the rest
+    return isinstance(value, _NOT_REAL) or kind in "bUSc"
+
+
 def _positive_real(value, name: str, error: type = DomainError) -> float:
     """``value`` as a float; ``error`` (DomainError unless given) naming
     ``name`` unless it is a positive finite real."""
@@ -122,9 +129,8 @@ def _bounded_real(
     """``value`` as a float; ``error`` (DomainError unless given) naming
     ``name`` unless it is a real with low < value < high, or
     low <= value < high where ``closed``."""
-    kind = getattr(getattr(value, "dtype", None), "kind", "O")  # numpy's; "O" for the rest
     try:
-        x = np.nan if isinstance(value, _NOT_REAL) or kind in "bUSc" else float(value)
+        x = np.nan if _no_real(value) else float(value)
     except (TypeError, ValueError):  # not a number: None, a list, ...
         x = np.nan
     if not ((low <= x) if closed else (low < x)) or not x < high:
@@ -134,9 +140,11 @@ def _bounded_real(
 
 
 def _check_count(value, name: str = "Np") -> int:
-    """A count as an int; DomainError naming it unless it is an integer >= 1."""
-    number = isinstance(value, (int, float, np.integer, np.floating))
-    count = int(value) if number and np.isfinite(value) and not isinstance(value, bool) else 0
+    """A count as an int; DomainError naming it unless it is an integer >= 1,
+    of any size: only a float is tested for finiteness."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    finite = isinstance(value, (float, np.floating)) and np.isfinite(value)
+    count = int(value) if integer or finite else 0
     if count < 1 or count != value:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return count
@@ -154,14 +162,15 @@ def _check_index(value, name: str, stop: float = np.inf) -> int:
 
 def _float_array(values, name: str, finite: bool = False) -> np.ndarray:
     """``values`` as a float array (np.asarray); DomainError naming
-    ``name`` where they are text or complex numbers, which numpy would
-    parse or cast dropping the imaginary part, where numpy cannot convert
-    them (a ragged list), or, if ``finite``, where one is NaN or
-    infinite."""
+    ``name`` where they are bools, text or complex numbers, which numpy
+    would read as 0 and 1, parse, or cast dropping the imaginary part (an
+    array of such a dtype, or an object array holding one), where numpy
+    cannot convert them (a ragged list), or, if ``finite``, where one is
+    NaN or infinite."""
     try:
         array = np.asarray(values)
-        if array.dtype.kind in "USc":  # text or complex: parsed, or a part dropped
-            raise TypeError(f"an array of dtype {array.dtype}")
+        if _no_real(array) or array.dtype == object and any(map(_no_real, array.flat)):
+            raise TypeError("bools, text or complex numbers")
         array = array.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be an array of real numbers") from exc

@@ -3,9 +3,11 @@ and the study table.
 
 Each study pairs a sampler, which draws a reproducible synthetic sample,
 with the law the sample is drawn from, the analytic counterpart of the
-data-driven machinery.  Every sampler takes a non-negative integer seed
-and builds its own ``numpy.random.default_rng(seed)``, so a (sampler, Np,
-seed) triple pins the returned sample exactly.  The generator identity is
+data-driven machinery.  Every sampler takes a count Np whose Np d
+float64 values fit in one numpy array (else DomainError) and a
+non-negative integer seed, and builds its own
+``numpy.random.default_rng(seed)``, so a (sampler, Np, seed) triple pins
+the returned sample exactly.  The generator identity is
 exported as ``RNG_NAME`` and recorded in experiment reports, because
 reproducing the byte-identical sample stream requires the same generator
 and numpy version.
@@ -114,7 +116,9 @@ class HernquistParams:
     The mass density is rho(r) = (MT/(2 pi)) * (r_c/r) / (r + r_c)^3,
     sampled only between the two truncation radii (given in units of
     r_c).  MT is carried along for profile conversions; the radial pdf
-    itself is MT-independent.  Every field must be finite.
+    itself is MT-independent.  Every field must be finite, and so must
+    the truncation radii in absolute units, ``r_window``, with
+    r_min < r_max.
     """
 
     total_mass_MT: float = 1.0
@@ -129,6 +133,8 @@ class HernquistParams:
                             "truncation_min_r_over_rc", "truncation_max_r_over_rc")
         object.__setattr__(self, "truncation_min_r_over_rc", low)
         object.__setattr__(self, "truncation_max_r_over_rc", high)
+        _window(*self.r_window, "truncation_min_r_over_rc * scale_length_rc",
+                "truncation_max_r_over_rc * scale_length_rc")
 
     @property
     def r_window(self) -> tuple[float, float]:
@@ -138,8 +144,24 @@ class HernquistParams:
 
 
 def _hernquist_mass_fraction(r, rc):
-    """Enclosed mass fraction M(<r)/MT of the untruncated sphere."""
-    return (r / (r + rc)) ** 2
+    """Enclosed mass fraction M(<r)/MT of the untruncated sphere.  Where
+    r + rc overflows, the ratio is taken of their halves."""
+    with np.errstate(over="ignore"):
+        a = r + rc
+    if a == np.inf:
+        r, a = r / 2, r / 2 + rc / 2
+    return (r / a) ** 2
+
+
+def _draw_count(Np, d: int = 1) -> int:
+    """The count of a draw of Np points in d dimensions; DomainError where
+    their Np d float64 values exceed np.iinfo(np.intp).max bytes, past
+    the largest array numpy can shape."""
+    Np = _check_count(Np)
+    largest = np.iinfo(np.intp).max // (8 * d)
+    if Np > largest:
+        raise DomainError(f"Np must be at most {largest} for a draw in d = {d}, got {Np}")
+    return Np
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -151,14 +173,14 @@ def _generator(seed: int) -> np.random.Generator:
 
 def sample_gaussian_1d(Np: int, seed: int) -> Sample:
     """Np standard normal draws."""
-    Np = _check_count(Np)
+    Np = _draw_count(Np)
     rng = _generator(seed)
     return _adopt(Sample, points=rng.standard_normal(Np))
 
 
 def sample_gaussian_3d(Np: int, seed: int) -> Sample:
     """Np isotropic standard normal draws in 3D."""
-    Np = _check_count(Np)
+    Np = _draw_count(Np, 3)
     rng = _generator(seed)
     return _adopt(Sample, points=rng.standard_normal((Np, 3)))
 
@@ -171,7 +193,7 @@ def sample_tsc_density(Np: int, seed: int) -> Sample:
     only on the remaining deficit, so the draw is reproducible for a
     given seed.
     """
-    Np = _check_count(Np)
+    Np = _draw_count(Np)
     tsc = kernel_constants("tsc", 1)
     rng = _generator(seed)
     out = np.empty(Np, dtype=float)
@@ -189,7 +211,7 @@ def sample_tsc_density(Np: int, seed: int) -> Sample:
 
 def sample_trimodal(Np: int, seed: int) -> Sample:
     """Draw from the equal-weight three-component normal mixture."""
-    Np = _check_count(Np)
+    Np = _draw_count(Np)
     rng = _generator(seed)
     labels = rng.integers(0, 3, Np)
     mus = np.asarray(TRIMODAL_MEANS)[labels]
@@ -204,7 +226,7 @@ def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sampl
     form: r = r_c sqrt(q) / (1 - sqrt(q)).  Drawing q uniformly between
     F(r_min) and F(r_max) yields radii from the truncated law exactly.
     """
-    Np = _check_count(Np)
+    Np = _draw_count(Np)
     rc = params.scale_length_rc
     f_lo, f_hi = (_hernquist_mass_fraction(r, rc) for r in params.r_window)
     rng = _generator(seed)
@@ -459,5 +481,8 @@ def profile_from_radial_pdf(pdf_values, r, total_mass_MT: float):
     if np.any(r <= 0.0):
         raise DomainError("profile_from_radial_pdf needs r > 0")
     total_mass_MT = _positive_real(total_mass_MT, "total_mass_MT")
-    out = total_mass_MT * _float_array(pdf_values, "pdf_values") / (4.0 * np.pi * r ** 2)
+    pdf_values = _float_array(pdf_values, "pdf_values")
+    if pdf_values.shape != r.shape:
+        raise DomainError(f"pdf_values must have r's shape {r.shape}, not {pdf_values.shape}")
+    out = total_mass_MT * pdf_values / (4.0 * np.pi * r ** 2)
     return out if out.ndim else float(out)

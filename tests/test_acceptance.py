@@ -47,7 +47,7 @@ from kdeband.reference import (
     trimodal_1d,
     tsc_density_1d,
 )
-from kdeband.roughness import corrected_roughness
+from kdeband.selector import corrected_roughness
 from kdeband.reference import (
     HernquistParams,
     sample_gaussian_1d,

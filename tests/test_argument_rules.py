@@ -15,6 +15,7 @@ the coverage test.
 
 import inspect
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from kdeband import (
     select_bandwidth,
 )
 from kdeband.errors import DomainError, KdebandError, NonPositiveBandwidth
+from kdeband.errors import _check_count
 from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
 from kdeband.reference import (
     HernquistParams,
@@ -163,6 +165,38 @@ def test_text_or_complex_is_no_array_of_reals(name, call):
         call()
 
 
+@pytest.mark.parametrize("name, call", [
+    ("Sample points", lambda: Sample([True, False, True])),
+    ("Sample points", lambda: Sample(np.array(["1.5", "2"], dtype=object))),
+    ("Sample points", lambda: Sample(np.array([1.5, "2"], dtype=object))),
+    ("Sample points", lambda: Sample(np.array([True, 2.0], dtype=object))),
+    ("Sample points", lambda: Sample(np.array([np.True_, 2.0], dtype=object))),
+    ("Sample points", lambda: Sample(np.array([1.5, np.complex128(2)], dtype=object))),
+    ("Grid values", lambda: Grid(origin=0.0, spacing=0.5, values=[True, False, True])),
+    ("Grid values", lambda: Grid(origin=0.0, spacing=0.5,
+                                 values=np.array([1.0, "2", 3.0], dtype=object))),
+    ("query_points", lambda: kdeband.estimate_density(S1, TSC, 0.5, [True, False])),
+    ("query_points", lambda: kdeband.estimate_density(
+        S1, TSC, 0.5, np.array([0.1, b"0.2"], dtype=object))),
+    ("r_window", lambda: kdeband.reference.hernquist_radial_pdf(r_window=(False, True))),
+    ("r_window", lambda: kdeband.reference.hernquist_radial_pdf(
+        r_window=np.array([0.1, "2"], dtype=object))),
+], ids=["bool-list", "object-str", "object-float-str", "object-bool", "object-np.bool",
+        "object-complex", "bool-values", "object-str-values", "bool-queries",
+        "object-bytes-queries", "bool-window", "object-str-window"])
+def test_bool_array_or_object_array_of_no_reals_is_no_array_of_reals(name, call):
+    """Sample([True, False, True]) read [1, 0, 1], and an object array
+    holding text, a bool or a complex number was parsed or cast element
+    by element: np.array(["1.5", "2"], dtype=object) read [1.5, 2]."""
+    with pytest.raises(DomainError, match=f"{name} must be an array of real numbers"):
+        call()
+
+
+def test_an_object_array_of_real_numbers_is_still_an_array_of_reals():
+    values = np.array([1.5, Fraction(1, 2), 3, np.float32(2.0), np.int8(4)], dtype=object)
+    assert Sample(values).points.tolist() == [1.5, 0.5, 3.0, 2.0, 4.0]
+
+
 @pytest.mark.parametrize("value", [2, 0.5, np.float32(0.5), np.int64(2), np.uint8(2),
                                    np.array(0.5), np.array(2)],
                          ids=["int", "float", "float32", "int64", "uint8", "0d-float", "0d-int"])
@@ -254,6 +288,31 @@ def test_integral_float_counts_give_the_int_bits():
     assert type(config.max_iterations) is int
     assert select_bandwidth(S1, TSC, config, grid_cap=1e3) == \
         select_bandwidth(S1, TSC, SelectorConfig(max_iterations=2), grid_cap=1000)
+
+
+@pytest.mark.parametrize("value", [2**64, 10**30, 10**400], ids=["2**64", "10**30", "10**400"])
+def test_a_count_of_any_size_is_a_count(value):
+    """np.isfinite raised a bare TypeError for an int of 2**64 and up, so
+    SelectorConfig(max_iterations=2**64) failed with it."""
+    assert _check_count(value) == value
+    assert SelectorConfig(max_iterations=value).max_iterations == value
+
+
+def test_a_count_too_large_for_any_float_raises_domain_error():
+    with pytest.raises(DomainError):
+        optimal_bandwidth(1.0, TSC, 10**400)
+
+
+@pytest.mark.parametrize("draw", SAMPLERS.values(), ids=[fn.__qualname__ for fn in SAMPLERS])
+def test_a_draw_past_the_largest_array_raises_domain_error(draw):
+    """A draw whose Np d float64 values exceed np.iinfo(np.intp).max bytes
+    raised numpy's ValueError (or, from 2**64 up, a bare TypeError).  Each
+    Np here is refused before anything is allocated."""
+    d = 3 if draw is sample_gaussian_3d else 1
+    largest = np.iinfo(np.intp).max // (8 * d)
+    for Np in (largest + 1, 2 * 10**18, 10**19, 2**64, 10**30):
+        with pytest.raises(DomainError, match=f"Np must be at most {largest}"):
+            draw(Np, 1)
 
 
 # ---------------------------------------------------------------------------

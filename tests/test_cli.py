@@ -604,6 +604,52 @@ def test_sample_rejects_bad_count(capsys):
     assert "not a positive integer count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--generator", "gauss1d", "--np", "2e18"],
+    ["sample", "--generator", "gauss1d", "--np", "1e19"],
+    ["sample", "--generator", "gauss1d", "--np", "1e30"],
+    ["experiment", "gauss1d", "--np", "1e30"],
+], ids=["sample-2e18", "sample-1e19", "sample-1e30", "experiment-1e30"])
+def test_a_draw_past_the_largest_array_is_one_error_line(tmp_path, capsys, argv):
+    """--np 2e18 and 1e19 ended in numpy's ValueError traceback, and 1e30
+    in argparse's "invalid _parse_count value"; each is now the samplers'
+    DomainError, on one line, and nothing is written."""
+    rc = main(argv + ["--seed", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"kdeband: error: Np must be at most \d+ for a draw in d = 1, got \d+\n",
+                        captured.err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_count_flags_of_any_size_select_the_default_bandwidth(tmp_path, capsys):
+    """--grid-cap 1e30 and --max-iters 1e20 ended in a TypeError traceback
+    from np.isfinite on an int of 2**64 and up."""
+    path = _write_sample(tmp_path / "g.txt", sample_gaussian_1d(2000, seed=1).points)
+    selected = []
+    for flags in ([], ["--grid-cap", "1e30"], ["--max-iters", "1e20"]):
+        rc = main(["select", "--input", path, "--dim", "1", *flags])
+        assert rc == 0
+        selected.append(json.loads(capsys.readouterr().out)["selected_h"])
+    assert selected[1] == selected[0] and selected[2] == selected[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--generator", "hernquist", "--np", "10"],
+    ["density", "--generator", "hernquist", "--np", "10", "--h", "0.2"],
+], ids=["sample", "density"])
+def test_hernquist_window_past_the_floats_is_one_error_line(tmp_path, capsys, command):
+    """--rc 1e308 --r-max-over-rc 1e10 puts r_max at inf; it ended in an
+    OverflowError traceback, and now names the field."""
+    rc = main(command + ["--seed", "1", "--rc", "1e308", "--r-max-over-rc", "1e10",
+                         "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert re.fullmatch(r"kdeband: error: truncation_max_r_over_rc \* scale_length_rc must be "
+                        r"a real in \(.*\), got inf\n", captured.err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

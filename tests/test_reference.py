@@ -279,6 +279,19 @@ def test_hernquist_pdf_where_its_quotient_leaves_the_floats(rc, x):
     assert eval_density(hernquist_radial_pdf(rc=rc), np.array([x]))[0] == got
 
 
+def test_hernquist_pdf_of_a_window_past_half_the_largest_float():
+    """With rc = 1e308 and r_window (0, 1e308), r + rc overflowed in the
+    window's mass, which read 0, so the pdf read nan with two
+    RuntimeWarnings (errors here).  The mass is 1/4, as for rc = 1, and
+    the pdf is within a few ulps of the exact 8 rc x / (x + rc)^3."""
+    dens = hernquist_radial_pdf(rc=1e308, r_window=(0.0, 1e308))
+    assert eval_density(dens, np.array([1.0])).tolist() == [0.0]
+    for x in (1e300, 2e307, 5e307):
+        exact = 8 * Fraction(1e308) * Fraction(x) / (Fraction(x) + Fraction(1e308)) ** 3
+        want = float(exact)
+        assert abs(eval_density(dens, x) - want) <= 4 * math.ulp(want)
+
+
 @pytest.mark.parametrize("density", [gaussian_1d(), trimodal_1d()], ids=["gauss1d", "trimodal"])
 @pytest.mark.parametrize("x", [2e154, 1e200, 1e300, -1e300])
 def test_normal_pdf_far_out_is_zero_without_a_warning(density, x):
@@ -374,6 +387,12 @@ def test_non_numeric_radii_raise_domain_error():
     numpy's bare ValueError."""
     with pytest.raises(DomainError, match="r must be"):
         hernquist_profile("a", HernquistParams())
+
+
+def test_profile_from_radial_pdf_of_another_shape_raises_domain_error():
+    """Three pdf values at two radii raised numpy's broadcast ValueError."""
+    with pytest.raises(DomainError, match=r"pdf_values must have r's shape \(2,\), not \(3,\)"):
+        profile_from_radial_pdf([1, 2, 3], [1, 2], 1.0)
 
 
 def test_profile_round_trip():

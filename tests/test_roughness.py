@@ -5,7 +5,7 @@ oracle built in this file: the expected tabulated curvature of the
 smoothed density (kernel-convolved Gaussian, differenced on the same
 lattice the estimator uses) plus the lattice noise floor computed from
 the kernel's own stencil autocorrelation.  See the module docstring of
-``kdeband.roughness`` for the derivation being checked.
+``kdeband.selector`` for the derivation being checked.
 """
 
 import numpy as np

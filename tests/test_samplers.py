@@ -270,6 +270,19 @@ def test_hernquist_rc_scaling_is_exact():
     assert np.array_equal(doubled, 2.0 * base)
 
 
+def test_hernquist_radii_of_a_window_past_half_the_largest_float():
+    """With rc = 1e308 and the window (0, 1) r_c, r + rc overflowed in the
+    mass fractions, both read 0, and every radius was 0.  The radii are
+    now rc = 1's, in units of 1e308."""
+    def draw(rc):
+        params = HernquistParams(scale_length_rc=rc, truncation_min_r_over_rc=0.0,
+                                 truncation_max_r_over_rc=1.0)
+        return sample_hernquist_radii(1000, params, seed=5).points
+
+    assert_allclose(draw(1e308) / 1e308, draw(1.0), rtol=1e-15, atol=0.0)
+    assert draw(1e308).max() > 0.9e308
+
+
 # ---------------------------------------------------------------------------
 # validation and metadata
 # ---------------------------------------------------------------------------
@@ -290,6 +303,20 @@ def test_hernquist_params_validation():
                 HernquistParams(**{field: bad})
     with pytest.raises(DomainError):
         HernquistParams(truncation_min_r_over_rc=np.nan)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"scale_length_rc": 1e308, "truncation_max_r_over_rc": 1e10}, "truncation_max_r_over_rc"),
+    ({"scale_length_rc": 1e300, "truncation_min_r_over_rc": 1e10,
+      "truncation_max_r_over_rc": 1e20}, "truncation_min_r_over_rc"),
+    ({"scale_length_rc": 1e-300, "truncation_min_r_over_rc": 0.0,
+      "truncation_max_r_over_rc": 1e-30}, "truncation_max_r_over_rc"),
+], ids=["r_max-inf", "r_min-inf", "r_max-zero"])
+def test_hernquist_window_in_absolute_units_is_finite_and_open(kwargs, field):
+    """An r_max (or r_min) of inf, or an r_max that underflows to r_min,
+    was accepted: the sampler then raised OverflowError or drew nan."""
+    with pytest.raises(DomainError, match=rf"{field} \* scale_length_rc must be a real"):
+        HernquistParams(**kwargs)
 
 
 @pytest.mark.parametrize("field", ["truncation_min_r_over_rc", "truncation_max_r_over_rc"])

@@ -25,7 +25,7 @@ from kdeband.errors import (
 from kdeband.estimator import Sample
 from kdeband.kernels import Kernel, kernel_constants
 from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
-from kdeband.roughness import corrected_roughness
+from kdeband.selector import corrected_roughness
 from kdeband.reference import (
     HernquistParams,
     sample_gaussian_1d,
