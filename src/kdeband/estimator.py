@@ -48,6 +48,7 @@ from .errors import (
     _check_count,
     _check_index,
     _float_array,
+    _normal,
     _out_of_range,
     _positive_real,
 )
@@ -57,6 +58,7 @@ from .kernels import (
     _profile_in_place,
     common_dim,
     profile_branches,
+    profile_mirrors,
 )
 
 __all__ = [
@@ -118,6 +120,9 @@ def _check_scale(sample: Sample, kernel: Kernel, h) -> tuple[float, int]:
     other two keep the normalisation Np h^d a normal float and the
     estimate, below 2 / h^d, finite.  A value whose kernel sum is below
     2^-62 times that of a point at the centre may round to a subnormal.
+
+    The support's half-width w h/2 must be a finite float too, else
+    DomainError: a hand-built Kernel's width w may be any count.
     """
     h = _positive_real(h, "bandwidth", NonPositiveBandwidth)
     d = common_dim(None, sample=sample.dim, kernel=kernel.dim)
@@ -128,6 +133,8 @@ def _check_scale(sample: Sample, kernel: Kernel, h) -> tuple[float, int]:
             f"bandwidth scale is out of range: h = {h:g} with Np = {Np} in {d}D needs "
             "2^-400 <= h <= 2^400, h^d >= 2^-1000 and Np h^d <= 2^960"
         )
+    with _out_of_range("kernel width", "the support's half-width w h/2"):
+        _normal(0.5 * kernel.width_w * h)
     return h, d
 
 
@@ -350,6 +357,15 @@ def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     would take in the kernel, and only that branch's expression is
     computed for it.
 
+    No |u| is taken.  The same bisection finds the first u >= 0, and each
+    branch computes its mirror (see kernels.profile_mirrors) on its left
+    slice, where u < 0, and its evaluate on its right slice: the bits of
+    evaluate(|u|), since a - (-u) and a + u round alike and a u of -0.0
+    gives an evaluate the bits of +0.0.  The innermost slice straddles
+    zero: an even branch computes its evaluate on all of it, any other
+    its mirror left of zero and its evaluate right of it, and the slice is
+    summed once either way.
+
     The offsets of every query are computed in one buffer, sized to the
     largest window, and each branch overwrites its two slices of it with
     its values.  A branch's factor (1/2 on TSC's outer branch, else 1)
@@ -369,11 +385,13 @@ def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     hi = np.searchsorted(pts, queries + reach, side="right")
     branches = profile_branches(kernel)
     tops = np.array([top for top, _, _ in branches])
-    # Every branch edge in one bisection per query: -top from the left,
-    # and u <= top as u < nextafter(top, inf).
-    edges = np.concatenate((-tops[::-1], np.nextafter(tops, np.inf)))
+    # Every branch edge and zero in one bisection per query: -top from the
+    # left, u >= 0 (-0.0 among them), and u <= top as u < nextafter(top, inf).
+    edges = np.concatenate((-tops[::-1], [0.0], np.nextafter(tops, np.inf)))
     out = np.empty(queries.size, dtype=float)
     buf = np.empty((hi - lo).max(initial=0))
+    (_, inner, inner_factor), *outer = branches
+    inner_mirror, *outer_mirrors = profile_mirrors(kernel)
     for q, (start, stop, query) in enumerate(zip(lo, hi, queries)):
         u = np.subtract(pts[start:stop], query, out=buf[:stop - start])
         u /= h
@@ -382,12 +400,16 @@ def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
         # slice per top, innermost first, and each outer branch's points
         # are its slice less the one before it, a piece on either side.
         cut = np.searchsorted(u, edges)
-        left, right = cut[tops.size - 1::-1], cut[tops.size:]
-        r = np.abs(u, out=u)
-        (_, evaluate, factor), *outer = branches
-        total = factor * evaluate(r[left[0]:right[0]]).sum()
-        for (_, evaluate, factor), a, b, a0, b0 in zip(outer, left[1:], right[1:], left, right):
-            total += factor * (evaluate(r[a:a0]).sum() + evaluate(r[b0:b]).sum())
+        left, zero, right = cut[tops.size - 1::-1], cut[tops.size], cut[tops.size + 1:]
+        if inner_mirror is not inner:
+            inner_mirror(u[left[0]:zero])
+            inner(u[zero:right[0]])
+        else:
+            inner(u[left[0]:right[0]])
+        total = inner_factor * u[left[0]:right[0]].sum()
+        for (_, evaluate, factor), mirror, a, b, a0, b0 in zip(
+                outer, outer_mirrors, left[1:], right[1:], left, right):
+            total += factor * (mirror(u[a:a0]).sum() + evaluate(u[b0:b]).sum())
         out[q] = total
     return out
 
@@ -772,25 +794,29 @@ def _chunk_axes(columns, origin, dims, half, w, h, cut, distinct):
     if distinct:
         occupied, slots = _ranks(slots)
     # One axis's radius is |dist| / h, the bits of sqrt(dist**2) / h (see
-    # _check_scale); more axes sum their squares.
-    part = np.abs if len(j0) == 1 else np.square
+    # _check_scale), taken from the signed distances; more axes sum their
+    # squares.
+    square = len(j0) > 1
     axes = [
-        _axis_offsets(x, j, origin[a], dims[a], w, h, cut, part)
+        _axis_offsets(x, j, origin[a], dims[a], w, h, cut, square)
         for a, (x, j) in enumerate(zip(columns, j0))
     ]
     return slots, occupied, [axes[0]] + [list(offsets) for offsets in axes[1:]]
 
 
-def _axis_offsets(x, j0, origin, n, w, h, cut, part):
+def _axis_offsets(x, j0, origin, n, w, h, cut, square):
     """Yield, for each offset o in -1..w along one axis that can carry
-    weight for the points x of one chunk: o, part(dist) of the distance
-    dist from each point to its node o steps from
-    j0 = ceil((x - w h/2 - origin) / h), computed in place in an array of
-    floats (``part`` is np.square, or np.abs where the chunk has one
-    axis), and bounds near**2, far**2 with near**2 <= dist_i**2 <=
-    far**2 for every point of the chunk, all squares rounded.  Every
-    per-point value is the one the whole sample gives; only the offsets
-    kept and the bounds depend on the chunk.  A node j0 + o off the grid
+    weight for the points x of one chunk: o, the distance dist from each
+    point to its node o steps from j0 = ceil((x - w h/2 - origin) / h),
+    computed in place in an array of floats and squared there where
+    ``square`` (the chunk has more than one axis), bounds near**2,
+    far**2 with near**2 <= dist_i**2 <= far**2 for every point of the
+    chunk, all squares rounded, and the side of zero the values yielded
+    lie on (see kernels._profile_in_place): 1 where every one is >= 0
+    (every square), -1 where the bounds below put every distance at or
+    below zero, else 0.  Every per-point value is the one the whole
+    sample gives; only the offsets kept, the bounds and the side depend
+    on the chunk.  A node j0 + o off the grid
     needs no mask: its distance puts it outside the kernel's support (see
     build_grid).
 
@@ -847,7 +873,10 @@ def _axis_offsets(x, j0, origin, n, w, h, cut, part):
         near_sq = near * near
         if near_sq <= cut:
             dist = offset(o) if o else zero
-            yield o, part(dist, out=dist), near_sq, far * far
+            if square:
+                yield o, np.square(dist, out=dist), near_sq, far * far, 1
+            else:
+                yield o, dist, near_sq, far * far, -1 if hi <= 0.0 else int(lo >= 0.0)
             del dist
         if o == 0:
             zero = None  # a streamed offset's arrays must not outlive its pass
@@ -869,8 +898,11 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
     rooted and divided by h, bound every rounded r, since each step is
     monotone.  They let the kernel compute only the branch they take (see
     kernels.radial_profile).  The outermost axis's offsets are streamed,
-    so with one axis r is its offset's own array of distances, and the
-    kernel's values overwrite it.
+    so with one axis the kernel's values overwrite its offset's own array
+    of signed distances dist / h, given with the offset's side: a pass on
+    one branch and one side of zero, or on one even branch, computes that
+    branch's evaluate or mirror on them, and any other takes |dist| / h
+    first (see kernels._profile_in_place).
 
     In d > 1 a pass whose bounds say most of it is zero, where
     lo >= w/4 and hi > w/2, is culled before the root: it keeps, by index
@@ -895,7 +927,7 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
     """
     a = len(offsets)
     support = 0.5 * kernel.width_w
-    for o, dist, near, far in axes[a]:
+    for o, dist, near, far, side in axes[a]:
         key = offsets + (o,)
         s = dist if sq is None else sq + dist
         near_sq, far_sq = bounds_sq[0] + near, bounds_sq[1] + far
@@ -907,9 +939,9 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
         if sq is not None and 2 * lo >= support and hi > support:  # mostly zeros
             keep = np.flatnonzero(s <= cut)
             s, hi = s.take(keep), math.sqrt(cut) / h
-        r = s if sq is None else np.sqrt(s, out=s)  # one axis: s holds |dist|
+        r = s if sq is None else np.sqrt(s, out=s)  # one axis: s holds dist
         r /= h
-        weights = _profile_in_place(kernel, r, (lo, hi))
+        weights = _profile_in_place(kernel, r, (lo, hi), side)
         del r, s
         yield key, weights, keep
         del weights, keep

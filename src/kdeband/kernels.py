@@ -37,6 +37,26 @@ stays as the copying evaluator that the kernel tests and the brute-force
 references compare against.  In d > 1, ``_as_rows`` reads one d-vector
 or an (M, d) array of points, for this module, the direct evaluation and
 the reference laws.
+
+Each branch also has a mirror, the same expression written for a signed
+offset u = -r <= 0 (``profile_mirrors``):
+
+    ======  ===  ===========  ===========  ======
+    family  top  evaluate(r)  mirror(u)    factor
+    ======  ===  ===========  ===========  ======
+    ngp     1/2  1            (itself)     1
+    cic     1    1 - r        1 + u        1
+    tsc     1/2  3/4 - r^2    (itself)     1
+    tsc     3/2  (3/2 - r)^2  (3/2 + u)^2  1/2
+    ======  ===  ===========  ===========  ======
+
+The mirror is exact: IEEE 754 defines a - r as a + (-r), so a + u rounds
+the same real number as a - r, and u^2 is r^2 bit for bit; an even
+branch is its own mirror, the same function.  So a caller that holds
+signed offsets on one branch (the 1D kernel sums, and each 1D deposit
+pass whose bounds lie on one branch) computes it by its mirror on the
+offsets below zero and by its evaluate on the rest, without taking |u|:
+at u = -0.0 every evaluate gives the bits it gives at +0.0.
 """
 
 from __future__ import annotations
@@ -151,6 +171,10 @@ def _ones(r):
     return r
 
 
+def _tsc_inner(r):
+    return np.subtract(0.75, np.multiply(r, r, out=r), out=r)
+
+
 # The piecewise shape W of each family as closed branches
 # (top, evaluate, factor), W = factor * evaluate on (previous top, top],
 # in ascending order of top; the first branch starts at r = 0 and W is
@@ -159,9 +183,18 @@ _BRANCHES = {
     "ngp": ((0.5, _ones, 1.0),),
     "cic": ((1.0, lambda r: np.subtract(1.0, r, out=r), 1.0),),
     "tsc": (
-        (0.5, lambda r: np.subtract(0.75, np.multiply(r, r, out=r), out=r), 1.0),
+        (0.5, _tsc_inner, 1.0),
         (1.5, lambda r: np.square(np.subtract(1.5, r, out=r), out=r), 0.5),
     ),
+}
+
+# Each branch's mirror, in the order of _BRANCHES: its evaluate written for
+# the offset u = -r <= 0, where a - r becomes a + u.  An even branch is its
+# own mirror, the same function.
+_MIRRORS = {
+    "ngp": (_ones,),
+    "cic": (lambda u: np.add(1.0, u, out=u),),
+    "tsc": (_tsc_inner, lambda u: np.square(np.add(1.5, u, out=u), out=u)),
 }
 
 
@@ -190,6 +223,16 @@ def profile_branches(kernel: Kernel) -> tuple:
     return _BRANCHES[_family(kernel)]
 
 
+def profile_mirrors(kernel: Kernel) -> tuple:
+    """Each closed branch's mirror, in the order of profile_branches: the
+    function that overwrites an array of offsets u <= 0 with the values
+    the branch's evaluate gives at the radii -u, bit for bit, and returns
+    it.  An even branch (NGP's, TSC's inner) is its own mirror: the
+    mirror is its evaluate itself, which gives those bits at offsets of
+    either sign."""
+    return _MIRRORS[_family(kernel)]
+
+
 def radial_profile(
     kernel: Kernel, r: np.ndarray, bounds: tuple[float, float] = (-np.inf, np.inf)
 ) -> np.ndarray:
@@ -215,9 +258,19 @@ def radial_profile(
     return _profile_in_place(kernel, np.array(r, dtype=float), bounds)
 
 
-def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=(-np.inf, np.inf)) -> np.ndarray:
+def _profile_in_place(
+    kernel: Kernel, r: np.ndarray, bounds=(-np.inf, np.inf), side: int = 1
+) -> np.ndarray:
     """radial_profile(kernel, r, bounds), computed in the caller's array
     of radii r, which it overwrites with the values and returns.
+
+    r may instead hold signed offsets u whose radii are |u|, which
+    ``bounds`` then bound: ``side`` is 1 where every u is >= 0 (radii,
+    the default), -1 where every u is <= 0 and 0 where they may have
+    either sign.  Where one branch holds the bounds, its mirror (see
+    profile_mirrors) is computed on u <= 0 and its evaluate on u >= 0, or
+    on u of either sign where the branch is even; otherwise |u| is taken
+    first.  Each value has the bits it has at the radius |u|.
 
     A branch's factor and the kernel's normalization n are applied as one
     multiply by c = factor * n.  Both factors are exact powers of two and
@@ -233,13 +286,17 @@ def _profile_in_place(kernel: Kernel, r: np.ndarray, bounds=(-np.inf, np.inf)) -
     scale = kernel.normalization
     lo, hi = bounds
     floors = _FLOORS[family]
-    for (top, evaluate, factor), previous in zip(branches, floors):
+    for (top, evaluate, factor), mirror, previous in zip(branches, _MIRRORS[family], floors):
         if previous < lo and hi <= top:
-            return _scaled(evaluate(r), factor * scale)
+            if side == 0 and mirror is not evaluate:
+                np.abs(r, out=r)
+            return _scaled((mirror if side < 0 else evaluate)(r), factor * scale)
     top, evaluate, factor = branches[-1]
     if lo > top:
         r.fill(0.0)
         return r
+    if side < 1:
+        np.abs(r, out=r)
     if lo > floors[-1] and _ZERO_AT_TOP[family]:
         # W(top) is +0.0, the value beyond the top.
         return _scaled(evaluate(np.minimum(r, top, out=r)), factor * scale)

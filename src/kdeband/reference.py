@@ -365,14 +365,20 @@ def _hernquist_pdf(density, x):
     rc = density.rc
     # The plain quotient where its numerator and denominator are normal
     # floats.  Elsewhere either may have overflowed or underflowed (at x = 0,
-    # or rc ~ 1e-300, or rc ~ 1e300), and 2 (x/a)(rc/a)/a with a = x + rc,
-    # whose factors lie in [0, 1], stays finite: p(0) = 0 for every rc.
+    # or rc ~ 1e-300, or rc ~ 1e300; at x = 0 a product 2 rc that overflows
+    # gives inf * 0 = NaN), and 2 (x/a)(rc/a)/a with a = x + rc, whose
+    # factors lie in [0, 1], stays finite: p(0) = 0 for every rc.
+    # Where x + rc overflows, that form is taken of the halves c x, c rc and
+    # their sum a, with c = 1/2, and times 2 c = 1 rather than 2: the same
+    # number.  Elsewhere c = 1, which changes no bit.
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    with np.errstate(over="ignore", under="ignore"):
-        a = x + rc
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        c = np.where(x + rc == np.inf, 0.5, 1.0)
+        a = c * x + c * rc
         num, den = 2.0 * rc * x, a ** 3
         plain = (num >= tiny) & (num <= huge) & (den >= tiny) & (den <= huge)
-        out = np.where(plain, num / np.where(plain, den, 1.0), 2.0 * (x / a) * (rc / a) / a)
+        out = np.where(plain, num / np.where(plain, den, 1.0),
+                       2.0 * c * (c * x / a) * (c * rc / a) / a)
     if density.r_window is not None:
         lo, hi = density.r_window
         inside = (x >= lo) & (x <= hi)

@@ -29,6 +29,7 @@ from kdeband import (
     amise,
     build_grid,
     corrected_roughness,
+    estimate_density,
     kernel_constants,
     optimal_bandwidth,
     select_bandwidth,
@@ -301,6 +302,30 @@ def test_a_count_of_any_size_is_a_count(value):
 def test_a_count_too_large_for_any_float_raises_domain_error():
     with pytest.raises(DomainError):
         optimal_bandwidth(1.0, TSC, 10**400)
+
+
+# Each entry point that deposits or evaluates, called with a hand-built
+# kernel of the given dimension.
+WIDE_KERNEL_CALLS = {
+    "build_grid-1d": (1, lambda k: build_grid(S1, k, 0.5)),
+    "build_grid-3d": (3, lambda k: build_grid(S3, k, 0.9)),
+    "corrected_roughness": (1, lambda k: corrected_roughness(S1, k, 0.5)),
+    "estimate_density-1d": (1, lambda k: estimate_density(S1, k, 0.5, [0.0])),
+    "estimate_density-3d": (3, lambda k: estimate_density(S3, k, 0.9, [0.0, 0.0, 0.0])),
+    "select_bandwidth": (1, lambda k: select_bandwidth(S1, k)),
+}
+
+
+@pytest.mark.parametrize("case", WIDE_KERNEL_CALLS)
+def test_a_kernel_width_past_the_floats_raises_domain_error(case):
+    """A hand-built Kernel with width_w = 10**400 is a count, but its
+    half-width w h/2 is no float: the deposit and direct evaluation raised
+    a bare OverflowError there, while select_bandwidth raised DomainError.
+    One rule in their shared scale check now raises DomainError."""
+    d, call = WIDE_KERNEL_CALLS[case]
+    kernel = Kernel("tsc" if d == 1 else "tsc3", d, 10**400, 1.0, 0.55, 0.25)
+    with pytest.raises(DomainError, match="out of range"):
+        call(kernel)
 
 
 @pytest.mark.parametrize("draw", SAMPLERS.values(), ids=[fn.__qualname__ for fn in SAMPLERS])

@@ -508,30 +508,50 @@ def test_estimate_1d_matches_recorded_bits(family, case):
 
 @pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
 def test_estimate_1d_bisects_once_per_query(family, monkeypatch):
-    """Each query finds every branch edge in one np.searchsorted call (two
-    more bound every query's window), evaluates its innermost branch once,
-    as one slice, and each outer branch once per side."""
+    """Each query finds every branch edge and zero in one np.searchsorted
+    call (two more bound every query's window), and takes no |u|: it
+    evaluates its innermost branch once, as one slice, where the branch
+    is even, and otherwise its mirror once on offsets u <= 0 and its
+    evaluate once on u >= 0; and each outer branch once per side, the
+    mirror on u <= 0 and the evaluate on u >= 0."""
     kernel = kernel_constants(family, 1)
     sample = Sample(np.random.default_rng(4).standard_normal(500))
     queries = np.linspace(-3.0, 3.0, 7)
     want = estimate_density(sample, kernel, 0.4, queries)
-    searches, evaluations = [], []
-    searchsorted = np.searchsorted
+    searches, evaluations, wrong_side = [], [], []
+    searchsorted, absolute = np.searchsorted, np.abs
     monkeypatch.setattr(np, "searchsorted",
                         lambda *args, **kw: searches.append(1) or searchsorted(*args, **kw))
+    abs_calls = []
+    monkeypatch.setattr(np, "abs", lambda *args, **kw: abs_calls.append(1) or absolute(*args, **kw))
     branches = estimator.profile_branches(kernel)
+    mirrors = estimator.profile_mirrors(kernel)
+    even = [mirror is evaluate for (_, evaluate, _), mirror in zip(branches, mirrors)]
 
-    def counted(index, evaluate):
-        return lambda r: evaluations.append(index) or evaluate(r)
+    def counted(index, form, evaluate):
+        def wrapped(u):
+            evaluations.append((index, form))
+            if not even[index] and not np.all(u <= 0.0 if form == "mirror" else u >= 0.0):
+                wrong_side.append((index, form))
+            return evaluate(u)
+        return wrapped
 
+    plain = [counted(index, "evaluate", evaluate)
+             for index, (_, evaluate, _) in enumerate(branches)]
     monkeypatch.setattr(estimator, "profile_branches", lambda kernel: [
-        (top, counted(index, evaluate), factor)
-        for index, (top, evaluate, factor) in enumerate(branches)])
+        (top, wrapped, factor) for (top, _, factor), wrapped in zip(branches, plain)])
+    monkeypatch.setattr(estimator, "profile_mirrors", lambda kernel: [
+        plain[index] if even[index] else counted(index, "mirror", mirror)
+        for index, mirror in enumerate(mirrors)])
     got = estimate_density(sample, kernel, 0.4, queries)
     assert got.tobytes() == want.tobytes()
     assert len(searches) == 2 + queries.size
-    per_query = [0] + [index for index in range(1, len(branches)) for _ in (0, 1)]
+    assert len(abs_calls) == 1  # the window's reach, once for every query
+    per_query = [(0, "evaluate")] if even[0] else [(0, "mirror"), (0, "evaluate")]
+    per_query += [(index, form) for index in range(1, len(branches))
+                  for form in ("evaluate" if even[index] else "mirror", "evaluate")]
     assert sorted(evaluations) == sorted(per_query * queries.size)
+    assert wrong_side == []
 
 
 @pytest.mark.parametrize("family", ["ngp", "cic", "tsc"])
@@ -1186,6 +1206,34 @@ class _ScatterSpy:
     def at(self, target, index, values):
         self.seen.append(index)
         np.add.at(target, index, values)
+
+
+@pytest.mark.parametrize("family, sides", [("ngp", [0]), ("cic", [-1, 1]), ("tsc", [-1, 0, 1])])
+def test_1d_deposit_weights_signed_distances_without_an_abs(family, sides, monkeypatch):
+    """On continuous 1D data each chunk's passes hand the kernel their
+    signed distances with the side their bounds give: CIC's two offsets
+    lie below and above zero, NGP's one and TSC's middle one straddle it
+    on an even branch.  Each pass lies on one branch, so none takes
+    |dist| (np.abs never runs), and the grid has the bits of the deposit
+    that weights every pass at |dist| / h."""
+    kernel = kernel_constants(family, 1)
+    sample = Sample(np.random.default_rng(13).standard_normal(100_000))
+    seen, abs_calls = [], []
+    profile, absolute = estimator._profile_in_place, np.abs
+
+    def recorded(kernel, r, bounds, side):
+        seen.append(side)
+        return profile(kernel, r, bounds, side)
+
+    with monkeypatch.context() as spied:
+        spied.setattr(estimator, "_profile_in_place", recorded)
+        spied.setattr(np, "abs", lambda *args, **kw: abs_calls.append(1) or absolute(*args, **kw))
+        got = build_grid(sample, kernel, 0.1).values
+    monkeypatch.setattr(estimator, "_profile_in_place",
+                        lambda kernel, r, bounds, side: profile(kernel, np.abs(r, out=r), bounds))
+    assert got.tobytes() == build_grid(sample, kernel, 0.1).values.tobytes()
+    assert seen == sides * -(-sample.size_Np // estimator._POINT_CHUNK)
+    assert abs_calls == []
 
 
 @pytest.mark.parametrize("dim", [1, 3])

@@ -14,7 +14,7 @@ from kdeband import (
     kernel_constants,
 )
 from kdeband import kernels
-from kdeband.kernels import profile_branches, radial_profile
+from kdeband.kernels import profile_branches, profile_mirrors, radial_profile
 
 FAMILIES = ("ngp", "cic", "tsc")
 
@@ -183,6 +183,49 @@ def test_radial_profile_clamps_only_where_shape_ends_at_zero(family, dim, monkey
     got = radial_profile(k, r, (r[0], r[-1]))
     assert got.tobytes() == full.tobytes()
     assert bool(selects) == (family == "ngp")
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_mirror_at_minus_r_has_the_bits_of_its_branch_at_r(family, dim):
+    """For every branch, mirror(-r) has the bytes of evaluate(r): on seeded
+    radii across the branch's closed interval, at its edges and the floats
+    either side of each, and at 0.0 and -0.0.  The even branches (NGP's,
+    TSC's inner) and only they are their own mirror."""
+    k = kernel_constants(family, dim)
+    branches, mirrors = profile_branches(k), profile_mirrors(k)
+    assert len(mirrors) == len(branches)
+    rng = np.random.default_rng(61)
+    previous = 0.0
+    for index, ((top, evaluate, _), mirror) in enumerate(zip(branches, mirrors)):
+        assert (mirror is evaluate) == (index == 0 and family != "cic"), index
+        edges = np.array([previous, top])
+        r = np.concatenate([
+            rng.uniform(previous, top, 2000), edges, np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf), [0.0, -0.0],
+        ])
+        assert mirror(-r).tobytes() == evaluate(r.copy()).tobytes(), (family, index)
+        previous = top
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_profile_of_signed_offsets_has_the_bits_at_their_radii(family, dim):
+    """_profile_in_place on signed offsets u, told the side of zero they
+    lie on (1: u >= 0, -1: u <= 0, 0: either), gives the bits that
+    radial_profile gives at |u| under the same bounds: on one branch by
+    its evaluate or mirror, and across zero on a branch that is not even,
+    or on several branches, after taking |u|.  -0.0 is among the u."""
+    k = kernel_constants(family, dim)
+    rng = np.random.default_rng(67)
+    marks = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
+    for lo, hi in itertools.combinations(marks, 2):
+        r = np.concatenate([rng.uniform(lo, hi, 500), [lo, hi]])
+        want = radial_profile(k, r, (lo, hi))
+        signs = rng.choice([-1.0, 1.0], r.size)
+        for side, u in ((1, r), (-1, -r), (0, signs * r)):
+            got = kernels._profile_in_place(k, u.copy(), (lo, hi), side)
+            assert got.tobytes() == want.tobytes(), (lo, hi, side)
 
 
 def _select_reference(k, r):

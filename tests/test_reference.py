@@ -292,6 +292,20 @@ def test_hernquist_pdf_of_a_window_past_half_the_largest_float():
         assert abs(eval_density(dens, x) - want) <= 4 * math.ulp(want)
 
 
+@pytest.mark.parametrize("x", [1e308, 1.5e308, np.finfo(float).max])
+def test_hernquist_pdf_where_x_plus_rc_overflows(x):
+    """At rc = 1e308, x + rc overflows from x of about 8e307 on, and the
+    pdf read 0.0 there, where the exact 2 rc x / (x + rc)^3 is a subnormal
+    (2.5e-309 at x = rc).  Taken of the halves, it is positive and within
+    a few subnormal ulps of the exact value, as a scalar and as an array,
+    and at x = 0 it is 0.0 without a warning (warnings are errors here)."""
+    dens = hernquist_radial_pdf(rc=1e308)
+    exact = 2 * Fraction(1e308) * Fraction(x) / (Fraction(x) + Fraction(1e308)) ** 3
+    got = eval_density(dens, x)
+    assert 0.0 < got and abs(got - float(exact)) <= 4 * math.ulp(0.0)
+    assert eval_density(dens, np.array([0.0, x])).tolist() == [0.0, got]
+
+
 @pytest.mark.parametrize("density", [gaussian_1d(), trimodal_1d()], ids=["gauss1d", "trimodal"])
 @pytest.mark.parametrize("x", [2e154, 1e200, 1e300, -1e300])
 def test_normal_pdf_far_out_is_zero_without_a_warning(density, x):

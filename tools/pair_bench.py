@@ -12,12 +12,12 @@ both trees on seed ``--seed`` + i, the revision first in even pairs (i = 0,
 first.  The workloads default to those ``BENCHMARK.json`` declares.
 
 For each workload and end-to-end metric it prints each side's median and
-quartiles, the ratio of the medians (this tree over REV) and how many
-pairs this tree wins by the metric's ``better`` direction; a tie wins for
-neither.  It writes the same, with every pair's values, to
-``BENCH_<label>.json`` next to ``BENCHMARK.json``.  A run that exits
-non-zero, or whose result is not ``correct`` or has failed operations,
-stops the tool with its output: no BENCH file is written.
+quartiles, the ratio of the medians (this tree over REV), how many
+pairs this tree wins by the metric's ``better`` direction (a tie wins for
+neither) and a verdict (see ``verdict``).  It writes the same, with every
+pair's values, to ``BENCH_<label>.json`` next to ``BENCHMARK.json``.  A
+run that exits non-zero, or whose result is not ``correct`` or has failed
+operations, stops the tool with its output: no BENCH file is written.
 
 Standard library only; ``perfbench/`` is run, never edited.
 """
@@ -45,13 +45,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
+def summarize(pairs: list[tuple[float, float]], better: str, bound: float | None = None) -> dict:
     """Summarize (revision, change) value pairs of one metric whose
-    ``better`` direction is "lower" or "higher"."""
+    ``better`` direction is "lower" or "higher", with the verdict under
+    the metric's relative ``bound`` where one is given."""
     base = quartiles([b for b, _ in pairs])
     change = quartiles([c for _, c in pairs])
     sign = 1.0 if better == "lower" else -1.0
-    return {
+    s = {
         "better": better,
         "pairs": len(pairs),
         "base_q1": base[0], "base_median": base[1], "base_q3": base[2],
@@ -60,14 +61,32 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
         "ratio": change[1] / base[1],
         "change_wins": sum(sign * (c - b) < 0.0 for b, c in pairs),
     }
+    if bound is not None:
+        s["bound"], s["verdict"] = bound, verdict(s, bound)
+    return s
+
+
+def verdict(s: dict, bound: float) -> str:
+    """"gain" where the change wins at least 9 in 10 of the pairs and its
+    median is better than the revision's by more than the revision's
+    interquartile range; "worse" where its median is worse by more than
+    ``bound`` times the revision's median; else "within bound"."""
+    sign = 1.0 if s["better"] == "lower" else -1.0
+    ahead = sign * (s["base_median"] - s["change_median"])
+    if 10 * s["change_wins"] >= 9 * s["pairs"] and ahead > s["base_iqr"]:
+        return "gain"
+    if -ahead > bound * abs(s["base_median"]):
+        return "worse"
+    return "within bound"
 
 
 def format_summary(workload: str, metric: str, s: dict) -> str:
-    """One printed line of a summary."""
+    """One printed line of a summary, ending in its verdict if it has one."""
     return (f"{workload:18s} {metric:18s} "
             f"base {s['base_median']:.4g} [{s['base_q1']:.4g}, {s['base_q3']:.4g}]  "
             f"change {s['change_median']:.4g} [{s['change_q1']:.4g}, {s['change_q3']:.4g}]  "
-            f"ratio {s['ratio']:.4f}  change wins {s['change_wins']}/{s['pairs']}")
+            f"ratio {s['ratio']:.4f}  change wins {s['change_wins']}/{s['pairs']}"
+            + (f"  {s['verdict']}" if "verdict" in s else ""))
 
 
 def _git(*args: str) -> bytes:
@@ -109,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="repeatable; default: every declared workload")
     args = p.parse_args(argv)
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
-    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
 
     doc = {"label": args.label, "pairs": args.pairs, "seconds": args.seconds,
            "seed": args.seed, "change_head": _git("rev-parse", "HEAD").decode().strip(),
@@ -134,8 +153,8 @@ def main(argv: list[str] | None = None) -> int:
                                 for side in ("base", "change")}})
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} done", flush=True)
             summary = {name: summarize([(r["base"][name], r["change"][name]) for r in runs],
-                                       better)
-                       for name, better in metrics.items()}
+                                       m["better"], m["bound"])
+                       for name, m in metrics.items()}
             doc["workloads"][workload] = {"runs": runs, "summary": summary}
     for workload, data in doc["workloads"].items():
         for name, s in data["summary"].items():
