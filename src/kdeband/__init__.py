@@ -11,10 +11,9 @@ one function per step of the selection (``build_grid``,
 and for direct evaluation (``estimate_density``), each of which reads d
 from its inputs.  ``kdeband.selector`` holds the plug-in method (the
 corrected roughness, h_opt, the AMISE and the iteration),
-``kdeband.estimator`` the KDE machinery it runs on (samples, grids, the
-deposit, the stencil, the quadrature and direct evaluation), and
-``kdeband.kernels`` and ``kdeband.errors`` the kernels and the argument
-rules.
+``kdeband.estimator`` the KDE machinery it runs on (the kernels,
+samples, grids, the deposit, the stencil, the quadrature and direct
+evaluation), and ``kdeband.errors`` the argument rules.
 
 The validation studies stay out of the package namespace: their
 samplers and synthetic laws are the submodule ``kdeband.reference``, with
@@ -35,17 +34,16 @@ from functools import partial
 # Each method module's __all__ lists its public names; the package
 # re-exports them.  The study module is imported, not re-exported, so
 # kdeband.reference resolves after `import kdeband`.
-from . import errors, estimator, kernels, reference, selector
+from . import errors, estimator, reference, selector
 from .errors import *  # noqa: F403
 from .estimator import *  # noqa: F403
-from .kernels import *  # noqa: F403
 from .selector import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = ["__version__"] + [
     name
-    for module in (errors, kernels, estimator, selector)
+    for module in (errors, estimator, selector)
     for name in module.__all__
 ]
 
@@ -59,14 +57,14 @@ samplers = reference
 
 def _in_dim(fn, d):
     def call(first, kernel, *args, **kwargs):
-        kernels.common_dim(d, kernel=kernel.dim)
+        estimator.common_dim(d, kernel=kernel.dim)
         return fn(first, kernel, *args, **kwargs)
 
     return call
 
 
-kernel_constants_1d = partial(kernels.kernel_constants, dim=1)
-kernel_constants_3d = partial(kernels.kernel_constants, dim=3)
+kernel_constants_1d = partial(estimator.kernel_constants, dim=1)
+kernel_constants_3d = partial(estimator.kernel_constants, dim=3)
 build_grid_1d = _in_dim(estimator.build_grid, 1)
 build_grid_3d = _in_dim(estimator.build_grid, 3)
 corrected_roughness_1d = _in_dim(selector.corrected_roughness, 1)

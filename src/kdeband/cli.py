@@ -49,8 +49,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import KdebandError, _check_count, _check_index
-from .estimator import Sample, _adopt, build_grid, estimate_density
-from .kernels import kernel_constants
+from .estimator import Sample, _adopt, build_grid, estimate_density, kernel_constants
 from .reference import (
     _LAWS,
     HERNQUIST_EXTERNAL_REFERENCE,
@@ -204,12 +203,18 @@ def _write(path: str | None, header_lines: list[str], *columns) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-# _read_rows parses a file _READ_BLOCK bytes at a time, each block cut after
-# its last newline and held behind _PAD bytes of b"0", so the 8-byte words
-# gathered below a token's end stay in the buffer.  At 2^17 bytes a block
-# of 1D %.17g rows holds about 6,500 tokens; loading 5e5 of them peaks at
-# 1.26 times the sample's bytes (2^16: 1.16 but 15 % slower, 2^18: 1.63).
+# _read_rows parses a file a block at a time, each block cut after its last
+# newline and held behind _PAD bytes of b"0", so the 8-byte words gathered
+# below a token's end stay in the buffer.  A block spans at most
+# _READ_BLOCK bytes and _READ_TOKENS tokens at the file's mean bytes per
+# token, since its temporaries grow with its tokens.  2^17 bytes of 1D
+# %.17g rows hold about 6,500 tokens; loading 5e5 of them peaks at 1.26
+# times the sample's bytes (2^16: 1.16 but 15 % slower, 2^18: 1.63).
+# Integers or %.6f values, shorter tokens with fewer temporaries each, peak
+# at 1.26 and 1.24 in blocks of 2^13 tokens (1.37 and 1.38 in 2^17 bytes;
+# in 6,500 tokens 1.21 and 1.20 but 4-8 % slower).
 _READ_BLOCK = 1 << 17
+_READ_TOKENS = 1 << 13
 _PAD = 32
 _U64 = np.uint64
 
@@ -417,11 +422,8 @@ def _parse_block(buf, words, stop_at, cols):
     after the line's ``cols``-th."""
     stop = np.flatnonzero(buf[:stop_at] <= 32)
     kind = buf[stop]
-    if cols == 1:
-        if not (kind == 10).all():
-            return None
-    elif len(stop) % cols or not ((kind.reshape(-1, cols)[:, :-1] == 32).all()
-                                  and (kind[cols - 1::cols] == 10).all()):
+    if len(stop) % cols or not ((kind.reshape(-1, cols)[:, :-1] == 32).all()
+                                and (kind[cols - 1::cols] == 10).all()):
         return None
     start = np.empty_like(stop)
     start[0] = _PAD
@@ -474,8 +476,8 @@ def _read_rows(fh):
     The file is leading lines that start with '#', then lines of ``cols``
     tokens (the first line's count) joined by one space, each line ended
     by a newline; ``_load_sample_file`` gives the token grammar.  One
-    counting pass sizes the output, then each block's rows are parsed
-    into it.
+    counting pass sizes the output and the blocks, then each block's rows
+    are parsed into it.
     """
     raw = bytearray(_PAD + _READ_BLOCK)
     raw[:_PAD] = b"0" * _PAD
@@ -502,6 +504,7 @@ def _read_rows(fh):
         got, lo = fh.readinto(view), _PAD
     if last != 10:
         return None
+    view = view[:min(_READ_BLOCK, _READ_TOKENS * (fh.tell() + _PAD - pos) // (rows * cols))]
     out = np.empty((rows, cols))
     flat = out.reshape(-1)
     done = carry = 0

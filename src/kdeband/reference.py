@@ -66,8 +66,15 @@ from .errors import (
     _out_of_range,
     _positive_real,
 )
-from .estimator import Sample, _adopt
-from .kernels import Kernel, _as_rows, common_dim, eval_kernel, kernel_constants
+from .estimator import (
+    Kernel,
+    Sample,
+    _adopt,
+    _as_rows,
+    common_dim,
+    eval_kernel,
+    kernel_constants,
+)
 from .selector import optimal_bandwidth
 
 __all__ = [

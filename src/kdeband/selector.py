@@ -69,8 +69,7 @@ from .errors import (
     _out_of_range,
     _positive_real,
 )
-from .estimator import Sample, build_grid, integrate_squared, laplacian
-from .kernels import Kernel, common_dim
+from .estimator import Kernel, Sample, build_grid, common_dim, integrate_squared, laplacian
 
 __all__ = [
     "RoughnessResult",

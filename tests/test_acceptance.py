@@ -32,11 +32,9 @@ from kdeband.estimator import (
     Sample,
     build_grid,
     estimate_density,
-    laplacian,
-)
-from kdeband.kernels import (
     eval_kernel,
     kernel_constants,
+    laplacian,
     radial_profile,
 )
 from kdeband.reference import (

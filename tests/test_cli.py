@@ -24,7 +24,7 @@ from numpy.testing import assert_allclose
 import kdeband.cli
 import kdeband.estimator
 from kdeband.cli import main
-from kdeband.kernels import kernel_constants
+from kdeband.estimator import kernel_constants
 from kdeband.reference import (
     HERNQUIST_EXTERNAL_REFERENCE,
     analytic_optimal_bandwidth,
@@ -1050,13 +1050,22 @@ def test_sample_file_memory_is_the_draw_plus_one_block(tmp_path):
     assert peak < 2 * n * dim * 8 + _BLOCK_BYTES_PER_VALUE * dim * kdeband.cli._ROW_BLOCK
 
 
-def test_sample_file_load_keeps_one_array_of_the_sample(tmp_path):
+@pytest.mark.parametrize("fmt", [None, "%d", "%.6f"], ids=["sample", "int", "fixed"])
+def test_sample_file_load_keeps_one_array_of_the_sample(tmp_path, fmt):
     """The loaded rows become the sample's points, frozen in place: the
     traced peak of loading a 5e5-line 1D file is 1.28 times the sample's
-    bytes (2.02 while the sample copied the rows)."""
+    bytes (2.02 while the sample copied the rows).  Short tokens (integers
+    below 2^31, %.6f normals) fit more rows in 2^17 bytes, so the reader
+    caps a block at 2^13 tokens: they peak at 1.26 and 1.24 (1.37 and 1.38
+    without the cap)."""
     path = str(tmp_path / "g.txt")
-    assert main(["sample", "--generator", "gauss1d", "--np", "500000", "--seed", "1",
-                 "--out", path]) == 0
+    if fmt is None:
+        assert main(["sample", "--generator", "gauss1d", "--np", "500000", "--seed", "1",
+                     "--out", path]) == 0
+    else:
+        rng = np.random.default_rng(1)
+        values = rng.integers(0, 2 ** 31, 500_000) if fmt == "%d" else rng.standard_normal(500_000)
+        np.savetxt(path, values, fmt=fmt)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kdeband import estimator
-from kdeband.kernels import radial_profile
+from kdeband.estimator import radial_profile
 from kdeband import (
     DomainError,
     Sample,
@@ -1198,6 +1198,9 @@ class _ScatterSpy:
 
     def __getattr__(self, name):
         return getattr(np, name)
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
 
     def bincount(self, index, *args, **kwargs):
         self.seen.append(index)

@@ -13,8 +13,8 @@ from kdeband import (
     eval_kernel,
     kernel_constants,
 )
-from kdeband import kernels
-from kdeband.kernels import profile_branches, profile_mirrors, radial_profile
+from kdeband import estimator as kernels
+from kdeband.estimator import profile_branches, profile_mirrors, radial_profile
 
 FAMILIES = ("ngp", "cic", "tsc")
 

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from kdeband.errors import DomainError
-from kdeband.kernels import kernel_constants
+from kdeband.estimator import kernel_constants
 from kdeband.reference import (
     AnalyticDensity,
     analytic_optimal_bandwidth,

@@ -140,8 +140,9 @@ def test_wide_mantissas_among_short_decimals_read_as_loadtxt(tmp_path):
 
 def test_kdeband_sample_files_take_the_fast_path(tmp_path):
     """The files ``kdeband sample`` writes (the benchmark's input) read
-    as np.loadtxt reads them, without handing any token on."""
-    for generator, dim in (("gauss1d", 1), ("gauss3d", 3)):
+    as np.loadtxt reads them, without handing any token on: Hernquist
+    radii reach 10^3, and TSC-shaped draws near 0 print exponents."""
+    for generator in ("gauss1d", "gauss3d", "tscdens1d", "trimodal", "hernquist"):
         path = tmp_path / f"{generator}.txt"
         assert main(["sample", "--generator", generator, "--np", "30000", "--seed", "4",
                      "--out", str(path)]) == 0

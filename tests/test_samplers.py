@@ -17,8 +17,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from kdeband.errors import DomainError
-from kdeband.estimator import Sample
-from kdeband.kernels import eval_kernel, kernel_constants
+from kdeband.estimator import Sample, eval_kernel, kernel_constants
 from kdeband.reference import _LAWS
 from kdeband.reference import (
     RNG_NAME,

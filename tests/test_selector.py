@@ -22,8 +22,7 @@ from kdeband.errors import (
     NonPositiveBandwidth,
     NonPositiveRoughness,
 )
-from kdeband.estimator import Sample
-from kdeband.kernels import Kernel, kernel_constants
+from kdeband.estimator import Kernel, Sample, kernel_constants
 from kdeband.reference import analytic_optimal_bandwidth, gaussian_1d, gaussian_3d
 from kdeband.selector import corrected_roughness
 from kdeband.reference import (
