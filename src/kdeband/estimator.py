@@ -303,15 +303,19 @@ def radial_profile(
 
     ``bounds`` is a pair (lo, hi) with lo <= r <= hi for every r; the
     default (-inf, inf) bounds nothing.  If one branch's interval
-    (previous top, top] holds both, only that branch is computed, and
-    beyond the last top only zeros.  If lo is inside the last branch and
-    hi beyond its top, and W is zero at that top (CIC, TSC; not NGP), the
-    last branch is computed on min(r, top), which gives W(top) = +0.0
-    beyond the top.  Otherwise the branch of each
-    radius is picked per radius (_select_per_radius), and where hi is at or
-    below the last top no radius is tested against it.  Each value is bit
-    for bit the one the per-radius pick gives under the default bounds; a
-    scalar r with the bounds (r, r) thus takes one branch and no pick.
+    (previous top, top] holds both, only that branch is computed.  If lo
+    is past the last branch's floor and hi beyond its top, and W is zero
+    at that top (CIC, TSC; not NGP), the last branch is computed on
+    min(r, top), which gives W(top) = +0.0 beyond the top, as it does
+    where lo is past the top too.  Otherwise the branch of each radius is
+    picked per radius (_select_per_radius), +0.0 beyond the last top, and
+    where hi is at or below that top no radius is tested against it.  Each
+    value is bit for bit the one the per-radius pick gives under the
+    default bounds; a scalar r with the bounds (r, r) thus takes one
+    branch and no pick.  No library path gives radii whose lo is past the
+    last top, w/2: a 1D deposit offset is kept only where its nearest
+    distance is within T of _support_cutoff_sq, and the 3D deposit and
+    direct evaluation weight only radii within T (see _within_support).
     """
     return _profile_in_place(kernel, np.array(r, dtype=float), bounds)
 
@@ -350,9 +354,6 @@ def _profile_in_place(
                 np.abs(r, out=r)
             return _scaled((mirror if side < 0 else evaluate)(r), factor * scale)
     top, evaluate, factor = branches[-1]
-    if lo > top:
-        r.fill(0.0)
-        return r
     if side < 1:
         np.abs(r, out=r)
     if lo > floors[-1] and _ZERO_AT_TOP[family]:
@@ -522,6 +523,26 @@ def _support_cutoff_sq(h: float, support: float) -> float:
     while radius(above := math.nextafter(s, math.inf)) <= support:
         s = above
     return s
+
+
+def _within_support(kernel: Kernel, sq: np.ndarray, cut: float, h: float, lo: float = 0.0):
+    """The indices, ascending, of the summed squares in sq that are at
+    most ``cut``, the T of _support_cutoff_sq, and the kernel weights at
+    their radii, for the 3D (point, node) and (query, point) pairs.
+
+    s <= T holds exactly where the radius sqrt(s) / h is at most w/2, so
+    the pairs it drops are those whose weight is +0.0, and only the kept
+    ones are rooted and divided by h.  Their radii lie within the bounds
+    (lo, sqrt(T) / h), lo a bound of the caller's (0 where it has none):
+    CIC and NGP compute their one branch, and TSC its outer branch or a
+    pick per radius, without testing the support again.  sq is left as
+    it is.
+    """
+    keep = np.flatnonzero(sq <= cut)
+    r = sq.take(keep)
+    np.sqrt(r, out=r)
+    r /= h
+    return keep, _profile_in_place(kernel, r, (lo, math.sqrt(cut) / h))
 
 
 def _contiguous_std(x):
@@ -779,22 +800,21 @@ def _kernel_sums_1d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
 def _stable_argsort(key: np.ndarray, bound: int) -> np.ndarray:
     """np.argsort(key, kind="stable") of integer keys 0 <= key < bound.
 
-    A stable sort has one permutation, whatever the keys' dtype.  Where
-    bound <= 2^16 the keys fit a uint16, which numpy's stable sort
-    radix-sorts: about a third of the time of the int64 sort at 2e5 keys.
-    numpy's default sort is not stable, and the order it gives tied keys
-    depends on the CPU and the numpy build.  Where bound * key.size fits
-    an int64, the keys key * size + index are distinct and order as the
-    stable sort orders key, so the default sort gives the stable
-    permutation, at well under half the cost of kind="stable" on int64
-    keys.  Otherwise the stable sort runs on the keys as they are.
+    A stable sort has one permutation, whatever the keys' dtype or the
+    algorithm.  This one is a least-significant-digit radix sort on 16-bit
+    digits, as many as bound needs: each digit, low digit first, is cast
+    to a uint16 (a cast that keeps the low 16 bits), which numpy's stable
+    sort radix-sorts, and sorts the permutation so far.  Below 2^16 that is
+    one stable sort of the keys as uint16, about a third of the time of
+    the int64 stable sort at 2e5 keys.  numpy's default sort is not
+    stable, and the order it gives tied keys depends on the CPU and the
+    numpy build.
     """
-    if bound <= 1 << 16:
-        return np.argsort(key.astype(np.uint16), kind="stable")
-    size = key.size
-    if bound * size < 2 ** 63:  # Python ints: the test cannot overflow
-        return np.argsort(key * size + np.arange(size))
-    return np.argsort(key, kind="stable")
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, (bound - 1).bit_length(), 16):
+        digit = np.right_shift(key.take(order), shift).astype(np.uint16)
+        order = order.take(np.argsort(digit, kind="stable"))
+    return order
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -835,12 +855,8 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     pairs, and summed per query with a bincount: cost scales with the
     candidate pairs, about 2.4 per pair inside the support sphere (3.7
     over the whole cube of five cells per axis), not with queries x Np.
-    A chunk keeps its pairs with r <= w/2 by index, in their order, by
-    their summed squares s <= T (see _support_cutoff_sq), so only the kept
-    pairs, about 41 % of them on a Gaussian, are rooted and divided by h.
-    It weights them with the bounds (0, sqrt(T) / h), at most w/2: CIC and
-    NGP compute their one branch, and TSC picks its branch per radius
-    without testing the support again.
+    A chunk weights only its pairs within the support (_within_support),
+    about 41 % of them on a Gaussian.
 
     Cells are numbered by their rank among the occupied cells of each axis,
     so no key grows with the bounding box.  Each axis's cells and the
@@ -926,7 +942,6 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
     count = np.searchsorted(key, c + stop_z) - begin
 
     cut = _support_cutoff_sq(h, support)
-    bounds = (0.0, math.sqrt(cut) / h)  # the kept radii's: at most w/2
     out = np.zeros(queries.shape[0], dtype=float)
     ends = np.cumsum(count)
     i = 0
@@ -943,11 +958,7 @@ def _kernel_sums_3d(sample: Sample, kernel: Kernel, h: float, queries: np.ndarra
             dist -= np.repeat(target[q[i:j]], n)
             dist *= dist
             sq = dist if sq is None else np.add(sq, dist, out=sq)
-        inside = np.flatnonzero(sq <= cut)
-        r = sq.take(inside)
-        np.sqrt(r, out=r)
-        r /= h
-        weights = _profile_in_place(kernel, r, bounds)
+        inside, weights = _within_support(kernel, sq, cut, h)
         out += np.bincount(owner.take(inside), weights=weights, minlength=out.size)
         i = j
     return out
@@ -1004,12 +1015,13 @@ def build_grid(
     _axis_offsets and _passes).  One threshold decides what may carry
     weight: T = _support_cutoff_sq(h, w/2), the largest squared distance
     whose radius is within the support.  An offset whose nearest bound on
-    an axis lies past T for every point is skipped, and a culled pass
-    keeps only its points within T; either leaves every value bit for bit
-    as it would be with every offset computed.  TSC runs 3^d passes, CIC
-    2^d and NGP one, plus one more offset on an axis where some point lies
-    exactly on the closed boundary of the support or rounds onto its edge;
-    for CIC and TSC such a pass adds +0.0.
+    an axis lies past T for every point is skipped, and a 3D pass whose
+    far bound lies past T keeps only its points within T (see
+    _within_support); either leaves every value bit for bit as it would
+    be with every offset computed.  TSC runs 3^d passes, CIC 2^d and NGP
+    one, plus one more offset on an axis where some point lies exactly on
+    the closed boundary of the support or rounds onto its edge; for CIC
+    and TSC such a pass adds +0.0.
 
     The points are taken in chunks of ``_POINT_CHUNK``, so the deposit's
     point-sized arrays are a chunk's, whatever Np, a contiguous copy of
@@ -1017,13 +1029,13 @@ def build_grid(
     weights into an accumulator of its own, at each point's slot, which
     every pass of a chunk shares: the flat index of the point's node at
     offset 0, a node of the grid (see _chunk_axes), so an accumulator has
-    one slot per node.  A pass the support cutoff culls (see _passes: in
-    TSC3 the 8 corner passes) sums only the points it keeps, at their
-    slots, taken from the shared array in point order.  Every chunk sums
-    by one rule: np.add.at into the pass's accumulator, zeros when the
-    pass first runs, term by term in point order, so a sum starts at +0.0
-    and every accumulator is a float array, even one that no point has
-    reached.  A pass's offsets only decide which node a slot stands for, so
+    one slot per node.  A pass the support cutoff culls (see _passes:
+    every 3D pass but TSC3's centre one) sums only the points it keeps,
+    at their slots, taken from the shared array in point order.  Every
+    chunk sums by one rule: np.add.at into the pass's accumulator, zeros
+    when the pass first runs, term by term in point order, so a sum
+    starts at +0.0 and every accumulator is a float array, even one that
+    no point has reached.  A pass's offsets only decide which node a slot stands for, so
     they are applied once, as a shift, when the pass goes into the grid
     (_add_pass).  Once no later chunk can add to them, the accumulators go
     into the grid in pass order, offsets in lexicographic order with -1
@@ -1266,21 +1278,18 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
     branch's evaluate or mirror on them, and any other takes |dist| / h
     first (see _profile_in_place).
 
-    In d > 1 a pass whose bounds say most of it is zero, where
-    lo >= w/4 and hi > w/2, is culled before the root: it keeps, by index
-    in point order, the points whose summed square is at most ``cut``, the
-    T of _support_cutoff_sq by which _axis_offsets kept the offsets, which
-    are exactly those with r <= w/2, and computes r and the weights for
-    them alone, under the bounds (lo, sqrt(T) / h).  A pass of an offset
-    kept on a lattice with its nearest point at r = w/2 exactly is +0.0
-    throughout for CIC and TSC.  Each point it drops would have added
-    +0.0.  In
-    TSC3 on continuous data these are the 8 corner passes, lo about
-    sqrt(3)/2: 83 % zeros in a chunk of 32768 Gaussian points at
-    h = 0.355.  The 12 edge passes, lo about sqrt(2)/2 and 49 % zeros,
-    are not culled, and CIC3 and NGP3 cull none.  A pass yields its
-    offsets, the weights and the kept indices, None where it keeps every
-    point.
+    In d > 1 a pass whose far bound lies past the support, far**2 > T
+    for ``cut``, the T of _support_cutoff_sq by which _axis_offsets kept
+    the offsets, is culled before the root by the rule the direct
+    evaluation applies to its pairs (_within_support): it keeps, by index
+    in point order, the points whose summed square is at most T, exactly
+    those with r <= w/2, and computes r and the weights for them alone,
+    under the bounds (lo, sqrt(T) / h).  Each point it drops would have
+    added +0.0.  On continuous data that is every pass of CIC3 and NGP3
+    and every TSC3 pass but the centre one, whose bounds lie wholly
+    inside the support; it and every 1D pass weight all their points in
+    place.  A pass yields its offsets, the weights and the kept indices,
+    None where it keeps every point.
 
     The kernel's normalization n and a branch's factor (1/2 on TSC's
     outer branch, else 1) go in as one multiply by their product, which is
@@ -1288,7 +1297,6 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
     number (see _profile_in_place).
     """
     a = len(offsets)
-    support = 0.5 * kernel.width_w
     for o, dist, near, far, side in axes[a]:
         key = offsets + (o,)
         s = dist if sq is None else sq + dist
@@ -1296,15 +1304,16 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
         if a + 1 < len(axes):
             yield from _passes(kernel, h, cut, axes, key, s, (near_sq, far_sq))
             continue
-        lo, hi = math.sqrt(near_sq) / h, math.sqrt(far_sq) / h
-        keep = None
-        if sq is not None and 2 * lo >= support and hi > support:  # mostly zeros
-            keep = np.flatnonzero(s <= cut)
-            s, hi = s.take(keep), math.sqrt(cut) / h
-        r = s if sq is None else np.sqrt(s, out=s)  # one axis: s holds dist
-        r /= h
-        weights = _profile_in_place(kernel, r, (lo, hi), side)
-        del r, s
+        lo = math.sqrt(near_sq) / h
+        if sq is not None and far_sq > cut:  # past the support
+            keep, weights = _within_support(kernel, s, cut, h, lo)
+        else:
+            keep = None
+            r = s if sq is None else np.sqrt(s, out=s)  # one axis: s holds dist
+            r /= h
+            weights = _profile_in_place(kernel, r, (lo, math.sqrt(far_sq) / h), side)
+            del r
+        del s
         yield key, weights, keep
         del weights, keep
 

@@ -335,8 +335,8 @@ def test_3d_estimate_in_many_chunks_matches_recorded_bits(case, family, h, monke
 
 def test_3d_cell_order_is_the_stable_sort(monkeypatch):
     """The cell list orders the points of each cell as the stable sort
-    does, on a lattice sample where most cells hold many points, and
-    where bound * size cannot be an int64 the stable sort itself runs."""
+    does, on a lattice sample where most cells hold many points, and so
+    do the four 16-bit digits of a bound of 2^62."""
     seen = []
     stable_argsort = estimator._stable_argsort
 
@@ -355,10 +355,11 @@ def test_3d_cell_order_is_the_stable_sort(monkeypatch):
     assert_array_equal(stable_argsort(key, 2 ** 62), np.argsort(key, kind="stable"))
 
 
-@pytest.mark.parametrize("bound", [1, 1 << 16, (1 << 16) + 1])
+@pytest.mark.parametrize("bound", [1, 1 << 16, (1 << 16) + 1, (1 << 32) + 1, 1 << 48])
 def test_stable_argsort_is_the_stable_sort_either_side_of_16_bits(bound):
-    """Keys below 2^16 are sorted as uint16, and wider ones as distinct
-    int64 keys: either way the permutation is the stable sort's."""
+    """Keys below 2^16 are sorted as uint16, and wider ones a 16-bit
+    digit at a time, low digit first: either way the permutation is the
+    stable sort's."""
     key = np.random.default_rng(67).integers(0, bound, 50_000)
     key[:2] = bound - 1
     assert_array_equal(estimator._stable_argsort(key, bound), np.argsort(key, kind="stable"))
@@ -902,23 +903,31 @@ def _count_chunks(monkeypatch):
 
 
 # sha256 of build_grid(...).values.tobytes() for a default_rng(5) standard
-# normal sample, TSC, recorded before the deposit took its points in chunks.
+# normal sample, per family: TSC recorded before the deposit took its points
+# in chunks, CIC3 and NGP3 before the support cutoff culled their passes.
 MULTI_CHUNK_DEPOSIT_SHA256 = {
-    (1, 300_000, 0.133): "cfc047e255532eafb49f520f81817c6b8962992feb7da870b2a566554b310403",
-    (3, 100_000, 0.355): "1cf8d00b793f9fe422370ce39df53e43abf5fb19d753471622124f5463e2c10c",
+    (1, 300_000, 0.133): {
+        "tsc": "cfc047e255532eafb49f520f81817c6b8962992feb7da870b2a566554b310403",
+    },
+    (3, 100_000, 0.355): {
+        "tsc": "1cf8d00b793f9fe422370ce39df53e43abf5fb19d753471622124f5463e2c10c",
+        "cic": "981c5048c111501bc003a69124f78c21a54b4bf84be45b684edc6967d84b692a",
+        "ngp": "d0ee176fa431c598cde56f726b48b997887183f1c2a69f61193643d6f2af5166",
+    },
 }
 
 
 @pytest.mark.parametrize("dim, Np, h", sorted(MULTI_CHUNK_DEPOSIT_SHA256))
 def test_multi_chunk_deposit_matches_recorded_bits(dim, Np, h, monkeypatch):
     """A deposit over several chunks of the default size has the bits it
-    had before the deposit was chunked."""
+    had before the deposit was chunked, or before its passes were culled."""
     chunks = _count_chunks(monkeypatch)
     sample = Sample(np.random.default_rng(5).standard_normal(Np if dim == 1 else (Np, dim)))
-    grid = build_grid(sample, kernel_constants("tsc", dim), h)
-    assert len(chunks) == -(-Np // estimator._POINT_CHUNK) > 1
-    digest = hashlib.sha256(grid.values.tobytes()).hexdigest()
-    assert digest == MULTI_CHUNK_DEPOSIT_SHA256[dim, Np, h]
+    for family, recorded in MULTI_CHUNK_DEPOSIT_SHA256[dim, Np, h].items():
+        chunks.clear()
+        grid = build_grid(sample, kernel_constants(family, dim), h)
+        assert len(chunks) == -(-Np // estimator._POINT_CHUNK) > 1
+        assert hashlib.sha256(grid.values.tobytes()).hexdigest() == recorded, family
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 257])
@@ -1245,11 +1254,11 @@ def test_deposit_builds_w_offsets_per_axis_and_one_index_per_chunk(family, dim, 
     """On a 1e5-point Gaussian every chunk keeps exactly the offsets
     0..w-1 of each axis.  An offset other than 0 is built only once it is
     kept, and offset 0 always is, so each chunk builds exactly w offsets
-    per axis: never offset -1 or w, which carry no weight.  Every pass of
-    a chunk sums at the one slot array the chunk made, and no pass makes
-    an index array of its own, except the passes the support cutoff
-    culls: exactly TSC3's 8 corner passes, each of which sums at the
-    chunk's slots of the points it keeps, in point order."""
+    per axis: never offset -1 or w, which carry no weight.  Every pass
+    wholly inside the support, TSC3's centre pass and every 1D pass, sums
+    at the one slot array the chunk made.  Every other 3D pass reaches
+    past w/2, and the support cutoff culls it: it sums at the chunk's
+    slots of the points it keeps, in point order."""
     kernel = kernel_constants(family, dim)
     w = kernel.width_w
     Np = 100_000
@@ -1276,11 +1285,11 @@ def test_deposit_builds_w_offsets_per_axis_and_one_index_per_chunk(family, dim, 
     assert len(slots) == n_chunks
     assert kept == [list(range(w))] * (dim * n_chunks)
     assert len(seen) == w ** dim * n_chunks
-    corners = [family == "tsc" and dim == 3 and 1 not in key
-               for key in itertools.product(range(w), repeat=dim)]
+    centre = (1,) * dim if family == "tsc" else None
+    culled = [dim == 3 and key != centre for key in itertools.product(range(w), repeat=dim)]
     for c, index in enumerate(slots):
-        for corner, at in zip(corners, seen[c * w ** dim:(c + 1) * w ** dim]):
-            if not corner:
+        for cull, at in zip(culled, seen[c * w ** dim:(c + 1) * w ** dim]):
+            if not cull:
                 assert at is index
             else:  # some of the chunk's slots, in point order: a subsequence
                 chunk_slots = iter(index.tolist())
