@@ -113,12 +113,18 @@ def _parse_seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_count_list(text: str) -> list[int]:
-    return [_parse_count(part) for part in text.split(",") if part.strip()]
+def _list_of(parse):
+    """A flag type: the comma-separated list of what ``parse`` reads.  A
+    list with no entries ("," or "") is a usage error, so it never stands
+    for the default."""
 
+    def parse_list(text: str) -> list[int]:
+        values = [parse(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"a list with no entries: {text!r}")
+        return values
 
-def _parse_seed_list(text: str) -> list[int]:
-    return [_parse_seed(part) for part in text.split(",") if part.strip()]
+    return parse_list
 
 
 def _selection_flags(args) -> tuple[SelectorConfig, int | None]:
@@ -892,9 +898,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a named validation study")
     p_exp.add_argument("name", choices=sorted(_LAWS))
-    p_exp.add_argument("--np", type=_parse_count_list, default=None,
+    p_exp.add_argument("--np", type=_list_of(_parse_count), default=None,
                        help="comma-separated point counts (default: study decades)")
-    p_exp.add_argument("--seed", type=_parse_seed_list, default=None,
+    p_exp.add_argument("--seed", type=_list_of(_parse_seed), default=None,
                        help="comma-separated seeds (default: 1,2,3,4,5)")
     _add_selector_flags(p_exp)
     _add_hernquist_flags(p_exp)

@@ -256,11 +256,9 @@ _MIRRORS = {
 }
 
 
-# Per family, what the profile reads on every call: the lower end of
-# each branch's interval, (-inf, then each previous top), and whether W is
-# +0.0 at the last top.
+# Per family, the lower end of each branch's interval: -inf, then each
+# previous top.
 _FLOORS = {f: (-np.inf,) + tuple(top for top, _, _ in b[:-1]) for f, b in _BRANCHES.items()}
-_ZERO_AT_TOP = {f: bool(b[-1][1](np.array(b[-1][0])) == 0.0) for f, b in _BRANCHES.items()}
 
 
 def _family(kernel: Kernel) -> str:
@@ -303,19 +301,16 @@ def radial_profile(
 
     ``bounds`` is a pair (lo, hi) with lo <= r <= hi for every r; the
     default (-inf, inf) bounds nothing.  If one branch's interval
-    (previous top, top] holds both, only that branch is computed.  If lo
-    is past the last branch's floor and hi beyond its top, and W is zero
-    at that top (CIC, TSC; not NGP), the last branch is computed on
-    min(r, top), which gives W(top) = +0.0 beyond the top, as it does
-    where lo is past the top too.  Otherwise the branch of each radius is
-    picked per radius (_select_per_radius), +0.0 beyond the last top, and
-    where hi is at or below that top no radius is tested against it.  Each
-    value is bit for bit the one the per-radius pick gives under the
-    default bounds; a scalar r with the bounds (r, r) thus takes one
-    branch and no pick.  No library path gives radii whose lo is past the
-    last top, w/2: a 1D deposit offset is kept only where its nearest
-    distance is within T of _support_cutoff_sq, and the 3D deposit and
-    direct evaluation weight only radii within T (see _within_support).
+    (previous top, top] holds both, only that branch is computed.
+    Otherwise the branch of each radius is picked per radius
+    (_select_per_radius), +0.0 beyond the last top, and where hi is at or
+    below that top no radius is tested against it.  Each value is bit for
+    bit the one the per-radius pick gives under the default bounds; a
+    scalar r with the bounds (r, r) thus takes one branch and no pick.  No
+    library path gives bounds past the last top, w/2: every deposit pass
+    and every set of 3D evaluation pairs whose far bound passes it keeps
+    only the radii within T of _support_cutoff_sq (see _within_support),
+    and eval_kernel, which gives radii past it, bounds nothing.
     """
     return _profile_in_place(kernel, np.array(r, dtype=float), bounds)
 
@@ -329,10 +324,13 @@ def _profile_in_place(
     r may instead hold signed offsets u whose radii are |u|, which
     ``bounds`` then bound: ``side`` is 1 where every u is >= 0 (radii,
     the default), -1 where every u is <= 0 and 0 where they may have
-    either sign.  Where one branch holds the bounds, its mirror (see
-    profile_mirrors) is computed on u <= 0 and its evaluate on u >= 0, or
-    on u of either sign where the branch is even; otherwise |u| is taken
-    first.  Each value has the bits it has at the radius |u|.
+    either sign.  So there are two paths.  Where one branch holds the
+    bounds and the side suits it, its mirror (see profile_mirrors) is
+    computed on u <= 0 and its evaluate on u >= 0, or on u of either sign
+    where the branch is even.  Otherwise |u| is taken and the branch is
+    picked per radius (_select_per_radius); on offsets of either sign on
+    one branch that is not even (CIC's), that pick computes the one
+    branch.  Each value has the bits it has at the radius |u|.
 
     A branch's factor and the kernel's normalization n are applied as one
     multiply by c = factor * n.  Both factors are exact powers of two and
@@ -347,19 +345,13 @@ def _profile_in_place(
     branches = _BRANCHES[family]
     scale = kernel.normalization
     lo, hi = bounds
-    floors = _FLOORS[family]
-    for (top, evaluate, factor), mirror, previous in zip(branches, _MIRRORS[family], floors):
-        if previous < lo and hi <= top:
-            if side == 0 and mirror is not evaluate:
-                np.abs(r, out=r)
+    tables = zip(branches, _MIRRORS[family], _FLOORS[family])
+    for (top, evaluate, factor), mirror, previous in tables:
+        if previous < lo and hi <= top and (side or mirror is evaluate):
             return _scaled((mirror if side < 0 else evaluate)(r), factor * scale)
-    top, evaluate, factor = branches[-1]
     if side < 1:
         np.abs(r, out=r)
-    if lo > floors[-1] and _ZERO_AT_TOP[family]:
-        # W(top) is +0.0, the value beyond the top.
-        return _scaled(evaluate(np.minimum(r, top, out=r)), factor * scale)
-    return _select_per_radius(branches, scale, r, not hi <= top)
+    return _select_per_radius(branches, scale, r, not hi <= top)  # top: the last one
 
 
 def _select_per_radius(branches, scale: float, r: np.ndarray, past_top: bool) -> np.ndarray:
@@ -528,7 +520,8 @@ def _support_cutoff_sq(h: float, support: float) -> float:
 def _within_support(kernel: Kernel, sq: np.ndarray, cut: float, h: float, lo: float = 0.0):
     """The indices, ascending, of the summed squares in sq that are at
     most ``cut``, the T of _support_cutoff_sq, and the kernel weights at
-    their radii, for the 3D (point, node) and (query, point) pairs.
+    their radii: for the (point, node) pairs of every deposit pass whose
+    far bound passes w/2, in any d, and the 3D (query, point) pairs.
 
     s <= T holds exactly where the radius sqrt(s) / h is at most w/2, so
     the pairs it drops are those whose weight is +0.0, and only the kept
@@ -1015,8 +1008,8 @@ def build_grid(
     _axis_offsets and _passes).  One threshold decides what may carry
     weight: T = _support_cutoff_sq(h, w/2), the largest squared distance
     whose radius is within the support.  An offset whose nearest bound on
-    an axis lies past T for every point is skipped, and a 3D pass whose
-    far bound lies past T keeps only its points within T (see
+    an axis lies past T for every point is skipped, and a pass whose far
+    bound lies past T, in any d, keeps only its points within T (see
     _within_support); either leaves every value bit for bit as it would
     be with every offset computed.  TSC runs 3^d passes, CIC 2^d and NGP
     one, plus one more offset on an axis where some point lies exactly on
@@ -1030,8 +1023,9 @@ def build_grid(
     every pass of a chunk shares: the flat index of the point's node at
     offset 0, a node of the grid (see _chunk_axes), so an accumulator has
     one slot per node.  A pass the support cutoff culls (see _passes:
-    every 3D pass but TSC3's centre one) sums only the points it keeps,
-    at their slots, taken from the shared array in point order.  Every
+    on continuous data every 3D pass but TSC3's centre one, and on a
+    lattice 1D passes too) sums only the points it keeps, at their slots,
+    taken from the shared array in point order.  Every
     chunk sums by one rule: np.add.at into the pass's accumulator, zeros
     when the pass first runs, term by term in point order, so a sum
     starts at +0.0 and every accumulator is a float array, even one that
@@ -1168,8 +1162,8 @@ def _chunk_axes(columns, origin, dims, half, w, h, cut, distinct):
     if distinct:
         occupied, slots = _ranks(slots)
     # One axis's radius is |dist| / h, the bits of sqrt(dist**2) / h (see
-    # _check_scale), taken from the signed distances; more axes sum their
-    # squares.
+    # _check_scale), taken from the signed distances of a pass within the
+    # support; more axes, and a pass past it, sum squares.
     square = len(j0) > 1
     axes = [
         _axis_offsets(x, j, origin[a], dims[a], w, h, cut, square)
@@ -1183,16 +1177,17 @@ def _axis_offsets(x, j0, origin, n, w, h, cut, square):
     weight for the points x of one chunk: o, the distance dist from each
     point to its node o steps from j0 = ceil((x - w h/2 - origin) / h),
     computed in place in an array of floats and squared there where
-    ``square`` (the chunk has more than one axis), bounds near**2,
-    far**2 with near**2 <= dist_i**2 <= far**2 for every point of the
-    chunk, all squares rounded, and the side of zero the values yielded
-    lie on (see _profile_in_place): 1 where every one is >= 0
-    (every square), -1 where the bounds below put every distance at or
-    below zero, else 0.  Every per-point value is the one the whole
-    sample gives; only the offsets kept, the bounds and the side depend
-    on the chunk.  A node j0 + o off the grid
-    needs no mask: its distance puts it outside the kernel's support (see
-    build_grid).
+    ``square`` (the chunk has more than one axis) or where the far bound
+    lies past the support, far**2 > ``cut`` (the pass is then culled by
+    the squares: see _passes), bounds near**2, far**2 with
+    near**2 <= dist_i**2 <= far**2 for every point of the chunk, all
+    squares rounded, and the side of zero the values yielded lie on (see
+    _profile_in_place): 1 where every one is >= 0 (every square), -1
+    where the bounds below put every distance at or below zero, else 0.
+    Every per-point value is the one the whole sample gives; only the
+    offsets kept, the bounds, the side and whether dist is squared depend
+    on the chunk.  A node j0 + o off the grid needs no mask: its distance
+    puts it outside the kernel's support (see build_grid).
 
     Each distance is computed as ((j0 + o) h + origin) - x in one buffer.
     j0 + o is an exact integer, so these are the bits of
@@ -1221,10 +1216,12 @@ def _axis_offsets(x, j0, origin, n, w, h, cut, square):
     chunk: the grid is bit-identical with or without them.  On continuous
     data the point nearest a support edge sits far more than the slack
     inside it (about h / 2^15 in a chunk of 2^15 points), so TSC keeps 3
-    of its offsets, CIC 2 and NGP 1.  On a lattice, a chunk whose nearest
-    point lies on the closed boundary, at radius w/2 exactly, keeps one
-    more: NGP weights that point, and for CIC and TSC, whose shape is +0.0
-    at w/2, the offset's passes add +0.0, which leaves every bit alone too.
+    of its offsets, CIC 2 and NGP 1, and no 1D offset's far bound reaches
+    w/2.  On a lattice, a chunk whose nearest point lies on the closed
+    boundary, at radius w/2 exactly, keeps one more: NGP weights that
+    point, and for CIC and TSC, whose shape is +0.0 at w/2, the offset's
+    passes add +0.0, which leaves every bit alone too.  There a 1D
+    offset's far bound passes w/2, and its distances are squared.
     """
     slack = 2.0 ** -40 * (abs(origin) + n * h)
 
@@ -1244,13 +1241,13 @@ def _axis_offsets(x, j0, origin, n, w, h, cut, square):
         widen = slack if o else 0.0
         lo, hi = lowest + o * h - widen, highest + o * h + widen
         near, far = max(lo, -hi, 0.0), max(-lo, hi)
-        near_sq = near * near
+        near_sq, far_sq = near * near, far * far
         if near_sq <= cut:
             dist = offset(o) if o else zero
-            if square:
-                yield o, np.square(dist, out=dist), near_sq, far * far, 1
+            if square or far_sq > cut:
+                yield o, np.square(dist, out=dist), near_sq, far_sq, 1
             else:
-                yield o, dist, near_sq, far * far, -1 if hi <= 0.0 else int(lo >= 0.0)
+                yield o, dist, near_sq, far_sq, -1 if hi <= 0.0 else int(lo >= 0.0)
             del dist
         if o == 0:
             zero = None  # a streamed offset's arrays must not outlive its pass
@@ -1278,18 +1275,20 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
     branch's evaluate or mirror on them, and any other takes |dist| / h
     first (see _profile_in_place).
 
-    In d > 1 a pass whose far bound lies past the support, far**2 > T
+    In every d, a pass whose far bound lies past the support, far**2 > T
     for ``cut``, the T of _support_cutoff_sq by which _axis_offsets kept
     the offsets, is culled before the root by the rule the direct
     evaluation applies to its pairs (_within_support): it keeps, by index
     in point order, the points whose summed square is at most T, exactly
     those with r <= w/2, and computes r and the weights for them alone,
     under the bounds (lo, sqrt(T) / h).  Each point it drops would have
-    added +0.0.  On continuous data that is every pass of CIC3 and NGP3
-    and every TSC3 pass but the centre one, whose bounds lie wholly
-    inside the support; it and every 1D pass weight all their points in
-    place.  A pass yields its offsets, the weights and the kept indices,
-    None where it keeps every point.
+    added +0.0.  So no pass hands the kernel a radius past w/2.  On
+    continuous data that is every pass of CIC3 and NGP3 and every TSC3
+    pass but the centre one, whose bounds lie wholly inside the support;
+    it and every 1D pass weight all their points in place.  On a lattice
+    a 1D pass may reach past w/2 too (see _axis_offsets).  A pass yields
+    its offsets, the weights and the kept indices, None where it keeps
+    every point.
 
     The kernel's normalization n and a branch's factor (1/2 on TSC's
     outer branch, else 1) go in as one multiply by their product, which is
@@ -1305,7 +1304,7 @@ def _passes(kernel, h, cut, axes, offsets=(), sq=None, bounds_sq=(0.0, 0.0)):
             yield from _passes(kernel, h, cut, axes, key, s, (near_sq, far_sq))
             continue
         lo = math.sqrt(near_sq) / h
-        if sq is not None and far_sq > cut:  # past the support
+        if far_sq > cut:  # past the support
             keep, weights = _within_support(kernel, s, cut, h, lo)
         else:
             keep = None

@@ -478,18 +478,62 @@ def analytic_optimal_bandwidth(
     return optimal_bandwidth(density.roughness(), kernel, Np)
 
 
+def _ratio(plain, steps, num, den, name: str):
+    """``plain``, a formula's value of the product of ``num`` over the
+    product of ``den``, where it is finite and each of ``steps``, the
+    products it rounds on the way, is a normal float; elsewhere, where the
+    formula over- or underflowed on the way, the same ratio taken by
+    mantissas and exponents (np.frexp), so that nothing warns: a value
+    below the floats is +0.0 (or subnormal), and one past them raises
+    DomainError naming ``name``."""
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    plain_ok = np.abs(plain) <= huge
+    for step in steps:
+        plain_ok &= (np.abs(step) >= tiny) & (np.abs(step) <= huge)
+    if np.all(plain_ok):
+        return plain
+    mantissa, exponent = 1.0, 0
+    with np.errstate(all="ignore"):
+        for factor in num:
+            m, e = np.frexp(factor)
+            mantissa, exponent = mantissa * m, exponent + e
+        for factor in den:
+            m, e = np.frexp(factor)
+            mantissa, exponent = mantissa / m, exponent - e
+        out = np.where(plain_ok, plain, np.ldexp(mantissa, exponent))
+    if np.any(np.isinf(out)):
+        raise DomainError(f"{name} is out of range: it exceeds the largest float")
+    return out
+
+
 def hernquist_profile(r, params: HernquistParams):
-    """Mass density rho(r) = MT r_c / (2 pi r (r + r_c)^3) of the sphere."""
+    """Mass density rho(r) = MT r_c / (2 pi r (r + r_c)^3) of the sphere.
+
+    The plain formula's value where it neither over- nor underflows on the
+    way; elsewhere a density below the floats is +0.0 and one past them
+    raises DomainError (see _ratio)."""
     r = _float_array(r, "r")
     if np.any(r <= 0.0):
         raise DomainError("hernquist_profile needs r > 0")
-    rc = params.scale_length_rc
-    out = params.total_mass_MT * rc / (2.0 * np.pi * r * (r + rc) ** 3)
+    mt, rc = params.total_mass_MT, params.scale_length_rc
+    with np.errstate(all="ignore"):
+        num, near, cube = mt * rc, 2.0 * np.pi * r, (r + rc) ** 3
+        den = near * cube
+        plain = num / den
+        # (r + r_c)^3 = 8 half^3, so 2 pi becomes 16 pi; half does not
+        # overflow where r + r_c does.
+        half = 0.5 * r + 0.5 * rc
+    out = _ratio(plain, (num, near, cube, den), (mt, rc), (16.0 * np.pi, r, half, half, half),
+                 "hernquist_profile")
     return out if out.ndim else float(out)
 
 
 def profile_from_radial_pdf(pdf_values, r, total_mass_MT: float):
-    """Convert a radial pdf p(r) into a mass density rho(r) = MT p / (4 pi r^2)."""
+    """Convert a radial pdf p(r) into a mass density rho(r) = MT p / (4 pi r^2).
+
+    The plain formula's value where it neither over- nor underflows on the
+    way; elsewhere a density below the floats is +0.0 and one past them
+    raises DomainError (see _ratio)."""
     r = _float_array(r, "r")
     if np.any(r <= 0.0):
         raise DomainError("profile_from_radial_pdf needs r > 0")
@@ -497,5 +541,10 @@ def profile_from_radial_pdf(pdf_values, r, total_mass_MT: float):
     pdf_values = _float_array(pdf_values, "pdf_values")
     if pdf_values.shape != r.shape:
         raise DomainError(f"pdf_values must have r's shape {r.shape}, not {pdf_values.shape}")
-    out = total_mass_MT * pdf_values / (4.0 * np.pi * r ** 2)
+    with np.errstate(all="ignore"):
+        num, square = total_mass_MT * pdf_values, r ** 2
+        den = 4.0 * np.pi * square
+        plain = num / den
+    out = _ratio(plain, (num, square, den), (total_mass_MT, pdf_values), (4.0 * np.pi, r, r),
+                 "profile_from_radial_pdf")
     return out if out.ndim else float(out)

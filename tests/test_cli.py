@@ -888,6 +888,18 @@ def test_experiment_seed_list_in_scientific_notation(tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("flag, other", [("--np", "--seed"), ("--seed", "--np")])
+@pytest.mark.parametrize("entries", [",", "", " , ,"])
+def test_experiment_list_with_no_entries_is_a_usage_error(tmp_path, capsys, flag, other, entries):
+    """A comma list with no entries names its flag and exits 1; it does not
+    run the study's defaults (four decades up to 1e6 points, seeds 1-5)."""
+    out = tmp_path / "exp.json"
+    argv = ["experiment", "gauss1d", flag, entries, other, "1000", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"argument {flag}: a list with no entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--generator", "gauss1d", "--np", "10"],
     ["experiment", "gauss1d", "--np", "1000"],

@@ -1297,6 +1297,61 @@ def test_deposit_builds_w_offsets_per_axis_and_one_index_per_chunk(family, dim, 
                 assert all(slot in chunk_slots for slot in at.tolist())
 
 
+# sha256 of build_grid(...).values.tobytes() at h 0.2 for 1e5
+# default_rng(3) standard normals rounded to 0.1, in 4 chunks, recorded
+# before a 1D pass whose far bound passes w/2 was culled by the support
+# cutoff, when such a pass weighted every point.
+ROUNDED_1D_DEPOSIT_SHA256 = {
+    "ngp": "66cbffcfeb482944b3a781569e4e7ef535448b21c5990d62d881abf459b6ae9d",
+    "cic": "d4243ce53b035d69d39d929e70cf193f1bf2189f01dd8499ed406945fe08f92d",
+    "tsc": "c1dde815e2c6999a60eb0c120e58872ebf5d290a006c302909278d24bb7c6a2f",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROUNDED_1D_DEPOSIT_SHA256))
+def test_1d_passes_past_the_support_are_culled_with_their_recorded_bits(family, monkeypatch):
+    """On a 0.1 lattice at h 0.2 some 1D offsets' far bounds pass w/2.
+    Each such pass is culled as a 3D one is: it sums at a subsequence of
+    its chunk's slots, in point order, taken from them (all of them where
+    only the bounds' slack passes w/2), and every other pass sums at the
+    chunk's own slot array.  The grid keeps the bits recorded before the
+    cull."""
+    kernel = kernel_constants(family, 1)
+    sample = Sample(np.round(np.random.default_rng(3).standard_normal(100_000), 1))
+    cut = estimator._support_cutoff_sq(0.2, 0.5 * kernel.width_w)
+    past, slots, seen = [], [], []  # per chunk, whether each pass's far bound passes w/2
+    axis_offsets, chunk_axes = estimator._axis_offsets, estimator._chunk_axes
+
+    def recorded_offsets(*args):
+        past.append([])
+        for item in axis_offsets(*args):
+            past[-1].append(item[3] > cut)
+            yield item
+
+    def recorded_chunk(*args):
+        chunk = chunk_axes(*args)
+        slots.append(chunk[0])
+        return chunk
+
+    monkeypatch.setattr(estimator, "_axis_offsets", recorded_offsets)
+    monkeypatch.setattr(estimator, "_chunk_axes", recorded_chunk)
+    monkeypatch.setattr(estimator, "np", _ScatterSpy(seen))
+    grid = build_grid(sample, kernel, 0.2)
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == ROUNDED_1D_DEPOSIT_SHA256[family]
+    assert len(slots) == len(past) == 4
+    assert len(seen) == sum(map(len, past))
+    assert any(map(any, past))
+    at_passes = iter(seen)
+    for index, chunk_past in zip(slots, past):
+        for cull, at in zip(chunk_past, at_passes):
+            if not cull:
+                assert at is index
+            else:  # some of the chunk's slots, in point order: a subsequence
+                chunk_slots = iter(index.tolist())
+                assert at is not index and 0 < at.size <= index.size
+                assert all(slot in chunk_slots for slot in at.tolist())
+
+
 class _CallSpy(_ScatterSpy):
     """_ScatterSpy that also records, per call that sums, its name and the
     dtype of the array np.add.at sums into."""

@@ -166,23 +166,27 @@ def test_bounded_radial_profile_is_bit_equal(family, dim):
 
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_radial_profile_clamps_only_where_shape_ends_at_zero(family, dim, monkeypatch):
-    """Bounds from inside the last branch to past its top compute that
-    branch on min(r, top), without the selection over all branches, where
-    W is zero at its last top (CIC, TSC).  NGP ends at full height, so it
-    keeps the selection.  The bits are the selection's either way."""
-    k = kernel_constants(family, 1) if dim == 1 else kernel_constants(family, 3)
+def test_radial_profile_picks_per_radius_past_the_last_top(family, dim, monkeypatch):
+    """Bounds from inside the last branch to past its top pick each
+    radius's branch, +0.0 beyond the top, for every family, on radii and
+    on signed offsets of either side: one pick per call, told that radii
+    lie past the top.  The bits are the full selection's."""
+    k = kernel_constants(family, dim)
     top = profile_branches(k)[-1][0]
     r = np.sort(np.concatenate([
         np.linspace(top - 0.25, top + 0.5, 301), [top, np.nextafter(top, 2.0)],
     ]))
     full = radial_profile(k, r)
-    selects = []
+    signs = np.random.default_rng(71).choice([-1.0, 1.0], r.size)
+    past_top = []
     select = kernels._select_per_radius
-    monkeypatch.setattr(kernels, "_select_per_radius", lambda *a: selects.append(1) or select(*a))
-    got = radial_profile(k, r, (r[0], r[-1]))
-    assert got.tobytes() == full.tobytes()
-    assert bool(selects) == (family == "ngp")
+    monkeypatch.setattr(
+        kernels, "_select_per_radius", lambda *a: past_top.append(a[-1]) or select(*a)
+    )
+    for side, u in ((1, r), (-1, -r), (0, signs * r)):
+        got = kernels._profile_in_place(k, u.copy(), (r[0], r[-1]), side)
+        assert got.tobytes() == full.tobytes(), side
+    assert past_top == [True] * 3
 
 
 @pytest.mark.parametrize("dim", [1, 3])

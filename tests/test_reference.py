@@ -7,6 +7,7 @@ the suite are anchored to first principles here.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -407,6 +408,57 @@ def test_profile_from_radial_pdf_of_another_shape_raises_domain_error():
     """Three pdf values at two radii raised numpy's broadcast ValueError."""
     with pytest.raises(DomainError, match=r"pdf_values must have r's shape \(2,\), not \(3,\)"):
         profile_from_radial_pdf([1, 2, 3], [1, 2], 1.0)
+
+
+def _exact_float(value: Fraction) -> float:
+    """The float nearest an exact ratio, inf where it lies past the floats."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def test_mass_density_profiles_at_extreme_scales_follow_the_library_rules():
+    """Seeded radii, scales, masses and pdf values across the floats, 2^k
+    for k from -1074 to 1023 (scales 2^-1000 to 2^1000), with warnings as
+    errors: each profile is within a few ulps of the exact ratio of its
+    float inputs (2 pi and 4 pi as rounded), +0.0 or subnormal where that
+    lies below the normal floats, and raises DomainError where it lies
+    past them.  Among the cases: r = 1e-320 and 1e200 and r_c = 1e300."""
+    rng = np.random.default_rng(83)
+
+    def draw(low, high, size):
+        return np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(low, high, size)).tolist()
+
+    rs = draw(-1074, 1023, 120) + [1e-320, 1e200, 1.0]
+    scales = draw(-1000, 1000, 120) + [1.0, 1.0, 1e300]
+    masses = draw(-1000, 1000, 120) + [1.0, 1.0, 1.0]
+    pdfs = draw(-1074, 1023, 120) + [1.0, 1e10, 0.0]
+    checked = {"finite": 0, "zero": 0, "overflow": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, rc, mt, pdf in zip(rs, scales, masses, pdfs):
+            params = HernquistParams(total_mass_MT=mt, scale_length_rc=rc,
+                                     truncation_max_r_over_rc=2.0)
+            R, RC, MT = Fraction(r), Fraction(rc), Fraction(mt)
+            cases = [
+                (lambda: hernquist_profile(r, params),
+                 MT * RC / (Fraction(2.0 * np.pi) * R * (R + RC) ** 3)),
+                (lambda: profile_from_radial_pdf(pdf, r, mt),
+                 MT * Fraction(pdf) / (Fraction(4.0 * np.pi) * R * R)),
+            ]
+            for call, exact in cases:
+                want = _exact_float(exact)
+                if want == math.inf:
+                    with pytest.raises(DomainError, match="out of range"):
+                        call()
+                    checked["overflow"] += 1
+                    continue
+                got = call()
+                assert isinstance(got, float) and got >= 0.0
+                assert abs(got - want) <= 4e-15 * want + 2.0 ** -1073, (r, rc, mt, pdf)
+                checked["finite" if want else "zero"] += 1
+    assert min(checked.values()) >= 20, checked
 
 
 def test_profile_round_trip():
