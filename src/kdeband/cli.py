@@ -56,7 +56,7 @@ from .reference import (
     RNG_NAME,
     AnalyticDensity,
     HernquistParams,
-    _hernquist_window_norm,
+    _window_mass,
     analytic_optimal_bandwidth,
     eval_density,
     hernquist_profile,
@@ -686,7 +686,7 @@ def _curve_table(args, grid_cap, kernel, sample, h, seed, hq_params, density) ->
                 xs, fhat, eval_density(density, xs))
     keep = xs > 0.0
     rs = xs[keep]
-    mass_in_window = hq_params.total_mass_MT * _hernquist_window_norm(density)
+    mass_in_window = hq_params.total_mass_MT * _window_mass(density.r_window, density.rc)
     r_lo, r_hi = hq_params.r_window
     header += [
         f"# scale_length_rc: {hq_params.scale_length_rc:g}",
@@ -702,6 +702,8 @@ def cmd_experiment(args) -> int:
     name = args.name
     study = _LAWS[name]
     dim = study.dim
+    if args.emit_curves and dim != 1:
+        raise KdebandError(f"--emit-curves takes a 1D study, not {name} (d = {dim})")
     np_values = sorted(set(args.np or study.np))
     seeds = sorted(set(args.seed or _DEFAULT_SEEDS))
     config, grid_cap = _selection_flags(args)
@@ -717,7 +719,7 @@ def cmd_experiment(args) -> int:
             sample = study.draw(Np, seed, hq_params)
             trace, wall_ms = _select(sample, kernel, config, grid_cap)
             group.append(_report(name, args.kernel, Np, seed, trace, analytic_h, wall_ms))
-            if args.emit_curves and dim == 1:
+            if args.emit_curves:
                 path = _curve_path(args.out, name, Np, seed)
                 curves.append(path)
                 _write(path, *_curve_table(args, grid_cap, kernel, sample, trace.final_h,

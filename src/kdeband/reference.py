@@ -140,8 +140,8 @@ class HernquistParams:
                             "truncation_min_r_over_rc", "truncation_max_r_over_rc")
         object.__setattr__(self, "truncation_min_r_over_rc", low)
         object.__setattr__(self, "truncation_max_r_over_rc", high)
-        _window(*self.r_window, "truncation_min_r_over_rc * scale_length_rc",
-                "truncation_max_r_over_rc * scale_length_rc")
+        _window_mass(_window(*self.r_window, "truncation_min_r_over_rc * scale_length_rc",
+                             "truncation_max_r_over_rc * scale_length_rc"), self.scale_length_rc)
 
     @property
     def r_window(self) -> tuple[float, float]:
@@ -150,14 +150,36 @@ class HernquistParams:
         return (self.truncation_min_r_over_rc * rc, self.truncation_max_r_over_rc * rc)
 
 
-def _hernquist_mass_fraction(r, rc):
-    """Enclosed mass fraction M(<r)/MT of the untruncated sphere.  Where
-    r + rc overflows, the ratio is taken of their halves."""
+def _halved(x, rc):
+    """(c, a) with a = c x + c rc, and c = 1/2 where x + rc overflows, else
+    1 (where a is x + rc to the bit).  So a is finite, and a Hernquist ratio
+    taken of c x, c rc and a is the one of x, rc and x + rc.  Where
+    c = 1/2, a^3 overflows, so _ratio never keeps a plain formula in a^3
+    there."""
     with np.errstate(over="ignore"):
-        a = r + rc
-    if a == np.inf:
-        r, a = r / 2, r / 2 + rc / 2
-    return (r / a) ** 2
+        c = np.where(x + rc == np.inf, 0.5, 1.0)
+    return c, c * x + c * rc
+
+
+def _hernquist_mass_fraction(r, rc):
+    """Enclosed mass fraction M(<r)/MT of the untruncated sphere."""
+    c, a = _halved(r, rc)
+    return (c * r / a) ** 2
+
+
+def _window_mass(window: tuple[float, float] | None, rc: float) -> float:
+    """The untruncated Hernquist law's mass F(r_max) - F(r_min) inside the
+    window (r_min, r_max) at scale length rc, 1.0 for no window;
+    DomainError naming the window where it holds none in floats (F(r_min)
+    and F(r_max) round to one float)."""
+    if window is None:
+        return 1.0
+    lo, hi = window
+    mass = float(_hernquist_mass_fraction(hi, rc) - _hernquist_mass_fraction(lo, rc))
+    if not mass > 0.0:
+        raise DomainError(f"the truncation window ({lo!r}, {hi!r}) holds no mass in floats "
+                          f"at r_c = {rc!r}: F(r_min) and F(r_max) round to one float")
+    return mass
 
 
 def _draw_count(Np, d: int = 1) -> int:
@@ -232,6 +254,8 @@ def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sampl
     The enclosed mass fraction F(r) = (r/(r+r_c))^2 inverts in closed
     form: r = r_c sqrt(q) / (1 - sqrt(q)).  Drawing q uniformly between
     F(r_min) and F(r_max) yields radii from the truncated law exactly.
+    Each radius is clipped to the window: near F = 1, q may round to 1
+    (r = r_c / 0), or the quotient past r_max.
     """
     Np = _draw_count(Np)
     rc = params.scale_length_rc
@@ -239,7 +263,9 @@ def sample_hernquist_radii(Np: int, params: HernquistParams, seed: int) -> Sampl
     rng = _generator(seed)
     q = rng.uniform(f_lo, f_hi, Np)
     s = np.sqrt(q)
-    return _adopt(Sample, points=rc * s / (1.0 - s))
+    with np.errstate(divide="ignore", over="ignore"):
+        radii = rc * s / (1.0 - s)
+    return _adopt(Sample, points=np.clip(radii, *params.r_window, out=radii))
 
 
 @dataclass(frozen=True)
@@ -268,6 +294,7 @@ class AnalyticDensity:
                 raise DomainError(f"r_window must be a pair (r_min, r_max), not {window.shape}")
             object.__setattr__(self, "r_window",
                                _window(*window.tolist(), "r_window's r_min", "r_window's r_max"))
+        _window_mass(self.r_window, self.rc)
 
     @property
     def dim(self) -> int:
@@ -355,42 +382,25 @@ def _trimodal_roughness(density) -> float:
     return total
 
 
-def _hernquist_window_norm(density: AnalyticDensity) -> float:
-    """Probability mass of the untruncated law inside the window."""
-    if density.r_window is None:
-        return 1.0
-    lo, hi = density.r_window
-    return float(
-        _hernquist_mass_fraction(np.float64(hi), density.rc)
-        - _hernquist_mass_fraction(np.float64(lo), density.rc)
-    )
-
-
 def _hernquist_pdf(density, x):
+    """p(x) = 2 rc x / (x + rc)^3 / Z, with Z the window's mass: the plain
+    formula's value where it neither over- nor underflows on the way, else
+    the library's rule (_ratio).  Points outside the window are taken at
+    x = 0, where p is +0.0."""
     if np.any(x < 0.0):
         raise DomainError("radial density needs r >= 0")
-    rc = density.rc
-    # The plain quotient where its numerator and denominator are normal
-    # floats.  Elsewhere either may have overflowed or underflowed (at x = 0,
-    # or rc ~ 1e-300, or rc ~ 1e300; at x = 0 a product 2 rc that overflows
-    # gives inf * 0 = NaN), and 2 (x/a)(rc/a)/a with a = x + rc, whose
-    # factors lie in [0, 1], stays finite: p(0) = 0 for every rc.
-    # Where x + rc overflows, that form is taken of the halves c x, c rc and
-    # their sum a, with c = 1/2, and times 2 c = 1 rather than 2: the same
-    # number.  Elsewhere c = 1, which changes no bit.
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        c = np.where(x + rc == np.inf, 0.5, 1.0)
-        a = c * x + c * rc
-        num, den = 2.0 * rc * x, a ** 3
-        plain = (num >= tiny) & (num <= huge) & (den >= tiny) & (den <= huge)
-        out = np.where(plain, num / np.where(plain, den, 1.0),
-                       2.0 * c * (c * x / a) * (c * rc / a) / a)
+    rc, z = density.rc, _window_mass(density.r_window, density.rc)
     if density.r_window is not None:
         lo, hi = density.r_window
-        inside = (x >= lo) & (x <= hi)
-        out = np.where(inside, out / _hernquist_window_norm(density), 0.0)
-    return out
+        x = np.where((x >= lo) & (x <= hi), x, 0.0)
+    c, a = _halved(x, rc)
+    with np.errstate(all="ignore"):
+        num, den = 2.0 * rc * x, a ** 3
+        part = num / den
+        # part rounds on the way only where a window's mass then divides it.
+        steps = (num, den) if z == 1.0 else (num, den, part)
+        return _ratio(part / z, steps, (2.0 * c * c * c, rc, x), (a, a, a, z),
+                      "the Hernquist pdf")
 
 
 def _hernquist_g(s: float) -> float:
@@ -407,7 +417,7 @@ def _hernquist_roughness(density) -> float:
     else:
         lo, hi = density.r_window
         lo_s, hi_s = 1.0 + lo / rc, 1.0 + hi / rc
-    z = _hernquist_window_norm(density)
+    z = _window_mass(density.r_window, rc)
     hi_term = 0.0 if np.isinf(hi_s) else _hernquist_g(hi_s)
     return 144.0 * (hi_term - _hernquist_g(lo_s)) / (z * z * rc ** 5)
 
@@ -516,15 +526,12 @@ def hernquist_profile(r, params: HernquistParams):
     if np.any(r <= 0.0):
         raise DomainError("hernquist_profile needs r > 0")
     mt, rc = params.total_mass_MT, params.scale_length_rc
+    c, a = _halved(r, rc)
     with np.errstate(all="ignore"):
-        num, near, cube = mt * rc, 2.0 * np.pi * r, (r + rc) ** 3
+        num, near, cube = mt * rc, 2.0 * np.pi * r, a ** 3
         den = near * cube
-        plain = num / den
-        # (r + r_c)^3 = 8 half^3, so 2 pi becomes 16 pi; half does not
-        # overflow where r + r_c does.
-        half = 0.5 * r + 0.5 * rc
-    out = _ratio(plain, (num, near, cube, den), (mt, rc), (16.0 * np.pi, r, half, half, half),
-                 "hernquist_profile")
+        out = _ratio(num / den, (num, near, cube, den), (mt, rc),
+                     (2.0 * np.pi / (c * c * c), r, a, a, a), "hernquist_profile")
     return out if out.ndim else float(out)
 
 

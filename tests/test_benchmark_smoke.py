@@ -7,6 +7,7 @@ The smoke run calls every workload at a tiny size, untraced and traced, and
 checks what each prints; it takes tens of seconds.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,12 +40,16 @@ BENCHMARK_NAMES = [
 
 def test_benchmark_names_resolve_after_a_plain_import():
     """A fresh process, so no other test's import of a submodule hides a
-    name the package itself no longer reaches."""
+    name the package itself no longer reaches; ``src/`` is on its path, so
+    the test runs without an install."""
     script = (
         "import functools, kdeband\n"
         f"for name in {BENCHMARK_NAMES!r}:\n"
         "    assert callable(functools.reduce(getattr, name.split('.'), kdeband)), name\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
-                          text=True, timeout=120)
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

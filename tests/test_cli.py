@@ -23,6 +23,7 @@ from numpy.testing import assert_allclose
 
 import kdeband.cli
 import kdeband.estimator
+import kdeband.reference
 from kdeband.cli import main
 from kdeband.estimator import kernel_constants
 from kdeband.reference import (
@@ -397,6 +398,23 @@ def test_experiment_emit_curves_honours_grid_cap(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "exp_np1000_seed1_curve.dat").exists()
 
 
+def test_experiment_emit_curves_of_a_3d_study_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """--emit-curves tabulates the 1D studies; on gauss3d it ran the study
+    and exited 0 with no curve file and no ``curve_files``.  It exits 1
+    before any draw and writes nothing."""
+    def draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(kdeband.reference, "sample_gaussian_3d", draw)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["experiment", "gauss3d", "--np", "1000", "--seed", "1", "--emit-curves",
+               "--out", "g3.json"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "kdeband: error: --emit-curves takes a 1D study, not gauss3d (d = 3)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_density_of_a_tiny_hernquist_scale_length_warns_nothing(tmp_path, capsys):
     """--rc 1e-300: the law's pdf at r = 0 reads 0 rather than 0/0, and the
     command exits 0 with nothing on stderr (warnings are errors here)."""
@@ -648,6 +666,26 @@ def test_hernquist_window_past_the_floats_is_one_error_line(tmp_path, capsys, co
     assert rc == 1
     assert re.fullmatch(r"kdeband: error: truncation_max_r_over_rc \* scale_length_rc must be "
                         r"a real in \(.*\), got inf\n", captured.err)
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--generator", "hernquist", "--np", "3"],
+    ["density", "--generator", "hernquist", "--np", "3", "--h", "0.2"],
+    ["experiment", "hernquist", "--np", "1000"],
+], ids=["sample", "density", "experiment"])
+def test_hernquist_window_with_no_mass_in_floats_is_one_error_line(tmp_path, capsys, command):
+    """--r-min-over-rc 1e17 --r-max-over-rc 2e17: F(r_min) and F(r_max)
+    round to one float, so the window holds no mass.  ``sample`` printed
+    numpy's divide-by-zero RuntimeWarning, then that the sample points
+    must be finite; now every command exits 1 with one line naming the
+    window, before any draw (warnings are errors here)."""
+    out = tmp_path / "out"
+    rc = main(command + ["--seed", "1", "--r-min-over-rc", "1e17", "--r-max-over-rc", "2e17",
+                         "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and not out.exists()
+    assert re.fullmatch(r"kdeband: error: the truncation window \(1e\+17, 2e\+17\) holds no "
+                        r"mass in floats at r_c = 1\.0: [^\n]*\n", captured.err)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from kdeband.errors import DomainError
+from kdeband.errors import DomainError, KdebandError
 from kdeband.estimator import kernel_constants
 from kdeband.reference import (
     AnalyticDensity,
@@ -26,6 +26,7 @@ from kdeband.reference import (
     hernquist_profile,
     hernquist_radial_pdf,
     profile_from_radial_pdf,
+    sample_hernquist_radii,
     trimodal_1d,
     tsc_density_1d,
 )
@@ -459,6 +460,88 @@ def test_mass_density_profiles_at_extreme_scales_follow_the_library_rules():
                 assert abs(got - want) <= 4e-15 * want + 2.0 ** -1073, (r, rc, mt, pdf)
                 checked["finite" if want else "zero"] += 1
     assert min(checked.values()) >= 20, checked
+
+
+def test_hernquist_law_at_extreme_scales_follows_the_library_rules():
+    """Seeded scale lengths, points, radii and window ratios 2^k, for k
+    from -1074 to 1023 and, for half the cases, from -60 to 60, with
+    warnings as errors: each Hernquist call returns finite values (a pdf,
+    a profile, radii inside the window, a roughness, a bandwidth) or
+    raises a KdebandError.  Among the cases, three that read inf or warned:
+    a subnormal rc, whose pdf overflows; a window of subnormal radii, whose
+    normalisation overflows the pdf; and a window whose F(r_min) and
+    F(r_max) round to one float, so that it holds no mass (built as a law
+    and as HernquistParams).  Each of them raises DomainError."""
+    rng = np.random.default_rng(36)
+    tsc = kernel_constants("tsc", 1)
+
+    def draw(low, high, size):
+        return np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(low, high, size)).tolist()
+
+    outcomes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for low, high in ((-1074, 1024), (-60, 61)):
+            rcs, xs, rs, ends, starts = (draw(low, high, 120) for _ in range(5))
+            for rc, x, r, a, b, Np in zip(rcs, xs, rs, ends, starts, rng.integers(1, 6, 120)):
+                if a == b:
+                    continue
+                ratios = dict(truncation_min_r_over_rc=min(a, b),
+                              truncation_max_r_over_rc=max(a, b))
+
+                def params():
+                    return HernquistParams(scale_length_rc=rc, **ratios)
+
+                def windowed():
+                    return hernquist_radial_pdf(rc, params().r_window)
+
+                def inside():
+                    lo, hi = params().r_window
+                    return np.array([x, lo, lo + (hi - lo) / 2, hi])
+
+                def radii():
+                    points = sample_hernquist_radii(Np, params(), 1).points
+                    lo, hi = params().r_window
+                    assert np.all((points >= lo) & (points <= hi)), (rc, ratios)
+                    return points
+
+                calls = {
+                    "pdf": lambda: eval_density(hernquist_radial_pdf(rc), x),
+                    "windowed pdf": lambda: eval_density(windowed(), inside()),
+                    "profile": lambda: hernquist_profile(r, params()),
+                    "profile of the pdf": lambda: profile_from_radial_pdf(
+                        eval_density(windowed(), r), r, 1.0),
+                    "radii": radii,
+                    "roughness": lambda: hernquist_radial_pdf(rc).roughness(),
+                    "windowed roughness": lambda: windowed().roughness(),
+                    "bandwidth": lambda: analytic_optimal_bandwidth(windowed(), tsc, Np),
+                }
+                for name, call in calls.items():
+                    try:
+                        value = call()
+                    except KdebandError:
+                        outcome = "error"
+                    else:
+                        assert np.all(np.isfinite(value)) and np.all(np.asarray(value) >= 0.0), (
+                            name, rc, x, r, ratios)
+                        outcome = "finite"
+                    outcomes[name, outcome] = outcomes.get((name, outcome), 0) + 1
+        overflow, no_mass = "the Hernquist pdf is out of range", (
+            r"the truncation window \(1e\+17, 2e\+17\) holds no mass in floats")
+        defects = [
+            (lambda: eval_density(hernquist_radial_pdf(rc=1e-310), 5e-311), overflow),
+            (lambda: eval_density(hernquist_radial_pdf(rc=5e-309, r_window=(1e-309, 5e-309)),
+                                  2.5e-309), overflow),
+            (lambda: eval_density(hernquist_radial_pdf(rc=1.0, r_window=(1e17, 2e17)), 1.5e17),
+             no_mass),
+            (lambda: HernquistParams(truncation_min_r_over_rc=1e17, truncation_max_r_over_rc=2e17),
+             no_mass),
+        ]
+        for call, message in defects:
+            with pytest.raises(DomainError, match=message):
+                call()
+    assert all(outcomes.get((name, "finite"), 0) >= 20 for name, _ in outcomes), outcomes
+    assert sum(n for (_, outcome), n in outcomes.items() if outcome == "error") >= 100, outcomes
 
 
 def test_profile_round_trip():
