@@ -12,10 +12,14 @@ both under ``--grid-cap`` (so it also bounds ``--emit-curves`` grids).
 One row formatter, ``_rows``, writes every numeric row of the ``density``
 tables, the ``--emit-curves`` files and ``sample``'s files: each value as
 ``%.17g`` (the bytes of ``format(v, ".17g")``), a missing analytic column
-as the literal ``NA``.  One writer, ``_write``, writes every file and
-every stdout document: its header lines, then its rows a block at a time,
-so a command's memory is bounded by its sample and columns plus one block
-of rows, never a whole file's text.  A stdout reader that goes away early
+as the literal ``NA``.  It takes the 17 digits of a value with
+1e-4 <= |x| < 1e16 from exact integer arithmetic in numpy, and formats
+the rest (zeros, other magnitudes, subnormals, non-finite values) with
+'%.17g' itself, 2^12 values at a time with some 170 B of temporaries a
+value.  One writer, ``_write``, writes every file and every stdout
+document: its header lines, then its rows a block at a time, so a
+command's memory is bounded by its sample and columns plus one block of
+rows, never a whole file's text.  A stdout reader that goes away early
 (``| head``) ends the write quietly and leaves the exit code as it was.
 Flag defaults come from ``SelectorConfig`` and ``HernquistParams``.  The
 count flags ``--np``, ``--max-iters``, ``--grid-cap`` and ``--grid-points``
@@ -40,11 +44,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
 import warnings
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -170,21 +176,176 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-# Rows _write formats at once: one block's Python floats and text stay a
-# few MB, so a file's memory is its columns plus one block.
+# Rows _write formats at once: one block's fields and text stay a few MB,
+# so a file's memory is its columns plus one block.
 _ROW_BLOCK = 1 << 14
+# _rows lays each value's text into a field of _WIDTH bytes, NUL-padded,
+# then its separator.  It formats _SUB_BLOCK values at a time, with some
+# 170 B of temporaries a value (0.7 MB), so a block of one column peaks at
+# 82 B a value and one of three columns at 50 B.
+_WIDTH = 24
+_SUB_BLOCK = 1 << 12
+_U64 = np.uint64
+
+
+def _lanes(byte: int):
+    """The byte in all eight lanes of a word."""
+    return _U64(byte * 0x0101010101010101)
+
+
+_ZERO_CHARS = _lanes(0x30)
+_LOW7 = _lanes(0x7F)
+_HIGH = _lanes(0x80)
+# The bit patterns of |x| = 1e-4 and 1e16, the window that takes digits.
+_DIGITS_WINDOW = np.array([1e-4, 1e16]).view(_U64)
+
+
+def _digit_tables():
+    """The formatter's tables.  By biased binary exponent E of the window:
+    16 - k for k = floor(log10 2^(E-1023)), and the first mantissa whose
+    value reaches 10^(k+1) (2^53: none).  5^p for p <= 20 as 26-bit limbs.
+    By (p, the z index of the last nonzero digit), three words each: the
+    field's bytes kept from the digits laid at byte 1 + j (the integer
+    part), those kept from the digits laid at byte 2 + j (the fraction),
+    and the dot (see ``_digit_fields``)."""
+    lo_e, hi_e = (int(bits) >> 52 for bits in _DIGITS_WINDOW)
+    p_of_e = np.zeros(hi_e + 1, _U64)
+    up_from = np.full(hi_e + 1, 1 << 53, _U64)
+    for e in range(lo_e, hi_e + 1):
+        low = Fraction(2) ** (e - 1023)
+        k = len(str(low.numerator)) - len(str(low.denominator))
+        k -= Fraction(10) ** k > low
+        p_of_e[e] = 16 - k
+        if Fraction(10) ** (k + 1) < 2 * low:
+            up_from[e] = math.ceil(Fraction(10) ** (k + 1) / Fraction(2) ** (e - 1075))
+    five = np.array([5 ** p for p in range(21)], _U64)
+    layout = np.zeros((21, 21, 3, _WIDTH), np.uint8)
+    for p in range(1, 21):
+        k = 16 - p
+        layout[p, :, 0, 1 + min(k + 4, 4):k + 6] = 0xFF
+        for last in range(k + 5, 21):
+            layout[p, last, 1, k + 7:last + 3] = 0xFF
+            layout[p, last, 2, k + 6] = ord(".")
+    layout = layout.view(_U64).reshape(21 * 21, 9).T.copy()
+    return p_of_e, up_from, five >> _U64(26), five & _U64(2 ** 26 - 1), layout
+
+
+_P_OF_E, _UP_FROM, _FIVE_HI, _FIVE_LO, _LAYOUT = _digit_tables()
+
+
+def _digit_bytes(x):
+    """The words of x (each below 10^8) as their 8 decimal digits, one a
+    byte, the first in the lowest byte: each step splits every lane into
+    its quotient and remainder by 10^4, 10^2 and 10."""
+    high = x // _U64(10 ** 4)
+    x = high + ((x - high * _U64(10 ** 4)) << _U64(32))
+    high = ((x * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)
+    x = high + ((x - high * _U64(100)) << _U64(16))
+    high = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    return high + ((x - high * _U64(10)) << _U64(8))
+
+
+def _digit_fields(bits, mag):
+    """The fields, as three words a value, of the values with bit patterns
+    ``bits`` and |x| in the digit window (``mag`` the bits of |x|).
+
+    x = m 2^(E-1075) and p = 16 - k give the 17 digits D of '%.17g', the
+    integer nearest m 5^p 2^(E-1075+p) (ties to even; p <= 20).  m 5^p is
+    formed exactly from 26-bit limbs as hi 2^52 + lo, shifted left 3 so
+    that the shift s = 1078 - E - p is at least 1.  D < 10^17: no double
+    in the window lies within 5e-18 times 10^(k+1) below that power (the
+    nearest lie 8e-17 times it below), so none rounds up to it.  The
+    digit string z is "0000" and D; a field holds the sign, then z_j at
+    byte 1 + j up to the units digit z_(k+4) and at byte 2 + j after the
+    dot, leading zeros but the units one and trailing fraction zeros NUL.
+    """
+    e = mag >> _U64(52)
+    m = (mag & _U64(2 ** 52 - 1)) | _U64(2 ** 52)
+    p = _P_OF_E[e] - (m >= _UP_FROM[e])
+    s = _U64(1078) - e - p
+    m_hi = m >> _U64(26)
+    m &= _U64(2 ** 26 - 1)
+    f_hi, f_lo = _FIVE_HI[p], _FIVE_LO[p]
+    mid = m_hi * f_lo + m * f_hi
+    lo = ((mid & _U64(2 ** 26 - 1)) << _U64(26)) + m * f_lo
+    hi = m_hi * f_hi + (mid >> _U64(26)) + (lo >> _U64(52))
+    del e, m, m_hi, f_hi, f_lo, mid
+    lo &= _U64(2 ** 52 - 1)
+    lo <<= _U64(3)
+    hi <<= _U64(55) - s
+    hi += (lo + ((_U64(1) << s) >> _U64(1)) - _U64(1) + ((lo >> s) & _U64(1))) >> s  # D
+    del lo, s
+    # The field's bytes 0-23 before the layout: "00000" (the sign's byte and
+    # z's four zeros) and D's first 3 digits, then its next 8, its last 6.
+    words = np.empty((3, len(hi)), _U64)
+    words[0], d = np.divmod(hi, _U64(10 ** 14))
+    words[1], words[2] = np.divmod(d, _U64(10 ** 6))
+    words[2] *= _U64(100)
+    words = _digit_bytes(words)
+    # The z index of the last nonzero digit, by the exponent of the float
+    # of each word's flags, and with p the field's layout.
+    top = ((((words + _LOW7) & _HIGH).astype(float).view(np.int64) >> 52) - 1030) >> 3
+    code = np.maximum(np.maximum(top[0] - 1, top[1] + 7), top[2] + 15)
+    code += p.astype(np.intp) * 21
+    del top, p
+    words |= _ZERO_CHARS
+    layout = _LAYOUT[:, code]
+    after_dot = words << _U64(8)
+    after_dot[1:] |= words[:-1] >> _U64(56)
+    after_dot &= layout[3:6]
+    words &= layout[:3]
+    words |= after_dot
+    words |= layout[6:]
+    words[0] |= (bits >> _U64(63)) * _U64(ord("-"))
+    return words
+
+
+def _fields(values) -> np.ndarray:
+    """The NUL-padded text of each float64 value, as '%.17g' writes it,
+    as an (n, _WIDTH) byte array: by ``_digit_fields`` in the digit
+    window, else by '%.17g' itself (zeros, |x| < 1e-4 or >= 1e16,
+    subnormals, non-finite values)."""
+    bits = values.view(_U64)
+    mag = bits & _U64(2 ** 63 - 1)
+    fast = (mag >= _DIGITS_WINDOW[0]) & (mag < _DIGITS_WINDOW[1])
+    if fast.all():
+        words = _digit_fields(bits, mag)
+    else:
+        words = np.zeros((3, len(values)), _U64)
+        words[:, fast] = _digit_fields(bits[fast], mag[fast])
+        slow = np.flatnonzero(~fast)
+        text = b"".join((b"%.17g" % v).ljust(_WIDTH, b"\0") for v in values[slow].tolist())
+        words[:, slow] = np.frombuffer(text, _U64).reshape(-1, 3).T
+    return np.ascontiguousarray(words.T).view(np.uint8)
 
 
 def _rows(*columns) -> str:
     """One line per row of the columns (1D arrays of one length), each
     value as ``%.17g`` and a column given as None as the literal NA.
 
-    One %-format over the rows' Python floats: the bytes of ``_fmt`` per
-    value at a fraction of its cost on large tables.
+    Each value's field (``_fields``) and separator take _WIDTH + 1 bytes,
+    the NA fields hold "NA", and one ``bytes.translate`` drops the NUL
+    padding of a sub-block's fields: the bytes of ``_fmt`` per value.
+    Values with 1e-4 <= |x| < 1e16 take their 17 digits from exact
+    integer arithmetic (``_digit_fields``, no Python float made), the
+    rest from '%.17g' itself.  A sub-block of _SUB_BLOCK values holds
+    some 170 B of temporaries a value.
     """
-    row = " ".join("NA" if column is None else "%.17g" for column in columns) + "\n"
-    values = np.column_stack([column for column in columns if column is not None])
-    return (row * len(values)) % tuple(values.ravel().tolist())
+    numeric = [i for i, column in enumerate(columns) if column is not None]
+    values = np.column_stack([columns[i] for i in numeric]).astype(float, copy=False)
+    row = np.zeros((len(columns), _WIDTH + 1), np.uint8)
+    row[:, _WIDTH] = ord(" ")
+    row[-1, _WIDTH] = ord("\n")
+    row[[i for i, column in enumerate(columns) if column is None], :2] = list(b"NA")
+    step = -(-_SUB_BLOCK // len(numeric))
+    parts = []
+    for i in range(0, len(values), step):
+        block = values[i:i + step]
+        fields = np.tile(row, (len(block), 1, 1))
+        fields[:, numeric, :_WIDTH] = _fields(block.ravel()).reshape(len(block), len(numeric),
+                                                                      _WIDTH)
+        parts.append(fields.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 def _write(path: str | None, header_lines: list[str], *columns) -> None:
@@ -222,12 +383,6 @@ def _write(path: str | None, header_lines: list[str], *columns) -> None:
 _READ_BLOCK = 1 << 17
 _READ_TOKENS = 1 << 13
 _PAD = 32
-_U64 = np.uint64
-
-
-def _lanes(byte: int):
-    """The byte in all eight lanes of a word."""
-    return _U64(byte * 0x0101010101010101)
 
 
 def _top(count: int) -> int:
@@ -236,9 +391,6 @@ def _top(count: int) -> int:
     return 0 if count <= 0 else (1 << 64) - (1 << (64 - 8 * min(count, 8)))
 
 
-_ZERO_CHARS = _lanes(0x30)
-_LOW7 = _lanes(0x7F)
-_HIGH = _lanes(0x80)
 _PAIRS = _U64(0x000000FF000000FF)
 # A token's last 8 bytes by its length (0-8), and the exponent's last 3 by
 # its digit count (0-3).

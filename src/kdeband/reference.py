@@ -404,8 +404,14 @@ def _hernquist_pdf(density, x):
 
 
 def _hernquist_g(s: float) -> float:
-    """Antiderivative of (s-2)^2 / s^10; see module docstring."""
-    return -1.0 / (7.0 * s ** 7) + 1.0 / (2.0 * s ** 8) - 4.0 / (9.0 * s ** 9)
+    """Antiderivative of (s-2)^2 / s^10; see module docstring.  +0.0 where
+    its powers overflow (s past about 1.8e34), as at s = inf: there G is
+    below 1e-240, under half an ulp of G at any r_min of a window that
+    holds mass in floats (r_min/r_c below about 2^54)."""
+    try:
+        return -1.0 / (7.0 * s ** 7) + 1.0 / (2.0 * s ** 8) - 4.0 / (9.0 * s ** 9)
+    except OverflowError:
+        return 0.0
 
 
 def _hernquist_roughness(density) -> float:
@@ -418,8 +424,7 @@ def _hernquist_roughness(density) -> float:
         lo, hi = density.r_window
         lo_s, hi_s = 1.0 + lo / rc, 1.0 + hi / rc
     z = _window_mass(density.r_window, rc)
-    hi_term = 0.0 if np.isinf(hi_s) else _hernquist_g(hi_s)
-    return 144.0 * (hi_term - _hernquist_g(lo_s)) / (z * z * rc ** 5)
+    return 144.0 * (_hernquist_g(hi_s) - _hernquist_g(lo_s)) / (z * z * rc ** 5)
 
 
 # Published comparison values for the truncated-sphere study at Np = 1.05e6

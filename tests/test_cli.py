@@ -790,6 +790,14 @@ CLI_BYTE_PINS = [
          "dgrid.dat":
              "43c865b19f1c135e5b6375594d6d031d7cb199a7861dcc07e5324414ee9115f8",
      }),
+    # Three blocks of rows mixing exact zeros, e- tails below 1e-4 and
+    # ordinary values.
+    ("density-gauss1d-wide-grid",
+     ["density", "--generator", "gauss1d", "--np", "1000", "--seed", "1", "--h", "0.05",
+      "--grid-min=-8", "--grid-max", "8", "--grid-points", "40001", "--out", "dwide.dat"], {
+         "dwide.dat":
+             "f7f884993b30b5fdc4c795a118c2a0552be9e97bd0b961d6dde17d85c8633e07",
+     }),
     ("sample-gauss3d",
      ["sample", "--generator", "gauss3d", "--np", "200", "--seed", "2",
       "--out", "s3.txt"], {
@@ -1045,6 +1053,52 @@ def test_rows_write_each_value_as_format_17g(seed, n, k, na):
                  for column in columns) + "\n"
         for i in range(n))
     assert kdeband.cli._rows(*columns) == want
+
+
+def _percent_classes(rng, n):
+    """Seeded values of every class the digit path and its fallback meet:
+    finite bit patterns (subnormals among them), log-uniform magnitudes
+    10^-4.5 to 10^17.5, powers of ten and 1-2 ulps either side, integers,
+    dyadic fractions, normals rounded to 0-15 decimals, exact ties at the
+    18th digit for k = 10-15 (which '%.17g' rounds half to even), signed
+    zeros and the non-finite values."""
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float)
+    log_uniform = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.5, 17.5, n)
+    tens = 10.0 ** np.arange(-6, 19)
+    up, down = np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)
+    ties = []
+    for k in range(10, 16):
+        base = rng.integers(10 ** k, 10 ** (k + 1), n // 8).astype(float)
+        odd = (2 * rng.integers(0, 2 ** (16 - k), n // 8) + 1) / 2.0 ** (17 - k)
+        tie = base + odd
+        ties.append(tie[tie - base == odd])
+    values = np.concatenate([
+        bits[np.isfinite(bits)], log_uniform,
+        tens, up, np.nextafter(up, np.inf), down, np.nextafter(down, 0.0),
+        rng.integers(-10 ** 17, 10 ** 17, n).astype(float),
+        rng.integers(-2 ** 20, 2 ** 20, n) / 2.0 ** rng.integers(0, 40, n),
+        *(np.round(rng.standard_normal(n // 8), d) for d in range(16)), *ties,
+        [0.0, -0.0, 1e-4, -1e-4, 1e16, 1e17, 1234567890123456.25, np.inf, -np.inf, np.nan]])
+    return rng.permutation(values)
+
+
+@pytest.mark.parametrize("k, na", [(1, None), (1, 1), (2, None), (2, 0), (3, None), (3, 1)])
+def test_rows_match_the_percent_template(k, na):
+    """_rows writes the bytes of one %-format over the rows (the '%.17g'
+    template, NA for a None column) on blocks mixing digit-path, zero and
+    fallback values, on normals only (all on the digit path) and on zeros
+    only (none on it)."""
+    rng = np.random.default_rng(37 + k)
+    mixed = [_percent_classes(rng, 2000) for _ in range(k)]
+    n, pure = min(len(c) for c in mixed), 1 << 13  # spans whole sub-blocks of either
+    assert n + 2 * pure > kdeband.cli._ROW_BLOCK
+    columns = [np.concatenate([c[:n], rng.standard_normal(pure), np.zeros(pure)]) for c in mixed]
+    if na is not None:
+        columns.insert(na, None)
+    row = " ".join("NA" if column is None else "%.17g" for column in columns) + "\n"
+    values = np.column_stack([column for column in columns if column is not None])
+    want = (row * len(values)) % tuple(values.ravel().tolist())
+    assert kdeband.cli._rows(*columns).splitlines(True) == want.splitlines(True)
 
 
 @pytest.mark.parametrize("argv", [

@@ -75,3 +75,24 @@ def test_verdict_of_fixed_pairs(shift, losers, want):
     assert pair_bench.format_summary("gauss-1d-density", "request_per_gauge", s).endswith(want)
     higher = pair_bench.summarize([(-b, -c) for b, c in pairs], "higher", 0.25)
     assert higher["verdict"] == want
+
+
+# Revision values of ten pairs whose IQR, 1.5, exceeds the 25 % bound
+# times their median, 2.0.
+BASE_WIDE = [2.0, 3.5, 2.0, 3.5, 2.0, 3.5, 2.0, 3.5, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("change, want", [
+    ([b + 0.01 for b in BASE_WIDE], "unresolved"),  # every pair lost, by 0.5 % at the median
+    ([1.99] * 10, "within bound"),  # every change run beats every revision run
+    ([b + 0.6 for b in BASE_WIDE], "worse"),  # worse by 30 %: "worse" is checked first
+])
+def test_verdict_where_the_revision_spreads_past_the_bound(change, want):
+    """A revision whose runs spread past the bound cannot show that a
+    change is within it: "unresolved", unless every change run beats
+    every revision run."""
+    s = pair_bench.summarize(list(zip(BASE_WIDE, change)), "lower", 0.25)
+    assert (s["base_median"], s["base_iqr"]) == (2.0, 1.5)
+    assert s["verdict"] == want
+    higher = pair_bench.summarize([(-b, -c) for b, c in zip(BASE_WIDE, change)], "higher", 0.25)
+    assert higher["verdict"] == want

@@ -165,6 +165,20 @@ def test_hernquist_roughness_rc_scaling():
     )
 
 
+def test_hernquist_roughness_of_windows_reaching_past_g_overflow():
+    """G(1 + r_max/r_c) overflows its s^9 from r_max/r_c about 1.8e34 on,
+    where it is far below an ulp of G(1 + r_min/r_c): every window
+    (0.05, 10^k) from k = 34 to 300 has the k = 34 roughness, bit for bit,
+    and a finite optimal bandwidth."""
+    want = hernquist_radial_pdf(1.0, (0.05, 1e34)).roughness()
+    assert want == 7.174768532620268
+    tsc = kernel_constants("tsc", 1)
+    for k in range(34, 301):
+        law = hernquist_radial_pdf(1.0, (0.05, 10.0 ** k))
+        assert law.roughness() == want, k
+        assert np.isfinite(analytic_optimal_bandwidth(law, tsc, 1000)), k
+
+
 def test_gaussian_3d_roughness():
     got = gaussian_3d().roughness()
     assert_allclose(got, R3_GAUSS, rtol=1e-15)

@@ -60,6 +60,7 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float | None
         "base_iqr": base[2] - base[0],
         "ratio": change[1] / base[1],
         "change_wins": sum(sign * (c - b) < 0.0 for b, c in pairs),
+        "change_beats_all": max(sign * c for _, c in pairs) < min(sign * b for b, _ in pairs),
     }
     if bound is not None:
         s["bound"], s["verdict"] = bound, verdict(s, bound)
@@ -70,13 +71,18 @@ def verdict(s: dict, bound: float) -> str:
     """"gain" where the change wins at least 9 in 10 of the pairs and its
     median is better than the revision's by more than the revision's
     interquartile range; "worse" where its median is worse by more than
-    ``bound`` times the revision's median; else "within bound"."""
+    ``bound`` times the revision's median; "unresolved" where the
+    revision's interquartile range exceeds ``bound`` times its median (the
+    runs spread too widely to tell), unless every change run beats every
+    revision run; else "within bound"."""
     sign = 1.0 if s["better"] == "lower" else -1.0
     ahead = sign * (s["base_median"] - s["change_median"])
     if 10 * s["change_wins"] >= 9 * s["pairs"] and ahead > s["base_iqr"]:
         return "gain"
     if -ahead > bound * abs(s["base_median"]):
         return "worse"
+    if s["base_iqr"] > bound * abs(s["base_median"]) and not s["change_beats_all"]:
+        return "unresolved"
     return "within bound"
 
 
